@@ -1,10 +1,12 @@
 """Classical Hamiltonian flow for p(x, xi) = V(x) + |xi|^2 / 2.
 
 The flow is integrated with velocity Verlet, which is symplectic and
-time-reversible; the conserved energy p is the accuracy monitor.  All kernels
-are batched: states are arrays of shape (..., d) and a whole family of
-trajectories advances in lockstep, which is what the shell-sampling scans on
-top of this module rely on for speed.
+time-reversible; the conserved energy p is the accuracy monitor.  One kernel
+serves a single trajectory and a batch alike: it advances per-axis
+components, each a float for one trajectory or an array for a whole family
+advancing in lockstep (what the shell-sampling scans on top of this module
+rely on), and reads the force -grad V = -2 phi'(q) w2 x of the builtin
+family in closed form.
 
 The rescaled picture runs the same flow at energy lam^2 through slow time
 s = lam * t with momenta scaled down by lam, so that over |s| <= T the motion
@@ -14,7 +16,9 @@ controlled by the potential's smallness factor eps(lam).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -72,17 +76,34 @@ def default_dt(lam: float) -> float:
     return 1e-3 * min(1.0, 1.0 / np.sqrt(lam))
 
 
-def _verlet(pot: Potential, x: np.ndarray, xi: np.ndarray, n_steps: int, dt: float):
-    """Advance batched states n_steps with velocity Verlet. Mutates copies."""
-    x = x.copy()
-    xi = xi.copy()
-    force = -pot.raw_grad(x)
-    for _ in range(n_steps):
-        x += dt * xi + (0.5 * dt * dt) * force
-        new_force = -pot.raw_grad(x)
-        xi += (0.5 * dt) * (force + new_force)
-        force = new_force
-    return x, xi
+def _verlet(pot: Potential, x, xi, dt: float):
+    """Velocity-Verlet states (x, xi) after each step of size dt, without end.
+
+    ``x`` and ``xi`` hold per-axis components, each a float for one
+    trajectory or an array for a batch; the same lines run both ways.  The
+    axes are walked by plain loops, which keeps a single trajectory's step
+    at a few float operations.
+    """
+    w2, dphi = pot.w2, pot.dphi
+    h, h2 = 0.5 * dt, 0.5 * dt * dt
+    axes = range(pot.d)
+
+    def force(x):
+        q = 0.0
+        for i in axes:
+            q = q + w2[i] * x[i] * x[i]
+        g = -2.0 * dphi(q)
+        return [g * w2[i] * x[i] for i in axes]
+
+    x, xi, a = list(x), list(xi), force(x)
+    while True:
+        for i in axes:
+            x[i] = x[i] + (dt * xi[i] + h2 * a[i])
+        b = force(x)
+        for i in axes:
+            xi[i] = xi[i] + h * (a[i] + b[i])
+        a = b
+        yield tuple(x), tuple(xi)
 
 
 def flow_integrate(
@@ -107,30 +128,50 @@ def flow_integrate(
     n_steps = int(round(T / dt))
 
     p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))
-    ts = [0.0]
-    xs = [x.copy()]
-    xis = [xi.copy()]
-    force = -pot.raw_grad(x)
-    x = x.copy()
-    xi = xi.copy()
-    for k in range(1, n_steps + 1):
-        x += dt * xi + (0.5 * dt * dt) * force
-        new_force = -pot.raw_grad(x)
-        xi += (0.5 * dt) * (force + new_force)
-        force = new_force
+    start = ([float(c) for c in x.reshape(pot.d)], [float(c) for c in xi.reshape(pot.d)])
+    ts, states = [0.0], [start]
+    for k, state in enumerate(islice(_verlet(pot, *start, dt), n_steps), 1):
         if k % record_every == 0 or k == n_steps:
             ts.append(k * dt)
-            xs.append(x.copy())
-            xis.append(xi.copy())
+            states.append(state)
 
     t = np.array(ts)
-    xs = np.stack(xs)
-    xis = np.stack(xis)
+    xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
     p = pot.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
     drift = float(np.max(np.abs(p - p0)) / max(p0, 1.0))
     if drift > 100.0 * energy_drift_tol:
         raise RuntimeError("integrator unstable -- reduce dt")
     return Trajectory(t, xs, xis, p, dt=dt, p0=p0, drift=drift)
+
+
+def _flow_states(pot: Potential, x0, xi0, times, dt: float):
+    """States (x, xi) of the flow through (x0, xi0) at each of ``times``.
+
+    Integration runs separately forward and backward from t = 0; each span
+    between consecutive |t| is cut into equal steps no longer than dt so the
+    requested times are hit exactly.  xi carries its true sign on both legs.
+    Returns two arrays of shape (n_times,) + x0.shape.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    xs = np.empty(times.shape + x0.shape)
+    xis = np.empty_like(xs)
+
+    for sign in (1.0, -1.0):
+        sel = np.nonzero(times * sign >= 0.0)[0]
+        x = [x0[..., i] for i in range(pot.d)]
+        xi = [sign * xi0[..., i] for i in range(pot.d)]
+        t_cur = 0.0
+        for j in sel[np.argsort(np.abs(times[sel]))]:
+            span = abs(times[j]) - t_cur
+            if span > 1e-15:
+                n = max(1, int(np.ceil(span / dt)))
+                x, xi = next(islice(_verlet(pot, x, xi, span / n), n - 1, None))
+                t_cur = abs(times[j])
+            xs[j] = np.stack(x, axis=-1)
+            xis[j] = sign * np.stack(xi, axis=-1)
+    return xs, xis
 
 
 def flow_positions(
@@ -148,29 +189,7 @@ def flow_positions(
 
     Returns an array of shape (n_times,) + x0.shape.
     """
-    x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape + x0.shape)
-
-    for sign in (1.0, -1.0):
-        sel = np.nonzero(times * sign >= 0.0)[0]
-        if sel.size == 0:
-            continue
-        t_leg = np.abs(times[sel])
-        order = np.argsort(t_leg)
-        x = x0.copy()
-        xi = sign * xi0
-        t_cur = 0.0
-        for j in order:
-            target = t_leg[j]
-            span = target - t_cur
-            if span > 1e-15:
-                n = max(1, int(np.ceil(span / dt)))
-                x, xi = _verlet(pot, x, xi, n, span / n)
-                t_cur = target
-            out[sel[j]] = x
-    return out
+    return _flow_states(pot, x0, xi0, times, dt)[0]
 
 
 def rescaled_flow(
@@ -194,13 +213,8 @@ def rescaled_flow(
     if np.max(np.abs(p - lam**2)) > 1e-9 * lam**2:
         raise ValueError("initial state is not on the rescaled energy shell")
 
-    t_final = s / lam
-    if abs(t_final) < 1e-15:
-        return PhaseState(y, eta)
-    n = max(1, int(np.ceil(abs(t_final) / dt)))
-    sign = 1.0 if t_final > 0 else -1.0
-    x, xi = _verlet(pot, y, sign * lam * eta, n, abs(t_final) / n)
-    return PhaseState(x, sign * xi / lam)
+    xs, xis = _flow_states(pot, y, lam * eta, [s / lam], dt)
+    return PhaseState(xs[0], xis[0] / lam)
 
 
 @dataclass(frozen=True)
@@ -239,28 +253,9 @@ def linearization_deviation(
         dt = default_dt(lam)
 
     s_grid = np.linspace(-T, T, n_times)
-    times = s_grid / lam
-
-    dev_eta = np.zeros(y.shape[0])
-    dev_y = np.zeros(y.shape[0])
-    for sign in (1.0, -1.0):
-        sel = np.nonzero(s_grid * sign >= 0.0)[0]
-        t_leg = np.abs(times[sel])
-        order = np.argsort(t_leg)
-        x = y.copy()
-        xi = sign * lam * eta
-        t_cur = 0.0
-        for j in order:
-            span = t_leg[j] - t_cur
-            if span > 1e-15:
-                n = max(1, int(np.ceil(span / dt)))
-                x, xi = _verlet(pot, x, xi, n, span / n)
-                t_cur = t_leg[j]
-            s = s_grid[sel[j]]
-            de = np.linalg.norm(sign * xi / lam - eta, axis=-1)
-            dy = np.linalg.norm(x - (y + s * eta), axis=-1)
-            dev_eta = np.maximum(dev_eta, de)
-            dev_y = np.maximum(dev_y, dy)
+    xs, xis = _flow_states(pot, y, lam * eta, s_grid / lam, dt)
+    dev_eta = np.max(np.linalg.norm(xis / lam - eta, axis=-1), axis=0)
+    dev_y = np.max(np.linalg.norm(xs - (y + s_grid[:, None, None] * eta), axis=-1), axis=0)
 
     eps = float(eps_profile.at(lam))
     bound_eta = T / np.sqrt(lam) * eps
@@ -311,12 +306,14 @@ def sample_shell(
     dirs = _random_directions(d, n_free, rng)
     xis[:n_free] = np.sqrt(kinetic)[:, None] * dirs
 
+    w2 = np.array(pot.w2)
     for k in range(n_turn):
         u = rng.uniform()
         speed = (u * u) * 0.1 * lam  # biased toward true turning points
         v_target = lam**2 - 0.5 * speed**2
         direction = _random_directions(d, 1, rng)[0]
-        radius = _radius_at_level(pot, direction, v_target)
+        # V(r u) = phi(r^2 u.W u) = v_target along the direction u
+        radius = math.sqrt(pot.phi_inv(v_target) / float(np.sum(w2 * direction**2)))
         xs[n_free + k] = radius * direction
         xis[n_free + k] = speed * _random_directions(d, 1, rng)[0]
     return xs, xis
@@ -327,23 +324,6 @@ def _random_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice([-1.0, 1.0], size=(n, 1))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
-def _radius_at_level(pot: Potential, direction: np.ndarray, level: float) -> float:
-    """Radius r with V(r * direction) = level along a fixed ray."""
-    hi = max(pot.a0, 1.0)
-    while float(pot.raw_value(hi * direction)) < level:
-        hi *= 2.0
-        if hi > 1e10:
-            raise RuntimeError("direction does not reach the requested level")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(pot.raw_value(mid * direction)) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def trajectory_to_csv(traj: Trajectory, path, d: int) -> None:

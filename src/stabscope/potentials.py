@@ -4,7 +4,9 @@ A potential here is a smooth function V >= 0 on R^d that grows at infinity
 slower than |x|^4 (strict sub-quarticity).  Everything downstream -- classical
 flow, damping-condition scans, localized quasimode constructions -- consumes
 potentials through this module's `Potential` handle, which bundles a batched
-evaluator, its gradient, and the radius beyond which V >= 1.
+evaluator, its gradient, and the radius beyond which V >= 1.  The builtins
+form one family V = phi(sum_i w_i^2 x_i^2), so the handle also carries phi',
+phi^-1 and the squared weights for closed-form forces and level sets.
 
 Two derived quantities live here because they only depend on V:
 
@@ -25,11 +27,11 @@ exact for radial potentials and adequate for the mildly anisotropic builtins.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Potential",
@@ -37,7 +39,6 @@ __all__ = [
     "builtin_potential",
     "epsilon_lambda",
     "sublevel_radius",
-    "check_gradient",
 ]
 
 
@@ -63,17 +64,26 @@ def unit_directions(d: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """A confining potential with batched value and gradient evaluators.
+    """A confining potential V(x) = phi(q), q = sum_i w2_i x_i^2.
 
-    ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``a0`` is a
-    radius with V(x) >= 1 whenever |x| >= a0.
+    ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``w2`` holds
+    the squared axis weights, ``dphi`` is phi' (on a float or an array of q
+    values) and ``phi_inv`` inverts phi, so level sets and the flow's force
+    -grad V = -2 phi'(q) w2 x come in closed form.
     """
 
     d: int
     raw_value: Callable[[np.ndarray], np.ndarray]
     raw_grad: Callable[[np.ndarray], np.ndarray]
     label: str
-    a0: float
+    w2: tuple[float, ...]
+    dphi: Callable
+    phi_inv: Callable[[float], float]
+
+    @property
+    def a0(self) -> float:
+        """A radius with V(x) >= 1 whenever |x| >= a0."""
+        return sublevel_radius(self, 1.0)
 
     def value(self, x) -> np.ndarray:
         return self.raw_value(as_points(x, self.d))
@@ -91,76 +101,68 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
     harmonic       V(x) = |x|^2 / 2
     power          V(x) = (1 + |x|^2)^(s/2) - 1, with 0 < s < 4
     anisotropic    V(x) = sum_i w_i^2 x_i^2 / 2, with positive weights
+
+    All three are phi(sum_i w_i^2 x_i^2): phi(q) = q/2 for the quadratic
+    wells, phi(q) = (1 + q)^(s/2) - 1 with unit weights for the power family.
     """
     if d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
 
-    if name == "harmonic":
-        if params:
-            raise ValueError(f"harmonic potential takes no parameters, got {sorted(params)}")
+    if name in ("harmonic", "anisotropic"):
+        if name == "harmonic":
+            if params:
+                raise ValueError(f"harmonic potential takes no parameters, got {sorted(params)}")
+            weights = np.ones(d)
+            label = "harmonic"
+        else:
+            weights = np.asarray(params.pop("weights", [1.0, 2.0][:d]), dtype=float)
+            if params:
+                raise ValueError(f"unknown anisotropic-potential parameters {sorted(params)}")
+            if weights.shape != (d,) or np.any(weights <= 0.0):
+                raise ValueError("anisotropic potential needs one positive weight per axis")
+            label = "anisotropic(" + ",".join(f"{w:g}" for w in weights) + ")"
 
-        def value(pts):
-            return 0.5 * np.sum(pts * pts, axis=-1)
+        def phi(q):
+            return 0.5 * q
 
-        def grad(pts):
-            return pts.copy()
+        def dphi(q):
+            return 0.5
 
-        return Potential(d, value, grad, "harmonic", a0=np.sqrt(2.0))
+        def phi_inv(v):
+            return 2.0 * v
 
-    if name == "power":
+    elif name == "power":
         s = float(params.pop("s"))
         if params:
             raise ValueError(f"unknown power-potential parameters {sorted(params)}")
         if not 0.0 < s < 4.0:
             raise ValueError(f"exponent s={s} violates strict sub-quarticity (need 0 < s < 4)")
+        weights = np.ones(d)
+        label = f"power(s={s:g})"
+        half, e = s / 2.0, s / 2.0 - 1.0
 
-        def value(pts, s=s):
-            q = 1.0 + np.sum(pts * pts, axis=-1)
-            return q ** (s / 2.0) - 1.0
+        def phi(q):
+            return (1.0 + q) ** half - 1.0
 
-        def grad(pts, s=s):
-            q = 1.0 + np.sum(pts * pts, axis=-1)
-            return s * pts * q[..., np.newaxis] ** (s / 2.0 - 1.0)
+        def dphi(q):
+            return half * (1.0 + q) ** e
 
-        # V >= 1 once (1 + r^2)^(s/2) >= 2
-        a0 = np.sqrt(2.0 ** (2.0 / s) - 1.0)
-        return Potential(d, value, grad, f"power(s={s:g})", a0=a0)
+        def phi_inv(v):
+            return (1.0 + v) ** (2.0 / s) - 1.0
 
-    if name == "anisotropic":
-        weights = np.asarray(params.pop("weights", [1.0, 2.0][:d]), dtype=float)
-        if params:
-            raise ValueError(f"unknown anisotropic-potential parameters {sorted(params)}")
-        if weights.shape != (d,) or np.any(weights <= 0.0):
-            raise ValueError("anisotropic potential needs one positive weight per axis")
-        w2 = weights**2
+    else:
+        raise ValueError(f"unknown potential {name!r}")
 
-        def value(pts, w2=w2):
-            return 0.5 * np.sum(w2 * pts * pts, axis=-1)
+    w2 = weights**2
 
-        def grad(pts, w2=w2):
-            return w2 * pts
+    def value(pts):
+        return phi(np.sum(w2 * pts * pts, axis=-1))
 
-        a0 = np.sqrt(2.0) / weights.min()
-        label = "anisotropic(" + ",".join(f"{w:g}" for w in weights) + ")"
-        return Potential(d, value, grad, label, a0=a0)
+    def grad(pts):
+        g = 2.0 * np.asarray(dphi(np.sum(w2 * pts * pts, axis=-1)))
+        return g[..., np.newaxis] * (w2 * pts)
 
-    raise ValueError(f"unknown potential {name!r}")
-
-
-def check_gradient(pot: Potential, points, step: float = 1e-5, rtol: float = 1e-6) -> float:
-    """Max relative error of the gradient against central finite differences."""
-    pts = as_points(points, pot.d)
-    grad = pot.raw_grad(pts)
-    fd = np.empty_like(grad)
-    for i in range(pot.d):
-        e = np.zeros(pot.d)
-        e[i] = step
-        fd[..., i] = (pot.raw_value(pts + e) - pot.raw_value(pts - e)) / (2.0 * step)
-    scale = np.maximum(np.linalg.norm(grad, axis=-1), 1.0)
-    err = np.max(np.linalg.norm(grad - fd, axis=-1) / scale)
-    if err > rtol:
-        raise ValueError(f"gradient inconsistent with finite differences: rel err {err:.3e}")
-    return float(err)
+    return Potential(d, value, grad, label, tuple(float(w) for w in w2), dphi, phi_inv)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ class EpsilonProfile:
     values: np.ndarray
     c_v: float
     a0: float
-    trial_radii: list = field(repr=False)
 
     def at(self, lam) -> np.ndarray:
         """Interpolated eps at arbitrary frequencies (clamped at the ends)."""
@@ -264,7 +265,6 @@ def epsilon_lambda(
     )
 
     values = np.empty_like(lams)
-    trial_radii: list[np.ndarray] = []
     for i, lam in enumerate(lams):
         a_grid = np.geomspace(pot.a0, max(pot.a0, lam), n_trial)
         idx = np.searchsorted(radii, a_grid)
@@ -272,42 +272,20 @@ def epsilon_lambda(
         inner = sup_inside[idx] / lam**1.5
         outer = sup_tail[idx]
         values[i] = c_v * np.min(inner + outer)
-        trial_radii.append(a_grid)
 
     values = np.minimum.accumulate(values)
     if np.any(values <= 0.0):
         raise ValueError("sampled eps(lam) is not strictly positive")
-    return EpsilonProfile(lams, values, c_v=float(c_v), a0=pot.a0, trial_radii=trial_radii)
+    return EpsilonProfile(lams, values, c_v=float(c_v), a0=pot.a0)
 
 
-def sublevel_radius(pot: Potential, level: float, *, n_dirs: int | None = None) -> float:
+def sublevel_radius(pot: Potential, level: float) -> float:
     """Smallest radius rho with V(x) >= level whenever |x| >= rho.
 
-    Works on the sampled radial minimum of V and bisects it against the
-    level; errors out if the potential never clears the level on the search
-    range (non-confining sampling) or if the level is not positive.
+    Closed form: V = phi(q) with phi increasing and q >= min_i w2_i |x|^2, so
+    the sublevel set {V < level} reaches out to sqrt(phi^-1(level) / min w2),
+    along the axis of the smallest weight.
     """
     if level <= 0.0:
         raise ValueError("level too small")
-    if n_dirs is None:
-        n_dirs = 64 * pot.d
-    dirs = unit_directions(pot.d, n_dirs)
-
-    def radial_min(rho: float) -> float:
-        return float(pot.raw_value(rho * dirs).min())
-
-    if radial_min(0.0) >= level:
-        return 0.0
-
-    hi = max(pot.a0, 1.0)
-    while radial_min(hi) < level:
-        hi *= 2.0
-        if hi > 1e8:
-            raise ValueError("potential does not clear the level on the search range")
-    # verify the sampled radial minimum stays above the level beyond the bracket
-    probe = np.geomspace(hi, 4.0 * hi, 32)
-    if any(radial_min(r) < level for r in probe):
-        raise ValueError("non-monotone radial sampling: potential dips below the level")
-
-    rho = brentq(lambda r: radial_min(r) - level, 0.0, hi, xtol=1e-12, rtol=1e-15)
-    return float(rho)
+    return math.sqrt(pot.phi_inv(level) / min(pot.w2))

@@ -97,13 +97,18 @@ def test_epsilon_rejects_bad_input(harmonic_1d):
         epsilon_lambda(harmonic_1d, [])
 
 
-def test_sublevel_radius_closed_forms(harmonic_1d, harmonic_2d, power3_1d):
+def test_sublevel_radius_closed_forms(harmonic_1d, harmonic_2d, power3_1d, power3_2d):
     assert abs(sublevel_radius(harmonic_1d, 2.0) - 2.0) <= 1e-6
     assert abs(sublevel_radius(harmonic_2d, 50.0) - 10.0) <= 1e-6
-    rho = sublevel_radius(power3_1d, 7.0)
-    # (1 + rho^2)^(3/2) - 1 = 7 has the root rho = sqrt(3)
-    assert abs(float(power3_1d.value(np.array([rho]))) - 7.0) <= 1e-6
-    assert abs(rho - math.sqrt(3.0)) <= 1e-6
+    # weights (1, 2.5): the weakest axis sets rho = sqrt(2L) / min w_i = sqrt(2L)
+    aniso = builtin_potential("anisotropic", d=2, weights=[1.0, 2.5])
+    for level in (0.5, 8.0, 200.0):
+        assert abs(sublevel_radius(aniso, level) - math.sqrt(2.0 * level)) <= 1e-6
+    for pot, edge in ((power3_1d, [1.0]), (power3_2d, [0.6, -0.8])):
+        rho = sublevel_radius(pot, 7.0)
+        # (1 + rho^2)^(3/2) - 1 = 7 has the root rho = sqrt(3)
+        assert abs(float(pot.value(rho * np.array(edge))) - 7.0) <= 1e-6
+        assert abs(rho - math.sqrt(3.0)) <= 1e-6
 
 
 def test_sublevel_radius_rejects_low_level(harmonic_1d):
