@@ -175,23 +175,37 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
     return _BALL_NODE_CACHE[key]
 
 
-def mollify_at(b: Damping, r: float, x, *, n_nodes: int | None = None) -> np.ndarray:
-    """Average of b over the ball of radius r around each point of x."""
-    if r <= 0.0:
-        raise ValueError("need mollification radius r > 0")
+BLOCK_BYTES = 1 << 18  # shifted-node scratch per block, sized to stay in cache
+
+
+def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
+    """Average of b over the ball of radius r around each point of x.
+
+    r is one radius for all points or one radius per point (any shape that
+    broadcasts against the points' leading axes).  Each average is the mean
+    of b(x + r * node) over the fixed node set, evaluated block by block in
+    one scratch buffer owned by the call, so concurrent calls share no state.
+    """
     pts = as_points(x, b.d)
+    radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1, 1)
+    if not np.all(radii > 0.0):
+        raise ValueError("need mollification radius r > 0")
     if n_nodes is None:
         n_nodes = 512 * b.d
     nodes = unit_ball_nodes(b.d, n_nodes)
 
     flat = pts.reshape(-1, b.d)
     out = np.empty(flat.shape[0])
-    # chunked so the (points x nodes) scratch array stays modest
-    chunk = max(1, int(2e6) // n_nodes)
-    for start in range(0, flat.shape[0], chunk):
-        block = flat[start : start + chunk]
-        shifted = block[:, None, :] + r * nodes[None, :, :]
-        out[start : start + chunk] = b.raw_func(shifted).mean(axis=1)
+    m = max(1, BLOCK_BYTES // (8 * b.d * n_nodes))
+    buf = np.empty((b.d, min(m, flat.shape[0]), n_nodes))
+    for start in range(0, flat.shape[0], m):
+        block = flat[start : start + m]
+        k = block.shape[0]
+        for i in range(b.d):
+            # buf[i, p, j] = r_p * nodes[j, i] + block[p, i], one axis plane at a time
+            np.multiply(radii[start : start + k], nodes[:, i], out=buf[i, :k])
+            np.add(buf[i, :k], block[:, i, None], out=buf[i, :k])
+        out[start : start + k] = b.raw_func(np.moveaxis(buf[:, :k], 0, -1)).mean(axis=1)
     return out.reshape(pts.shape[:-1])
 
 
@@ -345,11 +359,7 @@ def tpc_scan(
         v = pot.raw_value(pts)
         if np.any(v <= 0.0):
             raise ValueError("shell must lie where V > 0")
-        radii = R / v**0.25
-        vals = np.empty(len(pts))
-        for rad in np.unique(radii):
-            mask = radii == rad
-            vals[mask] = mollify_at(b, float(rad), pts[mask])
+        vals = mollify_at(b, R / v**0.25, pts)
         all_vals.append(vals)
         labels += [f"shell={rho:g}"] * len(pts)
         shell_inf[rho] = float(vals.min())

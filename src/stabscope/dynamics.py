@@ -123,6 +123,8 @@ def flow_integrate(
     """
     if dt <= 0.0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
+    if record_every < 1:
+        raise ValueError("need record_every >= 1")
     x = as_points(s0.x, pot.d).astype(float)
     xi = as_points(s0.xi, pot.d).astype(float)
     n_steps = int(round(T / dt))

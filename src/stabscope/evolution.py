@@ -96,6 +96,8 @@ def evolve(
         raise ValueError("potential, damping, and state dimensions differ")
     if dt <= 0.0 or T_final < dt:
         raise ValueError("need 0 < dt <= T_final")
+    if record_every < 1:
+        raise ValueError("need record_every >= 1")
     limit = cfl_limit(pot, grid)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt violates the CFL bound: dt={dt:.6g} > {limit:.6g}")

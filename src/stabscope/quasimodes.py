@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .damping import Damping, unit_ball_nodes
+from .damping import Damping, mollify_at, unit_ball_nodes
 from .fields import (
     Field,
     Grid,
@@ -449,7 +449,6 @@ def tpc_violation_sequence(
     lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), rho_max))
     profile = epsilon_lambda(pot, np.geomspace(1.0, max(lam_cap, 2.0), 160))
     dirs = unit_directions(pot.d, n_angles)
-    nodes = unit_ball_nodes(pot.d, 512 * pot.d)
 
     reports = []
     for n in range(1, n_max + 1):
@@ -466,8 +465,7 @@ def tpc_violation_sequence(
             pts = rho * dirs
             lam_pts = np.sqrt(pot.raw_value(pts))
             radii = R_n / np.sqrt(lam_pts)
-            shifted = pts[:, None, :] + radii[:, None, None] * nodes[None, :, :]
-            avgs = b.raw_func(shifted).mean(axis=1)
+            avgs = mollify_at(b, radii, pts)
             ok = (lam_pts >= lam_floor) & (avgs <= thr)
             if np.any(ok):
                 k = int(np.argmax(ok))

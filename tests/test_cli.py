@@ -47,6 +47,20 @@ def test_flow_command_writes_manifested_artifacts(tmp_path):
     assert abs(flow["drift"]) <= 1e-6
 
 
+def test_flow_rejects_zero_record_every(tmp_path, capsys):
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "x0_space": [1.0],
+        "xi0_momentum": [0.5],
+        "T_time": 1.0,
+        "dt_time": 1e-3,
+        "record_every": 0,
+    }
+    rc, _ = run_cli(tmp_path, "flow", cfg)
+    assert rc == 2
+    assert "need record_every >= 1" in capsys.readouterr().err
+
+
 def test_conditions_constant_damping_all_pass(tmp_path):
     rc, out = run_cli(tmp_path, "conditions", COND_CFG)
     assert rc == 0
@@ -66,6 +80,30 @@ def test_conditions_reruns_are_byte_identical(tmp_path):
     assert rc1 == rc2 == 0
     names = {p.name for p in out1.iterdir()} - {"manifest.json"}
     assert names == {p.name for p in out2.iterdir()} - {"manifest.json"}
+    for name in sorted(names):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_conditions_threads_are_byte_identical(tmp_path):
+    # DSC maps its frequencies over a thread pool; the ball-average scratch
+    # must belong to each call, so the thread count cannot change a byte
+    cfg = {
+        "potential": {"name": "harmonic", "d": 2},
+        "damping": {"name": "checkerboard", "period_space": 1.0, "duty": 0.5},
+        "checks": ["dsc"],
+        "dsc": {
+            "T_time": 2.0,
+            "R_space": 1.0,
+            "lambdas_freq": [25.0, 100.0, 400.0],
+            "n_shell_samples": 16,
+        },
+    }
+    rc1, out1 = run_cli(tmp_path, "conditions", cfg, out_name="t1", extra=("--threads", "1"))
+    rc2, out2 = run_cli(tmp_path, "conditions", cfg, out_name="t2", extra=("--threads", "2"))
+    assert rc1 == rc2 == 0
+    names = {p.name for p in out1.iterdir()} - {"manifest.json"}
+    assert names == {p.name for p in out2.iterdir()} - {"manifest.json"}
+    assert {"conditions_dsc.csv", "conditions_dsc.json"} <= names
     for name in sorted(names):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -178,6 +216,20 @@ def test_evolve_rejects_unknown_initial_kind(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "evolve", cfg)
     assert rc == 2
     assert "unknown initial data kind" in capsys.readouterr().err
+
+
+def test_evolve_rejects_zero_record_every(tmp_path, capsys):
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "grid": {"n_nodes": 128, "half_width_space": 6.0},
+        "initial": {"kind": "gaussian", "width_space": 1.0},
+        "T_time": 0.5,
+        "record_every": 0,
+    }
+    rc, _ = run_cli(tmp_path, "evolve", cfg)
+    assert rc == 2
+    assert "need record_every >= 1" in capsys.readouterr().err
 
 
 def test_probe_command_reports_decay_rate(tmp_path):

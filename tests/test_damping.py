@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from stabscope.damping import (
+    BLOCK_BYTES,
     Damping,
     builtin_damping,
     default_ray_family,
@@ -14,6 +18,7 @@ from stabscope.damping import (
     report_to_csv,
     tpc_scan,
     ugcc_scan,
+    unit_ball_nodes,
 )
 
 
@@ -84,6 +89,90 @@ def test_mollify_rejects_nonpositive_radius():
     b = builtin_damping("constant", d=1)
     with pytest.raises(ValueError, match="need mollification radius r > 0"):
         mollify_at(b, 0.0, np.zeros(1))
+    with pytest.raises(ValueError, match="need mollification radius r > 0"):
+        mollify_at(b, np.array([0.5, 1.0, -0.1, 2.0]), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="need mollification radius r > 0"):
+        mollify_at(b, np.array([0.5, np.nan]), np.zeros((2, 1)))
+
+
+BUILTIN_PARAMS = (
+    ("constant", {}),
+    ("exterior", {"radius": 1.0}),
+    ("ball", {"radius": 1.0}),
+    ("checkerboard", {"period": 1.0, "duty": 0.5}),
+    ("radial_shells", {"period": 1.0, "duty": 0.5}),
+    ("strip_lattice", {"period": 1.0, "duty": 0.5}),
+)
+
+
+def gaussian_bump(d: int, amplitude: float) -> Damping:
+    # smooth, so every bit of every shifted node shows in the average
+    return Damping(d, lambda pts: amplitude * np.exp(-np.sum(pts**2, axis=-1)), amplitude, "gaussian")
+
+
+def block_length(d: int) -> int:
+    return BLOCK_BYTES // (8 * d * 512 * d)
+
+
+@st.composite
+def mollify_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    name, params = draw(st.sampled_from(BUILTIN_PARAMS + (("gaussian", {}),)))
+    amplitude = draw(st.floats(0.0, 4.0, allow_nan=False))
+    if name == "gaussian":
+        b = gaussian_bump(d, amplitude)
+    else:
+        b = builtin_damping(name, d=d, amplitude=amplitude, **params)
+    m = block_length(d)
+    n = draw(st.sampled_from([1, m - 1, m, m + 1, 3 * m + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(scale=draw(st.sampled_from([0.5, 3.0, 40.0])), size=(n, d))
+    if draw(st.booleans()):
+        r = rng.uniform(0.01, 2.0, size=n)
+    else:
+        r = draw(st.floats(0.01, 2.0, allow_nan=False))
+    return b, pts, r
+
+
+@given(mollify_cases())
+def test_mollify_matches_direct_formula(case):
+    # the blocked kernel keeps every bit of the per-point node average
+    b, pts, r = case
+    got = mollify_at(b, r, pts)
+    nodes = unit_ball_nodes(b.d, 512 * b.d)
+    radii = np.broadcast_to(r, pts.shape[:1])
+    direct = np.array([b.raw_func(p + rad * nodes).mean() for p, rad in zip(pts, radii)])
+    assert got.shape == pts.shape[:1]
+    assert np.array_equal(got, direct)
+
+    # a mean of values in [0, b_max] errs by at most n_nodes * eps * b_max
+    tol = nodes.shape[0] * np.finfo(float).eps * b.b_max
+    assert np.all(got >= 0.0)
+    assert np.all(got <= b.b_max + tol)
+    if b.label.startswith("constant"):
+        assert np.all(np.abs(got - b.b_max) <= tol)
+
+
+def test_mollify_nested_matches_direct_formula():
+    # mollification_consistency re-mollifies a coefficient whose raw_func
+    # itself calls mollify_at; both levels must match the direct formula
+    b = builtin_damping("checkerboard", d=2, period=1.0, duty=0.5)
+    x0, nu, T, r0, r, n_inner = np.array([0.3, -0.2]), np.array([0.6, 0.8]), 1.0, 0.3, 0.2, 64
+    tab = mollification_consistency(b, x0, nu, T, r0, [r], n_inner=n_inner)
+
+    inner = unit_ball_nodes(2, n_inner)
+    outer = unit_ball_nodes(2, 1024)
+    ts = np.linspace(-T, T, 256)
+    line = x0[None, :] + ts[:, None] * nu[None, :]
+
+    def smoothed(q):
+        # one row per point, each row the same mean as b.raw_func(p + r0 * inner).mean()
+        return b.raw_func(q[:, None, :] + r0 * inner[None, :, :]).mean(axis=1)
+
+    entry = np.array([smoothed(p + r * outer).mean() for p in line])
+    reference = np.array([b.raw_func(p + r0 * outer).mean() for p in line])
+    assert tab["entries"][r] == float(trapezoid(entry, ts) / (2.0 * T))
+    assert tab["reference"] == float(trapezoid(reference, ts) / (2.0 * T))
 
 
 # ----------------------------------------------------------- ray_average
