@@ -10,6 +10,7 @@ stage fails.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -28,12 +29,10 @@ from .damping import (
     builtin_damping,
     dsc_limit_scan,
     dsc_scan,
-    report_to_csv,
-    report_to_json,
     tpc_scan,
     ugcc_scan,
 )
-from .dynamics import PhaseState, flow_integrate, trajectory_to_csv
+from .dynamics import PhaseState, flow_integrate
 from .evolution import (
     WaveState,
     cfl_limit,
@@ -44,11 +43,8 @@ from .evolution import (
     quasimode_probe,
     resolvent_grid,
     resolvent_scan,
-    resolvent_to_csv,
-    spectrum_to_csv,
-    trace_to_csv,
 )
-from .fields import Field, field_to_csv, make_grid
+from .fields import Field, make_grid
 from .potentials import builtin_potential
 from .quasimodes import (
     kinetic_wavepacket,
@@ -144,14 +140,59 @@ def _build_grid(sec: _Section, d: int):
     return make_grid(d, ns, ls, center=center)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+# ---------------------------------------------------------------------------
+# artifacts: the only writer, so every byte of every artifact follows one rule
+
+
+def _cell(x) -> str:
+    """CSV cell: exact float repr, plain int, true/false, empty for None."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """UTF-8, LF line endings, csv quoting (labels such as T=2,R=1 hold commas)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_report_csv(path: Path, report) -> None:
+    """Per-sample rows of a condition report: index, group label, average."""
+    labels = report.groups.get("sample_labels")
+    values = report.sample_values.tolist()
+    rows = ((i, "" if labels is None else labels[i], v) for i, v in enumerate(values))
+    _write_csv(path, ("index", "group", "average"), rows)
+
+
+def _write_trace_csv(path: Path, trace) -> None:
+    _write_csv(path, ("t", "E", "D"), np.column_stack([trace.t, trace.E, trace.D]).tolist())
 
 
 def _fit_dict(fit) -> dict:
@@ -178,7 +219,10 @@ def _cmd_flow(cfg: _Section, out: Path, opts) -> list:
     cfg.done()
     traj = flow_integrate(pot, PhaseState(x0, xi0), T, dt, record_every=record)
     log.info("flow: %d samples, drift %.3e", len(traj.t), traj.drift)
-    trajectory_to_csv(traj, out / "trajectory.csv", pot.d)
+    d, n = pot.d, len(traj.t)
+    header = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(d)] + ["p"]
+    rows = np.column_stack([traj.t, traj.x.reshape(n, d), traj.xi.reshape(n, d), traj.p.reshape(n)])
+    _write_csv(out / "trajectory.csv", header, rows.tolist())
     _write_json(out / "flow.json", {"drift": traj.drift, "p0": traj.p0, "dt_time": traj.dt})
     return ["trajectory.csv", "flow.json"]
 
@@ -242,8 +286,8 @@ def _cmd_conditions(cfg: _Section, out: Path, opts) -> list:
     summary = {}
     for check, rep in reports.items():
         log.info("%s: infimum %.6g, passed=%s", rep.condition, rep.infimum, rep.passed)
-        report_to_csv(rep, out / f"conditions_{check}.csv")
-        report_to_json(rep, out / f"conditions_{check}.json")
+        _write_report_csv(out / f"conditions_{check}.csv", rep)
+        _write_json(out / f"conditions_{check}.json", rep.to_json_dict())
         artifacts += [f"conditions_{check}.csv", f"conditions_{check}.json"]
         summary[rep.condition] = {
             "infimum": rep.infimum,
@@ -273,8 +317,8 @@ def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
         b, pot, tr_grid, lambdas, n_shell_samples=n_samples, seed=opts.seed, threads=opts.threads
     )
     log.info("dsc-limit: proxy at largest (T, R) = %.6g", rep.infimum)
-    report_to_csv(rep, out / "dsc_limit.csv")
-    report_to_json(rep, out / "dsc_limit.json")
+    _write_report_csv(out / "dsc_limit.csv", rep)
+    _write_json(out / "dsc_limit.json", rep.to_json_dict())
     return ["dsc_limit.csv", "dsc_limit.json"]
 
 
@@ -292,7 +336,10 @@ def _cmd_quasimode(cfg: _Section, out: Path, opts) -> list:
 
     f, rep = turning_point_bump(pot, x0, R, grid=grid, b=damping)
     log.info("quasimode: lam %.4f, residual ratio %.4f", rep.lam, rep.residual_ratio)
-    field_to_csv(f, out / "mode.csv")
+    vals = f.values.reshape(-1)
+    header = [f"x_{i+1}" for i in range(f.grid.d)] + ["re", "im"]
+    rows = np.column_stack([f.grid.meshgrid().reshape(-1, f.grid.d), vals.real, vals.imag])
+    _write_csv(out / "mode.csv", header, rows.tolist())
     _write_json(out / "quasimode.json", rep.to_json_dict())
     return ["mode.csv", "quasimode.json"]
 
@@ -325,11 +372,11 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
         log.info("kinetic n=%d: lam %.4f, residual ratio %.4f", n, rep.lam, rep.residual_ratio)
         reports.append(rep)
 
-    with open(out / "kinetic_sequence.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,lam,residual_ratio,damping_pairing\n")
-        for rep in reports:
-            pairing = "" if rep.damping_pairing is None else _fmt(rep.damping_pairing)
-            fh.write(f"{rep.details['n']},{_fmt(rep.lam)},{_fmt(rep.residual_ratio)},{pairing}\n")
+    _write_csv(
+        out / "kinetic_sequence.csv",
+        ("n", "lam", "residual_ratio", "damping_pairing"),
+        ((rep.details["n"], rep.lam, rep.residual_ratio, rep.damping_pairing) for rep in reports),
+    )
     _write_json(out / "kinetic_sequence.json", [rep.to_json_dict() for rep in reports])
     return ["kinetic_sequence.csv", "kinetic_sequence.json"]
 
@@ -341,14 +388,13 @@ def _cmd_tpc_witness(cfg: _Section, out: Path, opts) -> list:
     cfg.done()
 
     reports = tpc_violation_sequence(pot, b, n_max)
-    with open(out / "tpc_witness.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,lam,ball_average,threshold,damping_pairing,residual_ratio\n")
-        for rep in reports:
-            d = rep.details
-            fh.write(
-                f"{d['n']},{_fmt(rep.lam)},{_fmt(d['ball_average'])},{_fmt(d['threshold'])},"
-                f"{_fmt(rep.damping_pairing)},{_fmt(rep.residual_ratio)}\n"
-            )
+    header = ("n", "lam", "ball_average", "threshold", "damping_pairing", "residual_ratio")
+    rows = (
+        (r.details["n"], r.lam, r.details["ball_average"], r.details["threshold"], r.damping_pairing,
+         r.residual_ratio)
+        for r in reports
+    )
+    _write_csv(out / "tpc_witness.csv", header, rows)
     _write_json(out / "tpc_witness.json", [rep.to_json_dict() for rep in reports])
     return ["tpc_witness.csv", "tpc_witness.json"]
 
@@ -387,7 +433,7 @@ def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
     log.info(
         "evolve: %d samples, balance coefficient %.3e", len(trace.t), trace.balance_coefficient
     )
-    trace_to_csv(trace, out / "trace.csv")
+    _write_trace_csv(out / "trace.csv", trace)
     _write_json(
         out / "evolve.json",
         {
@@ -413,7 +459,7 @@ def _cmd_probe(cfg: _Section, out: Path, opts) -> list:
     f, rep = turning_point_bump(pot, x0, R, grid=grid, b=b)
     trace, fit = quasimode_probe(pot, b, f, rep.lam, T, dt=None if dt is None else float(dt))
     log.info("probe: lam %.4f, tau %s", rep.lam, fit.tau)
-    trace_to_csv(trace, out / "probe_trace.csv")
+    _write_trace_csv(out / "probe_trace.csv", trace)
     _write_json(out / "probe.json", {"fit": _fit_dict(fit), "quasimode": rep.to_json_dict()})
     return ["probe_trace.csv", "probe.json"]
 
@@ -441,7 +487,11 @@ def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
 
     scan = resolvent_scan(pot, b, lams, grid, threads=opts.threads)
     log.info("resolvent: max ratio %.4g", float(np.max(scan.ratio)))
-    resolvent_to_csv(scan, out / "resolvent.csv")
+    _write_csv(
+        out / "resolvent.csv",
+        ("lambda", "sigma_min", "lambda_over_sigma_min", "flag"),
+        zip(scan.lambdas, scan.sigma_min, scan.ratio, scan.flags),
+    )
     return ["resolvent.csv"]
 
 
@@ -459,7 +509,11 @@ def _cmd_spectrum(cfg: _Section, out: Path, opts) -> list:
 
     result = damped_spectrum_1d(pot, b, grid, count)
     log.info("spectrum: abscissa %.6f", result.abscissa)
-    spectrum_to_csv(result, out / "spectrum.csv")
+    _write_csv(
+        out / "spectrum.csv",
+        ("re", "im", "residual"),
+        ((z.real, z.imag, r) for z, r in zip(result.values, result.residuals)),
+    )
     _write_json(
         out / "spectrum.json",
         {"abscissa": result.abscissa, "count": len(result.values), "flags": sorted(set(result.flags))},
@@ -490,15 +544,12 @@ def _cmd_suite(cfg: _Section, out: Path, opts) -> list:
         for check, rep in reports.items():
             log.info("suite %s %s: passed=%s", label, rep.condition, rep.passed)
             name = f"conditions_{label}_{check}.csv"
-            report_to_csv(rep, out / name)
+            _write_report_csv(out / name, rep)
             artifacts.append(name)
             matrix[label][rep.condition] = rep.passed
             rows.append((label, rep.condition, rep.infimum, rep.threshold, rep.passed))
 
-    with open(out / "suite_matrix.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("pair,condition,infimum,threshold,passed\n")
-        for label, cond, inf, thr, passed in rows:
-            fh.write(f"{label},{cond},{_fmt(inf)},{_fmt(thr)},{str(passed).lower()}\n")
+    _write_csv(out / "suite_matrix.csv", ("pair", "condition", "infimum", "threshold", "passed"), rows)
     _write_json(out / "suite_matrix.json", matrix)
     return artifacts + ["suite_matrix.csv", "suite_matrix.json"]
 

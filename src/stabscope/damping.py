@@ -20,8 +20,6 @@ set, line and time averages use composite trapezoid rules.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,7 +44,6 @@ __all__ = [
     "dsc_limit_scan",
     "mollification_consistency",
     "default_threshold",
-    "report_to_csv",
 ]
 
 N_RAY = 256  # composite trapezoid nodes for line and time averages
@@ -238,44 +235,16 @@ class ConditionReport:
     groups: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """JSON payload; the CLI's writer turns numpy values into plain ones."""
         return {
             "condition": self.condition,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "infimum": self.infimum,
             "threshold": self.threshold,
             "passed": bool(self.passed),
-            "groups": _jsonable(self.groups),
+            "groups": self.groups,
             "n_samples": int(self.sample_values.size),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def report_to_csv(report: ConditionReport, path) -> None:
-    """Per-sample rows: index, group label, average."""
-    labels = report.groups.get("sample_labels")
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "group", "average"])
-        for i, v in enumerate(report.sample_values):
-            lab = labels[i] if labels is not None else ""
-            writer.writerow([i, lab, repr(float(v))])
-
-
-def report_to_json(report: ConditionReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def default_ray_family(d: int, box: float = 10.0, n_per_axis: int = 7, n_dirs: int = 16):

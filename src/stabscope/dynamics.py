@@ -35,7 +35,6 @@ __all__ = [
     "LinearizationReport",
     "sample_shell",
     "default_dt",
-    "trajectory_to_csv",
 ]
 
 
@@ -326,22 +325,3 @@ def _random_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice([-1.0, 1.0], size=(n, 1))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
-def trajectory_to_csv(traj: Trajectory, path, d: int) -> None:
-    """Write t, x_1..x_d, xi_1..xi_d, p rows for a single-state trajectory."""
-    import csv
-
-    x = traj.x.reshape(len(traj.t), d)
-    xi = traj.xi.reshape(len(traj.t), d)
-    p = traj.p.reshape(len(traj.t))
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(d)] + ["p"]
-        writer.writerow(header)
-        for k, t in enumerate(traj.t):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in x[k]]
-            row += [repr(float(v)) for v in xi[k]]
-            row.append(repr(float(p[k])))
-            writer.writerow(row)

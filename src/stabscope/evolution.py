@@ -20,7 +20,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg import cholesky_banded, eig_banded, solve_banded
 
 from .damping import Damping, _ordered_map
-from .fields import _STENCIL, Field, Grid, _second_derivative, check_resolution, make_grid
+from .fields import Field, Grid, _p_kernel, check_resolution, make_grid, p_bands
 from .potentials import Potential, sublevel_radius
 
 RESOLVENT_PPW = 16
@@ -107,12 +107,7 @@ def evolve(
     bvals = b.raw_func(mesh)
     denom = 1.0 + 0.5 * dt * bvals
     w = _weights(grid)
-
-    def apply_p(arr):
-        out = vvals * arr
-        for ax in range(grid.d):
-            out -= 0.5 * _second_derivative(arr, ax, grid.hs[ax])
-        return out
+    pad = np.zeros(tuple(n + 4 for n in grid.ns), dtype=complex)
 
     def energy_of(u_arr, pu_arr, v_arr):
         quad = float(np.sum(w * (np.conj(u_arr) * pu_arr).real))
@@ -125,7 +120,7 @@ def evolve(
     n_steps = int(round(T_final / dt))
     u_prev = state.u.values.astype(complex)
     v0 = state.v.values.astype(complex)
-    pu = apply_p(u_prev)
+    pu = _p_kernel(vvals, u_prev, grid.hs, pad)
 
     e_prev = energy_of(u_prev, pu, v0)
     d_prev = dissipation_of(v0)
@@ -134,7 +129,7 @@ def evolve(
     u_curr = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
     balance = 0.0
     for n in range(1, n_steps + 1):
-        pu = apply_p(u_curr)
+        pu = _p_kernel(vvals, u_curr, grid.hs, pad)
         u_next = (2.0 * u_curr - u_prev - dt * dt * pu + 0.5 * dt * bvals * u_prev) / denom
         v_curr = (u_next - u_prev) / (2.0 * dt)
         e_curr = energy_of(u_curr, pu, v_curr)
@@ -244,17 +239,6 @@ def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
     return make_grid(1, n, L)
 
 
-def _stencil_bands(grid: Grid, diag: np.ndarray) -> np.ndarray:
-    """Banded (lu=(2,2)) matrix of -Laplacian/2 + diag on the line."""
-    n = grid.ns[0]
-    h2 = grid.hs[0] ** 2
-    ab = np.zeros((5, n), dtype=complex)
-    ab[0, :] = ab[4, :] = -0.5 * _STENCIL[0] / h2
-    ab[1, :] = ab[3, :] = -0.5 * _STENCIL[1] / h2
-    ab[2, :] = -0.5 * _STENCIL[2] / h2 + diag
-    return ab
-
-
 def _sigma_min(ab: np.ndarray, maxiter: int = 500, tol: float = 1e-12):
     """Smallest singular value by inverse iteration on the normal equations.
 
@@ -359,7 +343,7 @@ def resolvent_scan(
     bvals = b.raw_func(x)[:]
 
     def one(lam: float):
-        ab = _stencil_bands(grid, vvals - lam**2 + 1j * lam * bvals)
+        ab = p_bands(grid, vvals - lam**2 + 1j * lam * bvals)
         return _sigma_min(ab, maxiter=maxiter)
 
     results = _ordered_map(one, [float(l) for l in lams], threads)
@@ -382,11 +366,7 @@ def p_spectrum_1d(pot: Potential, grid: Grid, count: int) -> np.ndarray:
     n = grid.ns[0]
     if count < 1 or count > n:
         raise ValueError("count out of range")
-    h2 = grid.hs[0] ** 2
-    band = np.zeros((3, n))
-    band[0, :] = -0.5 * _STENCIL[0] / h2
-    band[1, :] = -0.5 * _STENCIL[1] / h2
-    band[2, :] = -0.5 * _STENCIL[2] / h2 + pot.raw_value(grid.meshgrid())
+    band = p_bands(grid, pot.raw_value(grid.meshgrid()))[:3]
     return eig_banded(band, lower=False, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
@@ -410,10 +390,7 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     if count > 200:
         raise ValueError("count must stay at or below 200")
     n = grid.ns[0]
-    h2 = grid.hs[0] ** 2
-    offs = list(range(-2, 3))
-    bands = [np.full(n - abs(k), -0.5 * _STENCIL[2 + k] / h2) for k in offs]
-    p_mat = sp.diags(bands, offs, format="csr") + sp.diags(pot.raw_value(grid.meshgrid()))
+    p_mat = _banded_to_sparse(p_bands(grid, pot.raw_value(grid.meshgrid())))
     b_mat = sp.diags(b.raw_func(grid.meshgrid()))
     eye = sp.identity(n)
     comp = sp.bmat([[None, eye], [-p_mat, -b_mat]], format="csc")
@@ -430,28 +407,3 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     scale = float(np.abs(vals).max()) if vals.size else 1.0
     flags = tuple("ok" if r <= 1e-8 * max(scale, 1.0) else "poor" for r in res)
     return SpectrumResult(values=vals, residuals=res, flags=flags)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def trace_to_csv(trace: EnergyTrace, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,E,D\n")
-        for t, e, d in zip(trace.t, trace.E, trace.D):
-            fh.write(f"{_fmt(t)},{_fmt(e)},{_fmt(d)}\n")
-
-
-def resolvent_to_csv(scan: ResolventScan, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("lambda,sigma_min,lambda_over_sigma_min,flag\n")
-        for lam, s, r, fl in zip(scan.lambdas, scan.sigma_min, scan.ratio, scan.flags):
-            fh.write(f"{_fmt(lam)},{_fmt(s)},{_fmt(r)},{fl}\n")
-
-
-def spectrum_to_csv(result: SpectrumResult, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("re,im,residual\n")
-        for z, r in zip(result.values, result.residuals):
-            fh.write(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(r)}\n")

@@ -7,13 +7,15 @@ interest are compactly supported: they must vanish on the outermost two node
 layers, which is what makes the Dirichlet reading of the stencil exact.
 
 The Laplacian uses the standard 4th-order central stencil per axis,
-(-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  Inner products and norms use tensor
-trapezoid weights; the inner product is conjugate-linear in its first slot.
+(-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  This module is the one place that
+stencil lives: the stencil kernel behind ``apply_P`` (also run by the time
+stepper) and the 1D band matrix ``p_bands`` (resolvent scans and spectra).
+Inner products and norms use tensor trapezoid weights; the inner product is
+conjugate-linear in its first slot.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,15 +27,13 @@ __all__ = [
     "Field",
     "make_grid",
     "apply_P",
+    "p_bands",
     "l2_norm",
     "inner",
     "residual_ratio",
     "damping_pairing",
     "mass_in_ball",
     "check_resolution",
-    "field_to_csv",
-    "field_to_binary",
-    "field_from_binary",
 ]
 
 _STENCIL = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
@@ -163,17 +163,32 @@ def _check_boundary_clear(f: Field, layers: int = 2) -> None:
             raise ValueError("field must vanish on the outermost two node layers")
 
 
-def _second_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (2, 2)
-    vp = np.pad(values, pad)
-    n = values.shape[axis]
-    out = np.zeros_like(values)
-    for k, c in zip(range(-2, 3), _STENCIL):
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(2 + k, 2 + k + n)
-        out += c * vp[tuple(sl)]
-    out /= h * h
+def _p_kernel(vvals: np.ndarray, values: np.ndarray, hs, pad: np.ndarray) -> np.ndarray:
+    """V f - Laplacian/2 f with the Dirichlet reading, on a zero-bordered scratch.
+
+    pad has two extra node layers on both sides of every axis, zero there;
+    only its interior is rewritten, so one scratch serves every application
+    on a grid.  Per axis the stencil sums 0 + c_k * f(x + k h) for
+    k = -2..2 and divides by h^2; the axes are summed into the Laplacian
+    before it is halved and subtracted.
+    """
+    interior = (slice(2, -2),) * values.ndim
+    pad[interior] = values
+    lap = np.zeros_like(values)
+    out = np.empty_like(values)
+    for ax, h in enumerate(hs):
+        n = values.shape[ax]
+        out.fill(0.0)  # the second derivative along this axis
+        for k, c in enumerate(_STENCIL):
+            shifted = list(interior)
+            shifted[ax] = slice(k, k + n)
+            out += c * pad[tuple(shifted)]
+        out /= h * h
+        lap += out
+    # vvals * values - 0.5 * lap, computed in place
+    lap *= 0.5
+    np.multiply(vvals, values, out=out)
+    out -= lap
     return out
 
 
@@ -183,10 +198,26 @@ def apply_P(pot: Potential, f: Field) -> Field:
         raise ValueError("potential and field dimensions differ")
     _check_boundary_clear(f)
     v = pot.raw_value(f.grid.meshgrid())
-    lap = np.zeros_like(f.values)
-    for ax in range(f.grid.d):
-        lap += _second_derivative(f.values, ax, f.grid.hs[ax])
-    return Field(f.grid, v * f.values - 0.5 * lap)
+    pad = np.zeros(tuple(n + 4 for n in f.grid.ns), dtype=f.values.dtype)
+    return Field(f.grid, _p_kernel(v, f.values, f.grid.hs, pad))
+
+
+def p_bands(grid: Grid, diag) -> np.ndarray:
+    """-Laplacian/2 + diag on the line as a (5, n) band matrix.
+
+    The layout is solve_banded's with (l, u) = (2, 2), ab[2 + i - j, j] =
+    A[i, j]; its upper three rows are eig_banded's upper form.  The dtype
+    follows diag.
+    """
+    if grid.d != 1:
+        raise ValueError("band matrix requires d = 1")
+    diag = np.asarray(diag)
+    h2 = grid.hs[0] ** 2
+    ab = np.zeros((5, grid.ns[0]), dtype=np.result_type(diag, float))
+    ab[0, :] = ab[4, :] = -0.5 * _STENCIL[0] / h2
+    ab[1, :] = ab[3, :] = -0.5 * _STENCIL[1] / h2
+    ab[2, :] = -0.5 * _STENCIL[2] / h2 + diag
+    return ab
 
 
 def l2_norm(f: Field) -> float:
@@ -270,42 +301,3 @@ def mass_in_ball(f: Field, center, radius: float) -> float:
     if total == 0.0:
         raise ValueError("zero field")
     return inside / total
-
-
-def field_to_csv(f: Field, path) -> None:
-    """Rows of node coordinates with real and imaginary parts."""
-    import csv
-
-    coords = f.grid.meshgrid().reshape(-1, f.grid.d)
-    vals = f.values.reshape(-1)
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x_{i+1}" for i in range(f.grid.d)] + ["re", "im"])
-        for pt, v in zip(coords, vals):
-            writer.writerow([repr(float(c)) for c in pt] + [repr(float(v.real)), repr(float(v.imag))])
-
-
-def field_to_binary(f: Field, path) -> None:
-    """Little-endian dump: d, point counts, extents, center, then re/im pairs."""
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", g.d))
-        fh.write(struct.pack(f"<{g.d}q", *g.ns))
-        fh.write(struct.pack(f"<{g.d}d", *g.ls))
-        fh.write(struct.pack(f"<{g.d}d", *g.center))
-        interleaved = np.empty(f.values.size * 2)
-        interleaved[0::2] = f.values.real.reshape(-1)
-        interleaved[1::2] = f.values.imag.reshape(-1)
-        fh.write(interleaved.astype("<f8").tobytes())
-
-
-def field_from_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        (d,) = struct.unpack("<q", fh.read(8))
-        ns = struct.unpack(f"<{d}q", fh.read(8 * d))
-        ls = struct.unpack(f"<{d}d", fh.read(8 * d))
-        center = struct.unpack(f"<{d}d", fh.read(8 * d))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    vals = payload[0::2] + 1j * payload[1::2]
-    grid = Grid(int(d), tuple(int(n) for n in ns), ls, center)
-    return Field(grid, vals.reshape(grid.ns))

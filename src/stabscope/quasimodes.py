@@ -125,6 +125,7 @@ class QuasimodeReport:
     details: dict
 
     def to_json_dict(self) -> dict:
+        """JSON payload; the CLI's writer turns numpy values into plain ones."""
         return {
             "lam": self.lam,
             "residual_ratio": self.residual_ratio,
@@ -135,18 +136,8 @@ class QuasimodeReport:
                 "ls": list(self.grid_ls),
                 "center": list(self.grid_center),
             },
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
+            "details": self.details,
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return [float(x) for x in v.ravel()]
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _make_report(pot, f, lam, b, center, radii, details) -> QuasimodeReport:

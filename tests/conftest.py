@@ -1,11 +1,13 @@
 """Shared fixtures: the heavy condition matrix and resolvent sweeps run once."""
 
+import json
 import time
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from stabscope.cli import main
 from stabscope.damping import builtin_damping, dsc_scan, tpc_scan, ugcc_scan
 from stabscope.evolution import resolvent_scan
 from stabscope.potentials import builtin_potential
@@ -31,6 +33,20 @@ CANONICAL_1D = (
     ("ball", {"radius": 1.0}),
     ("checkerboard", {"period": 2.0, "duty": 0.5}),
 )
+
+
+@pytest.fixture
+def command_artifacts(tmp_path):
+    """Run one stabscope command on a config dict; return its --out directory."""
+
+    def run(command, cfg):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        return out
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -20,6 +22,15 @@ def run_cli(tmp_path, command, cfg, out_name="out", extra=()):
     out = tmp_path / out_name
     rc = main([command, "--config", str(cfg_path), "--out", str(out), *extra])
     return rc, out
+
+
+def assert_same_artifacts(out1, out2):
+    """Byte-compare two --out directories, manifests excluded; return the artifact names."""
+    names = {p.name for p in out1.iterdir()} - {"manifest.json"}
+    assert names == {p.name for p in out2.iterdir()} - {"manifest.json"}
+    for name in sorted(names):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    return names
 
 
 def test_flow_command_writes_manifested_artifacts(tmp_path):
@@ -78,10 +89,7 @@ def test_conditions_reruns_are_byte_identical(tmp_path):
     rc1, out1 = run_cli(tmp_path, "conditions", COND_CFG, out_name="a")
     rc2, out2 = run_cli(tmp_path, "conditions", COND_CFG, out_name="b")
     assert rc1 == rc2 == 0
-    names = {p.name for p in out1.iterdir()} - {"manifest.json"}
-    assert names == {p.name for p in out2.iterdir()} - {"manifest.json"}
-    for name in sorted(names):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert_same_artifacts(out1, out2)
 
 
 def test_conditions_threads_are_byte_identical(tmp_path):
@@ -101,11 +109,34 @@ def test_conditions_threads_are_byte_identical(tmp_path):
     rc1, out1 = run_cli(tmp_path, "conditions", cfg, out_name="t1", extra=("--threads", "1"))
     rc2, out2 = run_cli(tmp_path, "conditions", cfg, out_name="t2", extra=("--threads", "2"))
     assert rc1 == rc2 == 0
-    names = {p.name for p in out1.iterdir()} - {"manifest.json"}
-    assert names == {p.name for p in out2.iterdir()} - {"manifest.json"}
-    assert {"conditions_dsc.csv", "conditions_dsc.json"} <= names
-    for name in sorted(names):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert {"conditions_dsc.csv", "conditions_dsc.json"} <= assert_same_artifacts(out1, out2)
+
+
+def test_resolvent_threads_are_byte_identical(tmp_path):
+    # the frequencies run on a thread pool; each one owns its band matrix
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "ball", "radius_space": 1.0},
+        "lambdas_freq": [0.7, 1.3, 2.1, 3.4],
+    }
+    rc1, out1 = run_cli(tmp_path, "resolvent", cfg, out_name="t1", extra=("--threads", "1"))
+    rc2, out2 = run_cli(tmp_path, "resolvent", cfg, out_name="t2", extra=("--threads", "2"))
+    assert rc1 == rc2 == 0
+    assert assert_same_artifacts(out1, out2) == {"resolvent.csv"}
+
+
+def test_dsc_limit_threads_are_byte_identical(tmp_path):
+    cfg = {
+        "potential": {"name": "harmonic", "d": 2},
+        "damping": {"name": "checkerboard", "period_space": 1.0, "duty": 0.5},
+        "tr_ladder": [{"T_time": 1.0, "R_space": 0.5}, {"T_time": 2.0, "R_space": 1.0}],
+        "lambdas_freq": [25.0, 100.0],
+        "n_shell_samples": 16,
+    }
+    rc1, out1 = run_cli(tmp_path, "dsc-limit", cfg, out_name="t1", extra=("--threads", "1"))
+    rc2, out2 = run_cli(tmp_path, "dsc-limit", cfg, out_name="t2", extra=("--threads", "2"))
+    assert rc1 == rc2 == 0
+    assert assert_same_artifacts(out1, out2) == {"dsc_limit.csv", "dsc_limit.json"}
 
 
 def test_conditions_rejects_unknown_check(tmp_path, capsys):
@@ -306,8 +337,15 @@ def test_dsc_limit_command(tmp_path):
     }
     rc, out = run_cli(tmp_path, "dsc-limit", cfg)
     assert rc == 0
-    assert (out / "dsc_limit.csv").exists()
     assert (out / "dsc_limit.json").exists()
+    # ladder labels hold a comma, so the writer must quote them
+    with open(out / "dsc_limit.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "group", "average"]
+    assert len(rows) == 3
+    assert all(len(row) == 3 for row in rows)
+    assert [row[1] for row in rows[1:]] == ["T=1,R=0.5", "T=2,R=1"]
+    assert all(re.fullmatch(r"T=[^,]+,R=[^,]+", row[1]) for row in rows[1:])
 
 
 def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+from stabscope.cli import _write_report_csv
 from stabscope.damping import (
     BLOCK_BYTES,
     Damping,
@@ -15,7 +16,6 @@ from stabscope.damping import (
     mollification_consistency,
     mollify_at,
     ray_average,
-    report_to_csv,
     tpc_scan,
     ugcc_scan,
     unit_ball_nodes,
@@ -512,7 +512,7 @@ def test_scan_csv_deterministic(tmp_path, harmonic_2d):
     for k in range(2):
         rep = dsc_scan(b, harmonic_2d, 2.0, 1.0, [25.0], n_shell_samples=32, seed=0)
         p = tmp_path / f"run{k}.csv"
-        report_to_csv(rep, p)
+        _write_report_csv(p, rep)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 

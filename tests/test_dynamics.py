@@ -14,7 +14,6 @@ from stabscope.dynamics import (
     linearization_deviation,
     rescaled_flow,
     sample_shell,
-    trajectory_to_csv,
 )
 from stabscope.potentials import builtin_potential, epsilon_lambda
 
@@ -184,11 +183,17 @@ def test_sample_shell_energies(harmonic_2d):
     assert slow >= 10
 
 
-def test_trajectory_csv_layout(tmp_path, harmonic_2d):
+def test_trajectory_csv_layout(command_artifacts, harmonic_2d):
     traj = flow_integrate(harmonic_2d, PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 0.1, 1e-3)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path, 2)
-    lines = path.read_text().splitlines()
+    cfg = {
+        "potential": {"name": "harmonic", "d": 2},
+        "x0_space": [1.0, 0.0],
+        "xi0_momentum": [0.0, 1.0],
+        "T_time": 0.1,
+        "dt_time": 1e-3,
+    }
+    out = command_artifacts("flow", cfg)
+    lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x_1,x_2,xi_1,xi_2,p"
     assert len(lines) == len(traj.t) + 1
     row = [float(tok) for tok in lines[1].split(",")]

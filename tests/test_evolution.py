@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stabscope.cli import _write_trace_csv
 from stabscope.damping import builtin_damping
 from stabscope.evolution import (
     DecayFit,
@@ -15,9 +16,6 @@ from stabscope.evolution import (
     quasimode_probe,
     resolvent_grid,
     resolvent_scan,
-    resolvent_to_csv,
-    spectrum_to_csv,
-    trace_to_csv,
 )
 from stabscope.fields import Field, make_grid
 from stabscope.potentials import builtin_potential, sublevel_radius
@@ -307,7 +305,7 @@ def test_trace_csv_layout(tmp_path):
     trace = EnergyTrace(t=t, E=np.exp(-t), D=0.5 * np.ones_like(t), dt=0.25,
                         balance_coefficient=0.0)
     path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
+    _write_trace_csv(path, trace)
     raw = path.read_bytes().decode()
     assert "\r" not in raw
     lines = raw.strip().split("\n")
@@ -318,11 +316,15 @@ def test_trace_csv_layout(tmp_path):
     assert float(cells[1]) == trace.E[1]
 
 
-def test_resolvent_csv_layout(tmp_path, small_scan):
-    _, scan = small_scan
-    path = tmp_path / "scan.csv"
-    resolvent_to_csv(scan, path)
-    lines = path.read_text().strip().split("\n")
+def test_resolvent_csv_layout(command_artifacts, small_scan):
+    lams, scan = small_scan
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 0.0},
+        "lambdas_freq": lams.tolist(),
+    }
+    out = command_artifacts("resolvent", cfg)
+    lines = (out / "resolvent.csv").read_text().strip().split("\n")
     assert lines[0] == "lambda,sigma_min,lambda_over_sigma_min,flag"
     assert len(lines) == 4
     cells = lines[1].split(",")
@@ -331,12 +333,17 @@ def test_resolvent_csv_layout(tmp_path, small_scan):
     assert cells[3] in {"ok", "bisect"}
 
 
-def test_spectrum_csv_layout(tmp_path, spectrum_setup):
+def test_spectrum_csv_layout(command_artifacts, spectrum_setup):
     grid, _ = spectrum_setup
     result = damped_spectrum_1d(H1, B_ONE, grid, 8)
-    path = tmp_path / "spec.csv"
-    spectrum_to_csv(result, path)
-    lines = path.read_text().strip().split("\n")
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "count": 8,
+        "grid": {"n_nodes": grid.ns[0], "half_width_space": grid.ls[0]},
+    }
+    out = command_artifacts("spectrum", cfg)
+    lines = (out / "spectrum.csv").read_text().strip().split("\n")
     assert lines[0] == "re,im,residual"
     assert len(lines) == 9
     cells = lines[1].split(",")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig_banded
 
@@ -11,16 +13,15 @@ from stabscope.fields import (
     apply_P,
     check_resolution,
     damping_pairing,
-    field_from_binary,
-    field_to_binary,
-    field_to_csv,
     inner,
     l2_norm,
     make_grid,
     mass_in_ball,
+    p_bands,
     residual_ratio,
     snap_to_grid,
 )
+from stabscope.potentials import builtin_potential
 
 
 def gaussian_field(n: int = 2048, l: float = 10.0) -> Field:
@@ -307,27 +308,64 @@ def test_apply_p_real_preserving(harmonic_1d):
     assert np.max(np.abs(out.values.imag)) <= 1e-14
 
 
-# -------------------------------------------------------------------- io
+# Six builtin wells on the line, for the one-operator property test.
+BUILTINS_1D = [
+    builtin_potential("harmonic", d=1),
+    builtin_potential("anisotropic", d=1, weights=[2.5]),
+    builtin_potential("anisotropic", d=1, weights=[0.5]),
+    builtin_potential("power", d=1, s=1.0),
+    builtin_potential("power", d=1, s=2.5),
+    builtin_potential("power", d=1, s=3.0),
+]
 
 
-def test_field_csv_layout(tmp_path):
-    f = cos_bump_field(16)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().splitlines()
+@given(
+    st.sampled_from(BUILTINS_1D),
+    st.integers(8, 80),
+    st.floats(0.5, 12.0),
+    st.floats(-5.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_p_matches_bands(pot, n, half_width, center, seed):
+    # the stencil kernel behind apply_P and the band matrix of the resolvent
+    # and spectra are one operator: equal on fields that vanish on the two
+    # outer layers, and symmetric
+    g = make_grid(1, n, half_width, center=center)
+    v = pot.raw_value(g.meshgrid())
+    ab = p_bands(g, v)
+    assert ab.dtype == np.float64
+    assert p_bands(g, v + 1j).dtype == np.complex128
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 3)):
+            dense[i, j] = ab[2 + i - j, j]
+    assert np.array_equal(dense, dense.T)
+
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(n, dtype=complex)
+    vals[2:-2] = rng.standard_normal(n - 4) + 1j * rng.standard_normal(n - 4)
+    got = apply_P(pot, Field(g, vals)).values
+    tol = n * np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(vals))
+    assert np.max(np.abs(got - dense @ vals)) <= tol
+
+
+# ------------------------------------------------------------ artifacts
+
+
+def test_field_csv_layout(command_artifacts):
+    # the quasimode command writes its field through the CLI's one CSV writer
+    out = command_artifacts(
+        "quasimode",
+        {
+            "potential": {"name": "harmonic", "d": 1},
+            "x0_space": [20.0],
+            "R_width": 2.0,
+            "grid": {"n_nodes": 129, "half_width_space": 1.0, "center_space": [20.0]},
+        },
+    )
+    lines = (out / "mode.csv").read_text().splitlines()
     assert lines[0] == "x_1,re,im"
-    assert len(lines) == 17
+    assert len(lines) == 130
     row = lines[1].split(",")
-    assert float(row[0]) == -10.0
+    assert float(row[0]) == 19.0
     assert float(row[2]) == 0.0
-
-
-def test_field_binary_roundtrip(tmp_path):
-    g = make_grid(2, [16, 24], [1.0, 2.0], center=[0.5, -0.25])
-    rng = np.random.default_rng(5)
-    f = Field(g, rng.normal(size=(16, 24)) + 1j * rng.normal(size=(16, 24)))
-    path = tmp_path / "field.bin"
-    field_to_binary(f, path)
-    back = field_from_binary(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
