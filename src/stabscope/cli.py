@@ -309,8 +309,9 @@ def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
         sec = _Section(f"config.tr_ladder[{k}]", entry)
         tr_grid.append((float(sec.take("T_time")), float(sec.take("R_space"))))
         sec.done()
-    lambdas = [float(v) for v in cfg.take("lambdas_freq", [25.0, 100.0, 400.0])]
-    n_samples = int(cfg.take("n_shell_samples", 256))
+    defaults = _CONDITION_DEFAULTS["dsc"]
+    lambdas = [float(v) for v in cfg.take("lambdas_freq", defaults["lambdas_freq"])]
+    n_samples = int(cfg.take("n_shell_samples", defaults["n_shell_samples"]))
     cfg.done()
 
     rep = dsc_limit_scan(

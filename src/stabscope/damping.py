@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 N_RAY = 256  # composite trapezoid nodes for line and time averages
+TURNING_FRACTION = 0.2  # share of DSC shell samples forced toward the turning surface
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     return out.reshape(pts.shape[:-1])
 
 
-def ray_average(b: Damping, x0, nu, T: float, r: float, *, n_ray: int = N_RAY) -> float:
+def ray_average(b: Damping, x0, nu, T: float, r: float) -> float:
     """Average of the r-mollified coefficient along a ray segment.
 
     Computes (1/2T) * integral over |t| <= T of (b * kappa_r)(x0 + t*nu) with
@@ -216,7 +217,7 @@ def ray_average(b: Damping, x0, nu, T: float, r: float, *, n_ray: int = N_RAY) -
     nu = as_points(nu, b.d)
     if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    ts = np.linspace(-T, T, n_ray)
+    ts = np.linspace(-T, T, N_RAY)
     pts = x0[None, :] + ts[:, None] * nu[None, :]
     vals = mollify_at(b, r, pts)
     return float(trapezoid(vals, ts) / (2.0 * T))
@@ -262,26 +263,22 @@ def ugcc_scan(
     T: float,
     r: float,
     rays=None,
-    *,
-    threshold: float | None = None,
-    n_ray: int = N_RAY,
 ) -> ConditionReport:
     """Sampled infimum of ray averages of the mollified coefficient."""
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("need T > 0")
     if rays is None:
         rays = default_ray_family(b.d)
-    if threshold is None:
-        threshold = default_threshold(b)
     base = np.stack([as_points(p, b.d) for p, _ in rays])
     dirs = np.stack([as_points(q, b.d) for _, q in rays])
     if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
         raise ValueError("directions must be unit vectors")
-    ts = np.linspace(-T, T, n_ray)
+    ts = np.linspace(-T, T, N_RAY)
     pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
     mol = mollify_at(b, r, pts)
     vals = trapezoid(mol, ts, axis=1) / (2.0 * T)
     inf = float(vals.min())
+    threshold = default_threshold(b)
     return ConditionReport(
         condition="UGCC",
         params={"T_time": T, "r_space": r, "n_rays": len(rays)},
@@ -298,9 +295,6 @@ def tpc_scan(
     pot: Potential,
     R: float,
     shells,
-    *,
-    threshold: float | None = None,
-    n_angles: int | None = None,
 ) -> ConditionReport:
     """Ball averages of b at radius R / V(x)^(1/4) on expanding shells.
 
@@ -310,8 +304,7 @@ def tpc_scan(
     shells = sorted(float(s) for s in shells)
     if not shells:
         raise ValueError("need at least one shell radius")
-    if threshold is None:
-        threshold = default_threshold(b)
+    threshold = default_threshold(b)
 
     all_vals = []
     labels = []
@@ -320,8 +313,7 @@ def tpc_scan(
         if b.d == 1:
             pts = np.array([[rho], [-rho]])
         else:
-            n = n_angles if n_angles is not None else max(512, int(2.0 * np.pi * rho / 0.05))
-            n = min(n, 20000)
+            n = min(max(512, int(2.0 * np.pi * rho / 0.05)), 20000)
             # half-step offset keeps samples off the coordinate axes
             theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
             pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -354,9 +346,6 @@ def flow_average(
     T: float,
     R: float,
     lam: float,
-    *,
-    n_ray: int = N_RAY,
-    dt: float | None = None,
 ) -> np.ndarray:
     """Time average of the R/sqrt(lam)-mollified coefficient along the flow.
 
@@ -365,11 +354,9 @@ def flow_average(
     """
     x0 = np.atleast_2d(as_points(x0, pot.d))
     xi0 = np.atleast_2d(as_points(xi0, pot.d))
-    if dt is None:
-        dt = default_dt(lam)
     window = T / lam
-    times = np.linspace(-window, window, n_ray)
-    pos = flow_positions(pot, x0, xi0, times, dt)  # (n_ray, n, d)
+    times = np.linspace(-window, window, N_RAY)
+    pos = flow_positions(pot, x0, xi0, times, default_dt(lam))  # (N_RAY, n, d)
     vals = mollify_at(b, R / np.sqrt(lam), pos)
     return trapezoid(vals, times, axis=0) / (2.0 * window)
 
@@ -382,26 +369,25 @@ def dsc_scan(
     lambdas,
     *,
     n_shell_samples: int = 256,
-    turning_fraction: float = 0.2,
     seed: int = 0,
-    threshold: float | None = None,
     threads: int = 1,
 ) -> ConditionReport:
     """Shell-sampled infima of flow averages, per frequency.
 
-    A fifth of the samples (by default) is forced toward the turning surface
-    (|xi| <= 0.1 lam) where failures concentrate.  The liminf proxy is the
-    infimum at the largest sampled frequency.
+    A fifth of the samples (TURNING_FRACTION) is forced toward the turning
+    surface (|xi| <= 0.1 lam) where failures concentrate.  The liminf proxy
+    is the infimum at the largest sampled frequency.
     """
+    if not T > 0.0:
+        raise ValueError("need T > 0")
     lams = sorted(float(v) for v in np.atleast_1d(lambdas))
-    if threshold is None:
-        threshold = default_threshold(b)
+    threshold = default_threshold(b)
     seeds = np.random.SeedSequence(seed).spawn(len(lams))
 
     def one(pair):
         lam, ss = pair
         rng = np.random.default_rng(ss)
-        xs, xis = sample_shell(pot, lam, n_shell_samples, rng, turning_fraction=turning_fraction)
+        xs, xis = sample_shell(pot, lam, n_shell_samples, rng, turning_fraction=TURNING_FRACTION)
         return flow_average(b, pot, xs, xis, T, R, lam)
 
     results = _ordered_map(one, list(zip(lams, seeds)), threads)
@@ -420,7 +406,7 @@ def dsc_scan(
             "R_space": R,
             "lambdas": lams,
             "n_shell_samples": n_shell_samples,
-            "turning_fraction": turning_fraction,
+            "turning_fraction": TURNING_FRACTION,
             "seed": seed,
         },
         sample_values=sample_values,
@@ -439,7 +425,6 @@ def dsc_limit_scan(
     *,
     n_shell_samples: int = 256,
     seed: int = 0,
-    threshold: float | None = None,
     threads: int = 1,
 ) -> ConditionReport:
     """Stabilization of the DSC proxy along an increasing (T, R) ladder.
@@ -454,8 +439,9 @@ def dsc_limit_scan(
         for i in range(len(tr_grid) - 1)
     ):
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
-    if threshold is None:
-        threshold = default_threshold(b)
+    if not all(t > 0.0 for t, _ in tr_grid):
+        raise ValueError("need T > 0 on every rung of the (T, R) ladder")
+    threshold = default_threshold(b)
 
     proxies = []
     for T, R in tr_grid:
@@ -467,7 +453,6 @@ def dsc_limit_scan(
             lambdas,
             n_shell_samples=n_shell_samples,
             seed=seed,
-            threshold=threshold,
             threads=threads,
         )
         proxies.append(rep.infimum)

@@ -37,6 +37,8 @@ __all__ = [
     "default_dt",
 ]
 
+ENERGY_DRIFT_TOL = 1e-6  # relative drift of p reported on a trajectory; 100x aborts
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -44,9 +46,6 @@ class PhaseState:
 
     x: np.ndarray
     xi: np.ndarray
-
-    def energy(self, pot: Potential) -> float:
-        return float(pot.value(self.x) + 0.5 * np.sum(self.xi**2))
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,6 @@ class Trajectory:
     dt: float
     p0: float
     drift: float
-
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(self.x[k].copy(), self.xi[k].copy())
 
 
 def hamiltonian_field(pot: Potential, state: PhaseState):
@@ -111,14 +107,13 @@ def flow_integrate(
     T: float,
     dt: float,
     *,
-    energy_drift_tol: float = 1e-6,
     record_every: int = 1,
 ) -> Trajectory:
     """Integrate the flow from s0 over [0, T], sampling every few steps.
 
-    Aborts when the relative energy drift exceeds 100x the tolerance; a drift
-    above the tolerance itself is reported on the trajectory for the caller
-    to inspect.
+    Aborts when the relative energy drift exceeds 100x ENERGY_DRIFT_TOL; a
+    drift above the tolerance itself is reported on the trajectory for the
+    caller to inspect.
     """
     if dt <= 0.0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -140,7 +135,7 @@ def flow_integrate(
     xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
     p = pot.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
     drift = float(np.max(np.abs(p - p0)) / max(p0, 1.0))
-    if drift > 100.0 * energy_drift_tol:
+    if drift > 100.0 * ENERGY_DRIFT_TOL:
         raise RuntimeError("integrator unstable -- reduce dt")
     return Trajectory(t, xs, xis, p, dt=dt, p0=p0, drift=drift)
 
@@ -239,7 +234,6 @@ def linearization_deviation(
     eps_profile: EpsilonProfile,
     *,
     dt: float | None = None,
-    n_times: int = 65,
 ) -> LinearizationReport:
     """Compare the rescaled flow against straight-line motion over |s| <= T.
 
@@ -253,7 +247,7 @@ def linearization_deviation(
     if dt is None:
         dt = default_dt(lam)
 
-    s_grid = np.linspace(-T, T, n_times)
+    s_grid = np.linspace(-T, T, 65)
     xs, xis = _flow_states(pot, y, lam * eta, s_grid / lam, dt)
     dev_eta = np.max(np.linalg.norm(xis / lam - eta, axis=-1), axis=0)
     dev_y = np.max(np.linalg.norm(xs - (y + s_grid[:, None, None] * eta), axis=-1), axis=0)

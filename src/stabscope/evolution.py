@@ -24,6 +24,7 @@ from .fields import Field, Grid, _p_kernel, check_resolution, make_grid, p_bands
 from .potentials import Potential, sublevel_radius
 
 RESOLVENT_PPW = 16
+RESOLVENT_CERT_RTOL = 1e-6
 
 
 @dataclass
@@ -221,7 +222,7 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
 
 @dataclass(frozen=True)
 class ResolventScan:
-    """lam / sigma_min along a frequency grid, with per-entry method flags."""
+    """lam / sigma_min along a frequency grid, with per-entry certificate flags."""
 
     lambdas: np.ndarray
     sigma_min: np.ndarray
@@ -239,29 +240,45 @@ def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
     return make_grid(1, n, L)
 
 
-def _sigma_min(ab: np.ndarray, maxiter: int = 500, tol: float = 1e-12):
-    """Smallest singular value by inverse iteration on the normal equations.
+def _sigma_min(ab: np.ndarray):
+    """Smallest singular value of the banded A, certified from below.
 
-    The matrix is complex symmetric, so the adjoint solve reuses the
-    conjugated bands.  Falls back to bisection on shifted Cholesky
-    factorizations of A*A when the iteration stalls.
+    Lanczos (ARPACK) finds the top eigenvalue mu of (A*A)^-1, applied as two
+    banded solves; A is complex symmetric, so A* has the conjugated bands.
+    The seeded random complex start sees modes of both parities.  A Ritz
+    value never exceeds the top eigenvalue, so sigma = mu^-1/2 >= sigma_min,
+    and a Cholesky factorization of A*A - ((1 - RESOLVENT_CERT_RTOL) sigma)^2
+    proves sigma_min > (1 - RESOLVENT_CERT_RTOL) sigma (flag "ok"); a failed
+    factorization flags "failed".
     """
     n = ab.shape[1]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
     abh = np.conj(ab)
-    mu_prev = 0.0
-    for _ in range(maxiter):
-        z = solve_banded((2, 2), abh, v)
-        w = solve_banded((2, 2), ab, z)
-        mu = float(np.linalg.norm(w))
-        v = w / mu
-        if abs(mu - mu_prev) <= tol * mu:
-            sigma = 1.0 / math.sqrt(mu)
-            return sigma, "ok"
-        mu_prev = mu
-    return _sigma_min_bisect(ab, hint=1.0 / math.sqrt(mu_prev) if mu_prev > 0 else 1.0)
+    op = spla.LinearOperator(
+        (n, n), matvec=lambda v: solve_banded((2, 2), ab, solve_banded((2, 2), abh, v)), dtype=complex
+    )
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mu = float(spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    sigma = 1.0 / math.sqrt(mu)
+
+    shifted = _normal_bands(ab)
+    shifted[4, :] -= ((1.0 - RESOLVENT_CERT_RTOL) * sigma) ** 2
+    try:
+        cholesky_banded(shifted, lower=False)
+    except np.linalg.LinAlgError:
+        return sigma, "failed"
+    return sigma, "ok"
+
+
+def _normal_bands(ab: np.ndarray) -> np.ndarray:
+    """Upper bands of A*A in cholesky_banded's layout, out[4 + i - j, j] = (A*A)[i, j]."""
+    n = ab.shape[1]
+    row = np.arange(5)[:, None] + np.arange(n) - 2  # row of A held by each entry of ab
+    a = np.where((row >= 0) & (row < n), ab, 0.0)  # ab's two corners hold no entry of A
+    out = np.zeros((5, n), dtype=complex)
+    for off in range(5):
+        out[4 - off, off:] = np.sum(np.conj(a[off:, : n - off]) * a[: 5 - off, off:], axis=0)
+    return out
 
 
 def _banded_to_sparse(ab: np.ndarray):
@@ -275,41 +292,6 @@ def _banded_to_sparse(ab: np.ndarray):
     return sp.diags(diags, offs, format="csr")
 
 
-def _sigma_min_bisect(ab: np.ndarray, hint: float):
-    n = ab.shape[1]
-    a_sp = _banded_to_sparse(ab)
-    normal = (a_sp.conj().T @ a_sp).todia()
-    upper = np.zeros((5, n), dtype=complex)
-    for off, data in zip(normal.offsets, normal.data):
-        if off >= 0:
-            upper[4 - off, :] = data
-
-    def posdef(mu2: float) -> bool:
-        shifted = upper.copy()
-        shifted[4, :] -= mu2
-        try:
-            cholesky_banded(shifted, lower=False)
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
-    hi = max(hint * 4.0, 1e-300) ** 2
-    tries = 0
-    while posdef(hi) and tries < 200:
-        hi *= 4.0
-        tries += 1
-    if tries >= 200:
-        return float("nan"), "failed"
-    lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if posdef(mid):
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(0.5 * (lo + hi)), "bisect"
-
-
 def resolvent_scan(
     pot: Potential,
     b: Damping,
@@ -317,7 +299,6 @@ def resolvent_scan(
     grid: Grid | None = None,
     *,
     threads: int = 1,
-    maxiter: int = 500,
 ) -> ResolventScan:
     """Scan lam / sigma_min(P - lam^2 + i lam b) over the frequency grid."""
     if pot.d != 1 or b.d != 1:
@@ -344,7 +325,7 @@ def resolvent_scan(
 
     def one(lam: float):
         ab = p_bands(grid, vvals - lam**2 + 1j * lam * bvals)
-        return _sigma_min(ab, maxiter=maxiter)
+        return _sigma_min(ab)
 
     results = _ordered_map(one, [float(l) for l in lams], threads)
     sig = np.array([r[0] for r in results])

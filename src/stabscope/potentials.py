@@ -91,9 +91,6 @@ class Potential:
     def grad(self, x) -> np.ndarray:
         return self.raw_grad(as_points(x, self.d))
 
-    def grad_norm(self, x) -> np.ndarray:
-        return np.linalg.norm(self.grad(x), axis=-1)
-
 
 def builtin_potential(name: str, d: int = 1, **params) -> Potential:
     """Construct one of the builtin confining potentials.
@@ -236,15 +233,11 @@ def _gradient_growth_constant(pot: Potential, n_dirs: int) -> float:
 def epsilon_lambda(
     pot: Potential,
     lambdas,
-    *,
-    n_trial: int = 64,
-    n_dirs: int | None = None,
-    n_dense: int = 2048,
 ) -> EpsilonProfile:
     """Sample the smallness factor eps(lam) on a frequency grid.
 
     For each lam the trial radius A ranges over [a0, max(a0, lam)] and the
-    bracketed minimum is taken over a log-spaced grid of ``n_trial`` radii.
+    bracketed minimum is taken over a log-spaced grid of 64 radii.
     A running minimum over ascending lam enforces monotonicity, which the
     exact quantity satisfies but sampled suprema may jitter away from.
     """
@@ -254,19 +247,18 @@ def epsilon_lambda(
     if lams[0] < 1.0:
         raise ValueError("frequencies must satisfy lam >= 1")
 
-    if n_dirs is None:
-        n_dirs = 64 * pot.d
+    n_dirs = 64 * pot.d
     c = _gradient_growth_constant(pot, n_dirs)
     c_v = (2.0**0.25 + c) ** 3
 
     a_max_global = max(pot.a0, lams[-1])
     radii, sup_inside, sup_tail = _radial_supremum_tables(
-        pot, r_tail=4.0 * a_max_global, n_dirs=n_dirs, n_dense=n_dense
+        pot, r_tail=4.0 * a_max_global, n_dirs=n_dirs, n_dense=2048
     )
 
     values = np.empty_like(lams)
     for i, lam in enumerate(lams):
-        a_grid = np.geomspace(pot.a0, max(pot.a0, lam), n_trial)
+        a_grid = np.geomspace(pot.a0, max(pot.a0, lam), 64)
         idx = np.searchsorted(radii, a_grid)
         idx = np.clip(idx, 1, len(radii) - 1)
         inner = sup_inside[idx] / lam**1.5

@@ -276,7 +276,7 @@ def phase_translate(f: Field, rho0) -> Field:
     return out
 
 
-def packet_grid(spec: WavePacketSpec, ppw: int = 32, margin: float = 1.12) -> Grid:
+def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
     """Per-axis grid sized to the packet: carrier resolution along the
     momentum components, envelope resolution across, odd counts so the base
     point is a node."""
@@ -284,7 +284,7 @@ def packet_grid(spec: WavePacketSpec, ppw: int = 32, margin: float = 1.12) -> Gr
     extents = spec.axis_extents()
     ns, ls = [], []
     for i in range(spec.d):
-        l_i = float(extents[i] * margin)
+        l_i = float(extents[i] * 1.12)
         h_env = extents[i] / ENVELOPE_NODES
         h_i = h_env
         if abs(xi[i]) > 0.0:
@@ -417,17 +417,14 @@ def tpc_violation_sequence(
     pot: Potential,
     b: Damping,
     n_max: int,
-    *,
-    n_angles: int = 512,
-    radial_growth: float = 1.2,
-    rho_max: float = 1e7,
 ) -> list:
     """Turning-point witnesses on balls where the damping average collapses.
 
-    For each n the search sweeps outward over shells (angular lattice,
-    deterministic first-hit order) for a point whose ball average of b at
-    radius (n+1)/sqrt(lam) drops below 2^-n * b_max, far enough out that the
-    admissibility caps leave R_n = n+1 intact; it then builds the bump there.
+    For each n the search sweeps outward over shells, growing by 1.2x up to
+    radius 1e7 (512-direction angular lattice, deterministic first-hit
+    order), for a point whose ball average of b at radius (n+1)/sqrt(lam)
+    drops below 2^-n * b_max, far enough out that the admissibility caps
+    leave R_n = n+1 intact; it then builds the bump there.
     Raises when the damping never violates the thin-point condition within
     the sweep range.
     """
@@ -437,9 +434,10 @@ def tpc_violation_sequence(
         raise ValueError("need n_max >= 1")
     from .potentials import sublevel_radius
 
+    rho_max = 1e7
     lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), rho_max))
     profile = epsilon_lambda(pot, np.geomspace(1.0, max(lam_cap, 2.0), 160))
-    dirs = unit_directions(pot.d, n_angles)
+    dirs = unit_directions(pot.d, 512)
 
     reports = []
     for n in range(1, n_max + 1):
@@ -462,7 +460,7 @@ def tpc_violation_sequence(
                 k = int(np.argmax(ok))
                 found = (pts[k], float(avgs[k]), float(lam_pts[k]))
                 break
-            rho *= radial_growth
+            rho *= 1.2
         if found is None:
             raise ValueError("TPC not violated in range")
         x_n, avg, lam_x = found

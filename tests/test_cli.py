@@ -362,6 +362,25 @@ def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("T", [0.0, float("nan"), -2.0])
+@pytest.mark.parametrize("command, check", [("conditions", "ugcc"), ("conditions", "dsc"), ("dsc-limit", None)])
+def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T):
+    # json.dumps writes NaN as a bare literal, which the config parser accepts
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "ball", "radius_space": 1.0},
+    }
+    if command == "conditions":
+        cfg.update({"checks": [check], check: {"T_time": T}})
+    else:
+        cfg.update({"tr_ladder": [{"T_time": T, "R_space": 1.0}], "lambdas_freq": [25.0]})
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    assert "need T > 0" in capsys.readouterr().err
+    assert not (out / "conditions_summary.json").exists()
+    assert not (out / "dsc_limit.json").exists()
+
+
 def test_suite_command_builds_consistency_matrix(tmp_path):
     # reduced parameters to keep the run short; the checkerboard DSC verdict
     # is ladder-dependent at this size, so only the stable cells are pinned
