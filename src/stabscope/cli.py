@@ -240,10 +240,23 @@ _CONDITION_DEFAULTS = {
 
 
 def _condition_params(cfg: _Section) -> dict:
+    """Typed scan parameters; every window is checked before any scan runs."""
     params = {}
     for check, defaults in _CONDITION_DEFAULTS.items():
         sec = cfg.sub(check)
-        params[check] = {key: sec.take(key, value) for key, value in defaults.items()}
+        p = params[check] = {}
+        for key, default in defaults.items():
+            value = sec.take(key, default)
+            if isinstance(default, list):
+                if not isinstance(value, list) or not value:
+                    raise ValueError(f"{check}.{key} must be a non-empty list")
+                p[key] = [float(v) for v in value]
+            elif isinstance(default, int):
+                p[key] = int(value)
+            else:
+                p[key] = float(value)
+                if not p[key] > 0.0:
+                    raise ValueError(f"need {key[0]} > 0 in {check}.{key}")
         sec.done()
     return params
 
@@ -251,20 +264,18 @@ def _condition_params(cfg: _Section) -> dict:
 def _run_conditions(pot, b, params: dict, checks, seed: int, threads: int) -> dict:
     reports = {}
     if "ugcc" in checks:
-        p = params["ugcc"]
-        reports["ugcc"] = ugcc_scan(b, float(p["T_time"]), float(p["r_space"]))
+        reports["ugcc"] = ugcc_scan(b, params["ugcc"]["T_time"], params["ugcc"]["r_space"])
     if "tpc" in checks:
-        p = params["tpc"]
-        reports["tpc"] = tpc_scan(b, pot, float(p["R_space"]), [float(s) for s in p["shells_space"]])
+        reports["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"], params["tpc"]["shells_space"])
     if "dsc" in checks:
         p = params["dsc"]
         reports["dsc"] = dsc_scan(
             b,
             pot,
-            float(p["T_time"]),
-            float(p["R_space"]),
-            [float(v) for v in p["lambdas_freq"]],
-            n_shell_samples=int(p["n_shell_samples"]),
+            p["T_time"],
+            p["R_space"],
+            p["lambdas_freq"],
+            n_shell_samples=p["n_shell_samples"],
             seed=seed,
             threads=threads,
         )

@@ -12,10 +12,14 @@ them statements about averages of b:
   of b mollified at scale R/sqrt(lam) over flow segments of duration 2T/lam,
   uniformly over the energy shell, asymptotically in lam.
 
-Each scan samples its infimum over a finite, deterministic family and
-reports per-sample averages, the infimum, and a pass flag against the
-threshold c = 1e-3 * b_max.  Ball averages use a fixed low-discrepancy node
-set, line and time averages use composite trapezoid rules.
+Each scan samples its infimum over a finite, deterministic family.  Ball
+averages use a fixed low-discrepancy node set (`mollify_at`); the ray and
+flow averages are one window mean, the composite trapezoid rule over
+|t| <= T divided by 2T.  Every scan returns a `ConditionReport` with the
+per-sample averages and the infimum; it passes when the infimum exceeds the
+threshold c = 1e-3 * b_max.  TPC and DSC build theirs through one grouped
+report (per-shell or per-frequency infima, the outermost group as the liminf
+proxy).
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     strip_lattice   b = amplitude on strips {frac(x_1/period) < duty}
     """
     amplitude = float(params.pop("amplitude", 1.0))
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     if amplitude < 0.0:
         raise ValueError("negative amplitude")
 
@@ -88,7 +94,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return Damping(d, func, amplitude, f"constant({amplitude:g})")
 
     if name == "exterior":
-        radius = float(params.pop("radius", 1.0))
+        radius = _length(params, "radius")
         _reject_extra(params)
 
         def func(pts, r=radius):
@@ -97,7 +103,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return Damping(d, func, amplitude, f"exterior(R={radius:g})")
 
     if name == "ball":
-        radius = float(params.pop("radius", 1.0))
+        radius = _length(params, "radius")
         center = np.asarray(params.pop("center", np.zeros(d)), dtype=float)
         _reject_extra(params)
 
@@ -106,43 +112,41 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
         return Damping(d, func, amplitude, f"ball(R={radius:g})")
 
-    if name == "checkerboard":
-        period = float(params.pop("period", 1.0))
-        duty = float(params.pop("duty", 0.5))
-        _reject_extra(params)
-        if not 0.0 < duty < 1.0:
-            raise ValueError("duty ratio must lie in (0, 1)")
-        cell = duty * period
+    if name not in ("checkerboard", "radial_shells", "strip_lattice"):
+        raise ValueError(f"unknown damping {name!r}")
+    period = _length(params, "period")
+    duty = float(params.pop("duty", 0.5))
+    _reject_extra(params)
+    if not 0.0 < duty < 1.0:
+        raise ValueError("duty ratio must lie in (0, 1)")
+    label = f"{name}(L={period:g},duty={duty:g})"
 
-        def func(pts, a=cell):
+    if name == "checkerboard":
+
+        def func(pts, a=duty * period):
             idx = np.floor(pts / a).astype(np.int64)
             return amplitude * (idx.sum(axis=-1) % 2 == 0)
 
-        return Damping(d, func, amplitude, f"checkerboard(L={period:g},duty={duty:g})")
-
-    if name == "radial_shells":
-        period = float(params.pop("period", 1.0))
-        duty = float(params.pop("duty", 0.5))
-        _reject_extra(params)
+    elif name == "radial_shells":
 
         def func(pts, L=period, q=duty):
             frac = np.mod(np.linalg.norm(pts, axis=-1) / L, 1.0)
             return amplitude * (frac < q)
 
-        return Damping(d, func, amplitude, f"radial_shells(L={period:g},duty={duty:g})")
-
-    if name == "strip_lattice":
-        period = float(params.pop("period", 1.0))
-        duty = float(params.pop("duty", 0.5))
-        _reject_extra(params)
+    else:
 
         def func(pts, L=period, q=duty):
             frac = np.mod(pts[..., 0] / L, 1.0)
             return amplitude * (frac < q)
 
-        return Damping(d, func, amplitude, f"strip_lattice(L={period:g},duty={duty:g})")
+    return Damping(d, func, amplitude, label)
 
-    raise ValueError(f"unknown damping {name!r}")
+
+def _length(params: dict, key: str) -> float:
+    value = float(params.pop(key, 1.0))
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"damping {key} must be positive and finite")
+    return value
 
 
 def _reject_extra(params: dict) -> None:
@@ -207,33 +211,52 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     return out.reshape(pts.shape[:-1])
 
 
+def _window_mean(b: Damping, r, pts: np.ndarray, ts: np.ndarray, axis: int) -> np.ndarray:
+    """Trapezoid mean over the window ts of the r-mollified b sampled at pts.
+
+    ts runs along `axis` of pts' leading axes; ts[-1] - ts[0] is the window 2T.
+    """
+    return trapezoid(mollify_at(b, r, pts), ts, axis=axis) / (ts[-1] - ts[0])
+
+
+def _ray_means(b: Damping, base, dirs, T: float, r: float, message: str) -> np.ndarray:
+    """Window means along the rays base[k] + t*dirs[k], |t| <= T, one per ray.
+
+    Time is the last, contiguous axis of the batch, so every ray's sum is
+    formed the same way alone or among others.
+    """
+    if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
+        raise ValueError(message)
+    ts = np.linspace(-T, T, N_RAY)
+    pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
+    return _window_mean(b, r, pts, ts, axis=-1)
+
+
 def ray_average(b: Damping, x0, nu, T: float, r: float) -> float:
     """Average of the r-mollified coefficient along a ray segment.
 
     Computes (1/2T) * integral over |t| <= T of (b * kappa_r)(x0 + t*nu) with
-    a composite trapezoid rule; nu must be a unit vector.
+    a composite trapezoid rule; nu must be a unit vector.  This is one row
+    of the batch `ugcc_scan` evaluates.
     """
-    x0 = as_points(x0, b.d)
-    nu = as_points(nu, b.d)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    ts = np.linspace(-T, T, N_RAY)
-    pts = x0[None, :] + ts[:, None] * nu[None, :]
-    vals = mollify_at(b, r, pts)
-    return float(trapezoid(vals, ts) / (2.0 * T))
+    base, direction = as_points(x0, b.d)[None, :], as_points(nu, b.d)[None, :]
+    return float(_ray_means(b, base, direction, T, r, "direction must be a unit vector")[0])
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of one condition scan."""
+    """Outcome of one condition scan; it passes when the infimum clears the threshold."""
 
     condition: str
     params: dict
     sample_values: np.ndarray
     infimum: float
     threshold: float
-    passed: bool
     groups: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.infimum > self.threshold
 
     def to_json_dict(self) -> dict:
         """JSON payload; the CLI's writer turns numpy values into plain ones."""
@@ -246,6 +269,26 @@ class ConditionReport:
             "groups": self.groups,
             "n_samples": int(self.sample_values.size),
         }
+
+
+def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str, key: str):
+    """Report over sample groups (value, averages), ordered so the last one is outermost.
+
+    Each sample is labelled "name=value", the per-group infima are reported
+    under `key`, and the infimum of the last group is the liminf proxy.
+    """
+    infima = {value: float(vals.min()) for value, vals in groups}
+    return ConditionReport(
+        condition=condition,
+        params=params,
+        sample_values=np.concatenate([vals for _, vals in groups]),
+        infimum=infima[groups[-1][0]],
+        threshold=default_threshold(b),
+        groups={
+            "sample_labels": [f"{name}={value:g}" for value, vals in groups for _ in vals],
+            key: infima,
+        },
+    )
 
 
 def default_ray_family(d: int, box: float = 10.0, n_per_axis: int = 7, n_dirs: int = 16):
@@ -271,21 +314,13 @@ def ugcc_scan(
         rays = default_ray_family(b.d)
     base = np.stack([as_points(p, b.d) for p, _ in rays])
     dirs = np.stack([as_points(q, b.d) for _, q in rays])
-    if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
-        raise ValueError("directions must be unit vectors")
-    ts = np.linspace(-T, T, N_RAY)
-    pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
-    mol = mollify_at(b, r, pts)
-    vals = trapezoid(mol, ts, axis=1) / (2.0 * T)
-    inf = float(vals.min())
-    threshold = default_threshold(b)
+    vals = _ray_means(b, base, dirs, T, r, "directions must be unit vectors")
     return ConditionReport(
         condition="UGCC",
         params={"T_time": T, "r_space": r, "n_rays": len(rays)},
         sample_values=vals,
-        infimum=inf,
-        threshold=threshold,
-        passed=inf > threshold,
+        infimum=float(vals.min()),
+        threshold=default_threshold(b),
         groups={"sample_labels": [f"ray{k}" for k in range(len(rays))]},
     )
 
@@ -304,11 +339,8 @@ def tpc_scan(
     shells = sorted(float(s) for s in shells)
     if not shells:
         raise ValueError("need at least one shell radius")
-    threshold = default_threshold(b)
 
-    all_vals = []
-    labels = []
-    shell_inf = {}
+    groups = []
     for rho in shells:
         if b.d == 1:
             pts = np.array([[rho], [-rho]])
@@ -320,21 +352,9 @@ def tpc_scan(
         v = pot.raw_value(pts)
         if np.any(v <= 0.0):
             raise ValueError("shell must lie where V > 0")
-        vals = mollify_at(b, R / v**0.25, pts)
-        all_vals.append(vals)
-        labels += [f"shell={rho:g}"] * len(pts)
-        shell_inf[rho] = float(vals.min())
-
-    sample_values = np.concatenate(all_vals)
-    inf = shell_inf[shells[-1]]
-    return ConditionReport(
-        condition="TPC",
-        params={"R_space": R, "shells": shells},
-        sample_values=sample_values,
-        infimum=inf,
-        threshold=threshold,
-        passed=inf > threshold,
-        groups={"sample_labels": labels, "shell_infima": shell_inf},
+        groups.append((rho, mollify_at(b, R / v**0.25, pts)))
+    return _grouped_report(
+        "TPC", {"R_space": R, "shells": shells}, b, groups, "shell", "shell_infima"
     )
 
 
@@ -357,8 +377,7 @@ def flow_average(
     window = T / lam
     times = np.linspace(-window, window, N_RAY)
     pos = flow_positions(pot, x0, xi0, times, default_dt(lam))  # (N_RAY, n, d)
-    vals = mollify_at(b, R / np.sqrt(lam), pos)
-    return trapezoid(vals, times, axis=0) / (2.0 * window)
+    return _window_mean(b, R / np.sqrt(lam), pos, times, axis=0)
 
 
 def dsc_scan(
@@ -381,7 +400,6 @@ def dsc_scan(
     if not T > 0.0:
         raise ValueError("need T > 0")
     lams = sorted(float(v) for v in np.atleast_1d(lambdas))
-    threshold = default_threshold(b)
     seeds = np.random.SeedSequence(seed).spawn(len(lams))
 
     def one(pair):
@@ -391,30 +409,15 @@ def dsc_scan(
         return flow_average(b, pot, xs, xis, T, R, lam)
 
     results = _ordered_map(one, list(zip(lams, seeds)), threads)
-
-    sample_values = np.concatenate(results)
-    labels = []
-    lam_inf = {}
-    for lam, vals in zip(lams, results):
-        labels += [f"lam={lam:g}"] * len(vals)
-        lam_inf[lam] = float(vals.min())
-    inf = lam_inf[lams[-1]]
-    return ConditionReport(
-        condition="DSC",
-        params={
-            "T_time": T,
-            "R_space": R,
-            "lambdas": lams,
-            "n_shell_samples": n_shell_samples,
-            "turning_fraction": TURNING_FRACTION,
-            "seed": seed,
-        },
-        sample_values=sample_values,
-        infimum=inf,
-        threshold=threshold,
-        passed=inf > threshold,
-        groups={"sample_labels": labels, "lambda_infima": lam_inf},
-    )
+    params = {
+        "T_time": T,
+        "R_space": R,
+        "lambdas": lams,
+        "n_shell_samples": n_shell_samples,
+        "turning_fraction": TURNING_FRACTION,
+        "seed": seed,
+    }
+    return _grouped_report("DSC", params, b, list(zip(lams, results)), "lam", "lambda_infima")
 
 
 def dsc_limit_scan(
@@ -441,35 +444,25 @@ def dsc_limit_scan(
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
     if not all(t > 0.0 for t, _ in tr_grid):
         raise ValueError("need T > 0 on every rung of the (T, R) ladder")
-    threshold = default_threshold(b)
 
-    proxies = []
-    for T, R in tr_grid:
-        rep = dsc_scan(
-            b,
-            pot,
-            T,
-            R,
-            lambdas,
-            n_shell_samples=n_shell_samples,
-            seed=seed,
-            threads=threads,
-        )
-        proxies.append(rep.infimum)
-    proxies = np.array(proxies)
-    diffs = np.abs(np.diff(proxies))
-    inf = float(proxies[-1])
+    proxies = np.array(
+        [
+            dsc_scan(
+                b, pot, T, R, lambdas, n_shell_samples=n_shell_samples, seed=seed, threads=threads
+            ).infimum
+            for T, R in tr_grid
+        ]
+    )
     return ConditionReport(
         condition="DSC_LIMIT",
         params={"TR_grid": tr_grid, "lambdas": list(np.atleast_1d(lambdas)), "seed": seed},
         sample_values=proxies,
-        infimum=inf,
-        threshold=threshold,
-        passed=inf > threshold,
+        infimum=float(proxies[-1]),
+        threshold=default_threshold(b),
         groups={
             "sample_labels": [f"T={t:g},R={r:g}" for t, r in tr_grid],
             "proxies": proxies,
-            "successive_differences": diffs,
+            "successive_differences": np.abs(np.diff(proxies)),
         },
     )
 

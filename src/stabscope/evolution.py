@@ -49,7 +49,6 @@ class EnergyTrace:
     D: np.ndarray
     dt: float
     balance_coefficient: float
-    final_state: WaveState | None = None
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ def evolve(
     dt: float,
     *,
     record_every: int = 1,
-    keep_final: bool = False,
 ) -> EnergyTrace:
     """March the damped wave equation and record (t, E, D).
 
@@ -146,18 +144,12 @@ def evolve(
         e_prev, d_prev = e_curr, d_curr
         u_prev, u_curr = u_curr, u_next
 
-    final = None
-    if keep_final:
-        final = WaveState(
-            Field(grid, u_prev), Field(grid, (u_curr - u_prev) / dt), state.t + n_steps * dt
-        )
     return EnergyTrace(
         t=np.array(ts),
         E=np.array(es),
         D=np.array(ds),
         dt=dt,
         balance_coefficient=balance,
-        final_state=final,
     )
 
 
@@ -281,17 +273,6 @@ def _normal_bands(ab: np.ndarray) -> np.ndarray:
     return out
 
 
-def _banded_to_sparse(ab: np.ndarray):
-    # solve_banded layout: ab[2 + i - j, j] = A[i, j]
-    n = ab.shape[1]
-    diags, offs = [], []
-    for o in range(-2, 3):
-        row = ab[2 - o]
-        diags.append(row[o:] if o >= 0 else row[: n + o])
-        offs.append(o)
-    return sp.diags(diags, offs, format="csr")
-
-
 def resolvent_scan(
     pot: Potential,
     b: Damping,
@@ -371,7 +352,9 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     if count > 200:
         raise ValueError("count must stay at or below 200")
     n = grid.ns[0]
-    p_mat = _banded_to_sparse(p_bands(grid, pot.raw_value(grid.meshgrid())))
+    # p_bands' rows ab[2 + i - j, j] = P[i, j] are the dia layout of offsets 2, 1, 0, -1, -2
+    ab = p_bands(grid, pot.raw_value(grid.meshgrid()))
+    p_mat = sp.dia_array((ab, [2, 1, 0, -1, -2]), shape=(n, n))
     b_mat = sp.diags(b.raw_func(grid.meshgrid()))
     eye = sp.identity(n)
     comp = sp.bmat([[None, eye], [-p_mat, -b_mat]], format="csc")

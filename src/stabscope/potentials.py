@@ -115,7 +115,7 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
             weights = np.asarray(params.pop("weights", [1.0, 2.0][:d]), dtype=float)
             if params:
                 raise ValueError(f"unknown anisotropic-potential parameters {sorted(params)}")
-            if weights.shape != (d,) or np.any(weights <= 0.0):
+            if weights.shape != (d,) or not np.all((weights > 0.0) & np.isfinite(weights)):
                 raise ValueError("anisotropic potential needs one positive weight per axis")
             label = "anisotropic(" + ",".join(f"{w:g}" for w in weights) + ")"
 

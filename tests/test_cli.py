@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from stabscope import cli
 from stabscope.cli import main
 
 COND_CFG = {
@@ -379,6 +380,59 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
     assert "need T > 0" in capsys.readouterr().err
     assert not (out / "conditions_summary.json").exists()
     assert not (out / "dsc_limit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ({"dsc": {"T_time": 0}}, "need T > 0 in dsc.T_time"),
+        ({"dsc": {"T_time": float("nan")}}, "need T > 0 in dsc.T_time"),
+        ({"ugcc": {"r_space": 0.0}}, "need r > 0 in ugcc.r_space"),
+        ({"tpc": {"R_space": -1.0}}, "need R > 0 in tpc.R_space"),
+        ({"dsc": {"R_space": float("nan")}}, "need R > 0 in dsc.R_space"),
+        ({"tpc": {"shells_space": []}}, "tpc.shells_space must be a non-empty list"),
+        ({"dsc": {"lambdas_freq": []}}, "dsc.lambdas_freq must be a non-empty list"),
+        ({"dsc": {"lambdas_freq": 25.0}}, "dsc.lambdas_freq must be a non-empty list"),
+    ],
+)
+@pytest.mark.parametrize("command", ["conditions", "suite"])
+def test_invalid_window_is_rejected_before_any_scan(tmp_path, capsys, monkeypatch, command, section, match):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the whole config was validated")
+
+    for name in ("ugcc_scan", "tpc_scan", "dsc_scan"):
+        monkeypatch.setattr(cli, name, no_scan)
+    cfg = dict(section)
+    if command == "conditions":
+        cfg["potential"] = {"name": "harmonic", "d": 2}
+        cfg["damping"] = {"name": "checkerboard", "period_space": 1.0, "duty": 0.5}
+    rc, _ = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damping, match",
+    [
+        ({"name": "checkerboard", "period_space": 0.0}, "period must be positive and finite"),
+        ({"name": "radial_shells", "duty": 1.5}, "duty ratio"),
+        ({"name": "exterior", "radius_space": -1.0}, "radius must be positive and finite"),
+        ({"name": "constant", "amplitude": float("nan")}, "amplitude must be finite"),
+    ],
+)
+def test_invalid_builtin_parameters_exit_2(tmp_path, capsys, damping, match):
+    cfg = dict(COND_CFG, potential={"name": "harmonic", "d": 2}, damping=damping)
+    rc, out = run_cli(tmp_path, "conditions", cfg)
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "conditions_summary.json").exists()
+
+
+def test_invalid_potential_weights_exit_2(tmp_path, capsys):
+    cfg = dict(COND_CFG, potential={"name": "anisotropic", "d": 2, "weights": [1.0, float("nan")]})
+    rc, _ = run_cli(tmp_path, "conditions", cfg)
+    assert rc == 2
+    assert "one positive weight per axis" in capsys.readouterr().err
 
 
 def test_suite_command_builds_consistency_matrix(tmp_path):

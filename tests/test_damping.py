@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from stabscope.cli import _write_report_csv
+from stabscope.potentials import builtin_potential
 from stabscope.damping import (
     BLOCK_BYTES,
     Damping,
@@ -59,6 +60,28 @@ def test_builtin_rejects_bad_input():
         builtin_damping("constant", d=1, radius=2.0)
     with pytest.raises(ValueError, match="duty ratio"):
         builtin_damping("checkerboard", d=1, period=1.0, duty=1.5)
+
+
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        ("constant", {"amplitude": float("nan")}, "amplitude must be finite"),
+        ("exterior", {"amplitude": float("inf")}, "amplitude must be finite"),
+        ("exterior", {"radius": -1.0}, "radius must be positive and finite"),
+        ("ball", {"radius": 0.0}, "radius must be positive and finite"),
+        ("ball", {"radius": float("nan")}, "radius must be positive and finite"),
+        ("checkerboard", {"period": 0.0}, "period must be positive and finite"),
+        ("radial_shells", {"period": float("inf")}, "period must be positive and finite"),
+        ("strip_lattice", {"period": -1.0}, "period must be positive and finite"),
+        ("radial_shells", {"duty": 1.5}, "duty ratio"),
+        ("strip_lattice", {"duty": 0.0}, "duty ratio"),
+        ("strip_lattice", {"duty": float("nan")}, "duty ratio"),
+    ],
+)
+def test_builtin_rejects_invalid_parameters(name, params, match):
+    # each of these used to build a coefficient whose scans gave a wrong verdict
+    with pytest.raises(ValueError, match=match):
+        builtin_damping(name, d=2, **params)
 
 
 # ------------------------------------------------------------ mollify_at
@@ -524,3 +547,38 @@ def test_report_json_shape(canonical_conditions):
     assert doc["n_samples"] == rep.sample_values.size
     assert doc["infimum"] == rep.infimum
     assert isinstance(doc["passed"], bool)
+
+
+@st.composite
+def window_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    name, params = draw(st.sampled_from(BUILTIN_PARAMS))
+    b = builtin_damping(name, d=d, amplitude=draw(st.floats(0.0, 4.0)), **params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    base = rng.normal(scale=draw(st.sampled_from([0.5, 5.0, 40.0])), size=(n, d))
+    dirs = rng.normal(size=(n, d))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    T = draw(st.floats(0.05, 5.0))
+    r = draw(st.floats(0.01, 2.0))
+    return b, list(zip(base, dirs)), T, r
+
+
+@settings(max_examples=30)
+@given(window_cases())
+def test_scans_share_one_window_mean_and_verdict(case):
+    # every UGCC sample is bit for bit the standalone ray average of its ray,
+    # and no report's verdict can disagree with its own threshold
+    b, rays, T, r = case
+    rep = ugcc_scan(b, T, r, rays)
+    for k, (x0, nu) in enumerate(rays):
+        assert rep.sample_values[k] == ray_average(b, x0, nu, T, r)
+    pot = builtin_potential("harmonic", d=b.d)
+    reports = [
+        rep,
+        tpc_scan(b, pot, r, [T + 1.0, 2.0 * T + 1.0]),
+        dsc_scan(b, pot, T, r, [25.0], n_shell_samples=4),
+        dsc_limit_scan(b, pot, [(T, r), (2.0 * T, r)], [25.0], n_shell_samples=4),
+    ]
+    for rep in reports:
+        assert rep.passed == (rep.infimum > rep.threshold)

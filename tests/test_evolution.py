@@ -116,14 +116,6 @@ def test_zero_data_stays_zero():
     assert np.all(trace.D == 0.0)
 
 
-def test_evolve_keeps_final_state():
-    _, state = gaussian_state(n=128, halfwidth=6.0)
-    trace = evolve(H1, B_ONE, state, 0.5, 1e-3, keep_final=True)
-    assert trace.final_state is not None
-    assert trace.final_state.t == pytest.approx(0.5)
-    assert trace.final_state.u.grid == state.u.grid
-
-
 def test_evolve_rejects_bad_input():
     grid, state = gaussian_state(n=128, halfwidth=6.0)
     h2 = builtin_potential("harmonic", d=2)

@@ -30,6 +30,12 @@ def test_unknown_name_rejected():
         builtin_potential("coulomb", d=1)
 
 
+@pytest.mark.parametrize("weights", [[1.0, float("nan")], [float("inf"), 1.0], [1.0, 0.0]])
+def test_anisotropic_rejects_invalid_weights(weights):
+    with pytest.raises(ValueError, match="one positive weight per axis"):
+        builtin_potential("anisotropic", d=2, weights=weights)
+
+
 def test_superquartic_exponent_rejected():
     with pytest.raises(ValueError, match="violates strict sub-quarticity"):
         builtin_potential("power", d=1, s=4.0)
