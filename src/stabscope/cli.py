@@ -239,24 +239,34 @@ _CONDITION_DEFAULTS = {
 }
 
 
+def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
+    """One scan parameter, typed like its default: sample lists hold finite
+    values > 0, counts are >= 1 and windows are > 0."""
+    name, value = prefix + key, sec.take(key, default)
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{name} must be a non-empty list")
+        samples = [float(v) for v in value]
+        if not all(0.0 < v < math.inf for v in samples):
+            raise ValueError(f"{name} entries must be finite and > 0")
+        return samples
+    if isinstance(default, int):
+        count = float(value)
+        if not 1.0 <= count < math.inf:
+            raise ValueError(f"need {name} >= 1")
+        return int(count)
+    window = float(value)
+    if not window > 0.0:
+        raise ValueError(f"need {key[0]} > 0 in {name}")
+    return window
+
+
 def _condition_params(cfg: _Section) -> dict:
-    """Typed scan parameters; every window is checked before any scan runs."""
+    """Typed scan parameters; every one is checked before any scan runs."""
     params = {}
     for check, defaults in _CONDITION_DEFAULTS.items():
         sec = cfg.sub(check)
-        p = params[check] = {}
-        for key, default in defaults.items():
-            value = sec.take(key, default)
-            if isinstance(default, list):
-                if not isinstance(value, list) or not value:
-                    raise ValueError(f"{check}.{key} must be a non-empty list")
-                p[key] = [float(v) for v in value]
-            elif isinstance(default, int):
-                p[key] = int(value)
-            else:
-                p[key] = float(value)
-                if not p[key] > 0.0:
-                    raise ValueError(f"need {key[0]} > 0 in {check}.{key}")
+        params[check] = {key: _scan_param(sec, key, default, f"{check}.") for key, default in defaults.items()}
         sec.done()
     return params
 
@@ -321,8 +331,8 @@ def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
         tr_grid.append((float(sec.take("T_time")), float(sec.take("R_space"))))
         sec.done()
     defaults = _CONDITION_DEFAULTS["dsc"]
-    lambdas = [float(v) for v in cfg.take("lambdas_freq", defaults["lambdas_freq"])]
-    n_samples = int(cfg.take("n_shell_samples", defaults["n_shell_samples"]))
+    lambdas = _scan_param(cfg, "lambdas_freq", defaults["lambdas_freq"])
+    n_samples = _scan_param(cfg, "n_shell_samples", defaults["n_shell_samples"])
     cfg.done()
 
     rep = dsc_limit_scan(
@@ -361,7 +371,10 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
     damping = None
     if "damping" in cfg.data:
         damping = _build_damping(cfg.sub("damping"), pot.d)
-    n_list = [int(n) for n in cfg.take("n_list", [4, 6, 8])]
+    n_list = cfg.take("n_list", [4, 6, 8])
+    if not isinstance(n_list, list) or not n_list:
+        raise ValueError("n_list must be a non-empty list")
+    n_list = [int(n) for n in n_list]
     nu = cfg.take("direction", None)
     x_n = cfg.take("x0_space", None)
     t_n = float(cfg.take("t_width_space", 2.0))
@@ -380,7 +393,6 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
             r_n=r_n,
         )
         _, rep = kinetic_wavepacket(pot, spec, grid=packet_grid(spec, ppw=ppw), b=damping)
-        rep.details["n"] = n
         log.info("kinetic n=%d: lam %.4f, residual ratio %.4f", n, rep.lam, rep.residual_ratio)
         reports.append(rep)
 
@@ -488,8 +500,6 @@ def _resolvent_lambdas(cfg: _Section) -> np.ndarray:
 
 def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
-    if pot.d != 1:
-        raise ValueError("resolvent scan requires d = 1")
     b = _build_damping(cfg.sub("damping"), pot.d)
     lams = _resolvent_lambdas(cfg)
     grid = None
@@ -509,8 +519,6 @@ def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
 
 def _cmd_spectrum(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
-    if pot.d != 1:
-        raise ValueError("damped spectrum requires d = 1")
     b = _build_damping(cfg.sub("damping"), pot.d)
     count = int(cfg.take("count", 40))
     if "grid" in cfg.data:

@@ -3,9 +3,11 @@
 Two families share one smooth compactly supported envelope: kinetic packets
 (an oscillating cylinder moved to a phase-space base point) and turning-point
 bumps (zero-phase envelopes placed where the potential equals the squared
-frequency).  Each constructor returns the field together with a report of the
-residual ratio, the damping pairing, and localization diagnostics, so the
-stabilization scans can be cross-examined against explicit witnesses.
+frequency).  Each constructor samples its own dilation of the envelope, then
+both take one path: ``_check_fit`` checks the grid against the envelope and
+``_finish`` normalizes the field and measures its report (residual ratio,
+damping pairing, localization), so the stabilization scans can be
+cross-examined against explicit witnesses.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ from .fields import (
     residual_ratio,
     snap_to_grid,
 )
-from .potentials import EpsilonProfile, Potential, as_points, epsilon_lambda, unit_directions
+from .potentials import (
+    EpsilonProfile,
+    Potential,
+    as_points,
+    epsilon_lambda,
+    sublevel_radius,
+    unit_directions,
+)
 
 # nodes across the envelope half-width; doubling changes residuals by well
 # under the 5% grid-independence budget (checked in tests)
@@ -40,10 +49,6 @@ def bump_raw(points) -> np.ndarray:
     """Unnormalized exp(-1/(1-|y|^2)) on |y| < 1, zero outside."""
     pts = np.asarray(points, dtype=float)
     r2 = np.sum(pts * pts, axis=-1)
-    return _bump_of_r2(r2)
-
-
-def _bump_of_r2(r2: np.ndarray) -> np.ndarray:
     out = np.zeros_like(r2, dtype=float)
     inside = r2 < 1.0
     # exp underflows to exactly 0 near the support edge, which keeps the
@@ -100,17 +105,6 @@ def profile_constants(d: int) -> dict:
     }
 
 
-def bump_profile(grid: Grid) -> Field:
-    """The normalized envelope sampled at the grid nodes, centered at 0."""
-    for L, h in zip(grid.ls, grid.hs):
-        if L <= 1.0 + 2.0 * h:
-            raise ValueError("grid box must contain the unit ball with margin")
-    vals = bump_raw(grid.meshgrid()).astype(complex)
-    f = Field(grid, vals)
-    f.values /= l2_norm(f)
-    return f
-
-
 @dataclass(frozen=True)
 class QuasimodeReport:
     """Measured quality of one constructed packet."""
@@ -119,9 +113,7 @@ class QuasimodeReport:
     residual_ratio: float
     damping_pairing: float | None
     mass: dict
-    grid_ns: tuple
-    grid_ls: tuple
-    grid_center: tuple
+    grid: Grid
     details: dict
 
     def to_json_dict(self) -> dict:
@@ -132,27 +124,41 @@ class QuasimodeReport:
             "damping_pairing": self.damping_pairing,
             "mass_in_ball": {f"{r:.9g}": m for r, m in self.mass.items()},
             "grid": {
-                "ns": list(self.grid_ns),
-                "ls": list(self.grid_ls),
-                "center": list(self.grid_center),
+                "ns": list(self.grid.ns),
+                "ls": list(self.grid.ls),
+                "center": list(self.grid.center),
             },
             "details": self.details,
         }
 
 
-def _make_report(pot, f, lam, b, center, radii, details) -> QuasimodeReport:
-    pair = None if b is None else damping_pairing(b, f)
-    mass = {float(r): mass_in_ball(f, center, float(r)) for r in radii}
-    return QuasimodeReport(
+def _check_fit(grid: Grid, center: np.ndarray, extents, h_max) -> None:
+    """Per axis: step at most h_max, and the envelope (half-width extents
+    around center) clear of the two outermost node layers."""
+    for i in range(grid.d):
+        if grid.hs[i] > h_max[i]:
+            raise ValueError("grid too coarse for the envelope scale")
+        room = grid.ls[i] - abs(center[i] - grid.center[i]) - 2.0 * grid.hs[i]
+        if extents[i] >= room:
+            raise ValueError("support overflow: envelope does not fit inside the grid box")
+
+
+def _finish(pot, grid, vals, lam, b, center, radii, details) -> tuple:
+    """Normalize the sampled packet and measure it: the one exit of both
+    constructors.  details gains raw_norm and base_point."""
+    f = Field(grid, vals)
+    raw_norm = l2_norm(f)
+    f.values /= raw_norm
+    details.update(raw_norm=raw_norm, base_point=tuple(float(v) for v in center))
+    report = QuasimodeReport(
         lam=float(lam),
         residual_ratio=residual_ratio(pot, f, lam),
-        damping_pairing=pair,
-        mass=mass,
-        grid_ns=f.grid.ns,
-        grid_ls=f.grid.ls,
-        grid_center=f.grid.center,
+        damping_pairing=None if b is None else damping_pairing(b, f),
+        mass={float(r): mass_in_ball(f, center, float(r)) for r in radii},
+        grid=grid,
         details=details,
     )
+    return f, report
 
 
 @dataclass(frozen=True)
@@ -174,10 +180,12 @@ class WavePacketSpec:
 
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
+        if not (np.all(np.isfinite(self.x_n)) and np.all(np.isfinite(nu))):
+            raise ValueError("packet base point and direction must be finite")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
-        if self.t_n <= 0.0 or self.r_n <= 0.0 or self.lam_n <= 0.0:
-            raise ValueError("packet lengths and frequency must be positive")
+        if not all(0.0 < v < math.inf for v in (self.t_n, self.r_n, self.lam_n)):
+            raise ValueError("packet lengths and frequency must be positive and finite")
 
     @property
     def transverse_width(self) -> float:
@@ -212,6 +220,9 @@ def packet_spec(pot: Potential, n: int, nu=None, x_n=None, t_n: float = 2.0, r_n
     """Sequence rule: lam_n = max((n+1)^2/r_n^2, n * sup V on the t_n ball)."""
     if n < 1:
         raise ValueError("need sequence index n >= 1")
+    if not 0.0 < r_n < math.inf:
+        # the sequence rule divides by r_n before the spec can check it
+        raise ValueError("packet lengths and frequency must be positive and finite")
     if nu is None:
         nu = np.zeros(pot.d)
         nu[0] = 1.0
@@ -229,53 +240,6 @@ def packet_spec(pot: Potential, n: int, nu=None, x_n=None, t_n: float = 2.0, r_n
     )
 
 
-def phase_translate(f: Field, rho0) -> Field:
-    """Shift by x0 (snapped to whole grid steps) and modulate by xi0.
-
-    Implements e^{-i xi0.x0/2} e^{i xi0.x} f(x - x0) exactly at the nodes; the
-    snapped offset keeps translation a pure reindexing, so the norm survives
-    to round-off.
-    """
-    x0, xi0 = rho0
-    d = f.grid.d
-    x0 = as_points(x0, d).reshape(d)
-    xi0 = as_points(xi0, d).reshape(d)
-    steps = [int(round(x0[i] / f.grid.hs[i])) for i in range(d)]
-    snapped = np.array([s * h for s, h in zip(steps, f.grid.hs)])
-
-    vals = f.values
-    vmax = np.max(np.abs(vals))
-    for ax, s in enumerate(steps):
-        if s == 0:
-            continue
-        n = vals.shape[ax]
-        if abs(s) >= n:
-            raise ValueError("support overflow: translation exceeds the grid box")
-        shifted = np.zeros_like(vals)
-        src = [slice(None)] * d
-        dst = [slice(None)] * d
-        if s > 0:
-            src[ax] = slice(0, n - s)
-            dst[ax] = slice(s, n)
-            lost = [slice(None)] * d
-            lost[ax] = slice(n - s, n)
-        else:
-            src[ax] = slice(-s, n)
-            dst[ax] = slice(0, n + s)
-            lost = [slice(None)] * d
-            lost[ax] = slice(0, -s)
-        if vmax > 0.0 and np.max(np.abs(vals[tuple(lost)])) > 1e-10 * vmax:
-            raise ValueError("support overflow: translated field leaves the grid box")
-        shifted[tuple(dst)] = vals[tuple(src)]
-        vals = shifted
-
-    out = Field(f.grid, vals)
-    mesh = f.grid.meshgrid()
-    phase = np.exp(1j * np.tensordot(mesh, xi0, axes=([-1], [0])))
-    out.values *= phase * np.exp(-0.5j * float(np.dot(xi0, snapped)))
-    return out
-
-
 def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
     """Per-axis grid sized to the packet: carrier resolution along the
     momentum components, envelope resolution across, odd counts so the base
@@ -285,8 +249,7 @@ def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
     ns, ls = [], []
     for i in range(spec.d):
         l_i = float(extents[i] * 1.12)
-        h_env = extents[i] / ENVELOPE_NODES
-        h_i = h_env
+        h_i = extents[i] / ENVELOPE_NODES
         if abs(xi[i]) > 0.0:
             h_i = min(h_i, 2.0 * np.pi / (ppw * abs(xi[i])))
         n_i = int(math.ceil(2.0 * l_i / h_i)) + 1
@@ -300,9 +263,10 @@ def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
 def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None = None, b: Damping | None = None):
     """Build T_rho M k for rho = (x_n, lam_n nu) and measure its defect.
 
-    M scales by the packet dilation, T applies the phase-space translation;
-    the reported frequency squares to V(x_n) + lam_n^2/2, the full symbol at
-    the packet center.
+    M scales by the packet dilation and T_rho is the phase-space translation
+    e^{-i xi.x0/2} e^{i xi.x} k(x - x0), with x0 the base point snapped to the
+    grid; the reported frequency squares to V(x_n) + lam_n^2/2, the full
+    symbol at the packet center.
     """
     if pot.d != spec.d:
         raise ValueError("potential and packet dimensions differ")
@@ -313,15 +277,8 @@ def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None =
     osc_axes = [i for i in range(spec.d) if abs(xi[i]) > 0.0]
     for i in osc_axes:
         check_resolution(grid, abs(xi[i]), axes=(i,))
-    for i in range(spec.d):
-        if grid.hs[i] > extents[i] / (ENVELOPE_NODES / 2):
-            raise ValueError("grid too coarse for the packet envelope scale")
-
     center = snap_to_grid(grid, np.asarray(spec.x_n))
-    for i in range(spec.d):
-        room = grid.ls[i] - abs(center[i] - grid.center[i]) - 2.0 * grid.hs[i]
-        if extents[i] >= room:
-            raise ValueError("support overflow: packet does not fit inside the grid box")
+    _check_fit(grid, center, extents, extents / (ENVELOPE_NODES / 2))
 
     sig = spec.sigma
     mesh = grid.meshgrid()
@@ -333,23 +290,16 @@ def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None =
     phase = np.exp(1j * np.tensordot(mesh, xi, axes=([-1], [0])))
     vals = env * phase * np.exp(-0.5j * float(np.dot(xi, center)))
 
-    f = Field(grid, vals)
-    raw_norm = l2_norm(f)
-    f.values /= raw_norm
-
     lam = math.sqrt(float(pot.raw_value(center[None, :])[0]) + spec.lam_n**2 / 2.0)
     details = {
-        "raw_norm": raw_norm,
         "lam_n": spec.lam_n,
-        "base_point": tuple(float(v) for v in center),
         "nu": spec.nu,
         "t_n": spec.t_n,
         "r_n": spec.r_n,
         "n": spec.n,
         "transverse_width": spec.transverse_width,
     }
-    report = _make_report(pot, f, lam, b, center, (spec.r_n, spec.t_n), details)
-    return f, report
+    return _finish(pot, grid, vals, lam, b, center, (spec.r_n, spec.t_n), details)
 
 
 def turning_point_bump(
@@ -366,6 +316,8 @@ def turning_point_bump(
     (laplacian + moment norms of the profile) * (1/R^2 + R * eps_hat(lam)).
     """
     x0 = as_points(x0, pot.d).reshape(pot.d)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("base point must be finite")
     lam0 = math.sqrt(float(pot.raw_value(x0[None, :])[0]))
     if lam0 < 1.0:
         raise ValueError("base point too close in: need V(x0) >= 1")
@@ -379,19 +331,10 @@ def turning_point_bump(
     if not 1.0 <= R <= lam:
         raise ValueError(f"R must lie in [1, lam] = [1, {lam:.6g}]")
     r = R / math.sqrt(lam)
-
-    for i in range(pot.d):
-        if grid.hs[i] > r / ENVELOPE_NODES:
-            raise ValueError("grid too coarse for the envelope scale")
-        room = grid.ls[i] - abs(center[i] - grid.center[i]) - 2.0 * grid.hs[i]
-        if r >= room:
-            raise ValueError("support overflow: envelope does not fit inside the grid box")
+    _check_fit(grid, center, [r] * pot.d, [r / ENVELOPE_NODES] * pot.d)
 
     consts = profile_constants(pot.d)
     vals = bump_raw((grid.meshgrid() - center) / r) / (consts["norm"] * r ** (pot.d / 2.0))
-    f = Field(grid, vals.astype(complex))
-    raw_norm = l2_norm(f)
-    f.values /= raw_norm
 
     if eps_profile is not None:
         eps_hat = float(eps_profile.at(lam))
@@ -399,18 +342,15 @@ def turning_point_bump(
         eps_hat = float(epsilon_lambda(pot, [lam]).values[0])
     c_est = consts["laplacian"] + consts["moment"]
     details = {
-        "raw_norm": raw_norm,
         "R": float(R),
         "radius": r,
-        "base_point": tuple(float(v) for v in center),
         "eps_hat": eps_hat,
         "c_estimate": c_est,
         "curvature_term": 1.0 / R**2,
         "gradient_term": R * eps_hat,
         "bound_value": c_est * (1.0 / R**2 + R * eps_hat),
     }
-    report = _make_report(pot, f, lam, b, center, (0.5 * r, r), details)
-    return f, report
+    return _finish(pot, grid, vals, lam, b, center, (0.5 * r, r), details)
 
 
 def tpc_violation_sequence(
@@ -432,7 +372,6 @@ def tpc_violation_sequence(
         raise ValueError("potential and damping dimensions differ")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    from .potentials import sublevel_radius
 
     rho_max = 1e7
     lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), rho_max))

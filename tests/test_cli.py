@@ -315,6 +315,33 @@ def test_kinetic_sequence_command(tmp_path):
     assert lines[1].startswith("4,")
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"n_list": []}, "n_list must be a non-empty list"),
+        ({"t_width_space": float("nan")}, "packet lengths and frequency must be positive and finite"),
+        ({"r_width_space": 0.0}, "packet lengths and frequency must be positive and finite"),
+        ({"x0_space": [float("inf"), 0.0]}, "packet base point and direction must be finite"),
+        ({"direction": [float("nan"), 1.0]}, "packet base point and direction must be finite"),
+    ],
+)
+def test_kinetic_sequence_rejects_bad_geometry(tmp_path, capsys, change, match):
+    cfg = {"potential": {"name": "harmonic", "d": 2}, "n_list": [4], "ppw_nodes": 16, **change}
+    rc, out = run_cli(tmp_path, "kinetic-sequence", cfg)
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "kinetic_sequence.csv").exists()
+
+
+@pytest.mark.parametrize("x0", [[float("inf")], [float("nan")]])
+def test_quasimode_rejects_non_finite_base_point(tmp_path, capsys, x0):
+    cfg = {"potential": {"name": "harmonic", "d": 1}, "x0_space": x0, "R_width": 2.0}
+    rc, out = run_cli(tmp_path, "quasimode", cfg)
+    assert rc == 2
+    assert "base point must be finite" in capsys.readouterr().err
+    assert not (out / "quasimode.json").exists()
+
+
 def test_tpc_witness_command(tmp_path):
     cfg = {
         "potential": {"name": "harmonic", "d": 2},
@@ -363,6 +390,35 @@ def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"lambdas_freq": []}, "lambdas_freq must be a non-empty list"),
+        ({"lambdas_freq": [float("nan")]}, "lambdas_freq entries must be finite and > 0"),
+        ({"lambdas_freq": [-5.0]}, "lambdas_freq entries must be finite and > 0"),
+        ({"lambdas_freq": [0.0]}, "lambdas_freq entries must be finite and > 0"),
+        ({"n_shell_samples": 0}, "need n_shell_samples >= 1"),
+        ({"n_shell_samples": float("inf")}, "need n_shell_samples >= 1"),
+    ],
+)
+def test_dsc_limit_rejects_bad_samples(tmp_path, capsys, monkeypatch, change, match):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before its samples were validated")
+
+    monkeypatch.setattr(cli, "dsc_limit_scan", no_scan)
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "exterior", "radius_space": 1.0},
+        "tr_ladder": [{"T_time": 1.0, "R_space": 0.5}],
+        "lambdas_freq": [25.0],
+        "n_shell_samples": 32,
+        **change,
+    }
+    rc, _ = run_cli(tmp_path, "dsc-limit", cfg)
+    assert rc == 2
+    assert match in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("T", [0.0, float("nan"), -2.0])
 @pytest.mark.parametrize("command, check", [("conditions", "ugcc"), ("conditions", "dsc"), ("dsc-limit", None)])
 def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T):
@@ -393,6 +449,13 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
         ({"tpc": {"shells_space": []}}, "tpc.shells_space must be a non-empty list"),
         ({"dsc": {"lambdas_freq": []}}, "dsc.lambdas_freq must be a non-empty list"),
         ({"dsc": {"lambdas_freq": 25.0}}, "dsc.lambdas_freq must be a non-empty list"),
+        ({"dsc": {"lambdas_freq": [float("nan")]}}, "dsc.lambdas_freq entries must be finite and > 0"),
+        ({"dsc": {"lambdas_freq": [-5.0]}}, "dsc.lambdas_freq entries must be finite and > 0"),
+        ({"dsc": {"lambdas_freq": [25.0, 0.0]}}, "dsc.lambdas_freq entries must be finite and > 0"),
+        ({"dsc": {"lambdas_freq": [float("inf")]}}, "dsc.lambdas_freq entries must be finite and > 0"),
+        ({"dsc": {"n_shell_samples": 0}}, "need dsc.n_shell_samples >= 1"),
+        ({"tpc": {"shells_space": [-4.0]}}, "tpc.shells_space entries must be finite and > 0"),
+        ({"tpc": {"shells_space": [4.0, float("nan")]}}, "tpc.shells_space entries must be finite and > 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["conditions", "suite"])

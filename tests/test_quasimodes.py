@@ -2,24 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stabscope.damping import builtin_damping
 from stabscope.fields import (
-    Field,
     dominant_wavenumber,
     l2_norm,
     make_grid,
-    mass_in_ball,
     wavenumber_bins,
 )
-from stabscope.potentials import epsilon_lambda
+from stabscope.potentials import builtin_potential, epsilon_lambda
 from stabscope.quasimodes import (
     WavePacketSpec,
-    bump_profile,
     kinetic_wavepacket,
     packet_grid,
     packet_spec,
-    phase_translate,
     profile_constants,
     tpc_violation_sequence,
     turning_point_bump,
@@ -57,73 +55,6 @@ def test_profile_constants_frozen():
     )
     with pytest.raises(ValueError, match="only dimensions 1 and 2"):
         profile_constants(3)
-
-
-# ----------------------------------------------------------- bump_profile
-
-
-def test_bump_profile_shape_and_norm():
-    g = make_grid(1, 1025, 1.5)
-    k = bump_profile(g)
-    x = g.axis(0)
-    assert float(k.values[np.argmin(np.abs(x))].real) > 0.0
-    assert np.all(k.values[np.abs(x) >= 1.0] == 0.0)
-    assert abs(l2_norm(k) - 1.0) <= 1e-10
-
-
-def test_bump_profile_half_box_mass():
-    # fine-quadrature oracle of the continuum profile over [-1/2, 1/2]
-    g = make_grid(1, 4097, 1.5)
-    k = bump_profile(g)
-    assert mass_in_ball(k, np.zeros(1), 0.5) == pytest.approx(0.8492609813521101, abs=1e-5)
-
-
-def test_bump_profile_needs_margin():
-    with pytest.raises(ValueError, match="must contain the unit ball with margin"):
-        bump_profile(make_grid(1, 64, 1.0))
-
-
-# -------------------------------------------------------- phase_translate
-
-
-def gaussian_field(n=2001, l=10.0):
-    g = make_grid(1, n, l)
-    return Field(g, np.exp(-g.axis(0) ** 2 / 2.0))
-
-
-def test_translate_identity():
-    f = gaussian_field()
-    out = phase_translate(f, (np.zeros(1), np.zeros(1)))
-    assert np.array_equal(out.values, f.values)
-
-
-def test_translate_unitary():
-    f = gaussian_field()
-    out = phase_translate(f, (np.array([0.5]), np.array([3.0])))
-    assert abs(l2_norm(out) - l2_norm(f)) <= 1e-12
-    # modulus is a pure shift of the input modulus
-    shift = int(round(0.5 / f.grid.hs[0]))
-    assert np.max(np.abs(np.abs(out.values[shift:]) - np.abs(f.values[:-shift]))) <= 1e-14
-
-
-def test_translate_composition_phase():
-    # offsets are whole grid steps so snapping is exact
-    f = gaussian_field()
-    x0, xi0 = np.array([0.5]), np.array([2.0])
-    x1, xi1 = np.array([-0.3]), np.array([1.5])
-    lhs = phase_translate(phase_translate(f, (x1, xi1)), (x0, xi0))
-    sigma = float(xi0 @ x1 - xi1 @ x0)
-    rhs = phase_translate(f, (x0 + x1, xi0 + xi1))
-    rhs.values *= np.exp(0.5j * sigma)
-    assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-10
-
-
-def test_translate_overflow():
-    k = bump_profile(make_grid(1, 301, 1.5))
-    with pytest.raises(ValueError, match="support overflow"):
-        phase_translate(k, (np.array([1.0]), np.zeros(1)))
-    with pytest.raises(ValueError, match="translation exceeds the grid box"):
-        phase_translate(k, (np.array([100.0]), np.zeros(1)))
 
 
 # ------------------------------------------------------ kinetic packets
@@ -284,6 +215,112 @@ def test_turning_bump_rejects_bad_input(harmonic_1d):
         turning_point_bump(harmonic_1d, [20.0], 20.0)
     with pytest.raises(ValueError, match="base point too close in"):
         turning_point_bump(harmonic_1d, [0.5], 1.0)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"x_n": (math.inf, 0.0)}, "base point and direction must be finite"),
+        ({"x_n": (0.0, math.nan)}, "base point and direction must be finite"),
+        ({"nu": (math.nan, 1.0)}, "base point and direction must be finite"),
+        ({"t_n": math.nan}, "positive and finite"),
+        ({"r_n": math.nan}, "positive and finite"),
+        ({"lam_n": math.nan}, "positive and finite"),
+        ({"t_n": math.inf}, "positive and finite"),
+        ({"lam_n": 0.0}, "positive and finite"),
+    ],
+)
+def test_packet_spec_rejects_non_finite_geometry(change, match):
+    fields = dict(d=2, x_n=(1.0, 0.0), nu=(1.0, 0.0), t_n=2.0, r_n=0.5, n=4, lam_n=100.0)
+    WavePacketSpec(**fields)
+    with pytest.raises(ValueError, match=match):
+        WavePacketSpec(**{**fields, **change})
+
+
+def test_packet_spec_rule_rejects_bad_lengths(harmonic_2d):
+    # r_n = 0 used to divide by zero inside the sequence rule
+    for kwargs in ({"r_n": 0.0}, {"r_n": math.inf}, {"t_n": math.nan}, {"x_n": [math.inf, 0.0]}):
+        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+            packet_spec(harmonic_2d, 4, **kwargs)
+
+
+@pytest.mark.parametrize("x0", [[math.inf], [math.nan], [-math.inf]])
+def test_turning_bump_rejects_non_finite_base_point(harmonic_1d, x0):
+    with pytest.raises(ValueError, match="base point must be finite"):
+        turning_point_bump(harmonic_1d, x0, 2.0)
+
+
+# ------------------------------------------- one construction path
+
+
+# the harmonic, power (s = 3) and anisotropic wells in d = 1 and d = 2
+PACKET_POTENTIALS = [
+    builtin_potential(name, d=d, **params)
+    for d in (1, 2)
+    for name, params in (("harmonic", {}), ("power", {"s": 3.0}), ("anisotropic", {"weights": [2.5, 1.0][:d]}))
+]
+
+# the constructors' own rejections; apply_P's "field must vanish on the
+# outermost two node layers" is not among them
+PACKET_ERRORS = ("grid too coarse", "support overflow", "R must lie in")
+
+
+def _tight_grid(rng, base, extents, ns):
+    # the box leaves k node steps, k in [0, 6], between the envelope and its
+    # edge; the fit rule needs more than two
+    k = rng.uniform(0.0, 6.0, size=len(ns))
+    ls = [float(e) / (1.0 - 2.0 * kk / (n - 1)) for e, kk, n in zip(extents, k, ns)]
+    return make_grid(len(ns), ns, ls, center=base)
+
+
+@st.composite
+def packet_cases(draw):
+    pot = draw(st.sampled_from(PACKET_POTENTIALS))
+    kind = draw(st.sampled_from(["turning", "kinetic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = pot.d
+    if kind == "turning":
+        x0 = rng.uniform(-30.0, 30.0, size=d)
+        lam = math.sqrt(float(pot.raw_value(x0[None, :])[0]))
+        assume(lam >= 1.0)
+        R = rng.uniform(1.0, lam)
+        grid = None
+        if rng.uniform() < 0.75:
+            ns = 2 * rng.integers(30, 121, size=d) + 1
+            grid = _tight_grid(rng, x0, [R / math.sqrt(lam)] * d, ns)
+        return pot, (kind, x0, R), grid
+    nu = rng.normal(size=d)
+    spec = packet_spec(pot, int(rng.integers(1, 5)), nu=nu / np.linalg.norm(nu),
+                       x_n=rng.uniform(-0.5, 0.5, size=d), t_n=1.0, r_n=1.0)
+    # thinning the production grid down to 40% of its nodes can break the
+    # carrier or envelope resolution
+    ns = [max(9, int(n * rng.uniform(0.4, 1.0)) | 1) for n in packet_grid(spec).ns]
+    return pot, (kind, spec), _tight_grid(rng, spec.x_n, spec.axis_extents(), ns)
+
+
+@settings(max_examples=60)
+@given(packet_cases())
+def test_one_packet_path_fits_or_rejects(case):
+    # every packet either fails the shared fit rule with the constructors' own
+    # message or is unit-norm and exactly zero outside its dilated unit ball
+    pot, packet, grid = case
+    try:
+        if packet[0] == "turning":
+            _, x0, R = packet
+            f, rep = turning_point_bump(pot, x0, R, grid=grid)
+            inv_sigma = np.eye(pot.d) / rep.details["radius"]
+        else:
+            spec = packet[1]
+            f, rep = kinetic_wavepacket(pot, spec, grid=grid)
+            inv_sigma = np.linalg.inv(spec.sigma)
+    except ValueError as exc:
+        assert str(exc).startswith(PACKET_ERRORS), str(exc)
+        return
+    assert abs(l2_norm(f) - 1.0) <= 1e-12
+    rel = f.grid.meshgrid() - np.asarray(rep.details["base_point"])
+    y = np.tensordot(rel, inv_sigma, axes=([-1], [1]))
+    outside = np.sum(y * y, axis=-1) > 1.0 + 1e-9
+    assert np.all(f.values[outside] == 0.0)
 
 
 # --------------------------------------------- thin-point witness chain
