@@ -96,6 +96,20 @@ class _Section:
             raise ValueError(f"missing config key {key!r} in {self.name}")
         return default
 
+    def number(self, key: str, default=_MISSING, kind=float):
+        """The number under key as kind; a None default makes the key optional."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, f"{self.name}.{key}", kind)
+
+    def numbers(self, key: str, default=_MISSING, kind=float):
+        """A number or a flat list of numbers under key, as number() reads one."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        return _numbers(value, f"{self.name}.{key}", kind)
+
     def sub(self, key: str) -> "_Section":
         return _Section(f"{self.name}.{key}", self.take(key, {}))
 
@@ -104,39 +118,53 @@ class _Section:
             raise ValueError(f"unknown config keys in {self.name}: {sorted(self.data)}")
 
 
+def _number(value, name: str, kind=float):
+    """A JSON number as kind; any other JSON value is a config error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (ValueError, OverflowError) as exc:  # int() of a non-finite float
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _numbers(value, name: str, kind=float):
+    if isinstance(value, list):
+        return [_number(v, f"{name}[{i}]", kind) for i, v in enumerate(value)]
+    return _number(value, name, kind)
+
+
 def _build_potential(sec: _Section):
     name = str(sec.take("name", "harmonic"))
-    d = int(sec.take("d", 1))
+    d = sec.number("d", 1, int)
     kwargs = {}
     if name == "power":
-        kwargs["s"] = float(sec.take("s_exponent"))
+        kwargs["s"] = sec.number("s_exponent")
     elif name == "anisotropic" and "weights" in sec.data:
-        kwargs["weights"] = [float(w) for w in sec.take("weights")]
+        kwargs["weights"] = sec.numbers("weights")
     sec.done()
     return builtin_potential(name, d=d, **kwargs)
 
 
 def _build_damping(sec: _Section, d: int):
     name = str(sec.take("name"))
-    kwargs = {"amplitude": float(sec.take("amplitude", 1.0))}
+    kwargs = {"amplitude": sec.number("amplitude", 1.0)}
     if name in ("exterior", "ball"):
-        kwargs["radius"] = float(sec.take("radius_space", 1.0))
+        kwargs["radius"] = sec.number("radius_space", 1.0)
     if name == "ball" and "center_space" in sec.data:
-        kwargs["center"] = [float(c) for c in sec.take("center_space")]
+        kwargs["center"] = sec.numbers("center_space")
     if name in ("checkerboard", "radial_shells", "strip_lattice"):
-        kwargs["period"] = float(sec.take("period_space", 1.0))
-        kwargs["duty"] = float(sec.take("duty", 0.5))
+        kwargs["period"] = sec.number("period_space", 1.0)
+        kwargs["duty"] = sec.number("duty", 0.5)
     sec.done()
     return builtin_damping(name, d=d, **kwargs)
 
 
 def _build_grid(sec: _Section, d: int):
-    n = sec.take("n_nodes")
-    half = sec.take("half_width_space")
-    center = sec.take("center_space", None)
+    ns = sec.numbers("n_nodes", kind=int)
+    ls = sec.numbers("half_width_space")
+    center = sec.numbers("center_space", None)
     sec.done()
-    ns = [int(v) for v in n] if isinstance(n, list) else int(n)
-    ls = [float(v) for v in half] if isinstance(half, list) else float(half)
     return make_grid(d, ns, ls, center=center)
 
 
@@ -211,11 +239,11 @@ def _fit_dict(fit) -> dict:
 
 def _cmd_flow(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
-    x0 = np.asarray(cfg.take("x0_space"), dtype=float)
-    xi0 = np.asarray(cfg.take("xi0_momentum"), dtype=float)
-    T = float(cfg.take("T_time", 10.0))
-    dt = float(cfg.take("dt_time", 1e-3))
-    record = int(cfg.take("record_every", 1))
+    x0 = np.asarray(cfg.numbers("x0_space"))
+    xi0 = np.asarray(cfg.numbers("xi0_momentum"))
+    T = cfg.number("T_time", 10.0)
+    dt = cfg.number("dt_time", 1e-3)
+    record = cfg.number("record_every", 1, int)
     cfg.done()
     traj = flow_integrate(pot, PhaseState(x0, xi0), T, dt, record_every=record)
     log.info("flow: %d samples, drift %.3e", len(traj.t), traj.drift)
@@ -246,16 +274,16 @@ def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ValueError(f"{name} must be a non-empty list")
-        samples = [float(v) for v in value]
+        samples = _numbers(value, name)
         if not all(0.0 < v < math.inf for v in samples):
             raise ValueError(f"{name} entries must be finite and > 0")
         return samples
     if isinstance(default, int):
-        count = float(value)
+        count = _number(value, name)
         if not 1.0 <= count < math.inf:
             raise ValueError(f"need {name} >= 1")
         return int(count)
-    window = float(value)
+    window = _number(value, name)
     if not window > 0.0:
         raise ValueError(f"need {key[0]} > 0 in {name}")
     return window
@@ -328,7 +356,7 @@ def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
     tr_grid = []
     for k, entry in enumerate(ladder):
         sec = _Section(f"config.tr_ladder[{k}]", entry)
-        tr_grid.append((float(sec.take("T_time")), float(sec.take("R_space"))))
+        tr_grid.append((sec.number("T_time"), sec.number("R_space")))
         sec.done()
     defaults = _CONDITION_DEFAULTS["dsc"]
     lambdas = _scan_param(cfg, "lambdas_freq", defaults["lambdas_freq"])
@@ -349,8 +377,8 @@ def _cmd_quasimode(cfg: _Section, out: Path, opts) -> list:
     damping = None
     if "damping" in cfg.data:
         damping = _build_damping(cfg.sub("damping"), pot.d)
-    x0 = np.asarray(cfg.take("x0_space"), dtype=float)
-    R = float(cfg.take("R_width"))
+    x0 = np.asarray(cfg.numbers("x0_space"))
+    R = cfg.number("R_width")
     grid = None
     if "grid" in cfg.data:
         grid = _build_grid(cfg.sub("grid"), pot.d)
@@ -374,12 +402,12 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
     n_list = cfg.take("n_list", [4, 6, 8])
     if not isinstance(n_list, list) or not n_list:
         raise ValueError("n_list must be a non-empty list")
-    n_list = [int(n) for n in n_list]
-    nu = cfg.take("direction", None)
-    x_n = cfg.take("x0_space", None)
-    t_n = float(cfg.take("t_width_space", 2.0))
-    r_n = float(cfg.take("r_width_space", 0.5))
-    ppw = int(cfg.take("ppw_nodes", 32))
+    n_list = _numbers(n_list, "config.n_list", int)
+    nu = cfg.numbers("direction", None)
+    x_n = cfg.numbers("x0_space", None)
+    t_n = cfg.number("t_width_space", 2.0)
+    r_n = cfg.number("r_width_space", 0.5)
+    ppw = cfg.number("ppw_nodes", 32, int)
     cfg.done()
 
     reports = []
@@ -408,7 +436,7 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
 def _cmd_tpc_witness(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
-    n_max = int(cfg.take("n_max", 6))
+    n_max = cfg.number("n_max", 6, int)
     cfg.done()
 
     reports = tpc_violation_sequence(pot, b, n_max)
@@ -427,8 +455,8 @@ def _initial_state(grid, sec: _Section) -> WaveState:
     kind = str(sec.take("kind", "gaussian"))
     if kind != "gaussian":
         raise ValueError(f"unknown initial data kind {kind!r}")
-    center = np.asarray(sec.take("center_space", [0.0] * grid.d), dtype=float)
-    width = float(sec.take("width_space", 1.0))
+    center = np.asarray(sec.numbers("center_space", [0.0] * grid.d))
+    width = sec.number("width_space", 1.0)
     sec.done()
     if width <= 0.0:
         raise ValueError("initial width_space must be positive")
@@ -446,12 +474,12 @@ def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
     b = _build_damping(cfg.sub("damping"), pot.d)
     grid = _build_grid(cfg.sub("grid"), pot.d)
     state = _initial_state(grid, cfg.sub("initial"))
-    T = float(cfg.take("T_time"))
-    dt = cfg.take("dt_time", None)
-    record = int(cfg.take("record_every", 1))
+    T = cfg.number("T_time")
+    dt = cfg.number("dt_time", None)
+    record = cfg.number("record_every", 1, int)
     cfg.done()
 
-    dt = 0.5 * cfl_limit(pot, grid) if dt is None else float(dt)
+    dt = 0.5 * cfl_limit(pot, grid) if dt is None else dt
     trace = evolve(pot, b, state, T, dt, record_every=record)
     fit = decay_fit(trace)
     log.info(
@@ -473,15 +501,15 @@ def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
 def _cmd_probe(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
-    x0 = np.asarray(cfg.take("x0_space"), dtype=float)
-    R = float(cfg.take("R_width"))
+    x0 = np.asarray(cfg.numbers("x0_space"))
+    R = cfg.number("R_width")
     grid = _build_grid(cfg.sub("grid"), pot.d)
-    T = float(cfg.take("T_time"))
-    dt = cfg.take("dt_time", None)
+    T = cfg.number("T_time")
+    dt = cfg.number("dt_time", None)
     cfg.done()
 
     f, rep = turning_point_bump(pot, x0, R, grid=grid, b=b)
-    trace, fit = quasimode_probe(pot, b, f, rep.lam, T, dt=None if dt is None else float(dt))
+    trace, fit = quasimode_probe(pot, b, f, rep.lam, T, dt=dt)
     log.info("probe: lam %.4f, tau %s", rep.lam, fit.tau)
     _write_trace_csv(out / "probe_trace.csv", trace)
     _write_json(out / "probe.json", {"fit": _fit_dict(fit), "quasimode": rep.to_json_dict()})
@@ -489,13 +517,13 @@ def _cmd_probe(cfg: _Section, out: Path, opts) -> list:
 
 
 def _resolvent_lambdas(cfg: _Section) -> np.ndarray:
-    lams = cfg.take("lambdas_freq", None)
-    n_max = cfg.take("n_max", None)
+    lams = cfg.numbers("lambdas_freq", None)
+    n_max = cfg.number("n_max", None, int)
     if (lams is None) == (n_max is None):
         raise ValueError("give exactly one of lambdas_freq or n_max")
     if lams is not None:
-        return np.asarray([float(v) for v in lams])
-    return np.sqrt(np.arange(int(n_max) + 1) + 0.5)
+        return np.atleast_1d(np.asarray(lams, dtype=float))
+    return np.sqrt(np.arange(n_max + 1) + 0.5)
 
 
 def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
@@ -520,7 +548,7 @@ def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
 def _cmd_spectrum(cfg: _Section, out: Path, opts) -> list:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
-    count = int(cfg.take("count", 40))
+    count = cfg.number("count", 40, int)
     if "grid" in cfg.data:
         grid = _build_grid(cfg.sub("grid"), pot.d)
     else:

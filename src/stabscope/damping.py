@@ -56,12 +56,19 @@ TURNING_FRACTION = 0.2  # share of DSC shell samples forced toward the turning s
 
 @dataclass(frozen=True)
 class Damping:
-    """A bounded nonnegative damping coefficient with a batched evaluator."""
+    """A bounded nonnegative damping coefficient with a batched evaluator.
+
+    `ball_value(pts, radii)`, when given, certifies where b is constant: for
+    each ball it returns the value b takes on the whole closed ball around pts,
+    widened by a slack far above rounding, or NaN where that is not proved.
+    The mollifier skips the quadrature on certified balls.
+    """
 
     d: int
     raw_func: Callable[[np.ndarray], np.ndarray]
     b_max: float
     label: str
+    ball_value: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return self.raw_func(as_points(x, self.d))
@@ -91,7 +98,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts):
             return np.full(pts.shape[:-1], amplitude)
 
-        return Damping(d, func, amplitude, f"constant({amplitude:g})")
+        def ball_value(pts, radii):
+            return np.full(radii.shape, amplitude)
+
+        return Damping(d, func, amplitude, f"constant({amplitude:g})", ball_value)
 
     if name == "exterior":
         radius = _length(params, "radius")
@@ -100,7 +110,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts, r=radius):
             return amplitude * (np.linalg.norm(pts, axis=-1) >= r)
 
-        return Damping(d, func, amplitude, f"exterior(R={radius:g})")
+        def ball_value(pts, radii, r=radius):
+            return _band_value(np.linalg.norm(pts, axis=-1), radii, lambda s: s >= r, lambda k: amplitude * k)
+
+        return Damping(d, func, amplitude, f"exterior(R={radius:g})", ball_value)
 
     if name == "ball":
         radius = _length(params, "radius")
@@ -110,7 +123,11 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts, r=radius, c=center):
             return amplitude * (np.linalg.norm(pts - c, axis=-1) <= r)
 
-        return Damping(d, func, amplitude, f"ball(R={radius:g})")
+        def ball_value(pts, radii, r=radius, c=center):
+            dist = np.linalg.norm(pts - c, axis=-1)
+            return _band_value(dist, radii, lambda s: s > r, lambda k: amplitude * ~k)
+
+        return Damping(d, func, amplitude, f"ball(R={radius:g})", ball_value)
 
     if name not in ("checkerboard", "radial_shells", "strip_lattice"):
         raise ValueError(f"unknown damping {name!r}")
@@ -121,17 +138,34 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         raise ValueError("duty ratio must lie in (0, 1)")
     label = f"{name}(L={period:g},duty={duty:g})"
 
+    def even(k):
+        return amplitude * (np.fmod(k, 2.0) == 0.0)
+
     if name == "checkerboard":
 
         def func(pts, a=duty * period):
             idx = np.floor(pts / a).astype(np.int64)
             return amplitude * (idx.sum(axis=-1) % 2 == 0)
 
-    elif name == "radial_shells":
+        def ball_value(pts, radii, a=duty * period):
+            # one cell index per axis; NaN on any axis leaves the sum NaN
+            idx = sum(_band_value(pts[:, i], radii, lambda s: np.floor(s / a), lambda k: k) for i in range(d))
+            return np.where(np.isnan(idx), np.nan, even(idx))
+
+        return Damping(d, func, amplitude, label, ball_value)
+
+    # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty]
+    def band(s, L=period, q=duty):
+        return 2.0 * np.floor(s / L) + (np.mod(s / L, 1.0) >= q)
+
+    if name == "radial_shells":
 
         def func(pts, L=period, q=duty):
             frac = np.mod(np.linalg.norm(pts, axis=-1) / L, 1.0)
             return amplitude * (frac < q)
+
+        def ball_value(pts, radii):
+            return _band_value(np.linalg.norm(pts, axis=-1), radii, band, even)
 
     else:
 
@@ -139,7 +173,26 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             frac = np.mod(pts[..., 0] / L, 1.0)
             return amplitude * (frac < q)
 
-    return Damping(d, func, amplitude, label)
+        def ball_value(pts, radii):
+            return _band_value(pts[:, 0], radii, band, even)
+
+    return Damping(d, func, amplitude, label, ball_value)
+
+
+BALL_SLACK = 1e-9  # relative widening of a certified ball, far above rounding
+
+
+def _band_value(s, radii, band, value):
+    """Value on each ball of b = value(band(s)), s a 1-Lipschitz scalar of the point.
+
+    band must be non-decreasing in s, so b is constant on a ball whenever the
+    interval [s - r - delta, s + r + delta] starts and ends in one band; the
+    slack delta = BALL_SLACK * (1 + |s| + r) absorbs the rounding of s, of the
+    shifted nodes and of band itself.  NaN where two bands are met.
+    """
+    delta = BALL_SLACK * (1.0 + np.abs(s) + radii)
+    lo, hi = band(s - radii - delta), band(s + radii + delta)
+    return np.where(lo == hi, value(lo), np.nan)
 
 
 def _length(params: dict, key: str) -> float:
@@ -178,6 +231,7 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
 
 
 BLOCK_BYTES = 1 << 18  # shifted-node scratch per block, sized to stay in cache
+CERTIFY_CHUNK = 4096  # points classified by b.ball_value at a time
 
 
 def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
@@ -187,9 +241,12 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     broadcasts against the points' leading axes).  Each average is the mean
     of b(x + r * node) over the fixed node set, evaluated block by block in
     one scratch buffer owned by the call, so concurrent calls share no state.
+    Balls on which b.ball_value certifies b constant skip the quadrature: they
+    get the mean of n_nodes copies of that value, the same row sum the blocks
+    form, so the result is bit-identical.
     """
     pts = as_points(x, b.d)
-    radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1, 1)
+    radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1)
     if not np.all(radii > 0.0):
         raise ValueError("need mollification radius r > 0")
     if n_nodes is None:
@@ -200,14 +257,26 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     out = np.empty(flat.shape[0])
     m = max(1, BLOCK_BYTES // (8 * b.d * n_nodes))
     buf = np.empty((b.d, min(m, flat.shape[0]), n_nodes))
-    for start in range(0, flat.shape[0], m):
-        block = flat[start : start + m]
-        k = block.shape[0]
-        for i in range(b.d):
-            # buf[i, p, j] = r_p * nodes[j, i] + block[p, i], one axis plane at a time
-            np.multiply(radii[start : start + k], nodes[:, i], out=buf[i, :k])
-            np.add(buf[i, :k], block[:, i, None], out=buf[i, :k])
-        out[start : start + k] = b.raw_func(np.moveaxis(buf[:, :k], 0, -1)).mean(axis=1)
+    for chunk in range(0, flat.shape[0], CERTIFY_CHUNK):
+        rows = slice(chunk, chunk + CERTIFY_CHUNK)
+        cpts, crad, todo = flat[rows], radii[rows], slice(None)
+        if b.ball_value is not None:
+            values = b.ball_value(cpts, crad)
+            todo = np.isnan(values)
+            for v in np.unique(values[~todo]):
+                out[rows][values == v] = np.full((1, n_nodes), v).mean(axis=1)[0]
+            if not todo.all():  # with nothing certified the views serve as they are
+                cpts, crad = cpts[todo], crad[todo]
+        means = np.empty(crad.size)
+        for start in range(0, crad.size, m):
+            block, rad = cpts[start : start + m], crad[start : start + m, None]
+            k = block.shape[0]
+            for i in range(b.d):
+                # buf[i, p, j] = r_p * nodes[j, i] + block[p, i], one axis plane at a time
+                np.multiply(rad, nodes[:, i], out=buf[i, :k])
+                np.add(buf[i, :k], block[:, i, None], out=buf[i, :k])
+            means[start : start + k] = b.raw_func(np.moveaxis(buf[:, :k], 0, -1)).mean(axis=1)
+        out[rows][todo] = means
     return out.reshape(pts.shape[:-1])
 
 

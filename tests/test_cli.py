@@ -498,6 +498,45 @@ def test_invalid_potential_weights_exit_2(tmp_path, capsys):
     assert "one positive weight per axis" in capsys.readouterr().err
 
 
+H1 = {"potential": {"name": "harmonic", "d": 1}}
+H2 = {"potential": {"name": "harmonic", "d": 2}}
+H1_EXTERIOR = {**H1, "damping": {"name": "exterior"}}
+EVOLVE_CFG = {
+    **H1_EXTERIOR,
+    "grid": {"n_nodes": 64, "half_width_space": 6.0},
+    "initial": {"kind": "gaussian"},
+    "T_time": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("conditions", {**COND_CFG, "tpc": {"shells_space": [{}]}}, "tpc.shells_space[0]"),
+        ("conditions", {**COND_CFG, "ugcc": {"T_time": "two"}}, "ugcc.T_time"),
+        ("conditions", {**COND_CFG, "dsc": {"n_shell_samples": [32]}}, "dsc.n_shell_samples"),
+        ("conditions", {**COND_CFG, "potential": {"name": "harmonic", "d": None}}, "config.potential.d"),
+        ("conditions", {**COND_CFG, "damping": {"name": "constant", "amplitude": {}}}, "config.damping.amplitude"),
+        ("conditions", {**COND_CFG, "damping": {"name": "ball", "center_space": [None]}}, "damping.center_space[0]"),
+        ("kinetic-sequence", {**H2, "n_list": [None]}, "config.n_list[0]"),
+        ("kinetic-sequence", {**H2, "n_list": [float("inf")]}, "config.n_list[0]"),
+        ("kinetic-sequence", {**H2, "direction": [1.0, {}]}, "config.direction[1]"),
+        ("dsc-limit", {**H1_EXTERIOR, "tr_ladder": [{"T_time": None, "R_space": 1.0}]}, "config.tr_ladder[0].T_time"),
+        ("flow", {**H1, "x0_space": {}, "xi0_momentum": [0.5]}, "config.x0_space"),
+        ("evolve", {**EVOLVE_CFG, "grid": {"n_nodes": [None], "half_width_space": 6.0}}, "config.grid.n_nodes[0]"),
+        ("evolve", {**EVOLVE_CFG, "dt_time": []}, "config.dt_time"),
+        ("resolvent", {**H1_EXTERIOR, "lambdas_freq": [None]}, "config.lambdas_freq[0]"),
+        ("spectrum", {**H1_EXTERIOR, "count": "40"}, "config.count"),
+        ("flow", {**H1, "x0_space": [1.0], "xi0_momentum": [True]}, "config.xi0_momentum[0]"),
+    ],
+)
+def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
+    # a value of the wrong JSON type is a config error naming its key, not a traceback
+    rc, _ = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+
+
 def test_suite_command_builds_consistency_matrix(tmp_path):
     # reduced parameters to keep the run short; the checkerboard DSC verdict
     # is ladder-dependent at this size, so only the stable cells are pinned

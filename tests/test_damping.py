@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from stabscope.cli import _write_report_csv
 from stabscope.potentials import builtin_potential
 from stabscope.damping import (
     BLOCK_BYTES,
+    CERTIFY_CHUNK,
+    N_RAY,
     Damping,
     builtin_damping,
     default_ray_family,
@@ -196,6 +200,146 @@ def test_mollify_nested_matches_direct_formula():
     reference = np.array([b.raw_func(p + r0 * outer).mean() for p in line])
     assert tab["entries"][r] == float(trapezoid(entry, ts) / (2.0 * T))
     assert tab["reference"] == float(trapezoid(reference, ts) / (2.0 * T))
+
+
+# ------------------------------------------- constant-on-ball certificates
+
+# Non-dyadic amplitudes: the mean of n copies of 0.3 or 1/3 is not the amplitude itself
+AMPLITUDES = (0.3, 1.0 / 3.0, 1.0, 2.7)
+
+
+def _band_edges(name: str, params: dict) -> list:
+    """Sorted values of the builtin's 1-Lipschitz scalar between which b is constant.
+
+    The first and last entries only close the outer bands; for |x| and
+    |x - c| the scalar starts at 0.
+    """
+    if name == "constant":
+        return [-4.0, 4.0]
+    if name in ("exterior", "ball"):
+        return [0.0, params["radius"], 2.0 * params["radius"] + 3.0]
+    L, q = params["period"], params["duty"]
+    if name == "checkerboard":
+        return [k * q * L for k in range(-4, 5)]
+    ks = range(0, 4) if name == "radial_shells" else range(-3, 3)
+    return sorted([k * L for k in ks] + [(k + q) * L for k in ks])
+
+
+@st.composite
+def certificate_cases(draw):
+    """A builtin in d = 1 or 2 and balls centred in its bands or touching its edges.
+
+    A touching ball's rim lies within 1e-12 or 1e-7 of a band edge, on either
+    side; a centred ball sits in the middle of one band with room to spare,
+    so the certificate must cover it.  Each ball has its own radius.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name, params = draw(st.sampled_from(BUILTIN_PARAMS))
+    params = dict(params)
+    if "radius" in params:
+        params["radius"] = draw(st.sampled_from([0.3, 1.0, 2.7]))
+    if "period" in params:
+        params["period"] = draw(st.sampled_from([0.3, 1.0, 2.5]))
+        params["duty"] = draw(st.sampled_from([0.3, 0.5, 0.85]))
+    center = np.zeros(d)
+    if name == "ball" and draw(st.booleans()):
+        center = np.array([0.37, -1.1][:d])
+        params["center"] = center
+    b = builtin_damping(name, d=d, amplitude=draw(st.sampled_from(AMPLITUDES)), **params)
+    edges = _band_edges(name, params)
+    n_axes = d if name == "checkerboard" else 1
+
+    pts, radii, inside = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        centred = draw(st.booleans())
+        if centred:  # in the middle of one band on every axis the builtin reads
+            bands = [draw(st.integers(0, len(edges) - 2)) for _ in range(n_axes)]
+            r = draw(st.floats(0.01, 0.9)) * min(edges[k + 1] - edges[k] for k in bands) / 2.0
+            scalars = [(edges[k] + edges[k + 1]) / 2.0 for k in bands]
+        else:  # rim within 1e-12 (inside the slack) or 1e-7 (outside it) of an edge
+            r = draw(st.floats(0.01, 0.99)) * min(np.diff(edges)) / 2.0
+            scalars = [
+                draw(st.sampled_from(edges))
+                + draw(st.sampled_from([-r, r]))
+                + draw(st.sampled_from([1e-12, 1e-7])) * draw(st.floats(-1.0, 1.0))
+                for _ in range(n_axes)
+            ]
+        theta = draw(st.floats(0.0, 2.0 * np.pi))
+        unit = np.array([np.cos(theta), np.sin(theta)]) if d == 2 else np.array([draw(st.sampled_from([-1.0, 1.0]))])
+        free = [draw(st.floats(-5.0, 5.0)) for _ in range(d)]
+        if name in ("exterior", "ball", "radial_shells"):
+            if scalars[0] < 0.0:
+                continue
+            x = center + scalars[0] * unit
+        elif name == "constant":
+            x = np.array(free)
+        else:  # strips fix x_1, the checkerboard every axis
+            x = np.array(scalars + free[n_axes:])
+        pts.append(x)
+        radii.append(r)
+        inside.append(centred)
+    return b, np.array(pts).reshape(-1, d), np.array(radii), np.array(inside, dtype=bool)
+
+
+def _probe_nodes(d: int) -> np.ndarray:
+    """The mollifier's nodes and the unit sphere stretched by 1e-12."""
+    if d == 1:
+        sphere = np.array([[-1.0], [1.0]])
+    else:
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        sphere = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return np.concatenate([unit_ball_nodes(d, 512 * d), (1.0 + 1e-12) * sphere])
+
+
+@settings(max_examples=300)
+@given(certificate_cases())
+def test_ball_certificate_is_sound_and_exact(case):
+    b, pts, radii, inside = case
+    values = b.ball_value(pts, radii)
+    assert not np.any(np.isnan(values[inside]))
+    # (b) a certified value is what raw_func gives at every node, rim included
+    probe = _probe_nodes(b.d)
+    for x, r, v in zip(pts, radii, values):
+        if not np.isnan(v):
+            assert np.all(b.raw_func(r * probe + x) == v)
+    # (a) skipping the quadrature changes no bit of the average
+    uncertified = dataclasses.replace(b, ball_value=None)
+    assert np.array_equal(mollify_at(b, radii, pts), mollify_at(uncertified, radii, pts))
+
+
+@pytest.mark.parametrize("name, params", BUILTIN_PARAMS)
+def test_certified_mollify_spans_chunks(name, params):
+    # several classification chunks, each mixing certified and quadrature rows
+    b = builtin_damping(name, d=2, amplitude=0.3, **params)
+    rng = np.random.default_rng(7)
+    n = 2 * CERTIFY_CHUNK + 37
+    pts, radii = rng.uniform(-4.0, 4.0, size=(n, 2)), rng.uniform(0.01, 0.3, size=n)
+    got = mollify_at(b, radii, pts)
+    assert np.array_equal(got, mollify_at(dataclasses.replace(b, ball_value=None), radii, pts))
+
+
+def _counting(b: Damping):
+    """b with a raw_func that counts the points it evaluates."""
+    count = [0]
+
+    def func(pts):
+        count[0] += int(np.prod(pts.shape[:-1]))
+        return b.raw_func(pts)
+
+    return dataclasses.replace(b, raw_func=func), count
+
+
+def test_certificate_skips_constant_balls():
+    const, count = _counting(builtin_damping("constant", d=2, amplitude=0.3))
+    ugcc_scan(const, 2.0, 0.25)
+    assert count[0] == 0
+
+    ext, count = _counting(builtin_damping("exterior", d=2, radius=1.0))
+    rep = ugcc_scan(ext, 2.0, 0.25)
+    # each ball that is not skipped costs 1024 node evaluations in d = 2
+    assert count[0] < 0.1 * rep.sample_values.size * N_RAY * 1024
+
+
 
 
 # ----------------------------------------------------------- ray_average
