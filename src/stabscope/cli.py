@@ -119,13 +119,19 @@ class _Section:
 
 
 def _number(value, name: str, kind=float):
-    """A JSON number as kind; any other JSON value is a config error naming the key."""
+    """A JSON number as kind; any other JSON value is a config error naming the key.
+
+    An int must be integral: 2.0 reads as 2, 2.5 is an error, not 2.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (ValueError, OverflowError) as exc:  # int() of a non-finite float
         raise ValueError(f"{name} must be a number, got {value!r}") from exc
+    if kind is int and number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _numbers(value, name: str, kind=float):
@@ -269,7 +275,7 @@ _CONDITION_DEFAULTS = {
 
 def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
     """One scan parameter, typed like its default: sample lists hold finite
-    values > 0, counts are >= 1 and windows are > 0."""
+    values > 0, counts are integers >= 1 and windows are > 0."""
     name, value = prefix + key, sec.take(key, default)
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -282,7 +288,7 @@ def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
         count = _number(value, name)
         if not 1.0 <= count < math.inf:
             raise ValueError(f"need {name} >= 1")
-        return int(count)
+        return _number(value, name, int)
     window = _number(value, name)
     if not window > 0.0:
         raise ValueError(f"need {key[0]} > 0 in {name}")

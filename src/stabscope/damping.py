@@ -108,10 +108,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         _reject_extra(params)
 
         def func(pts, r=radius):
-            return amplitude * (np.linalg.norm(pts, axis=-1) >= r)
+            return amplitude * (_norm(pts) >= r)
 
         def ball_value(pts, radii, r=radius):
-            return _band_value(np.linalg.norm(pts, axis=-1), radii, lambda s: s >= r, lambda k: amplitude * k)
+            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda k: amplitude * k)
 
         return Damping(d, func, amplitude, f"exterior(R={radius:g})", ball_value)
 
@@ -119,13 +119,15 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         radius = _length(params, "radius")
         center = np.asarray(params.pop("center", np.zeros(d)), dtype=float)
         _reject_extra(params)
+        if center.ndim > 1 or center.size not in (1, d):
+            raise ValueError(f"ball center must have one coordinate per axis, d = {d}")
+        center = np.broadcast_to(center, (d,))  # one coordinate per axis plane
 
         def func(pts, r=radius, c=center):
-            return amplitude * (np.linalg.norm(pts - c, axis=-1) <= r)
+            return amplitude * (_norm(pts, c) <= r)
 
         def ball_value(pts, radii, r=radius, c=center):
-            dist = np.linalg.norm(pts - c, axis=-1)
-            return _band_value(dist, radii, lambda s: s > r, lambda k: amplitude * ~k)
+            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda k: amplitude * ~k)
 
         return Damping(d, func, amplitude, f"ball(R={radius:g})", ball_value)
 
@@ -144,8 +146,11 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     if name == "checkerboard":
 
         def func(pts, a=duty * period):
-            idx = np.floor(pts / a).astype(np.int64)
-            return amplitude * (idx.sum(axis=-1) % 2 == 0)
+            # the cell index sum, one axis plane at a time, in exact int64
+            idx = np.floor(pts[..., 0] / a).astype(np.int64)
+            for i in range(1, pts.shape[-1]):
+                idx += np.floor(pts[..., i] / a).astype(np.int64)
+            return amplitude * ((idx & 1) == 0)
 
         def ball_value(pts, radii, a=duty * period):
             # one cell index per axis; NaN on any axis leaves the sum NaN
@@ -161,11 +166,11 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     if name == "radial_shells":
 
         def func(pts, L=period, q=duty):
-            frac = np.mod(np.linalg.norm(pts, axis=-1) / L, 1.0)
+            frac = np.mod(_norm(pts) / L, 1.0)
             return amplitude * (frac < q)
 
         def ball_value(pts, radii):
-            return _band_value(np.linalg.norm(pts, axis=-1), radii, band, even)
+            return _band_value(_norm(pts), radii, band, even)
 
     else:
 
@@ -177,6 +182,21 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             return _band_value(pts[:, 0], radii, band, even)
 
     return Damping(d, func, amplitude, label, ball_value)
+
+
+def _norm(pts, center=None):
+    """|x - center| over the last axis of pts, one axis plane at a time.
+
+    sqrt(x_0*x_0 + x_1*x_1) adds the squares in the order add.reduce does for
+    d <= 2, so it has the bits of np.linalg.norm(pts - center, axis=-1) without
+    reducing over a strided axis.
+    """
+    planes = (pts[..., i] if center is None else pts[..., i] - center[i] for i in range(pts.shape[-1]))
+    x = next(planes)
+    sq = x * x
+    for x in planes:
+        sq += x * x
+    return np.sqrt(sq)
 
 
 BALL_SLACK = 1e-9  # relative widening of a certified ball, far above rounding
@@ -230,7 +250,7 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
     return _BALL_NODE_CACHE[key]
 
 
-BLOCK_BYTES = 1 << 18  # shifted-node scratch per block, sized to stay in cache
+BLOCK_BYTES = 1 << 19  # shifted-node scratch per block; it and the kernel's temporaries fit a 2 MB L2
 CERTIFY_CHUNK = 4096  # points classified by b.ball_value at a time
 
 
@@ -244,6 +264,10 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     Balls on which b.ball_value certifies b constant skip the quadrature: they
     get the mean of n_nodes copies of that value, the same row sum the blocks
     form, so the result is bit-identical.
+
+    b.raw_func receives each block as a (points, nodes, d) view of a
+    (d, points, nodes) buffer: its axis planes pts[..., i] are contiguous, the
+    last axis is strided, so a kernel should read it one plane at a time.
     """
     pts = as_points(x, b.d)
     radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1)
@@ -251,12 +275,13 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
         raise ValueError("need mollification radius r > 0")
     if n_nodes is None:
         n_nodes = 512 * b.d
-    nodes = unit_ball_nodes(b.d, n_nodes)
+    planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
 
     flat = pts.reshape(-1, b.d)
     out = np.empty(flat.shape[0])
     m = max(1, BLOCK_BYTES // (8 * b.d * n_nodes))
     buf = np.empty((b.d, min(m, flat.shape[0]), n_nodes))
+    shifted = np.moveaxis(buf, 0, -1)  # the (points, nodes, d) view raw_func reads
     for chunk in range(0, flat.shape[0], CERTIFY_CHUNK):
         rows = slice(chunk, chunk + CERTIFY_CHUNK)
         cpts, crad, todo = flat[rows], radii[rows], slice(None)
@@ -273,9 +298,9 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
             k = block.shape[0]
             for i in range(b.d):
                 # buf[i, p, j] = r_p * nodes[j, i] + block[p, i], one axis plane at a time
-                np.multiply(rad, nodes[:, i], out=buf[i, :k])
+                np.multiply(rad, planes[i], out=buf[i, :k])
                 np.add(buf[i, :k], block[:, i, None], out=buf[i, :k])
-            means[start : start + k] = b.raw_func(np.moveaxis(buf[:, :k], 0, -1)).mean(axis=1)
+            means[start : start + k] = b.raw_func(shifted[:k]).mean(axis=1)
         out[rows][todo] = means
     return out.reshape(pts.shape[:-1])
 

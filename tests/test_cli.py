@@ -537,6 +537,29 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
     assert f"{key} must be a number" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("kinetic-sequence", {**H2, "n_list": [4.9]}, "config.n_list[0]"),
+        ("flow", {**H1, "x0_space": [1.0], "xi0_momentum": [0.5], "record_every": 2.9}, "config.record_every"),
+        ("conditions", {**COND_CFG, "dsc": {"n_shell_samples": 32.5}}, "dsc.n_shell_samples"),
+    ],
+)
+def test_non_integral_count_exits_2(tmp_path, capsys, command, cfg, key):
+    # an integer key used to truncate 4.9 to 4 and run without a word
+    rc, out = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_reads_as_int():
+    assert cli._number(2.0, "config.potential.d", int) == 2
+    assert type(cli._number(2.0, "config.potential.d", int)) is int
+    with pytest.raises(ValueError, match="config.potential.d must be an integer, got 2.5"):
+        cli._number(2.5, "config.potential.d", int)
+
 def test_suite_command_builds_consistency_matrix(tmp_path):
     # reduced parameters to keep the run short; the checkerboard DSC verdict
     # is ladder-dependent at this size, so only the stable cells are pinned

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
@@ -86,6 +86,15 @@ def test_builtin_rejects_invalid_parameters(name, params, match):
     # each of these used to build a coefficient whose scans gave a wrong verdict
     with pytest.raises(ValueError, match=match):
         builtin_damping(name, d=2, **params)
+
+
+def test_ball_center_has_one_coordinate_per_axis():
+    # a scalar centre is shared by every axis; a centre of the wrong length is rejected
+    shared = builtin_damping("ball", d=2, radius=1.0, center=0.5)
+    assert float(shared(np.array([0.5, 0.5]))) == 1.0
+    assert float(shared(np.array([0.5, -0.6]))) == 0.0
+    with pytest.raises(ValueError, match="ball center must have one coordinate per axis, d = 1"):
+        builtin_damping("ball", d=1, radius=1.0, center=[0.0, 3.0])
 
 
 # ------------------------------------------------------------ mollify_at
@@ -340,6 +349,91 @@ def test_certificate_skips_constant_balls():
     assert count[0] < 0.1 * rep.sample_values.size * N_RAY * 1024
 
 
+# ----------------------------------------------------- plane-wise kernels
+
+
+def _reference_raw(name: str, params: dict, amplitude: float, pts: np.ndarray) -> np.ndarray:
+    """The builtin raw_func formulas as they stood before the plane-wise kernels."""
+    if name == "constant":
+        return np.full(pts.shape[:-1], amplitude)
+    if name == "exterior":
+        return amplitude * (np.linalg.norm(pts, axis=-1) >= params["radius"])
+    if name == "ball":
+        return amplitude * (np.linalg.norm(pts - params["center"], axis=-1) <= params["radius"])
+    L, q = params["period"], params["duty"]
+    if name == "checkerboard":
+        idx = np.floor(pts / (q * L)).astype(np.int64)
+        return amplitude * (idx.sum(axis=-1) % 2 == 0)
+    s = np.linalg.norm(pts, axis=-1) if name == "radial_shells" else pts[..., 0]
+    return amplitude * (np.mod(s / L, 1.0) < q)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A builtin with drawn parameters and points on, near and far from its edges.
+
+    Edge points put the builtin's scalar (|x|, |x - c|, x_1 or every axis of
+    the checkerboard) on a band edge, exactly or within 1e-12; far points
+    reach |x| = 1e12.  The points come as an (m, n, d) array.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from([name for name, _ in BUILTIN_PARAMS]))
+    params = {}
+    if name in ("exterior", "ball"):
+        params["radius"] = draw(st.floats(1e-3, 1e3))
+    if name == "ball":
+        params["center"] = np.array([draw(st.floats(-1e3, 1e3)) for _ in range(d)])
+    if name in ("checkerboard", "radial_shells", "strip_lattice"):
+        # the smallest cells put |x| = 1e12 beyond 2**53 cells, where only int64 keeps the parity
+        params["period"] = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-3, 1.0])))
+        params["duty"] = draw(st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.01, 0.5])))
+    amplitude = draw(st.one_of(st.sampled_from(AMPLITUDES), st.floats(0.0, 10.0)))
+
+    def edge():
+        if name in ("constant", "exterior", "ball"):
+            e = params.get("radius", 1.0)
+        else:
+            L, q = params["period"], params["duty"]
+            k = draw(st.one_of(st.integers(-3, 3), st.integers(-10**9, 10**9)))
+            if name == "checkerboard":
+                e = k * q * L
+            else:
+                e = (abs(k) if name == "radial_shells" else k) * L + draw(st.sampled_from([0.0, q * L]))
+        return e + draw(st.sampled_from([0.0, 1e-12, -1e-12, 5e-13, -5e-13]))
+
+    coords = st.one_of(st.floats(-1e12, 1e12), st.floats(-20.0, 20.0), st.sampled_from([-1e12, 1e12]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    pts = np.empty((m * n, d))
+    for p in pts:
+        p[:] = [draw(coords) for _ in range(d)]
+        if draw(st.booleans()):
+            if name in ("exterior", "ball", "radial_shells"):
+                theta = draw(st.floats(0.0, 2.0 * np.pi))
+                unit = np.array([np.cos(theta), np.sin(theta)]) if d == 2 else np.array([draw(st.sampled_from([-1.0, 1.0]))])
+                p[:] = params.get("center", 0.0) + edge() * unit
+            elif name == "strip_lattice":
+                p[0] = edge()
+            else:
+                p[:] = [edge() for _ in range(d)]
+    return name, params, amplitude, pts.reshape(m, n, d)
+
+
+@settings(max_examples=300)
+@given(kernel_cases())
+# 1e17 + 530001 cells: a float sum of the cell indices rounds the odd parity away
+@example(("checkerboard", {"period": 1e-3, "duty": 0.01}, 1.0, np.array([[[1e12, 5.30001]]])))
+def test_plane_wise_kernels_keep_the_bits(case):
+    # raw_func keeps the old formula's bits in both layouts it is handed
+    name, params, amplitude, pts = case
+    b = builtin_damping(name, d=pts.shape[-1], amplitude=amplitude, **params)
+    rows = np.ascontiguousarray(pts.reshape(-1, b.d))  # C-contiguous (k, d) points
+    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)  # the mollifier's layout
+    expected = _reference_raw(name, params, amplitude, rows)
+    assert np.array_equal(b.raw_func(rows), expected)
+    got = b.raw_func(planes)
+    assert got.shape == pts.shape[:-1]
+    assert np.array_equal(got, _reference_raw(name, params, amplitude, planes))
+    assert np.array_equal(got.reshape(-1), expected)
 
 
 # ----------------------------------------------------------- ray_average

@@ -9,7 +9,7 @@ from scipy.linalg import svdvals
 
 from stabscope import evolution
 from stabscope.cli import _write_trace_csv
-from stabscope.damping import builtin_damping
+from stabscope.damping import Damping, builtin_damping
 from stabscope.evolution import (
     DecayFit,
     EnergyTrace,
@@ -227,6 +227,28 @@ def test_resolvent_frequency_symmetry(small_scan):
     lams, scan = small_scan
     neg = resolvent_scan(H1, B_OFF, -lams)
     assert np.max(np.abs(neg.sigma_min - scan.sigma_min)) <= 1e-10
+
+
+@settings(max_examples=30)
+@given(
+    st.floats(0.2, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.3, 2.0),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(1.0, 5.0), min_size=1, max_size=3),
+)
+def test_resolvent_is_mirror_invariant(amplitude, x0, width, step, lams):
+    # x -> -x maps the harmonic well and the symmetric grid to themselves and b
+    # to its mirror, so sigma_min must not tell a smooth b from b(-x)
+    def profile(s):
+        return amplitude * np.exp(-(((s - x0) / width) ** 2)) + step * (1.0 + np.tanh(s - x0)) / 2.0
+
+    b = Damping(1, lambda pts: profile(pts[..., 0]), amplitude + step, "bump")
+    mirror = Damping(1, lambda pts: profile(-pts[..., 0]), amplitude + step, "mirrored bump")
+    scan, mirrored = resolvent_scan(H1, b, lams), resolvent_scan(H1, mirror, lams)
+    assert scan.grid_ns[0] <= 400
+    assert set(scan.flags) == set(mirrored.flags) == {"ok"}
+    assert np.max(np.abs(mirrored.sigma_min / scan.sigma_min - 1.0)) <= 1e-10
 
 
 def damped_bands(damping, n, lam):
