@@ -543,6 +543,11 @@ def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
 
     scan = resolvent_scan(pot, b, lams, grid, threads=opts.threads)
     log.info("resolvent: max ratio %.4g", float(np.max(scan.ratio)))
+    log.info(
+        "resolvent: Lanczos matvecs per frequency median %g, max %d",
+        float(np.median(scan.matvecs)),
+        max(scan.matvecs),
+    )
     _write_csv(
         out / "resolvent.csv",
         ("lambda", "sigma_min", "lambda_over_sigma_min", "flag"),

@@ -17,7 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import trapezoid
-from scipy.linalg import cholesky_banded, eig_banded, solve_banded
+# unused here: the benchmark tracer (bench/tracing.py) binds its banded_solves counter to this name
+from scipy.linalg import cholesky_banded, eig_banded, solve_banded  # noqa: F401
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .damping import Damping, _ordered_map
 from .fields import Field, Grid, _p_kernel, check_resolution, make_grid, p_bands
@@ -214,7 +216,8 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
 
 @dataclass(frozen=True)
 class ResolventScan:
-    """lam / sigma_min along a frequency grid, with per-entry certificate flags."""
+    """lam / sigma_min along a frequency grid, with per-entry certificate flags
+    and the number of Lanczos matvecs each sigma_min took."""
 
     lambdas: np.ndarray
     sigma_min: np.ndarray
@@ -222,6 +225,7 @@ class ResolventScan:
     flags: tuple
     grid_ns: tuple
     grid_ls: tuple
+    matvecs: tuple
 
 
 def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
@@ -232,26 +236,44 @@ def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
     return make_grid(1, n, L)
 
 
-def _sigma_min(ab: np.ndarray):
+def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
     """Smallest singular value of the banded A, certified from below.
 
-    Lanczos (ARPACK) finds the top eigenvalue mu of (A*A)^-1, applied as two
-    banded solves; A is complex symmetric, so A* has the conjugated bands.
-    The seeded random complex start sees modes of both parities.  A Ritz
-    value never exceeds the top eigenvalue, so sigma = mu^-1/2 >= sigma_min,
-    and a Cholesky factorization of A*A - ((1 - RESOLVENT_CERT_RTOL) sigma)^2
-    proves sigma_min > (1 - RESOLVENT_CERT_RTOL) sigma (flag "ok"); a failed
-    factorization flags "failed".
+    Lanczos (ARPACK) finds the top eigenvalue mu of (A*A)^-1.  A is LU-factored
+    once (zgbtrf, partial pivoting); each matvec is two zgbtrs solves, first
+    with the conjugated factors, which are the LU of A* = conj(A) (A is
+    complex symmetric) under the same pivots, then with the factors of A.
+    These are the solves solve_banded's zgbsv would make, bit for bit; an
+    exactly singular A raises LinAlgError as it does.  The seeded random
+    complex start sees modes of both parities.  A Ritz value never exceeds the
+    top eigenvalue, so sigma = mu^-1/2 >= sigma_min, and a Cholesky
+    factorization of A*A - ((1 - RESOLVENT_CERT_RTOL) sigma)^2 proves
+    sigma_min > (1 - RESOLVENT_CERT_RTOL) sigma (flag "ok"); a failed
+    factorization flags "failed".  The number of matvecs is appended to
+    matvecs when given.
     """
     n = ab.shape[1]
-    abh = np.conj(ab)
-    op = spla.LinearOperator(
-        (n, n), matvec=lambda v: solve_banded((2, 2), ab, solve_banded((2, 2), abh, v)), dtype=complex
-    )
+    work = np.zeros((7, n), dtype=complex, order="F")  # zgbtrf's layout: two fill-in rows above ab
+    work[2:] = np.asarray_chkfinite(ab)  # a NaN or inf band raises ValueError, as in solve_banded
+    lu, piv, info = zgbtrf(work, 2, 2, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    luh = np.conj(lu)
+    count = 0
+
+    def apply_inverse(v):
+        nonlocal count
+        count += 1
+        w = zgbtrs(luh, 2, 2, v, piv)[0]
+        return zgbtrs(lu, 2, 2, w, piv, overwrite_b=1)[0]
+
+    op = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=complex)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mu = float(spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
     sigma = 1.0 / math.sqrt(mu)
+    if matvecs is not None:
+        matvecs.append(count)
 
     shifted = _normal_bands(ab)
     shifted[4, :] -= ((1.0 - RESOLVENT_CERT_RTOL) * sigma) ** 2
@@ -306,7 +328,9 @@ def resolvent_scan(
 
     def one(lam: float):
         ab = p_bands(grid, vvals - lam**2 + 1j * lam * bvals)
-        return _sigma_min(ab)
+        matvecs = []
+        sigma, flag = _sigma_min(ab, matvecs)
+        return sigma, flag, matvecs[0]
 
     results = _ordered_map(one, [float(l) for l in lams], threads)
     sig = np.array([r[0] for r in results])
@@ -316,6 +340,7 @@ def resolvent_scan(
         sigma_min=sig,
         ratio=np.abs(lams) / sig,
         flags=flags,
+        matvecs=tuple(r[2] for r in results),
         grid_ns=grid.ns,
         grid_ls=grid.ls,
     )

@@ -206,8 +206,9 @@ def p_bands(grid: Grid, diag) -> np.ndarray:
     """-Laplacian/2 + diag on the line as a (5, n) band matrix.
 
     The layout is solve_banded's with (l, u) = (2, 2), ab[2 + i - j, j] =
-    A[i, j]; its upper three rows are eig_banded's upper form.  The dtype
-    follows diag.
+    A[i, j]; its upper three rows are eig_banded's upper form, and its five
+    rows are rows 2..6 of the (7, n) work array that LAPACK's gbtrf factors
+    in place (rows 0..1 take the fill-in).  The dtype follows diag.
     """
     if grid.d != 1:
         raise ValueError("band matrix requires d = 1")

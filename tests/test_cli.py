@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import re
 
 import pytest
@@ -206,6 +207,18 @@ def test_resolvent_command_writes_scan(tmp_path):
     lines = (out / "resolvent.csv").read_text().strip().split("\n")
     assert lines[0] == "lambda,sigma_min,lambda_over_sigma_min,flag"
     assert len(lines) == 3
+
+
+def test_resolvent_logs_matvec_counts(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="stabscope")
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "lambdas_freq": [1.0, 2.0],
+    }
+    rc, _ = run_cli(tmp_path, "resolvent", cfg)
+    assert rc == 0
+    assert re.search(r"Lanczos matvecs per frequency median \S+, max \d+", caplog.text)
 
 
 def test_resolvent_frequency_sources_are_exclusive(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import CANONICAL_1D
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import svdvals
+from scipy.linalg import solve_banded, svdvals
 
 from stabscope import evolution
 from stabscope.cli import _write_trace_csv
@@ -291,6 +292,61 @@ def test_sigma_min_certificate_rejects_overestimate(monkeypatch):
     worse, flag = evolution._sigma_min(ab)
     assert worse > sigma
     assert flag == "failed"
+
+
+def captured_operator(ab):
+    """The LinearOperator _sigma_min hands to eigsh for the bands ab."""
+    seen = []
+
+    def capture(op, k, **kwargs):
+        seen.append(op)
+        return np.ones(k)
+
+    with mock.patch.object(evolution.spla, "eigsh", capture):
+        evolution._sigma_min(ab)
+    return seen[0]
+
+
+@settings(max_examples=60)
+@given(st.integers(5, 400), st.integers(0, 2**32 - 1))
+def test_factor_once_matvec_keeps_the_solve_banded_bits(n, seed):
+    # one LU per frequency, reused with its conjugate for A* = conj(A), gives
+    # the bits of solving A* and then A from scratch on every matvec
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    ab[3, :-1], ab[4, :-2] = ab[1, 1:], ab[0, 2:]  # complex symmetric; the corners hold junk
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = solve_banded((2, 2), ab, solve_banded((2, 2), np.conj(ab), v))
+    assert np.array_equal(captured_operator(ab).matvec(v), expected)
+
+
+def test_resolvent_factors_each_band_once(monkeypatch):
+    calls = []
+    zgbtrf = evolution.zgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return zgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "zgbtrf", counting)
+    scan = resolvent_scan(H1, B_ONE, [1.0, 1.5, 2.0])
+    assert calls == [(7, scan.grid_ns[0])] * 3  # one (7, n) band LU per frequency
+    assert len(scan.matvecs) == 3
+    assert all(count >= 1 for count in scan.matvecs)
+
+
+def test_bad_band_raises_like_solve_banded():
+    ab = damped_bands(B_ONE, 64, 2.0)
+    ab[:, 10] = 0.0  # column 10 of A is zero: exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((2, 2), ab, np.ones(64))
+    with pytest.raises(np.linalg.LinAlgError):
+        evolution._sigma_min(ab)
+    ab[2, 10] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_banded((2, 2), ab, np.ones(64))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        evolution._sigma_min(ab)
 
 
 def test_resolvent_sweep_is_certified(resolvent_suite):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabscope.potentials import (
     builtin_potential,
@@ -72,6 +74,29 @@ def test_epsilon_monotone_and_positive(harmonic_1d):
     prof = epsilon_lambda(harmonic_1d, [10.0, 100.0])
     eps = np.asarray(prof.values)
     assert eps[1] <= eps[0]
+    assert np.all(eps > 0.0)
+    assert np.all(np.diff(eps) <= 0.0)
+
+
+@st.composite
+def builtin_potentials(draw):
+    """One of the three builtin wells in d = 1 or 2, with drawn parameters."""
+    d = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(["harmonic", "power", "anisotropic"]))
+    params = {}
+    if name == "power":
+        params["s"] = draw(st.floats(0.1, 3.9))
+    if name == "anisotropic":
+        params["weights"] = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    return builtin_potential(name, d=d, **params)
+
+
+@settings(max_examples=40)
+@given(builtin_potentials(), st.lists(st.floats(1.0, 1e3), min_size=1, max_size=8).map(sorted))
+def test_epsilon_non_increasing_property(pot, lams):
+    prof = epsilon_lambda(pot, lams)
+    eps = np.asarray(prof.values)
+    assert np.array_equal(prof.lambdas, lams)
     assert np.all(eps > 0.0)
     assert np.all(np.diff(eps) <= 0.0)
 
