@@ -464,8 +464,8 @@ def _initial_state(grid, sec: _Section) -> WaveState:
     center = np.asarray(sec.numbers("center_space", [0.0] * grid.d))
     width = sec.number("width_space", 1.0)
     sec.done()
-    if width <= 0.0:
-        raise ValueError("initial width_space must be positive")
+    if not 0.0 < width < math.inf:
+        raise ValueError("initial width_space must be positive and finite")
     pts = grid.meshgrid()
     u0 = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width * width))
     return WaveState(

@@ -40,13 +40,11 @@ __all__ = [
     "ConditionReport",
     "builtin_damping",
     "mollify_at",
-    "ray_average",
     "ugcc_scan",
     "tpc_scan",
     "flow_average",
     "dsc_scan",
     "dsc_limit_scan",
-    "mollification_consistency",
     "default_threshold",
 ]
 
@@ -259,16 +257,16 @@ BLOCK_BYTES = 1 << 19  # shifted-node scratch per block; it and the kernel's tem
 CERTIFY_CHUNK = 4096  # points classified by b.ball_value at a time
 
 
-def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
+def mollify_at(b: Damping, r, x) -> np.ndarray:
     """Average of b over the ball of radius r around each point of x.
 
     r is one radius for all points or one radius per point (any shape that
     broadcasts against the points' leading axes).  Each average is the mean
-    of b(x + r * node) over the fixed node set, evaluated block by block in
-    one scratch buffer owned by the call, so concurrent calls share no state.
-    Balls on which b.ball_value certifies b constant skip the quadrature: they
-    get the mean of n_nodes copies of that value, the same row sum the blocks
-    form, so the result is bit-identical.
+    of b(x + r * node) over the fixed set of 512 * d nodes, evaluated block by
+    block in one scratch buffer owned by the call, so concurrent and nested
+    calls share no state.  Balls on which b.ball_value certifies b constant
+    skip the quadrature: they get the mean of n_nodes copies of that value,
+    the same row sum the blocks form, so the result is bit-identical.
 
     b.raw_func receives each block as a (points, nodes, d) view of a
     (d, points, nodes) buffer: its axis planes pts[..., i] are contiguous, the
@@ -278,8 +276,7 @@ def mollify_at(b: Damping, r, x, *, n_nodes: int | None = None) -> np.ndarray:
     radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1)
     if not np.all(radii > 0.0):
         raise ValueError("need mollification radius r > 0")
-    if n_nodes is None:
-        n_nodes = 512 * b.d
+    n_nodes = 512 * b.d
     planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
 
     flat = pts.reshape(-1, b.d)
@@ -316,30 +313,6 @@ def _window_mean(b: Damping, r, pts: np.ndarray, ts: np.ndarray, axis: int) -> n
     ts runs along `axis` of pts' leading axes; ts[-1] - ts[0] is the window 2T.
     """
     return trapezoid(mollify_at(b, r, pts), ts, axis=axis) / (ts[-1] - ts[0])
-
-
-def _ray_means(b: Damping, base, dirs, T: float, r: float, message: str) -> np.ndarray:
-    """Window means along the rays base[k] + t*dirs[k], |t| <= T, one per ray.
-
-    Time is the last, contiguous axis of the batch, so every ray's sum is
-    formed the same way alone or among others.
-    """
-    if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
-        raise ValueError(message)
-    ts = np.linspace(-T, T, N_RAY)
-    pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
-    return _window_mean(b, r, pts, ts, axis=-1)
-
-
-def ray_average(b: Damping, x0, nu, T: float, r: float) -> float:
-    """Average of the r-mollified coefficient along a ray segment.
-
-    Computes (1/2T) * integral over |t| <= T of (b * kappa_r)(x0 + t*nu) with
-    a composite trapezoid rule; nu must be a unit vector.  This is one row
-    of the batch `ugcc_scan` evaluates.
-    """
-    base, direction = as_points(x0, b.d)[None, :], as_points(nu, b.d)[None, :]
-    return float(_ray_means(b, base, direction, T, r, "direction must be a unit vector")[0])
 
 
 @dataclass(frozen=True)
@@ -406,14 +379,24 @@ def ugcc_scan(
     r: float,
     rays=None,
 ) -> ConditionReport:
-    """Sampled infimum of ray averages of the mollified coefficient."""
+    """Sampled infimum of ray averages of the mollified coefficient.
+
+    Each sample is (1/2T) * integral over |t| <= T of (b * kappa_r)(x0 + t*nu)
+    for one ray (x0, nu), nu a unit vector, by the composite trapezoid rule.
+    Time is the last, contiguous axis of the batch, so every ray's sum is
+    formed the same way alone or among others.
+    """
     if not T > 0.0:
         raise ValueError("need T > 0")
     if rays is None:
         rays = default_ray_family(b.d)
     base = np.stack([as_points(p, b.d) for p, _ in rays])
     dirs = np.stack([as_points(q, b.d) for _, q in rays])
-    vals = _ray_means(b, base, dirs, T, r, "directions must be unit vectors")
+    if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
+        raise ValueError("directions must be unit vectors")
+    ts = np.linspace(-T, T, N_RAY)
+    pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
+    vals = _window_mean(b, r, pts, ts, axis=-1)
     return ConditionReport(
         condition="UGCC",
         params={"T_time": T, "r_space": r, "n_rays": len(rays)},
@@ -543,6 +526,8 @@ def dsc_limit_scan(
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
     if not all(t > 0.0 for t, _ in tr_grid):
         raise ValueError("need T > 0 on every rung of the (T, R) ladder")
+    if not all(r > 0.0 for _, r in tr_grid):
+        raise ValueError("need R > 0 on every rung of the (T, R) ladder")
 
     proxies = np.array(
         [
@@ -564,34 +549,6 @@ def dsc_limit_scan(
             "successive_differences": np.abs(np.diff(proxies)),
         },
     )
-
-
-def mollification_consistency(
-    b: Damping,
-    x0,
-    nu,
-    T: float,
-    r0: float,
-    r_sequence,
-    *,
-    n_inner: int = 256,
-) -> dict:
-    """Double-mollification table: re-smoothing at r -> 0 recovers level r0.
-
-    Returns the ray averages of the r0-smoothed coefficient re-mollified at
-    each r in the sequence, together with the direct r0 average they must
-    approach as r -> 0.
-    """
-    rs = sorted(float(r) for r in r_sequence)
-    smoothed = Damping(
-        b.d,
-        lambda pts: mollify_at(b, r0, pts, n_nodes=n_inner),
-        b.b_max,
-        f"{b.label}*kappa_{r0:g}",
-    )
-    entries = {r: ray_average(smoothed, x0, nu, T, r) for r in rs}
-    reference = ray_average(b, x0, nu, T, r0)
-    return {"entries": entries, "reference": reference, "r0": r0}
 
 
 def _ordered_map(fn, items, threads: int):

@@ -27,10 +27,8 @@ from .potentials import EpsilonProfile, Potential, as_points, sublevel_radius
 __all__ = [
     "PhaseState",
     "Trajectory",
-    "hamiltonian_field",
     "flow_integrate",
     "flow_positions",
-    "rescaled_flow",
     "linearization_deviation",
     "LinearizationReport",
     "sample_shell",
@@ -59,11 +57,6 @@ class Trajectory:
     dt: float
     p0: float
     drift: float
-
-
-def hamiltonian_field(pot: Potential, state: PhaseState):
-    """Right-hand side of the flow: (dx/dt, dxi/dt) = (xi, -grad V(x))."""
-    return state.xi.copy(), -pot.grad(state.x)
 
 
 def default_dt(lam: float) -> float:
@@ -186,31 +179,6 @@ def flow_positions(
     Returns an array of shape (n_times,) + x0.shape.
     """
     return _flow_states(pot, x0, xi0, times, dt)[0]
-
-
-def rescaled_flow(
-    pot: Potential,
-    y: np.ndarray,
-    eta: np.ndarray,
-    s: float,
-    lam: float,
-    dt: float | None = None,
-) -> PhaseState:
-    """Slow-time flow at frequency lam: returns (x^(s/lam), xi^(s/lam)/lam).
-
-    The initial condition (y, eta) must sit on the rescaled shell
-    V(y) + lam^2 |eta|^2 / 2 = lam^2 to within 1e-9 relative.
-    """
-    y = as_points(y, pot.d).astype(float)
-    eta = as_points(eta, pot.d).astype(float)
-    if dt is None:
-        dt = default_dt(lam)
-    p = pot.raw_value(y) + 0.5 * lam**2 * np.sum(eta**2, axis=-1)
-    if np.max(np.abs(p - lam**2)) > 1e-9 * lam**2:
-        raise ValueError("initial state is not on the rescaled energy shell")
-
-    xs, xis = _flow_states(pot, y, lam * eta, [s / lam], dt)
-    return PhaseState(xs[0], xis[0] / lam)
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,7 @@ class ResolventScan:
     sigma_min: np.ndarray
     ratio: np.ndarray
     flags: tuple
-    grid_ns: tuple
-    grid_ls: tuple
+    grid: Grid
     matvecs: tuple
 
 
@@ -341,8 +340,7 @@ def resolvent_scan(
         ratio=np.abs(lams) / sig,
         flags=flags,
         matvecs=tuple(r[2] for r in results),
-        grid_ns=grid.ns,
-        grid_ls=grid.ls,
+        grid=grid,
     )
 
 

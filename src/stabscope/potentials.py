@@ -167,19 +167,22 @@ class EpsilonProfile:
     """Sampled profile of the smallness factor eps(lam).
 
     Values are non-increasing in lam (enforced by a running minimum) and
-    strictly positive.  ``c_v`` is the prefactor (2^(1/4) + C)^3 built from the
-    sampled supremum C of |grad V| / (4 (1 + V)^(3/4)).
+    strictly positive.
     """
 
     lambdas: np.ndarray
     values: np.ndarray
-    c_v: float
-    a0: float
 
     def at(self, lam) -> np.ndarray:
         """Interpolated eps at arbitrary frequencies (clamped at the ends)."""
         lam = np.asarray(lam, dtype=float)
         return np.interp(lam, self.lambdas, self.values)
+
+
+def _polar_samples(pot: Potential, radii: np.ndarray, n_dirs: int):
+    """|grad V| and V at the polar points radii[k] * direction[j], shape (radii, n_dirs)."""
+    pts = radii[:, None, None] * unit_directions(pot.d, n_dirs)[None, :, :]
+    return np.linalg.norm(pot.raw_grad(pts), axis=-1), pot.raw_value(pts)
 
 
 def _radial_supremum_tables(pot: Potential, r_tail: float, n_dirs: int, n_dense: int):
@@ -189,11 +192,8 @@ def _radial_supremum_tables(pot: Potential, r_tail: float, n_dirs: int, n_dense:
     tail table assumes the ratio does not peak beyond ``r_tail`` (true for
     sub-quartic growth at these scales).
     """
-    dirs = unit_directions(pot.d, n_dirs)
     radii = np.concatenate([[0.0], np.geomspace(1e-3, r_tail, n_dense)])
-    pts = radii[:, None, None] * dirs[None, :, :]
-    gnorm = np.linalg.norm(pot.raw_grad(pts), axis=-1)
-    vals = pot.raw_value(pts)
+    gnorm, vals = _polar_samples(pot, radii, n_dirs)
 
     g_by_radius = gnorm.max(axis=1)
     sup_inside = np.maximum.accumulate(g_by_radius)
@@ -207,13 +207,10 @@ def _radial_supremum_tables(pot: Potential, r_tail: float, n_dirs: int, n_dense:
 
 def _gradient_growth_constant(pot: Potential, n_dirs: int) -> float:
     """Sampled supremum of |grad V| / (4 (1 + V)^(3/4)) over [-1e3, 1e3]^d."""
-    dirs = unit_directions(pot.d, n_dirs)
     radii = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 512)])
 
     def ratio_max(rs):
-        pts = rs[:, None, None] * dirs[None, :, :]
-        g = np.linalg.norm(pot.raw_grad(pts), axis=-1)
-        v = pot.raw_value(pts)
+        g, v = _polar_samples(pot, rs, n_dirs)
         return (g / (4.0 * (1.0 + v) ** 0.75)).max(axis=1)
 
     vals = ratio_max(radii)
@@ -268,7 +265,7 @@ def epsilon_lambda(
     values = np.minimum.accumulate(values)
     if np.any(values <= 0.0):
         raise ValueError("sampled eps(lam) is not strictly positive")
-    return EpsilonProfile(lams, values, c_v=float(c_v), a0=pot.a0)
+    return EpsilonProfile(lams, values)
 
 
 def sublevel_radius(pot: Potential, level: float) -> float:

@@ -244,6 +244,8 @@ def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
     """Per-axis grid sized to the packet: carrier resolution along the
     momentum components, envelope resolution across, odd counts so the base
     point is a node."""
+    if ppw < 1:
+        raise ValueError("need ppw >= 1 points per wavelength")
     xi = spec.momentum
     extents = spec.axis_extents()
     ns, ls = [], []

@@ -277,6 +277,24 @@ def test_evolve_rejects_zero_record_every(tmp_path, capsys):
     assert "need record_every >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0])
+def test_evolve_rejects_bad_initial_width(tmp_path, capsys, monkeypatch, width):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("the wave was evolved before its initial width was validated")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "grid": {"n_nodes": 128, "half_width_space": 6.0},
+        "initial": {"kind": "gaussian", "width_space": width},
+        "T_time": 0.5,
+    }
+    rc, _ = run_cli(tmp_path, "evolve", cfg)
+    assert rc == 2
+    assert "initial width_space must be positive and finite" in capsys.readouterr().err
+
+
 def test_probe_command_reports_decay_rate(tmp_path):
     cfg = {
         "potential": {"name": "harmonic", "d": 1},
@@ -336,9 +354,15 @@ def test_kinetic_sequence_command(tmp_path):
         ({"r_width_space": 0.0}, "packet lengths and frequency must be positive and finite"),
         ({"x0_space": [float("inf"), 0.0]}, "packet base point and direction must be finite"),
         ({"direction": [float("nan"), 1.0]}, "packet base point and direction must be finite"),
+        ({"ppw_nodes": 0}, "need ppw >= 1 points per wavelength"),
+        ({"ppw_nodes": -4}, "need ppw >= 1 points per wavelength"),
     ],
 )
-def test_kinetic_sequence_rejects_bad_geometry(tmp_path, capsys, change, match):
+def test_kinetic_sequence_rejects_bad_geometry(tmp_path, capsys, monkeypatch, change, match):
+    def no_packet(*args, **kwargs):
+        raise AssertionError("a packet was built before its geometry was validated")
+
+    monkeypatch.setattr(cli, "kinetic_wavepacket", no_packet)
     cfg = {"potential": {"name": "harmonic", "d": 2}, "n_list": [4], "ppw_nodes": 16, **change}
     rc, out = run_cli(tmp_path, "kinetic-sequence", cfg)
     assert rc == 2
@@ -389,7 +413,11 @@ def test_dsc_limit_command(tmp_path):
     assert all(re.fullmatch(r"T=[^,]+,R=[^,]+", row[1]) for row in rows[1:])
 
 
-def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys):
+def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a rung was scanned before the ladder was validated")
+
+    monkeypatch.setattr("stabscope.damping.dsc_scan", no_scan)
     cfg = {
         "potential": {"name": "harmonic", "d": 1},
         "damping": {"name": "exterior", "radius_space": 1.0},
@@ -401,6 +429,12 @@ def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys):
     cfg["tr_ladder"] = "nope"
     rc, _ = run_cli(tmp_path, "dsc-limit", cfg)
     assert rc == 2
+    nan_last = [(1.0, 1.0), (2.0, float("nan"))]  # NaN slips past the ladder-order check
+    for ladder in (nan_last, [(1.0, 0.0), (2.0, 1.0)], [(1.0, -1.0)]):
+        cfg["tr_ladder"] = [{"T_time": t, "R_space": r} for t, r in ladder]
+        rc, _ = run_cli(tmp_path, "dsc-limit", cfg)
+        assert rc == 2
+        assert "need R > 0 on every rung" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

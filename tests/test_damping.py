@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import trapezoid
 
 from stabscope.cli import _write_report_csv
 from stabscope.potentials import builtin_potential
@@ -18,9 +17,7 @@ from stabscope.damping import (
     dsc_limit_scan,
     dsc_scan,
     flow_average,
-    mollification_consistency,
     mollify_at,
-    ray_average,
     tpc_scan,
     ugcc_scan,
     unit_ball_nodes,
@@ -190,25 +187,19 @@ def test_mollify_matches_direct_formula(case):
 
 
 def test_mollify_nested_matches_direct_formula():
-    # mollification_consistency re-mollifies a coefficient whose raw_func
-    # itself calls mollify_at; both levels must match the direct formula
+    # a coefficient whose raw_func itself calls mollify_at: each call owns its
+    # scratch buffer, so both levels keep the bits of the direct formula
     b = builtin_damping("checkerboard", d=2, period=1.0, duty=0.5)
-    x0, nu, T, r0, r, n_inner = np.array([0.3, -0.2]), np.array([0.6, 0.8]), 1.0, 0.3, 0.2, 64
-    tab = mollification_consistency(b, x0, nu, T, r0, [r], n_inner=n_inner)
+    r0, r = 0.3, 0.2
+    smoothed = Damping(2, lambda pts: mollify_at(b, r0, pts), b.b_max, "smoothed")
+    pts = np.array([[0.3, -0.2], [1.7, 0.45], [-2.1, 3.3]])
+    nodes = unit_ball_nodes(2, 1024)
 
-    inner = unit_ball_nodes(2, n_inner)
-    outer = unit_ball_nodes(2, 1024)
-    ts = np.linspace(-T, T, 256)
-    line = x0[None, :] + ts[:, None] * nu[None, :]
+    def inner(q):
+        return np.array([b.raw_func(p + r0 * nodes).mean() for p in q])
 
-    def smoothed(q):
-        # one row per point, each row the same mean as b.raw_func(p + r0 * inner).mean()
-        return b.raw_func(q[:, None, :] + r0 * inner[None, :, :]).mean(axis=1)
-
-    entry = np.array([smoothed(p + r * outer).mean() for p in line])
-    reference = np.array([b.raw_func(p + r0 * outer).mean() for p in line])
-    assert tab["entries"][r] == float(trapezoid(entry, ts) / (2.0 * T))
-    assert tab["reference"] == float(trapezoid(reference, ts) / (2.0 * T))
+    direct = np.array([inner(p + r * nodes).mean() for p in pts])
+    assert np.array_equal(mollify_at(smoothed, r, pts), direct)
 
 
 # ------------------------------------------- constant-on-ball certificates
@@ -436,18 +427,18 @@ def test_plane_wise_kernels_keep_the_bits(case):
     assert np.array_equal(got.reshape(-1), expected)
 
 
-# ----------------------------------------------------------- ray_average
+# ------------------------------------------------- one-ray UGCC averages
 
 
 def test_ray_average_constant():
     b = builtin_damping("constant", d=2, amplitude=0.3)
-    val = ray_average(b, np.zeros(2), np.array([1.0, 0.0]), 2.0, 0.5)
-    assert val == pytest.approx(0.3, abs=1e-12)
+    rep = ugcc_scan(b, 2.0, 0.5, [(np.zeros(2), np.array([1.0, 0.0]))])
+    assert rep.infimum == pytest.approx(0.3, abs=1e-12)
 
 
 def test_ray_average_exterior_segments():
     b = builtin_damping("exterior", d=1, radius=1.0)
-    got = ray_average(b, np.zeros(1), np.ones(1), 2.0, 1e-3)
+    got = ugcc_scan(b, 2.0, 1e-3, [(np.zeros(1), np.ones(1))]).infimum
     # exact-segment oracle: damped on |t| in [1, 2] out of [-2, 2]
     exact = 2.0 / 4.0
     assert abs(got - exact) <= 4e-3
@@ -455,13 +446,7 @@ def test_ray_average_exterior_segments():
 
 def test_ray_average_zero_damping():
     b = builtin_damping("constant", d=1, amplitude=0.0)
-    assert ray_average(b, np.zeros(1), np.ones(1), 1.0, 0.1) == 0.0
-
-
-def test_ray_average_rejects_non_unit_direction():
-    b = builtin_damping("constant", d=2)
-    with pytest.raises(ValueError, match="direction must be a unit vector"):
-        ray_average(b, np.zeros(2), np.array([1.0, 1.0]), 1.0, 0.1)
+    assert ugcc_scan(b, 1.0, 0.1, [(np.zeros(1), np.ones(1))]).infimum == 0.0
 
 
 # ------------------------------------------------------------- ugcc_scan
@@ -682,45 +667,6 @@ def test_dsc_limit_rejects_bad_ladder(harmonic_2d):
         dsc_limit_scan(b, harmonic_2d, [(2.0, 1.0), (1.0, 1.5)], [25.0], n_shell_samples=16)
 
 
-# --------------------------------------------- mollification_consistency
-
-
-def test_mollcons_constant():
-    b = builtin_damping("constant", d=1, amplitude=0.9)
-    tab = mollification_consistency(b, np.zeros(1), np.ones(1), 2.0, 0.25, [0.4, 0.2])
-    assert all(abs(v - 0.9) <= 1e-12 for v in tab["entries"].values())
-    assert abs(tab["reference"] - 0.9) <= 1e-12
-
-
-def test_mollcons_exterior_converges():
-    b = builtin_damping("exterior", d=1, radius=1.0)
-    tab = mollification_consistency(
-        b, np.zeros(1), np.ones(1), 2.0, 0.25, [1.6, 0.8, 0.4, 0.2], n_inner=1024
-    )
-    entries = [tab["entries"][r] for r in (1.6, 0.8, 0.4, 0.2)]
-    diffs = [abs(entries[i + 1] - entries[i]) for i in range(3)]
-    assert diffs[0] > diffs[1] > diffs[2]
-    assert abs(entries[-1] - tab["reference"]) <= 1e-5
-
-
-def test_mollcons_continuous_profile():
-    # smoothing the 1D checkerboard at 0.3 gives a piecewise-linear profile
-    # with closed-form cumulative mass; the re-smoothed entries must approach
-    # its pure line average
-    b = builtin_damping("checkerboard", d=1, period=2.0, duty=0.5)
-    x0, T = 0.25, 2.0
-    tab = mollification_consistency(b, np.array([x0]), np.ones(1), T, 0.3, [0.2, 0.05, 1e-3])
-
-    def cum(t):
-        t = np.asarray(t, dtype=float)
-        return np.floor(t / 2.0) + np.clip(t - 2.0 * np.floor(t / 2.0), 0.0, 1.0)
-
-    line = np.linspace(x0 - T, x0 + T, 1 << 21)
-    cont = (cum(line + 0.3) - cum(line - 0.3)) / 0.6
-    pure = float(np.trapezoid(cont, line) / (2.0 * T))
-    assert abs(tab["entries"][1e-3] - pure) <= 1e-3
-
-
 # ------------------------------------------------------------ invariants
 
 
@@ -805,12 +751,12 @@ def window_cases(draw):
 @settings(max_examples=30)
 @given(window_cases())
 def test_scans_share_one_window_mean_and_verdict(case):
-    # every UGCC sample is bit for bit the standalone ray average of its ray,
-    # and no report's verdict can disagree with its own threshold
+    # every UGCC sample is bit for bit the scan of its ray alone, and no
+    # report's verdict can disagree with its own threshold
     b, rays, T, r = case
     rep = ugcc_scan(b, T, r, rays)
-    for k, (x0, nu) in enumerate(rays):
-        assert rep.sample_values[k] == ray_average(b, x0, nu, T, r)
+    for k, ray in enumerate(rays):
+        assert rep.sample_values[k] == ugcc_scan(b, T, r, [ray]).sample_values[0]
     pot = builtin_potential("harmonic", d=b.d)
     reports = [
         rep,

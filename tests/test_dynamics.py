@@ -8,31 +8,13 @@ from scipy.integrate import solve_ivp
 
 from stabscope.dynamics import (
     PhaseState,
+    _flow_states,
     flow_integrate,
     flow_positions,
-    hamiltonian_field,
     linearization_deviation,
-    rescaled_flow,
     sample_shell,
 )
 from stabscope.potentials import builtin_potential, epsilon_lambda
-
-
-def test_hamiltonian_field_harmonic(harmonic_2d):
-    vel, force = hamiltonian_field(harmonic_2d, PhaseState(np.array([1.0, 0.0]), np.array([0.0, 2.0])))
-    assert np.array_equal(vel, np.array([0.0, 2.0]))
-    assert np.array_equal(force, np.array([-1.0, 0.0]))
-
-
-def test_hamiltonian_field_rest(power3_2d):
-    vel, _ = hamiltonian_field(power3_2d, PhaseState(np.array([1.0, -3.0]), np.zeros(2)))
-    assert np.all(vel == 0.0)
-
-
-def test_hamiltonian_field_power_force(power3_1d):
-    # -s x (1 + x^2)^(s/2 - 1) at x = 1 gives -3 sqrt(2)
-    _, force = hamiltonian_field(power3_1d, PhaseState(np.array([1.0]), np.array([0.0])))
-    assert abs(float(force[0]) + 3.0 * math.sqrt(2.0)) <= 1e-12
 
 
 def test_flow_quarter_period(harmonic_1d):
@@ -56,8 +38,7 @@ def test_flow_power_matches_adaptive_reference(power3_1d):
 
     def rhs(_t, z):
         x, xi = z[:1], z[1:]
-        vel, force = hamiltonian_field(power3_1d, PhaseState(x, xi))
-        return np.concatenate([vel, force])
+        return np.concatenate([xi, -power3_1d.grad(x)])
 
     ref = solve_ivp(rhs, (0.0, 10.0), np.array([0.5, 1.0]), method="DOP853",
                     rtol=1e-12, atol=1e-12)
@@ -109,40 +90,27 @@ def test_flow_unstable_aborts(harmonic_1d):
         flow_integrate(harmonic_1d, PhaseState(np.array([1.0]), np.array([0.0])), 200.0, 2.1)
 
 
-def test_rescaled_identity(harmonic_1d):
-    y0 = np.array([0.3])
-    eta0 = np.array([math.sqrt(2.0 * (1.0 - 0.045))])
-    out = rescaled_flow(harmonic_1d, y0, eta0, 0.0, 1.0)
-    assert abs(float(out.x[0]) - 0.3) <= 1e-12
-    assert abs(float(out.xi[0]) - eta0[0]) <= 1e-12
-
-
 def test_rescaled_harmonic_closed_form(harmonic_1d):
-    # y_s = sqrt(2) lam sin(s/lam) / lam, eta_s = sqrt(2) cos(s/lam)
-    lam = 10.0
-    out = rescaled_flow(harmonic_1d, np.zeros(1), np.array([math.sqrt(2.0)]), 3.7, lam)
-    assert abs(float(out.x[0]) - math.sqrt(2.0) * lam * math.sin(0.37)) <= 1e-6
-    assert abs(float(out.xi[0]) - math.sqrt(2.0) * math.cos(0.37)) <= 1e-6
+    # from y = 0, eta = sqrt(2): y_s = sqrt(2) lam sin(s/lam), eta_s = sqrt(2) cos(s/lam),
+    # so both deviations peak at s = +-T
+    lam, T = 10.0, 3.7
+    prof = epsilon_lambda(harmonic_1d, [lam])
+    rep = linearization_deviation(harmonic_1d, np.zeros(1), np.array([math.sqrt(2.0)]), T, lam, prof)
+    assert abs(float(rep.dev_eta[0]) - math.sqrt(2.0) * (1.0 - math.cos(T / lam))) <= 1e-6
+    assert abs(float(rep.dev_y[0]) - math.sqrt(2.0) * (T - lam * math.sin(T / lam))) <= 1e-6
 
 
 def test_rescaled_energy_identity_power(power3_1d):
+    # the two-leg flow that linearization_deviation samples keeps the rescaled
+    # state (x, xi / lam) on V(x) + lam^2 |xi / lam|^2 / 2 = lam^2 at both signs of s
     lam = 50.0
     y0 = np.array([1.0])
     v0 = float(power3_1d.value(y0))
     eta0 = np.array([math.sqrt(2.0 * (lam**2 - v0)) / lam])
-    worst = 0.0
-    for s in np.linspace(-5.0, 5.0, 9):
-        if s == 0.0:
-            continue
-        out = rescaled_flow(power3_1d, y0, eta0, float(s), lam, dt=1e-4)
-        p = float(power3_1d.value(out.x)) + 0.5 * lam**2 * float(np.dot(out.xi, out.xi))
-        worst = max(worst, abs(p - lam**2) / lam**2)
-    assert worst <= 1e-7
-
-
-def test_rescaled_rejects_off_shell(harmonic_1d):
-    with pytest.raises(ValueError, match="not on the rescaled energy shell"):
-        rescaled_flow(harmonic_1d, np.array([1.0]), np.array([1.0]), 1.0, 10.0)
+    s = np.linspace(-5.0, 5.0, 9)
+    xs, xis = _flow_states(power3_1d, y0, lam * eta0, s / lam, 1e-4)
+    p = power3_1d.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
+    assert np.max(np.abs(p - lam**2)) / lam**2 <= 1e-7
 
 
 def test_linearization_turning_points(harmonic_1d):

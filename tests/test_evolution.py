@@ -215,8 +215,7 @@ def test_resolvent_growth_matches_probe_decay(resolvent_suite, probe_runs):
 
 def test_resolvent_matches_spectral_gap(small_scan):
     lams, scan = small_scan
-    grid = make_grid(1, scan.grid_ns[0], scan.grid_ls[0])
-    mu2 = p_spectrum_1d(H1, grid, 12)
+    mu2 = p_spectrum_1d(H1, scan.grid, 12)
     for lam, sig in zip(lams, scan.sigma_min):
         gap = float(np.min(np.abs(mu2 - lam**2)))
         assert sig == pytest.approx(gap, rel=0.05)
@@ -247,7 +246,7 @@ def test_resolvent_is_mirror_invariant(amplitude, x0, width, step, lams):
     b = Damping(1, lambda pts: profile(pts[..., 0]), amplitude + step, "bump")
     mirror = Damping(1, lambda pts: profile(-pts[..., 0]), amplitude + step, "mirrored bump")
     scan, mirrored = resolvent_scan(H1, b, lams), resolvent_scan(H1, mirror, lams)
-    assert scan.grid_ns[0] <= 400
+    assert scan.grid.ns[0] <= 400
     assert set(scan.flags) == set(mirrored.flags) == {"ok"}
     assert np.max(np.abs(mirrored.sigma_min / scan.sigma_min - 1.0)) <= 1e-10
 
@@ -330,7 +329,7 @@ def test_resolvent_factors_each_band_once(monkeypatch):
 
     monkeypatch.setattr(evolution, "zgbtrf", counting)
     scan = resolvent_scan(H1, B_ONE, [1.0, 1.5, 2.0])
-    assert calls == [(7, scan.grid_ns[0])] * 3  # one (7, n) band LU per frequency
+    assert calls == [(7, scan.grid.ns[0])] * 3  # one (7, n) band LU per frequency
     assert len(scan.matvecs) == 3
     assert all(count >= 1 for count in scan.matvecs)
 
