@@ -275,7 +275,7 @@ _CONDITION_DEFAULTS = {
 
 def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
     """One scan parameter, typed like its default: sample lists hold finite
-    values > 0, counts are integers >= 1 and windows are > 0."""
+    values > 0, counts are integers >= 1 and windows are finite and > 0."""
     name, value = prefix + key, sec.take(key, default)
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -292,6 +292,8 @@ def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
     window = _number(value, name)
     if not window > 0.0:
         raise ValueError(f"need {key[0]} > 0 in {name}")
+    if window == math.inf:
+        raise ValueError(f"need {key[0]} finite in {name}")
     return window
 
 
@@ -488,9 +490,6 @@ def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
     dt = 0.5 * cfl_limit(pot, grid) if dt is None else dt
     trace = evolve(pot, b, state, T, dt, record_every=record)
     fit = decay_fit(trace)
-    log.info(
-        "evolve: %d samples, balance coefficient %.3e", len(trace.t), trace.balance_coefficient
-    )
     _write_trace_csv(out / "trace.csv", trace)
     _write_json(
         out / "evolve.json",

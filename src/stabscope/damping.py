@@ -516,7 +516,7 @@ def dsc_limit_scan(
 
     For each (T, R) the scan records the liminf proxy; the margin at the
     largest pair decides the verdict, and successive differences expose the
-    Cauchy trend of the ladder.
+    Cauchy trend of the ladder.  Every T and R must be finite and > 0.
     """
     tr_grid = [(float(t), float(r)) for t, r in tr_grid]
     if any(
@@ -524,10 +524,11 @@ def dsc_limit_scan(
         for i in range(len(tr_grid) - 1)
     ):
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
-    if not all(t > 0.0 for t, _ in tr_grid):
-        raise ValueError("need T > 0 on every rung of the (T, R) ladder")
-    if not all(r > 0.0 for _, r in tr_grid):
-        raise ValueError("need R > 0 on every rung of the (T, R) ladder")
+    for k, slot in enumerate("TR"):
+        if not all(rung[k] > 0.0 for rung in tr_grid):
+            raise ValueError(f"need {slot} > 0 on every rung of the (T, R) ladder")
+        if not all(rung[k] < np.inf for rung in tr_grid):
+            raise ValueError(f"need {slot} finite on every rung of the (T, R) ladder")
 
     proxies = np.array(
         [

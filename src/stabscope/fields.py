@@ -8,8 +8,11 @@ layers, which is what makes the Dirichlet reading of the stencil exact.
 
 The Laplacian uses the standard 4th-order central stencil per axis,
 (-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  This module is the one place that
-stencil lives: the stencil kernel behind ``apply_P`` (also run by the time
-stepper) and the 1D band matrix ``p_bands`` (resolvent scans and spectra).
+stencil lives: the stencil kernel ``_PKernel`` and the 1D band matrix
+``p_bands`` (resolvent scans and spectra).  A kernel is built once per grid
+and dtype and keeps its zero-bordered scratch, shifted views and output
+buffer, so ``apply_P`` runs it once and the time stepper runs it every step
+without allocating, in real arithmetic when the data are real.
 Inner products and norms use tensor trapezoid weights; the inner product is
 conjugate-linear in its first slot.
 """
@@ -163,33 +166,53 @@ def _check_boundary_clear(f: Field, layers: int = 2) -> None:
             raise ValueError("field must vanish on the outermost two node layers")
 
 
-def _p_kernel(vvals: np.ndarray, values: np.ndarray, hs, pad: np.ndarray) -> np.ndarray:
-    """V f - Laplacian/2 f with the Dirichlet reading, on a zero-bordered scratch.
+class _PKernel:
+    """V f - Laplacian/2 f with the Dirichlet reading, reusable on one grid.
 
-    pad has two extra node layers on both sides of every axis, zero there;
-    only its interior is rewritten, so one scratch serves every application
-    on a grid.  Per axis the stencil sums 0 + c_k * f(x + k h) for
-    k = -2..2 and divides by h^2; the axes are summed into the Laplacian
-    before it is halved and subtracted.
+    The kernel owns a scratch with two extra node layers on both sides of
+    every axis, zero there; each call rewrites only its interior, so one
+    kernel serves every application on a grid.  The five shifted views per
+    axis are taken once.  Per axis the stencil sums c_k * f(x + k h) for
+    k = -2..2 in that order and multiplies by 1/h^2; the axes are summed into
+    the Laplacian before it is halved and subtracted.  The dtype is fixed at
+    construction; the result lives in the kernel's output buffer, which the
+    next call overwrites.
     """
-    interior = (slice(2, -2),) * values.ndim
-    pad[interior] = values
-    lap = np.zeros_like(values)
-    out = np.empty_like(values)
-    for ax, h in enumerate(hs):
-        n = values.shape[ax]
-        out.fill(0.0)  # the second derivative along this axis
-        for k, c in enumerate(_STENCIL):
-            shifted = list(interior)
-            shifted[ax] = slice(k, k + n)
-            out += c * pad[tuple(shifted)]
-        out /= h * h
-        lap += out
-    # vvals * values - 0.5 * lap, computed in place
-    lap *= 0.5
-    np.multiply(vvals, values, out=out)
-    out -= lap
-    return out
+
+    def __init__(self, vvals: np.ndarray, hs, dtype):
+        ns = vvals.shape
+        self.vvals = vvals
+        self.pad = np.zeros(tuple(n + 4 for n in ns), dtype=dtype)
+        interior = (slice(2, -2),) * len(ns)
+        self.interior = self.pad[interior]
+        self.axes = []  # per axis: the shifted views f(x + k h), k = -2..2, and 1/h^2
+        for ax, h in enumerate(hs):
+            views = []
+            for k in range(5):
+                shifted = list(interior)
+                shifted[ax] = slice(k, k + ns[ax])
+                views.append(self.pad[tuple(shifted)])
+            self.axes.append((views, 1.0 / (h * h)))
+        self.lap = np.empty(ns, dtype=dtype)
+        self.d2 = np.empty(ns, dtype=dtype)  # second derivative along axes after the first
+        self.out = np.empty(ns, dtype=dtype)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        self.interior[...] = values
+        term = self.out  # scratch until the final product
+        for ax, (views, inv_h2) in enumerate(self.axes):
+            d2 = self.lap if ax == 0 else self.d2
+            np.multiply(_STENCIL[0], views[0], out=d2)
+            for c, view in zip(_STENCIL[1:], views[1:]):
+                np.multiply(c, view, out=term)
+                d2 += term
+            d2 *= inv_h2
+            if ax > 0:
+                self.lap += d2
+        self.lap *= 0.5
+        np.multiply(self.vvals, values, out=self.out)
+        self.out -= self.lap
+        return self.out
 
 
 def apply_P(pot: Potential, f: Field) -> Field:
@@ -198,8 +221,7 @@ def apply_P(pot: Potential, f: Field) -> Field:
         raise ValueError("potential and field dimensions differ")
     _check_boundary_clear(f)
     v = pot.raw_value(f.grid.meshgrid())
-    pad = np.zeros(tuple(n + 4 for n in f.grid.ns), dtype=f.values.dtype)
-    return Field(f.grid, _p_kernel(v, f.values, f.grid.hs, pad))
+    return Field(f.grid, _PKernel(v, f.grid.hs, f.values.dtype)(f.values))
 
 
 def p_bands(grid: Grid, diag) -> np.ndarray:

@@ -233,7 +233,8 @@ def test_resolvent_frequency_sources_are_exclusive(tmp_path, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
-def test_evolve_command_writes_trace_and_fit(tmp_path):
+def test_evolve_command_writes_trace_and_fit(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="stabscope")
     cfg = {
         "potential": {"name": "harmonic", "d": 1},
         "damping": {"name": "constant", "amplitude": 1.0},
@@ -248,6 +249,8 @@ def test_evolve_command_writes_trace_and_fit(tmp_path):
     payload = json.loads((out / "evolve.json").read_text())
     assert set(payload) == {"dt_time", "balance_coefficient", "balance_defect", "fit"}
     assert set(payload["fit"]) == {"C", "tau", "rms", "window", "flags"}
+    steps = r"evolve: \d+ steps on 128 nodes in real arithmetic, \S+ node-steps/s; \d+ samples"
+    assert re.search(steps, caplog.text)
 
 
 def test_evolve_rejects_unknown_initial_kind(tmp_path, capsys):
@@ -435,6 +438,11 @@ def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys, monkeypatch):
         rc, _ = run_cli(tmp_path, "dsc-limit", cfg)
         assert rc == 2
         assert "need R > 0 on every rung" in capsys.readouterr().err
+    for ladder, slot in (([(1.0, 1.0), (float("inf"), 1.0)], "T"), ([(1.0, float("inf"))], "R")):
+        cfg["tr_ladder"] = [{"T_time": t, "R_space": r} for t, r in ladder]
+        rc, _ = run_cli(tmp_path, "dsc-limit", cfg)
+        assert rc == 2
+        assert f"need {slot} finite on every rung" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -503,6 +511,10 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
         ({"dsc": {"n_shell_samples": 0}}, "need dsc.n_shell_samples >= 1"),
         ({"tpc": {"shells_space": [-4.0]}}, "tpc.shells_space entries must be finite and > 0"),
         ({"tpc": {"shells_space": [4.0, float("nan")]}}, "tpc.shells_space entries must be finite and > 0"),
+        # json.dumps writes inf as the bare literal Infinity, which the config parser accepts
+        ({"ugcc": {"r_space": float("inf")}}, "need r finite in ugcc.r_space"),
+        ({"tpc": {"R_space": float("inf")}}, "need R finite in tpc.R_space"),
+        ({"dsc": {"T_time": float("inf")}}, "need T finite in dsc.T_time"),
     ],
 )
 @pytest.mark.parametrize("command", ["conditions", "suite"])
