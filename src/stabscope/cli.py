@@ -32,7 +32,7 @@ from .damping import (
     tpc_scan,
     ugcc_scan,
 )
-from .dynamics import PhaseState, flow_integrate
+from .dynamics import flow_integrate
 from .evolution import (
     WaveState,
     cfl_limit,
@@ -55,20 +55,6 @@ from .quasimodes import (
 )
 
 log = logging.getLogger("stabscope")
-
-COMMANDS = (
-    "flow",
-    "conditions",
-    "dsc-limit",
-    "quasimode",
-    "kinetic-sequence",
-    "tpc-witness",
-    "evolve",
-    "probe",
-    "resolvent",
-    "spectrum",
-    "suite",
-)
 
 _LOG_LEVELS = {
     "debug": logging.DEBUG,
@@ -251,7 +237,7 @@ def _cmd_flow(cfg: _Section, out: Path, opts) -> list:
     dt = cfg.number("dt_time", 1e-3)
     record = cfg.number("record_every", 1, int)
     cfg.done()
-    traj = flow_integrate(pot, PhaseState(x0, xi0), T, dt, record_every=record)
+    traj = flow_integrate(pot, x0, xi0, T, dt, record_every=record)
     log.info("flow: %d samples, drift %.3e", len(traj.t), traj.drift)
     d, n = pot.d, len(traj.t)
     header = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(d)] + ["p"]
@@ -650,7 +636,7 @@ def main(argv=None) -> int:
         prog="stabscope",
         description="Stabilization-condition experiments for damped waves with confinement.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(_DISPATCH))
     parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
     parser.add_argument("--threads", type=int, default=1)

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 N_RAY = 256  # composite trapezoid nodes for line and time averages
+N_BALL_PER_DIM = 512  # ball-mean quadrature nodes per dimension: 512 in 1D, 1024 in 2D
 TURNING_FRACTION = 0.2  # share of DSC shell samples forced toward the turning surface
 
 
@@ -234,6 +235,14 @@ def default_threshold(b: Damping) -> float:
     return 1e-3 * b.b_max
 
 
+def _require_window(name: str, *values, where: str = "") -> None:
+    """The window rule for T, r and R: every value finite and > 0."""
+    if not all(v > 0.0 for v in values):
+        raise ValueError(f"need {name} > 0{where}")
+    if not all(v < np.inf for v in values):
+        raise ValueError(f"need {name} finite{where}")
+
+
 _BALL_NODE_CACHE: dict = {}
 
 
@@ -262,11 +271,12 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
 
     r is one radius for all points or one radius per point (any shape that
     broadcasts against the points' leading axes).  Each average is the mean
-    of b(x + r * node) over the fixed set of 512 * d nodes, evaluated block by
-    block in one scratch buffer owned by the call, so concurrent and nested
-    calls share no state.  Balls on which b.ball_value certifies b constant
-    skip the quadrature: they get the mean of n_nodes copies of that value,
-    the same row sum the blocks form, so the result is bit-identical.
+    of b(x + r * node) over the fixed set of N_BALL_PER_DIM * d nodes,
+    evaluated block by block in one scratch buffer owned by the call, so
+    concurrent and nested calls share no state.  Balls on which b.ball_value
+    certifies b constant skip the quadrature: they get the mean of n_nodes
+    copies of that value, the same row sum the blocks form, so the result is
+    bit-identical.
 
     b.raw_func receives each block as a (points, nodes, d) view of a
     (d, points, nodes) buffer: its axis planes pts[..., i] are contiguous, the
@@ -276,7 +286,7 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1)
     if not np.all(radii > 0.0):
         raise ValueError("need mollification radius r > 0")
-    n_nodes = 512 * b.d
+    n_nodes = N_BALL_PER_DIM * b.d
     planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
 
     flat = pts.reshape(-1, b.d)
@@ -386,8 +396,8 @@ def ugcc_scan(
     Time is the last, contiguous axis of the batch, so every ray's sum is
     formed the same way alone or among others.
     """
-    if not T > 0.0:
-        raise ValueError("need T > 0")
+    _require_window("T", T)
+    _require_window("r", r)
     if rays is None:
         rays = default_ray_family(b.d)
     base = np.stack([as_points(p, b.d) for p, _ in rays])
@@ -418,6 +428,7 @@ def tpc_scan(
     The liminf proxy is the infimum over the outermost shell; the per-shell
     trend table is reported so a decreasing tail is visible.
     """
+    _require_window("R", R)
     shells = sorted(float(s) for s in shells)
     if not shells:
         raise ValueError("need at least one shell radius")
@@ -479,8 +490,8 @@ def dsc_scan(
     surface (|xi| <= 0.1 lam) where failures concentrate.  The liminf proxy
     is the infimum at the largest sampled frequency.
     """
-    if not T > 0.0:
-        raise ValueError("need T > 0")
+    _require_window("T", T)
+    _require_window("R", R)
     lams = sorted(float(v) for v in np.atleast_1d(lambdas))
     seeds = np.random.SeedSequence(seed).spawn(len(lams))
 
@@ -525,10 +536,8 @@ def dsc_limit_scan(
     ):
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
     for k, slot in enumerate("TR"):
-        if not all(rung[k] > 0.0 for rung in tr_grid):
-            raise ValueError(f"need {slot} > 0 on every rung of the (T, R) ladder")
-        if not all(rung[k] < np.inf for rung in tr_grid):
-            raise ValueError(f"need {slot} finite on every rung of the (T, R) ladder")
+        where = " on every rung of the (T, R) ladder"
+        _require_window(slot, *(rung[k] for rung in tr_grid), where=where)
 
     proxies = np.array(
         [

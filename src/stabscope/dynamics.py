@@ -5,8 +5,8 @@ time-reversible; the conserved energy p is the accuracy monitor.  One kernel
 serves a single trajectory and a batch alike: it advances per-axis
 components, each a float for one trajectory or an array for a whole family
 advancing in lockstep (what the shell-sampling scans on top of this module
-rely on), and reads the force -grad V = -2 phi'(q) w2 x of the builtin
-family in closed form.
+rely on), and takes the force -grad V from the potential's own ``force``.
+Every flow starts from a position x0 and a momentum xi0.
 
 The rescaled picture runs the same flow at energy lam^2 through slow time
 s = lam * t with momenta scaled down by lam, so that over |s| <= T the motion
@@ -25,7 +25,6 @@ import numpy as np
 from .potentials import EpsilonProfile, Potential, as_points, sublevel_radius
 
 __all__ = [
-    "PhaseState",
     "Trajectory",
     "flow_integrate",
     "flow_positions",
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 ENERGY_DRIFT_TOL = 1e-6  # relative drift of p reported on a trajectory; 100x aborts
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A single phase-space point (x, xi)."""
-
-    x: np.ndarray
-    xi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,16 +63,9 @@ def _verlet(pot: Potential, x, xi, dt: float):
     axes are walked by plain loops, which keeps a single trajectory's step
     at a few float operations.
     """
-    w2, dphi = pot.w2, pot.dphi
+    force = pot.force
     h, h2 = 0.5 * dt, 0.5 * dt * dt
     axes = range(pot.d)
-
-    def force(x):
-        q = 0.0
-        for i in axes:
-            q = q + w2[i] * x[i] * x[i]
-        g = -2.0 * dphi(q)
-        return [g * w2[i] * x[i] for i in axes]
 
     x, xi, a = list(x), list(xi), force(x)
     while True:
@@ -96,24 +80,27 @@ def _verlet(pot: Potential, x, xi, dt: float):
 
 def flow_integrate(
     pot: Potential,
-    s0: PhaseState,
+    x0,
+    xi0,
     T: float,
     dt: float,
     *,
     record_every: int = 1,
 ) -> Trajectory:
-    """Integrate the flow from s0 over [0, T], sampling every few steps.
+    """Integrate the flow from (x0, xi0) over [0, T], sampling every few steps.
 
     Aborts when the relative energy drift exceeds 100x ENERGY_DRIFT_TOL; a
     drift above the tolerance itself is reported on the trajectory for the
     caller to inspect.
     """
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise ValueError(f"need finite T and dt, got T={T}, dt={dt}")
     if dt <= 0.0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     if record_every < 1:
         raise ValueError("need record_every >= 1")
-    x = as_points(s0.x, pot.d).astype(float)
-    xi = as_points(s0.xi, pot.d).astype(float)
+    x = as_points(x0, pot.d).astype(float)
+    xi = as_points(xi0, pot.d).astype(float)
     n_steps = int(round(T / dt))
 
     p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))

@@ -106,6 +106,8 @@ def evolve(
     grid = state.u.grid
     if pot.d != grid.d or b.d != grid.d:
         raise ValueError("potential, damping, and state dimensions differ")
+    if not (math.isfinite(T_final) and math.isfinite(dt)):
+        raise ValueError(f"need finite T_final and dt, got T_final={T_final}, dt={dt}")
     if dt <= 0.0 or T_final < dt:
         raise ValueError("need 0 < dt <= T_final")
     if record_every < 1:
@@ -255,6 +257,8 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
     of order 1/lam, which is the regime where an asymptotically undamped
     packet shows its slow decay.
     """
+    if not (math.isfinite(T_final) and (dt is None or math.isfinite(dt))):
+        raise ValueError(f"need finite T_final and dt, got T_final={T_final}, dt={dt}")
     check_resolution(f.grid, lam)
     if dt is None:
         dt = 0.5 * cfl_limit(pot, f.grid)

@@ -4,9 +4,9 @@ A potential here is a smooth function V >= 0 on R^d that grows at infinity
 slower than |x|^4 (strict sub-quarticity).  Everything downstream -- classical
 flow, damping-condition scans, localized quasimode constructions -- consumes
 potentials through this module's `Potential` handle, which bundles a batched
-evaluator, its gradient, and the radius beyond which V >= 1.  The builtins
-form one family V = phi(sum_i w_i^2 x_i^2), so the handle also carries phi',
-phi^-1 and the squared weights for closed-form forces and level sets.
+evaluator, the force -grad V on per-axis components, and the radius beyond
+which V >= 1.  The builtins form one family V = phi(sum_i w_i^2 x_i^2), so the
+handle also carries phi^-1 and the squared weights for closed-form level sets.
 
 Two derived quantities live here because they only depend on V:
 
@@ -66,10 +66,11 @@ def unit_directions(d: int, n: int) -> np.ndarray:
 class Potential:
     """A confining potential V(x) = phi(q), q = sum_i w2_i x_i^2.
 
-    ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``w2`` holds
-    the squared axis weights, ``dphi`` is phi' (on a float or an array of q
-    values) and ``phi_inv`` inverts phi, so level sets and the flow's force
-    -grad V = -2 phi'(q) w2 x come in closed form.
+    ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``force``
+    maps the d per-axis components of x to those of -grad V, each a float for
+    one point or an array for a batch; ``raw_grad`` is built from it, so the
+    gradient has one formula.  ``w2`` holds the squared axis weights and
+    ``phi_inv`` inverts phi, so level sets come in closed form.
     """
 
     d: int
@@ -77,7 +78,7 @@ class Potential:
     raw_grad: Callable[[np.ndarray], np.ndarray]
     label: str
     w2: tuple[float, ...]
-    dphi: Callable
+    force: Callable[[list], list]
     phi_inv: Callable[[float], float]
 
     @property
@@ -118,12 +119,14 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
             if weights.shape != (d,) or not np.all((weights > 0.0) & np.isfinite(weights)):
                 raise ValueError("anisotropic potential needs one positive weight per axis")
             label = "anisotropic(" + ",".join(f"{w:g}" for w in weights) + ")"
+        w2 = tuple(float(w) for w in weights**2)
 
         def phi(q):
             return 0.5 * q
 
-        def dphi(q):
-            return 0.5
+        def force(x):
+            # phi' is the constant 1/2, so -grad V = -w2 x needs no q
+            return [-w * c for w, c in zip(w2, x)]
 
         def phi_inv(v):
             return 2.0 * v
@@ -134,15 +137,20 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
             raise ValueError(f"unknown power-potential parameters {sorted(params)}")
         if not 0.0 < s < 4.0:
             raise ValueError(f"exponent s={s} violates strict sub-quarticity (need 0 < s < 4)")
-        weights = np.ones(d)
+        w2 = (1.0,) * d
         label = f"power(s={s:g})"
         half, e = s / 2.0, s / 2.0 - 1.0
 
         def phi(q):
             return (1.0 + q) ** half - 1.0
 
-        def dphi(q):
-            return half * (1.0 + q) ** e
+        def force(x):
+            # -grad V = -2 phi'(q) x with unit weights; q summed in axis order
+            q = 0.0
+            for c in x:
+                q = q + c * c
+            g = -2.0 * (half * (1.0 + q) ** e)
+            return [g * c for c in x]
 
         def phi_inv(v):
             return (1.0 + v) ** (2.0 / s) - 1.0
@@ -150,16 +158,15 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
     else:
         raise ValueError(f"unknown potential {name!r}")
 
-    w2 = weights**2
+    w2_axes = np.array(w2)
 
     def value(pts):
-        return phi(np.sum(w2 * pts * pts, axis=-1))
+        return phi(np.sum(w2_axes * pts * pts, axis=-1))
 
     def grad(pts):
-        g = 2.0 * np.asarray(dphi(np.sum(w2 * pts * pts, axis=-1)))
-        return g[..., np.newaxis] * (w2 * pts)
+        return -np.stack(force([pts[..., i] for i in range(d)]), axis=-1)
 
-    return Potential(d, value, grad, label, tuple(float(w) for w in w2), dphi, phi_inv)
+    return Potential(d, value, grad, label, w2, force, phi_inv)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .damping import Damping, mollify_at, unit_ball_nodes
+from .damping import N_BALL_PER_DIM, Damping, mollify_at, unit_ball_nodes
 from .fields import (
     Field,
     Grid,
@@ -212,7 +212,7 @@ def _ball_sup(pot: Potential, center: np.ndarray, radius: float) -> float:
     # interior low-discrepancy nodes; exact for the radially increasing builtins
     dirs = unit_directions(pot.d, 256)
     pts = [center[None, :], center[None, :] + radius * dirs]
-    pts.append(center[None, :] + radius * unit_ball_nodes(pot.d, 512 * pot.d))
+    pts.append(center[None, :] + radius * unit_ball_nodes(pot.d, N_BALL_PER_DIM * pot.d))
     return float(max(np.max(pot.raw_value(p)) for p in pts))
 
 

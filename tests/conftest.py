@@ -72,11 +72,11 @@ def power3_2d():
 @pytest.fixture(scope="session")
 def flow_reference_runs(harmonic_1d):
     """Closed-form comparison and long-horizon drift runs for all builtins."""
-    from stabscope.dynamics import PhaseState, flow_integrate
+    from stabscope.dynamics import flow_integrate
 
     t0 = time.perf_counter()
     closed = flow_integrate(
-        harmonic_1d, PhaseState(np.array([1.0]), np.array([0.5])), 10.0, 1e-4
+        harmonic_1d, np.array([1.0]), np.array([0.5]), 10.0, 1e-4
     )
     pots = [
         builtin_potential("harmonic", d=1),
@@ -87,8 +87,8 @@ def flow_reference_runs(harmonic_1d):
     ]
     drifts = []
     for pot in pots:
-        s0 = PhaseState(np.array([0.7, -0.4][: pot.d]), np.array([0.3, 1.1][: pot.d]))
-        traj = flow_integrate(pot, s0, 100.0, 1e-3)
+        x0, xi0 = np.array([0.7, -0.4][: pot.d]), np.array([0.3, 1.1][: pot.d])
+        traj = flow_integrate(pot, x0, xi0, 100.0, 1e-3)
         drifts.append((pot, traj.drift))
     return {
         "closed": closed,

@@ -314,6 +314,45 @@ def test_probe_command_reports_decay_rate(tmp_path):
     assert (out / "probe_trace.csv").exists()
 
 
+TIMED_CFGS = {
+    "flow": {
+        "potential": {"name": "harmonic", "d": 1},
+        "x0_space": [1.0],
+        "xi0_momentum": [0.5],
+        "T_time": 1.0,
+        "dt_time": 1e-3,
+    },
+    "evolve": {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "grid": {"n_nodes": 64, "half_width_space": 6.0},
+        "initial": {"kind": "gaussian"},
+        "T_time": 0.1,
+    },
+    "probe": {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "x0_space": [41.5],
+        "R_width": 1.5,
+        "grid": {"n_nodes": 1025, "half_width_space": 4.0, "center_space": [41.5]},
+        "T_time": 0.1,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "times",
+    [{"T_time": float("inf")}, {"T_time": float("nan")}, {"dt_time": float("inf")}, {"dt_time": float("nan")}],
+)
+@pytest.mark.parametrize("command", sorted(TIMED_CFGS))
+def test_non_finite_time_exits_2(tmp_path, capsys, command, times):
+    # json.dumps writes inf and NaN as the bare literals Infinity and NaN, which the config parser accepts
+    rc, out = run_cli(tmp_path, command, {**TIMED_CFGS[command], **times})
+    assert rc == 2
+    assert "need finite T" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_spectrum_command_reports_abscissa(tmp_path):
     cfg = {
         "potential": {"name": "harmonic", "d": 1},

@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -497,6 +500,27 @@ def test_ugcc_rejects_bad_input():
         ugcc_scan(b, 0.0, 0.25)
     with pytest.raises(ValueError, match="directions must be unit vectors"):
         ugcc_scan(b, 1.0, 0.25, [(np.zeros(2), np.array([2.0, 0.0]))])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
+    # one window rule for T, r and R: finite and > 0, checked before any numpy work
+    b = builtin_damping("exterior", d=1, radius=1.0)
+    calls = [
+        ("T", "", lambda: ugcc_scan(b, bad, 0.25)),
+        ("r", "", lambda: ugcc_scan(b, 1.0, bad)),
+        ("R", "", lambda: tpc_scan(b, harmonic_1d, bad, [4.0])),
+        ("T", "", lambda: dsc_scan(b, harmonic_1d, bad, 1.0, [25.0], n_shell_samples=8)),
+        ("R", "", lambda: dsc_scan(b, harmonic_1d, 1.0, bad, [25.0], n_shell_samples=8)),
+        ("T", " on every rung", lambda: dsc_limit_scan(b, harmonic_1d, [(bad, 1.0)], [25.0], n_shell_samples=8)),
+        ("R", " on every rung", lambda: dsc_limit_scan(b, harmonic_1d, [(1.0, bad)], [25.0], n_shell_samples=8)),
+    ]
+    rule = "finite" if bad == math.inf else "> 0"
+    for slot, where, call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning means the window reached numpy first
+            with pytest.raises(ValueError, match=re.escape(f"need {slot} {rule}{where}")):
+                call()
 
 
 # -------------------------------------------------------------- tpc_scan

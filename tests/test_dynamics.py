@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from stabscope.dynamics import (
-    PhaseState,
     _flow_states,
     flow_integrate,
     flow_positions,
@@ -20,20 +19,19 @@ from stabscope.potentials import builtin_potential, epsilon_lambda
 def test_flow_quarter_period(harmonic_1d):
     # step chosen so an integer number of steps lands exactly on T = pi/2
     T = math.pi / 2.0
-    traj = flow_integrate(harmonic_1d, PhaseState(np.array([1.0]), np.array([0.0])), T, T / 15708)
+    traj = flow_integrate(harmonic_1d, np.array([1.0]), np.array([0.0]), T, T / 15708)
     assert abs(float(traj.x[-1, 0]) - 0.0) <= 1e-6
     assert abs(float(traj.xi[-1, 0]) + 1.0) <= 1e-6
 
 
 def test_flow_equilibrium(harmonic_1d):
-    traj = flow_integrate(harmonic_1d, PhaseState(np.zeros(1), np.zeros(1)), 1.0, 1e-3)
+    traj = flow_integrate(harmonic_1d, np.zeros(1), np.zeros(1), 1.0, 1e-3)
     assert np.all(traj.x == 0.0)
     assert np.all(traj.xi == 0.0)
 
 
 def test_flow_power_matches_adaptive_reference(power3_1d):
-    s0 = PhaseState(np.array([0.5]), np.array([1.0]))
-    traj = flow_integrate(power3_1d, s0, 10.0, 1e-4)
+    traj = flow_integrate(power3_1d, np.array([0.5]), np.array([1.0]), 10.0, 1e-4)
     assert traj.drift <= 1e-8
 
     def rhs(_t, z):
@@ -48,13 +46,8 @@ def test_flow_power_matches_adaptive_reference(power3_1d):
 
 
 def test_time_reversal(harmonic_1d):
-    fwd = flow_integrate(harmonic_1d, PhaseState(np.array([1.0]), np.array([0.0])), 10.0, 1e-3)
-    back = flow_integrate(
-        harmonic_1d,
-        PhaseState(fwd.x[-1].copy(), -fwd.xi[-1]),
-        10.0,
-        1e-3,
-    )
+    fwd = flow_integrate(harmonic_1d, np.array([1.0]), np.array([0.0]), 10.0, 1e-3)
+    back = flow_integrate(harmonic_1d, fwd.x[-1].copy(), -fwd.xi[-1], 10.0, 1e-3)
     assert abs(float(back.x[-1, 0]) - 1.0) <= 1e-8
     assert abs(float(back.xi[-1, 0]) - 0.0) <= 1e-8
 
@@ -76,18 +69,18 @@ def test_long_horizon_drift(flow_reference_runs):
 def test_long_horizon_drift_harmonic_tight(harmonic_1d):
     # verlet energy oscillation scales with p0 * dt^2 / 8, so the 1e-8 bar
     # needs small-amplitude data; p0 = 0.025 here.
-    traj = flow_integrate(harmonic_1d, PhaseState(np.array([0.2]), np.array([0.1])), 100.0, 1e-3)
+    traj = flow_integrate(harmonic_1d, np.array([0.2]), np.array([0.1]), 100.0, 1e-3)
     assert traj.drift <= 1e-8, f"harmonic tight drift {traj.drift:.3e}"
 
 
 def test_flow_rejects_bad_steps(harmonic_1d):
     with pytest.raises(ValueError, match="need dt > 0"):
-        flow_integrate(harmonic_1d, PhaseState(np.ones(1), np.ones(1)), 1.0, -0.1)
+        flow_integrate(harmonic_1d, np.ones(1), np.ones(1), 1.0, -0.1)
 
 
 def test_flow_unstable_aborts(harmonic_1d):
     with pytest.raises(RuntimeError, match="integrator unstable"):
-        flow_integrate(harmonic_1d, PhaseState(np.array([1.0]), np.array([0.0])), 200.0, 2.1)
+        flow_integrate(harmonic_1d, np.array([1.0]), np.array([0.0]), 200.0, 2.1)
 
 
 def test_rescaled_harmonic_closed_form(harmonic_1d):
@@ -152,7 +145,7 @@ def test_sample_shell_energies(harmonic_2d):
 
 
 def test_trajectory_csv_layout(command_artifacts, harmonic_2d):
-    traj = flow_integrate(harmonic_2d, PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 0.1, 1e-3)
+    traj = flow_integrate(harmonic_2d, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 1e-3)
     cfg = {
         "potential": {"name": "harmonic", "d": 2},
         "x0_space": [1.0, 0.0],
@@ -192,8 +185,8 @@ def flow_cases(draw):
 @given(flow_cases())
 def test_verlet_reversibility(case):
     pot, x0, xi0, dt, n_steps = case
-    fwd = flow_integrate(pot, PhaseState(x0, xi0), n_steps * dt, dt)
-    back = flow_integrate(pot, PhaseState(fwd.x[-1], -fwd.xi[-1]), n_steps * dt, dt)
+    fwd = flow_integrate(pot, x0, xi0, n_steps * dt, dt)
+    back = flow_integrate(pot, fwd.x[-1], -fwd.xi[-1], n_steps * dt, dt)
     assert np.max(np.abs(back.x[-1] - x0)) <= 1e-10
     assert np.max(np.abs(back.xi[-1] + xi0)) <= 1e-10
 
@@ -203,10 +196,137 @@ def test_single_state_matches_one_row_batch(case, record_every):
     # flow_integrate runs the kernel on floats, flow_positions on arrays;
     # both walk the same steps, forward and (with flipped momentum) backward
     pot, x0, xi0, dt, n_steps = case
-    fwd = flow_integrate(pot, PhaseState(x0, xi0), n_steps * dt, dt, record_every=record_every)
-    back = flow_integrate(pot, PhaseState(x0, -xi0), n_steps * dt, dt, record_every=record_every)
+    fwd = flow_integrate(pot, x0, xi0, n_steps * dt, dt, record_every=record_every)
+    back = flow_integrate(pot, x0, -xi0, n_steps * dt, dt, record_every=record_every)
     times = np.concatenate([-back.t[:0:-1], fwd.t])
     pos = flow_positions(pot, x0[None, :], xi0[None, :], times, dt)
     assert pos.shape == (len(times), 1, pot.d)
     expected = np.concatenate([back.x[:0:-1], fwd.x])
     assert np.max(np.abs(pos[:, 0, :] - expected)) <= 1e-12
+
+
+# The gradient of V has one formula, Potential.force.  These properties pin its
+# bits to formulas written out here: raw_grad = 2 phi'(q) w2 x, and a Verlet
+# loop that forms its own q and phi'(q) on every step.
+
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e6, -1e6]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def builtin_cases(draw):
+    """A builtin potential, its squared weights, its phi' written out here, and s.
+
+    s is the power family's exponent and None for the quadratic wells.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(["harmonic", "anisotropic", "power"]))
+    s = None
+    if name == "power":
+        s = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 3.5]))
+        half, e = s / 2.0, s / 2.0 - 1.0
+        w2 = (1.0,) * d
+
+        def dphi(q):
+            return half * (1.0 + q) ** e
+
+        pot = builtin_potential("power", d=d, s=s)
+    else:
+        weights = [1.0] * d
+        if name == "anisotropic":
+            weights = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+        w2 = tuple(float(w) for w in np.asarray(weights, dtype=float) ** 2)
+
+        def dphi(q):
+            return 0.5
+
+        pot = builtin_potential(name, d=d, **({} if name == "harmonic" else {"weights": weights}))
+    return pot, w2, dphi, s
+
+
+def reference_verlet(w2, dphi, x, xi, dt, n_steps):
+    """Velocity Verlet with its own force -2 phi'(q) w2 x, the reference for the kernel.
+
+    x and xi hold per-axis components, floats or arrays; returns the n_steps + 1
+    states, axis by axis.
+    """
+    axes = range(len(w2))
+    h, h2 = 0.5 * dt, 0.5 * dt * dt
+
+    def force(x):
+        q = 0.0
+        for i in axes:
+            q = q + w2[i] * x[i] * x[i]
+        g = -2.0 * dphi(q)
+        return [g * w2[i] * x[i] for i in axes]
+
+    x, xi, a = list(x), list(xi), force(x)
+    xs, xis = [list(x)], [list(xi)]
+    for _ in range(n_steps):
+        for i in axes:
+            x[i] = x[i] + (dt * xi[i] + h2 * a[i])
+        b = force(x)
+        for i in axes:
+            xi[i] = xi[i] + h * (a[i] + b[i])
+        a = b
+        xs.append(list(x))
+        xis.append(list(xi))
+    return np.array(xs), np.array(xis)
+
+
+def stable_dt(pot, w2, s, x0, xi0):
+    """A power-of-two step with omega * dt <= 2^-7 along the whole orbit.
+
+    omega^2 bounds the Hessian of V on the sublevel set of the orbit's energy:
+    max w2 for the quadratic wells, s max(1, s - 1) (1 + p)^max(0, 1 - 2/s)
+    for the power family, so every flow below stays far inside the drift bar.
+    """
+    if s is not None:
+        p = float(np.max(pot.raw_value(x0) + 0.5 * np.sum(xi0 * xi0, axis=-1)))
+        omega2 = s * max(1.0, s - 1.0) * (1.0 + p) ** max(0.0, 1.0 - 2.0 / s)
+    else:
+        omega2 = max(w2)
+    return 2.0 ** math.floor(math.log2(2.0**-7 / math.sqrt(omega2)))
+
+
+@settings(max_examples=200)
+@given(builtin_cases(), st.data())
+def test_raw_grad_keeps_the_pre_change_formula(case, data):
+    pot, w2, dphi, _ = case
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=8)))
+    w2 = np.array(w2)
+    g = 2.0 * np.asarray(dphi(np.sum(w2 * pts * pts, axis=-1)))
+    expected = g[..., np.newaxis] * (w2 * pts)
+    # bytes compare signed zeros too
+    assert pot.raw_grad(pts).tobytes() == expected.tobytes()
+    assert pot.grad(pts[0]).tobytes() == expected[0].tobytes()
+
+
+@settings(max_examples=60)
+@given(builtin_cases(), st.data(), st.integers(200, 400))
+def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
+    pot, w2, dphi, s = case
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    x0, xi0 = np.array(data.draw(point)), np.array(data.draw(point))
+    dt = stable_dt(pot, w2, s, x0, xi0)
+    traj = flow_integrate(pot, x0, xi0, n_steps * dt, dt)
+    xs, xis = reference_verlet(w2, dphi, [float(c) for c in x0], [float(c) for c in xi0], dt, n_steps)
+    assert traj.x.tobytes() == xs.tobytes()
+    assert traj.xi.tobytes() == xis.tobytes()
+
+    # a small batch on arrays, forward and (with flipped momentum) backward
+    batch = st.lists(point, min_size=2, max_size=4)
+    xb = np.array(data.draw(batch))
+    xib = np.array(data.draw(st.lists(point, min_size=len(xb), max_size=len(xb))))
+    dt = stable_dt(pot, w2, s, xb, xib)
+    n_back = n_steps // 4
+    times = np.arange(-n_back, n_steps + 1) * dt
+    pos = flow_positions(pot, xb, xib, times, dt)
+    x_axes, xi_axes = [xb[:, i] for i in range(pot.d)], [xib[:, i] for i in range(pot.d)]
+    fwd, _ = reference_verlet(w2, dphi, x_axes, xi_axes, dt, n_steps)
+    back, _ = reference_verlet(w2, dphi, x_axes, [-c for c in xi_axes], dt, n_back)
+    expected = np.concatenate([back[:0:-1], fwd]).swapaxes(1, 2)  # (times, batch, d)
+    assert pos.tobytes() == expected.tobytes()
