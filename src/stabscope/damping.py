@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.stats import qmc
 
 from .dynamics import default_dt, flow_positions, sample_shell
 from .potentials import Potential, as_points, unit_directions
@@ -243,6 +241,36 @@ def _require_window(name: str, *values, where: str = "") -> None:
         raise ValueError(f"need {name} finite{where}")
 
 
+_SOBOL_BITS = 30
+
+
+def _sobol(d: int, n: int) -> np.ndarray:
+    """The first n points of the unscrambled Sobol sequence in [0, 1)^d, d = 1 or 2.
+
+    Bratley and Fox's construction in Gray-code order on _SOBOL_BITS-bit
+    integers: x_0 = 0 and x_{j+1} = x_j XOR v_{c(j)}, c(j) the lowest zero bit
+    of j, so x_j is the XOR of the v_k over the set bits k of gray(j) = j ^ (j >> 1).
+    Direction numbers v_k = m_k * 2^(_SOBOL_BITS - 1 - k) are Joe and Kuo's:
+    m_k = 1 in dimension 1, and m_0 = 1, m_k = m_{k-1} XOR 2 m_{k-1} (the
+    polynomial x + 1) in dimension 2.  Equal bit for bit to
+    scipy.stats.qmc.Sobol(d, scramble=False).random(n).
+    """
+    if d not in (1, 2):
+        raise ValueError(f"Sobol nodes are built for d = 1 and 2 only, got d={d}")
+    m = [[1] * _SOBOL_BITS]
+    if d == 2:
+        m.append([1])
+        for _ in range(1, _SOBOL_BITS):
+            m[1].append(m[1][-1] ^ (2 * m[1][-1]))
+    j = np.arange(n, dtype=np.int64)
+    gray = j ^ (j >> 1)
+    x = np.zeros((n, d), dtype=np.int64)
+    for k in range(_SOBOL_BITS):
+        bit = ((gray >> k) & 1).astype(bool)
+        x[bit] ^= [col[k] << (_SOBOL_BITS - 1 - k) for col in m]
+    return x / 2.0**_SOBOL_BITS
+
+
 _BALL_NODE_CACHE: dict = {}
 
 
@@ -250,8 +278,7 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
     """Fixed low-discrepancy quadrature nodes for the unit ball."""
     key = (d, n)
     if key not in _BALL_NODE_CACHE:
-        sob = qmc.Sobol(d, scramble=False, seed=None)
-        u = sob.random(n)
+        u = _sobol(d, n)
         if d == 1:
             nodes = 2.0 * u - 1.0
         else:
@@ -322,7 +349,7 @@ def _window_mean(b: Damping, r, pts: np.ndarray, ts: np.ndarray, axis: int) -> n
 
     ts runs along `axis` of pts' leading axes; ts[-1] - ts[0] is the window 2T.
     """
-    return trapezoid(mollify_at(b, r, pts), ts, axis=axis) / (ts[-1] - ts[0])
+    return np.trapezoid(mollify_at(b, r, pts), ts, axis=axis) / (ts[-1] - ts[0])
 
 
 @dataclass(frozen=True)
@@ -492,7 +519,12 @@ def dsc_scan(
     """
     _require_window("T", T)
     _require_window("R", R)
-    lams = sorted(float(v) for v in np.atleast_1d(lambdas))
+    lams = [float(v) for v in np.atleast_1d(lambdas)]
+    if not lams:
+        raise ValueError("need at least one frequency lambda")
+    for lam in lams:
+        _require_window("frequency lambda", lam, where=f", got {lam}")
+    lams.sort()
     seeds = np.random.SeedSequence(seed).spawn(len(lams))
 
     def one(pair):

@@ -131,6 +131,10 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("need finite flow times")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"need finite dt > 0, got dt={dt}")
     xs = np.empty(times.shape + x0.shape)
     xis = np.empty_like(xs)
 
@@ -197,6 +201,8 @@ def linearization_deviation(
 
     Batched: y, eta may be (d,) or (n, d); deviations come back per sample.
     """
+    if not (math.isfinite(T) and math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"need finite T and finite lam > 0, got T={T}, lam={lam}")
     y = np.atleast_2d(as_points(y, pot.d).astype(float))
     eta = np.atleast_2d(as_points(eta, pot.d).astype(float))
     if dt is None:

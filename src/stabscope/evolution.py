@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import trapezoid
-# unused here: the benchmark tracer (bench/tracing.py) binds its banded_solves counter to this name
+# module-level on purpose: the benchmark tracer (bench/tracing.py) binds its
+# banded_solves and cholesky_factorizations counters by reading and patching
+# these names on this module, so a deferred import would break it;
+# solve_banded is imported for the tracer alone
 from scipy.linalg import cholesky_banded, eig_banded, solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
@@ -211,7 +213,7 @@ def evolve(
 
 def energy_balance_defect(trace: EnergyTrace) -> float:
     """|E(T) - E(0) + integral of D| on the recorded samples."""
-    return float(abs(trace.E[-1] - trace.E[0] + trapezoid(trace.D, trace.t)))
+    return float(abs(trace.E[-1] - trace.E[0] + np.trapezoid(trace.D, trace.t)))
 
 
 def decay_fit(trace: EnergyTrace) -> DecayFit:

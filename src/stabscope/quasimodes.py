@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .damping import N_BALL_PER_DIM, Damping, mollify_at, unit_ball_nodes
 from .fields import (
@@ -65,6 +64,10 @@ def profile_constants(d: int) -> dict:
     (single-axis derivative), "laplacian", "moment" (|y| weight); all but
     "norm" refer to the normalized profile.
     """
+    # imported here, by its only user: scipy.integrate loads scipy.optimize
+    # and scipy.special, which every CLI start would otherwise pay for
+    from scipy.integrate import quad
+
     if d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
     sphere = 2.0 if d == 1 else 2.0 * np.pi

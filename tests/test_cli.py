@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabscope
 from stabscope import cli
 from stabscope.cli import main
 
@@ -680,3 +685,14 @@ def test_suite_command_builds_consistency_matrix(tmp_path):
     assert len(lines) == 13
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["artifacts"]) == 14
+
+
+def test_cold_start_skips_unused_scipy_subpackages():
+    # every CLI command pays for what `import stabscope.cli` loads; these four
+    # subpackages cost most of a second and no command needs them at import
+    src = str(Path(stabscope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, stabscope.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout.split())
+    assert "stabscope.cli" in loaded
+    assert not loaded & {"scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stabscope.cli import _write_report_csv
 from stabscope.potentials import builtin_potential
@@ -15,6 +16,7 @@ from stabscope.damping import (
     CERTIFY_CHUNK,
     N_RAY,
     Damping,
+    _sobol,
     builtin_damping,
     default_ray_family,
     dsc_limit_scan,
@@ -203,6 +205,46 @@ def test_mollify_nested_matches_direct_formula():
 
     direct = np.array([inner(p + r * nodes).mean() for p in pts])
     assert np.array_equal(mollify_at(smoothed, r, pts), direct)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol:UserWarning")
+@pytest.mark.parametrize("n", [1, 2, 3, 512, 1000, 1024, 4096])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sobol_keeps_the_scipy_bits(d, n):
+    from scipy.stats import qmc
+
+    ref = qmc.Sobol(d, scramble=False, seed=None).random(n)
+    got = _sobol(d, n)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_sobol_rejects_other_dimensions(d):
+    with pytest.raises(ValueError, match="d = 1 and 2 only"):
+        _sobol(d, 8)
+
+
+@st.composite
+def trapezoid_cases(draw):
+    # _window_mean's shapes: N_RAY window samples of the mollified b along
+    # axis 0 (DSC, per flow time) or axis 1 (UGCC, per ray), values in [0, b_max]
+    axis = draw(st.sampled_from([0, 1]))
+    n = draw(st.integers(1, 12))
+    shape = (N_RAY, n) if axis == 0 else (n, N_RAY)
+    b_max = draw(st.sampled_from([1.0, 1.0 / 3.0, 2.7, 1e-300, 1e300]))
+    unit = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])))
+    T = draw(st.floats(1e-6, 1e6))
+    return b_max * unit, np.linspace(-T, T, N_RAY), axis
+
+
+@settings(max_examples=200)
+@given(trapezoid_cases())
+def test_numpy_trapezoid_keeps_the_scipy_bits(case):
+    from scipy.integrate import trapezoid
+
+    vals, ts, axis = case
+    assert np.trapezoid(vals, ts, axis=axis).tobytes() == trapezoid(vals, ts, axis=axis).tobytes()
 
 
 # ------------------------------------------- constant-on-ball certificates
@@ -502,9 +544,10 @@ def test_ugcc_rejects_bad_input():
         ugcc_scan(b, 1.0, 0.25, [(np.zeros(2), np.array([2.0, 0.0]))])
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
 def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
-    # one window rule for T, r and R: finite and > 0, checked before any numpy work
+    # one window rule for T, r, R and the DSC frequencies: finite and > 0,
+    # checked before any numpy work or shell sampling
     b = builtin_damping("exterior", d=1, radius=1.0)
     calls = [
         ("T", "", lambda: ugcc_scan(b, bad, 0.25)),
@@ -514,6 +557,8 @@ def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
         ("R", "", lambda: dsc_scan(b, harmonic_1d, 1.0, bad, [25.0], n_shell_samples=8)),
         ("T", " on every rung", lambda: dsc_limit_scan(b, harmonic_1d, [(bad, 1.0)], [25.0], n_shell_samples=8)),
         ("R", " on every rung", lambda: dsc_limit_scan(b, harmonic_1d, [(1.0, bad)], [25.0], n_shell_samples=8)),
+        ("frequency lambda", f", got {bad}", lambda: dsc_scan(b, harmonic_1d, 1.0, 1.0, [25.0, bad], n_shell_samples=8)),
+        ("frequency lambda", f", got {bad}", lambda: dsc_limit_scan(b, harmonic_1d, [(1.0, 1.0)], [bad], n_shell_samples=8)),
     ]
     rule = "finite" if bad == math.inf else "> 0"
     for slot, where, call in calls:
@@ -521,6 +566,12 @@ def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
             warnings.simplefilter("error")  # a warning means the window reached numpy first
             with pytest.raises(ValueError, match=re.escape(f"need {slot} {rule}{where}")):
                 call()
+
+
+def test_dsc_scan_needs_a_frequency(harmonic_1d):
+    b = builtin_damping("exterior", d=1, radius=1.0)
+    with pytest.raises(ValueError, match="need at least one frequency lambda"):
+        dsc_scan(b, harmonic_1d, 1.0, 1.0, [], n_shell_samples=8)
 
 
 # -------------------------------------------------------------- tpc_scan

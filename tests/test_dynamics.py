@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,40 @@ def test_long_horizon_drift_harmonic_tight(harmonic_1d):
 def test_flow_rejects_bad_steps(harmonic_1d):
     with pytest.raises(ValueError, match="need dt > 0"):
         flow_integrate(harmonic_1d, np.ones(1), np.ones(1), 1.0, -0.1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_flow_states_reject_non_finite_times(harmonic_1d, bad):
+    # a NaN time used to return a meaningless position, an infinite one an OverflowError
+    x0, xi0 = np.ones((2, 1)), np.zeros((2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need finite flow times"):
+            flow_positions(harmonic_1d, x0, xi0, np.array([0.0, 0.5, bad]), 1e-3)
+        with pytest.raises(ValueError, match="need finite flow times"):
+            _flow_states(harmonic_1d, x0, xi0, np.array([bad, 0.0]), 1e-3)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+def test_flow_states_reject_bad_steps(harmonic_1d, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need finite dt > 0"):
+            flow_positions(harmonic_1d, np.ones((2, 1)), np.zeros((2, 1)), np.array([-0.5, 0.0, 0.5]), dt)
+        prof = epsilon_lambda(harmonic_1d, [25.0])
+        with pytest.raises(ValueError, match="need finite dt > 0"):
+            linearization_deviation(harmonic_1d, np.zeros(1), np.ones(1), 2.0, 25.0, prof, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "T, lam", [(math.inf, 25.0), (math.nan, 25.0), (2.0, math.inf), (2.0, math.nan), (2.0, 0.0), (2.0, -25.0)]
+)
+def test_linearization_rejects_bad_windows(harmonic_1d, T, lam):
+    prof = epsilon_lambda(harmonic_1d, [25.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning means the window reached numpy first
+        with pytest.raises(ValueError, match="need finite T and finite lam > 0"):
+            linearization_deviation(harmonic_1d, np.zeros(1), np.ones(1), T, lam, prof)
 
 
 def test_flow_unstable_aborts(harmonic_1d):
