@@ -1,10 +1,11 @@
 """Command-line front end: JSON configs in, deterministic CSV/JSON artifacts out.
 
-Every command validates its whole config before computing anything, writes the
-module-defined artifacts into --out, and finishes with a manifest recording
-the config hash, seed, library versions, and wall time.  Exit codes: 0 on
-success, 2 when a precondition or the config is invalid, 3 when a numerical
-stage fails.
+Every command validates its whole config before computing anything and
+returns its artifacts by name; ``main`` alone writes them into --out and
+finishes with a manifest recording the config hash, seed, library versions,
+wall time and write time.  Exit codes: 0 on success, 2 when a precondition or
+the config is invalid or --out cannot be written, 3 when a numerical stage
+fails.  A failed command writes nothing.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _build_grid(sec: _Section, d: int):
 
 
 # ---------------------------------------------------------------------------
-# artifacts: the only writer, so every byte of every artifact follows one rule
+# artifacts: the only writer, so every byte of every artifact follows one rule;
+# main is its only caller
 
 
 def _cell(x) -> str:
@@ -203,16 +205,16 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_report_csv(path: Path, report) -> None:
+def _report_table(report) -> tuple:
     """Per-sample rows of a condition report: index, group label, average."""
     labels = report.groups.get("sample_labels")
     values = report.sample_values.tolist()
     rows = ((i, "" if labels is None else labels[i], v) for i, v in enumerate(values))
-    _write_csv(path, ("index", "group", "average"), rows)
+    return ("index", "group", "average"), rows
 
 
-def _write_trace_csv(path: Path, trace) -> None:
-    _write_csv(path, ("t", "E", "D"), np.column_stack([trace.t, trace.E, trace.D]).tolist())
+def _trace_table(trace) -> tuple:
+    return ("t", "E", "D"), np.column_stack([trace.t, trace.E, trace.D]).tolist()
 
 
 def _fit_dict(fit) -> dict:
@@ -226,10 +228,11 @@ def _fit_dict(fit) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps its config to an ordered {artifact name: payload} dict,
+# a .csv payload being (header, rows) and a .json payload the document
 
 
-def _cmd_flow(cfg: _Section, out: Path, opts) -> list:
+def _cmd_flow(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     x0 = np.asarray(cfg.numbers("x0_space"))
     xi0 = np.asarray(cfg.numbers("xi0_momentum"))
@@ -242,9 +245,10 @@ def _cmd_flow(cfg: _Section, out: Path, opts) -> list:
     d, n = pot.d, len(traj.t)
     header = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(d)] + ["p"]
     rows = np.column_stack([traj.t, traj.x.reshape(n, d), traj.xi.reshape(n, d), traj.p.reshape(n)])
-    _write_csv(out / "trajectory.csv", header, rows.tolist())
-    _write_json(out / "flow.json", {"drift": traj.drift, "p0": traj.p0, "dt_time": traj.dt})
-    return ["trajectory.csv", "flow.json"]
+    return {
+        "trajectory.csv": (header, rows.tolist()),
+        "flow.json": {"drift": traj.drift, "p0": traj.p0, "dt_time": traj.dt},
+    }
 
 
 _CONDITION_DEFAULTS = {
@@ -314,7 +318,7 @@ def _run_conditions(pot, b, params: dict, checks, seed: int, threads: int) -> di
     return reports
 
 
-def _cmd_conditions(cfg: _Section, out: Path, opts) -> list:
+def _cmd_conditions(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     checks = [str(c) for c in cfg.take("checks", ["ugcc", "tpc", "dsc"])]
@@ -325,23 +329,22 @@ def _cmd_conditions(cfg: _Section, out: Path, opts) -> list:
     cfg.done()
 
     reports = _run_conditions(pot, b, params, checks, opts.seed, opts.threads)
-    artifacts = []
+    artifacts = {}
     summary = {}
     for check, rep in reports.items():
         log.info("%s: infimum %.6g, passed=%s", rep.condition, rep.infimum, rep.passed)
-        _write_report_csv(out / f"conditions_{check}.csv", rep)
-        _write_json(out / f"conditions_{check}.json", rep.to_json_dict())
-        artifacts += [f"conditions_{check}.csv", f"conditions_{check}.json"]
+        artifacts[f"conditions_{check}.csv"] = _report_table(rep)
+        artifacts[f"conditions_{check}.json"] = rep.to_json_dict()
         summary[rep.condition] = {
             "infimum": rep.infimum,
             "threshold": rep.threshold,
             "passed": rep.passed,
         }
-    _write_json(out / "conditions_summary.json", summary)
-    return artifacts + ["conditions_summary.json"]
+    artifacts["conditions_summary.json"] = summary
+    return artifacts
 
 
-def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
+def _cmd_dsc_limit(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     ladder = cfg.take("tr_ladder")
@@ -361,12 +364,10 @@ def _cmd_dsc_limit(cfg: _Section, out: Path, opts) -> list:
         b, pot, tr_grid, lambdas, n_shell_samples=n_samples, seed=opts.seed, threads=opts.threads
     )
     log.info("dsc-limit: proxy at largest (T, R) = %.6g", rep.infimum)
-    _write_report_csv(out / "dsc_limit.csv", rep)
-    _write_json(out / "dsc_limit.json", rep.to_json_dict())
-    return ["dsc_limit.csv", "dsc_limit.json"]
+    return {"dsc_limit.csv": _report_table(rep), "dsc_limit.json": rep.to_json_dict()}
 
 
-def _cmd_quasimode(cfg: _Section, out: Path, opts) -> list:
+def _cmd_quasimode(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     damping = None
     if "damping" in cfg.data:
@@ -383,12 +384,10 @@ def _cmd_quasimode(cfg: _Section, out: Path, opts) -> list:
     vals = f.values.reshape(-1)
     header = [f"x_{i+1}" for i in range(f.grid.d)] + ["re", "im"]
     rows = np.column_stack([f.grid.meshgrid().reshape(-1, f.grid.d), vals.real, vals.imag])
-    _write_csv(out / "mode.csv", header, rows.tolist())
-    _write_json(out / "quasimode.json", rep.to_json_dict())
-    return ["mode.csv", "quasimode.json"]
+    return {"mode.csv": (header, rows.tolist()), "quasimode.json": rep.to_json_dict()}
 
 
-def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
+def _cmd_kinetic(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     damping = None
     if "damping" in cfg.data:
@@ -418,16 +417,12 @@ def _cmd_kinetic(cfg: _Section, out: Path, opts) -> list:
         log.info("kinetic n=%d: lam %.4f, residual ratio %.4f", n, rep.lam, rep.residual_ratio)
         reports.append(rep)
 
-    _write_csv(
-        out / "kinetic_sequence.csv",
-        ("n", "lam", "residual_ratio", "damping_pairing"),
-        ((rep.details["n"], rep.lam, rep.residual_ratio, rep.damping_pairing) for rep in reports),
-    )
-    _write_json(out / "kinetic_sequence.json", [rep.to_json_dict() for rep in reports])
-    return ["kinetic_sequence.csv", "kinetic_sequence.json"]
+    header = ("n", "lam", "residual_ratio", "damping_pairing")
+    rows = ((rep.details["n"], rep.lam, rep.residual_ratio, rep.damping_pairing) for rep in reports)
+    return {"kinetic_sequence.csv": (header, rows), "kinetic_sequence.json": [r.to_json_dict() for r in reports]}
 
 
-def _cmd_tpc_witness(cfg: _Section, out: Path, opts) -> list:
+def _cmd_tpc_witness(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     n_max = cfg.number("n_max", 6, int)
@@ -440,9 +435,7 @@ def _cmd_tpc_witness(cfg: _Section, out: Path, opts) -> list:
          r.residual_ratio)
         for r in reports
     )
-    _write_csv(out / "tpc_witness.csv", header, rows)
-    _write_json(out / "tpc_witness.json", [rep.to_json_dict() for rep in reports])
-    return ["tpc_witness.csv", "tpc_witness.json"]
+    return {"tpc_witness.csv": (header, rows), "tpc_witness.json": [rep.to_json_dict() for rep in reports]}
 
 
 def _initial_state(grid, sec: _Section) -> WaveState:
@@ -463,7 +456,7 @@ def _initial_state(grid, sec: _Section) -> WaveState:
     )
 
 
-def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
+def _cmd_evolve(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     grid = _build_grid(cfg.sub("grid"), pot.d)
@@ -476,20 +469,18 @@ def _cmd_evolve(cfg: _Section, out: Path, opts) -> list:
     dt = 0.5 * cfl_limit(pot, grid) if dt is None else dt
     trace = evolve(pot, b, state, T, dt, record_every=record)
     fit = decay_fit(trace)
-    _write_trace_csv(out / "trace.csv", trace)
-    _write_json(
-        out / "evolve.json",
-        {
+    return {
+        "trace.csv": _trace_table(trace),
+        "evolve.json": {
             "dt_time": trace.dt,
             "balance_coefficient": trace.balance_coefficient,
             "balance_defect": energy_balance_defect(trace),
             "fit": _fit_dict(fit),
         },
-    )
-    return ["trace.csv", "evolve.json"]
+    }
 
 
-def _cmd_probe(cfg: _Section, out: Path, opts) -> list:
+def _cmd_probe(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     x0 = np.asarray(cfg.numbers("x0_space"))
@@ -502,9 +493,10 @@ def _cmd_probe(cfg: _Section, out: Path, opts) -> list:
     f, rep = turning_point_bump(pot, x0, R, grid=grid, b=b)
     trace, fit = quasimode_probe(pot, b, f, rep.lam, T, dt=dt)
     log.info("probe: lam %.4f, tau %s", rep.lam, fit.tau)
-    _write_trace_csv(out / "probe_trace.csv", trace)
-    _write_json(out / "probe.json", {"fit": _fit_dict(fit), "quasimode": rep.to_json_dict()})
-    return ["probe_trace.csv", "probe.json"]
+    return {
+        "probe_trace.csv": _trace_table(trace),
+        "probe.json": {"fit": _fit_dict(fit), "quasimode": rep.to_json_dict()},
+    }
 
 
 def _resolvent_lambdas(cfg: _Section) -> np.ndarray:
@@ -517,7 +509,7 @@ def _resolvent_lambdas(cfg: _Section) -> np.ndarray:
     return np.sqrt(np.arange(n_max + 1) + 0.5)
 
 
-def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
+def _cmd_resolvent(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     lams = _resolvent_lambdas(cfg)
@@ -533,15 +525,11 @@ def _cmd_resolvent(cfg: _Section, out: Path, opts) -> list:
         float(np.median(scan.matvecs)),
         max(scan.matvecs),
     )
-    _write_csv(
-        out / "resolvent.csv",
-        ("lambda", "sigma_min", "lambda_over_sigma_min", "flag"),
-        zip(scan.lambdas, scan.sigma_min, scan.ratio, scan.flags),
-    )
-    return ["resolvent.csv"]
+    header = ("lambda", "sigma_min", "lambda_over_sigma_min", "flag")
+    return {"resolvent.csv": (header, zip(scan.lambdas, scan.sigma_min, scan.ratio, scan.flags))}
 
 
-def _cmd_spectrum(cfg: _Section, out: Path, opts) -> list:
+def _cmd_spectrum(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
     count = cfg.number("count", 40, int)
@@ -553,16 +541,9 @@ def _cmd_spectrum(cfg: _Section, out: Path, opts) -> list:
 
     result = damped_spectrum_1d(pot, b, grid, count)
     log.info("spectrum: abscissa %.6f", result.abscissa)
-    _write_csv(
-        out / "spectrum.csv",
-        ("re", "im", "residual"),
-        ((z.real, z.imag, r) for z, r in zip(result.values, result.residuals)),
-    )
-    _write_json(
-        out / "spectrum.json",
-        {"abscissa": result.abscissa, "count": len(result.values), "flags": sorted(set(result.flags))},
-    )
-    return ["spectrum.csv", "spectrum.json"]
+    rows = ((z.real, z.imag, r) for z, r in zip(result.values, result.residuals))
+    summary = {"abscissa": result.abscissa, "count": len(result.values), "flags": sorted(set(result.flags))}
+    return {"spectrum.csv": (("re", "im", "residual"), rows), "spectrum.json": summary}
 
 
 CANONICAL_PAIRS = (
@@ -573,12 +554,12 @@ CANONICAL_PAIRS = (
 )
 
 
-def _cmd_suite(cfg: _Section, out: Path, opts) -> list:
+def _cmd_suite(cfg: _Section, opts) -> dict:
     params = _condition_params(cfg)
     cfg.done()
     pot = builtin_potential("harmonic", d=2)
 
-    artifacts = []
+    artifacts = {}
     matrix = {}
     rows = []
     for label, spec in CANONICAL_PAIRS:
@@ -587,15 +568,13 @@ def _cmd_suite(cfg: _Section, out: Path, opts) -> list:
         matrix[label] = {}
         for check, rep in reports.items():
             log.info("suite %s %s: passed=%s", label, rep.condition, rep.passed)
-            name = f"conditions_{label}_{check}.csv"
-            _write_report_csv(out / name, rep)
-            artifacts.append(name)
+            artifacts[f"conditions_{label}_{check}.csv"] = _report_table(rep)
             matrix[label][rep.condition] = rep.passed
             rows.append((label, rep.condition, rep.infimum, rep.threshold, rep.passed))
 
-    _write_csv(out / "suite_matrix.csv", ("pair", "condition", "infimum", "threshold", "passed"), rows)
-    _write_json(out / "suite_matrix.json", matrix)
-    return artifacts + ["suite_matrix.csv", "suite_matrix.json"]
+    artifacts["suite_matrix.csv"] = (("pair", "condition", "infimum", "threshold", "passed"), rows)
+    artifacts["suite_matrix.json"] = matrix
+    return artifacts
 
 
 _DISPATCH = {
@@ -613,8 +592,8 @@ _DISPATCH = {
 }
 
 
-def _write_manifest(out: Path, command: str, config_bytes: bytes, opts, wall: float, artifacts) -> None:
-    payload = {
+def _manifest(command: str, config_bytes: bytes, opts, wall: float, write: float, artifacts) -> dict:
+    return {
         "command": command,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "seed": opts.seed,
@@ -626,9 +605,9 @@ def _write_manifest(out: Path, command: str, config_bytes: bytes, opts, wall: fl
             "stabscope": __version__,
         },
         "wall_time_s": wall,
+        "write_time_s": write,
         "artifacts": sorted(artifacts),
     }
-    _write_json(out / "manifest.json", payload)
 
 
 def main(argv=None) -> int:
@@ -663,10 +642,13 @@ def main(argv=None) -> int:
         if opts.seed < 0:
             raise ValueError("need seed >= 0")
 
-        opts.out.mkdir(parents=True, exist_ok=True)
+        try:
+            opts.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write artifacts: {exc}") from exc
         start = time.perf_counter()
-        artifacts = _DISPATCH[opts.command](_Section("config", raw), opts.out, opts)
-        wall = time.perf_counter() - start
+        artifacts = _DISPATCH[opts.command](_Section("config", raw), opts)
+        computed = time.perf_counter()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -674,8 +656,20 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    _write_manifest(opts.out, opts.command, config_bytes, opts, wall, artifacts)
-    log.info("%s finished in %.2fs, %d artifacts", opts.command, wall, len(artifacts))
+    try:
+        for name, payload in artifacts.items():
+            if name.endswith(".csv"):
+                _write_csv(opts.out / name, *payload)
+            else:
+                _write_json(opts.out / name, payload)
+        done = time.perf_counter()
+        wall, write = done - start, done - computed
+        manifest = _manifest(opts.command, config_bytes, opts, wall, write, artifacts)
+        _write_json(opts.out / "manifest.json", manifest)
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 2
+    log.info("%s finished in %.2fs (%.3fs writing), %d artifacts", opts.command, wall, write, len(artifacts))
     return 0
 
 

@@ -163,9 +163,9 @@ def flow_positions(
 ) -> np.ndarray:
     """Positions of batched trajectories at the requested times.
 
-    ``times`` must be an increasing grid containing 0 (both signs allowed);
+    ``times`` may be any finite times, of either sign and in any order;
     integration runs separately forward and backward from t = 0 with step
-    refinement so the grid times are hit exactly.
+    refinement so each requested time is hit exactly.
 
     Returns an array of shape (n_times,) + x0.shape.
     """

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 # module-level on purpose: the benchmark tracer (bench/tracing.py) binds its
 # banded_solves and cholesky_factorizations counters by reading and patching
 # these names on this module, so a deferred import would break it;
@@ -309,6 +307,10 @@ def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
     factorization flags "failed".  The number of matvecs is appended to
     matvecs when given.
     """
+    # imported here and in damped_spectrum_1d, their only users, so that the
+    # commands that make no sparse solve do not load scipy.sparse at start
+    import scipy.sparse.linalg as spla
+
     n = ab.shape[1]
     work = np.zeros((7, n), dtype=complex, order="F")  # zgbtrf's layout: two fill-in rows above ab
     work[2:] = np.asarray_chkfinite(ab)  # a NaN or inf band raises ValueError, as in solve_banded
@@ -366,6 +368,8 @@ def resolvent_scan(
     lams = np.asarray(list(lambdas), dtype=float)
     if lams.size == 0:
         raise ValueError("need at least one frequency")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"need finite frequencies, got {lams.tolist()}")
     lam_max = float(np.max(np.abs(lams)))
     if lam_max <= 0.0:
         raise ValueError("need a positive frequency somewhere in the grid")
@@ -428,6 +432,9 @@ class SpectrumResult:
 
 def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> SpectrumResult:
     """Modes of (0, I; -P, -b): shift-invert Arnoldi around the origin."""
+    import scipy.sparse as sp  # deferred, as in _sigma_min
+    import scipy.sparse.linalg as spla
+
     if pot.d != 1 or b.d != 1 or grid.d != 1:
         raise ValueError("damped spectrum requires d = 1")
     if count > 200:

@@ -19,6 +19,7 @@ conjugate-linear in its first slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,12 @@ class Grid:
             raise ValueError("one extent and one point count per axis")
         if any(n < 8 for n in self.ns):
             raise ValueError("grid too coarse: need at least 8 points per axis")
+        if not all(0.0 < L < math.inf for L in self.ls):
+            raise ValueError(f"grid half-widths must be finite and > 0, got {self.ls}")
         if self.center is None:
             object.__setattr__(self, "center", (0.0,) * self.d)
+        elif len(self.center) != self.d or not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"grid center must be {self.d} finite coordinate(s), got {self.center}")
 
     @property
     def hs(self) -> tuple:

@@ -294,6 +294,7 @@ def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None =
     env = bump_raw(y) / (consts["norm"] * math.sqrt(det))
     phase = np.exp(1j * np.tensordot(mesh, xi, axes=([-1], [0])))
     vals = env * phase * np.exp(-0.5j * float(np.dot(xi, center)))
+    del mesh, rel, y, env, phase  # grid-sized temporaries: free them before _finish allocates its own
 
     lam = math.sqrt(float(pot.raw_value(center[None, :])[0]) + spec.lam_n**2 / 2.0)
     details = {

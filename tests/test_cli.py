@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import stabscope
 from stabscope import cli
 from stabscope.cli import main
+from stabscope.damping import dsc_scan
 
 COND_CFG = {
     "potential": {"name": "harmonic", "d": 1},
@@ -24,10 +26,20 @@ COND_CFG = {
 
 
 def run_cli(tmp_path, command, cfg, out_name="out", extra=()):
+    """Run one command and check the --out contract: on success the manifest
+    lists exactly the artifacts on disk and times their writing; a failed
+    command leaves no artifact and no manifest."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / out_name
     rc = main([command, "--config", str(cfg_path), "--out", str(out), *extra])
+    on_disk = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
+    if rc == 0:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == [name for name in on_disk if name != "manifest.json"]
+        assert 0.0 <= manifest["write_time_s"] <= manifest["wall_time_s"] < math.inf
+    else:
+        assert on_disk == []
     return rc, out
 
 
@@ -77,6 +89,48 @@ def test_flow_rejects_zero_record_every(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "flow", cfg)
     assert rc == 2
     assert "need record_every >= 1" in capsys.readouterr().err
+
+
+def test_out_under_a_regular_file_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran although --out cannot be created")
+
+    monkeypatch.setattr(cli, "flow_integrate", no_flow)
+    (tmp_path / "afile").write_text("")
+    rc, _ = run_cli(tmp_path, "flow", {**H1, "x0_space": [1.0], "xi0_momentum": [0.5]}, out_name="afile/sub")
+    assert rc == 2
+    assert "cannot write artifacts" in capsys.readouterr().err
+
+
+def test_unwritable_artifact_exits_2_without_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "flow.json").mkdir(parents=True)  # a directory where the artifact goes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**H1, "x0_space": [1.0], "xi0_momentum": [0.5]}))
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "cannot write artifacts" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
+    # the first pair's report tables used to be on disk before the second pair ran
+    calls = []
+
+    def failing_second_dsc(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected DSC failure")
+        return dsc_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dsc_scan", failing_second_dsc)
+    cfg = {
+        "ugcc": {"T_time": 1.0, "r_space": 0.25},
+        "tpc": {"R_space": 1.0, "shells_space": [4.0]},
+        "dsc": {"lambdas_freq": [25.0], "n_shell_samples": 8},
+    }
+    rc, _ = run_cli(tmp_path, "suite", cfg)  # run_cli checks that --out stays empty
+    assert rc == 3
+    assert "injected DSC failure" in capsys.readouterr().err
 
 
 def test_conditions_constant_damping_all_pass(tmp_path):
@@ -166,12 +220,14 @@ def test_invalid_json_is_rejected(tmp_path, capsys):
     rc = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_is_rejected(tmp_path, capsys):
     rc = main(["flow", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config not readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_flag_values_are_rejected(tmp_path, capsys):
@@ -182,6 +238,7 @@ def test_bad_flag_values_are_rejected(tmp_path, capsys):
     assert main(args + ["--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "threads" in err and "seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_is_rejected():
@@ -640,6 +697,27 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
     assert f"{key} must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, change, match",
+    [
+        ("resolvent", {"lambdas_freq": [float("inf")]}, "need finite frequencies"),
+        ("resolvent", {"lambdas_freq": [1.0, float("nan")]}, "need finite frequencies"),
+        ("spectrum", {"grid": {"n_nodes": 64, "half_width_space": -10.0}}, "grid half-widths must be finite and > 0"),
+        ("spectrum", {"grid": {"n_nodes": 64, "half_width_space": float("inf")}}, "grid half-widths must be finite"),
+        ("evolve", {"grid": {"n_nodes": 64, "half_width_space": 6.0, "center_space": [float("inf")]}},
+         "grid center must be 1 finite coordinate"),
+        ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0, "center_space": [1.0]}},
+         "grid center must be 2 finite coordinate"),
+    ],
+)
+def test_bad_frequency_or_grid_exits_2(tmp_path, capsys, command, change, match):
+    # json.dumps writes inf and NaN as the bare literals Infinity and NaN, which the config parser accepts
+    base = {"resolvent": {**H1_EXTERIOR, "lambdas_freq": [1.0]}, "spectrum": H1_EXTERIOR, "evolve": EVOLVE_CFG}
+    rc, _ = run_cli(tmp_path, command, {**base[command], **change})
+    assert rc == 2
+    assert match in capsys.readouterr().err
+
+
 
 @pytest.mark.parametrize(
     "command, cfg, key",
@@ -688,11 +766,11 @@ def test_suite_command_builds_consistency_matrix(tmp_path):
 
 
 def test_cold_start_skips_unused_scipy_subpackages():
-    # every CLI command pays for what `import stabscope.cli` loads; these four
+    # every CLI command pays for what `import stabscope.cli` loads; these five
     # subpackages cost most of a second and no command needs them at import
     src = str(Path(stabscope.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, stabscope.cli; print(' '.join(sorted(sys.modules)))"
     loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout.split())
     assert "stabscope.cli" in loaded
-    assert not loaded & {"scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special"}
+    assert not loaded & {"scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse"}

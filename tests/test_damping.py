@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stabscope.cli import _write_report_csv
+from stabscope.cli import _report_table, _write_csv
 from stabscope.potentials import builtin_potential
 from stabscope.damping import (
     BLOCK_BYTES,
@@ -794,7 +794,7 @@ def test_scan_csv_deterministic(tmp_path, harmonic_2d):
     for k in range(2):
         rep = dsc_scan(b, harmonic_2d, 2.0, 1.0, [25.0], n_shell_samples=32, seed=0)
         p = tmp_path / f"run{k}.csv"
-        _write_report_csv(p, rep)
+        _write_csv(p, *_report_table(rep))
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 

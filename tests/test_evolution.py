@@ -5,13 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from conftest import CANONICAL_1D
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded, svdvals
 
 from stabscope import evolution
-from stabscope.cli import _write_trace_csv
+from stabscope.cli import _trace_table, _write_csv
 from stabscope.damping import Damping, builtin_damping
 from stabscope.evolution import (
     DecayFit,
@@ -447,12 +448,12 @@ def test_sigma_min_certificate_rejects_overestimate(monkeypatch):
     ab = damped_bands(builtin_damping("ball", d=1, radius=1.0), 201, 3.0)
     sigma, flag = evolution._sigma_min(ab)
     assert flag == "ok"
-    eigsh = evolution.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def second_largest(op, k, **kwargs):
         return np.sort(eigsh(op, k=k + 1, **kwargs))[:k]
 
-    monkeypatch.setattr(evolution.spla, "eigsh", second_largest)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_largest)
     worse, flag = evolution._sigma_min(ab)
     assert worse > sigma
     assert flag == "failed"
@@ -466,7 +467,7 @@ def captured_operator(ab):
         seen.append(op)
         return np.ones(k)
 
-    with mock.patch.object(evolution.spla, "eigsh", capture):
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", capture):
         evolution._sigma_min(ab)
     return seen[0]
 
@@ -537,6 +538,14 @@ def test_resolvent_scan_rejects_bad_input():
         resolvent_scan(H1, B_OFF, [1.0, 1.5, 2.0], grid=make_grid(1, 64, 2.0))
 
 
+@pytest.mark.parametrize("lams", [[math.inf], [1.0, math.nan], [-math.inf, 1.0]])
+def test_resolvent_scan_rejects_non_finite_frequency(lams):
+    # rejected before the grid is sized from the largest |lam|; a RuntimeWarning
+    # on the way would fail the test (pyproject filterwarnings)
+    with pytest.raises(ValueError, match="need finite frequencies"):
+        resolvent_scan(H1, B_OFF, lams)
+
+
 def test_p_spectrum_matches_oscillator_ladder(spectrum_setup):
     _, mu2 = spectrum_setup
     assert np.allclose(mu2[:8], np.arange(8) + 0.5, atol=1e-5)
@@ -586,7 +595,7 @@ def test_trace_csv_layout(tmp_path):
     trace = EnergyTrace(t=t, E=np.exp(-t), D=0.5 * np.ones_like(t), dt=0.25,
                         balance_coefficient=0.0)
     path = tmp_path / "trace.csv"
-    _write_trace_csv(path, trace)
+    _write_csv(path, *_trace_table(trace))
     raw = path.read_bytes().decode()
     assert "\r" not in raw
     lines = raw.strip().split("\n")

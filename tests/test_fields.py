@@ -56,6 +56,27 @@ def test_grid_rejects_bad_input():
         make_grid(2, [16], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "ls, center, match",
+    [
+        (-10.0, None, "grid half-widths must be finite and > 0"),
+        (0.0, None, "grid half-widths must be finite and > 0"),
+        (math.inf, None, "grid half-widths must be finite and > 0"),
+        ([1.0, math.nan], None, "grid half-widths must be finite and > 0"),
+        (1.0, [math.inf, 0.0], "grid center must be 2 finite coordinate"),
+        (1.0, [0.0, math.nan], "grid center must be 2 finite coordinate"),
+        (1.0, [0.0], "grid center must be 2 finite coordinate"),
+        (1.0, [0.0, 0.0, 0.0], "grid center must be 2 finite coordinate"),
+    ],
+)
+def test_grid_rejects_bad_extent_or_center(ls, center, match):
+    # a reversed, empty or unbounded axis, or a centre of the wrong length, used
+    # to reach the kernels and fail there, if at all; a RuntimeWarning first
+    # would fail this test
+    with pytest.raises(ValueError, match=match):
+        make_grid(2, 16, ls, center=center)
+
+
 def test_field_shape_checked():
     g = make_grid(1, 16, 1.0)
     with pytest.raises(ValueError, match="does not match grid"):
