@@ -46,7 +46,7 @@ from .evolution import (
     resolvent_scan,
 )
 from .fields import Field, make_grid
-from .potentials import builtin_potential
+from .potentials import _require_count, _require_window, builtin_potential
 from .quasimodes import (
     kinetic_wavepacket,
     packet_grid,
@@ -264,27 +264,16 @@ _CONDITION_DEFAULTS = {
 
 
 def _scan_param(sec: _Section, key: str, default, prefix: str = ""):
-    """One scan parameter, typed like its default: sample lists hold finite
-    values > 0, counts are integers >= 1 and windows are finite and > 0."""
+    """One scan parameter, typed like its default: a non-empty list of
+    windows, a count or a window, each under the library's rule."""
     name, value = prefix + key, sec.take(key, default)
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ValueError(f"{name} must be a non-empty list")
-        samples = _numbers(value, name)
-        if not all(0.0 < v < math.inf for v in samples):
-            raise ValueError(f"{name} entries must be finite and > 0")
-        return samples
+        return _require_window(f"{name} entries", _numbers(value, name))
     if isinstance(default, int):
-        count = _number(value, name)
-        if not 1.0 <= count < math.inf:
-            raise ValueError(f"need {name} >= 1")
-        return _number(value, name, int)
-    window = _number(value, name)
-    if not window > 0.0:
-        raise ValueError(f"need {key[0]} > 0 in {name}")
-    if window == math.inf:
-        raise ValueError(f"need {key[0]} finite in {name}")
-    return window
+        return _require_count(name, _number(value, name))
+    return _require_window(key[0], _number(value, name), where=f" in {name}")
 
 
 def _condition_params(cfg: _Section) -> dict:
@@ -443,10 +432,8 @@ def _initial_state(grid, sec: _Section) -> WaveState:
     if kind != "gaussian":
         raise ValueError(f"unknown initial data kind {kind!r}")
     center = np.asarray(sec.numbers("center_space", [0.0] * grid.d))
-    width = sec.number("width_space", 1.0)
+    width = _require_window("width", sec.number("width_space", 1.0), where=f" in {sec.name}.width_space")
     sec.done()
-    if not 0.0 < width < math.inf:
-        raise ValueError("initial width_space must be positive and finite")
     pts = grid.meshgrid()
     u0 = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width * width))
     return WaveState(
@@ -532,7 +519,7 @@ def _cmd_resolvent(cfg: _Section, opts) -> dict:
 def _cmd_spectrum(cfg: _Section, opts) -> dict:
     pot = _build_potential(cfg.sub("potential"))
     b = _build_damping(cfg.sub("damping"), pot.d)
-    count = cfg.number("count", 40, int)
+    count = _scan_param(cfg, "count", 40, "config.")
     if "grid" in cfg.data:
         grid = _build_grid(cfg.sub("grid"), pot.d)
     else:
@@ -637,8 +624,7 @@ def main(argv=None) -> int:
             raw = json.loads(config_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
-        if opts.threads < 1:
-            raise ValueError("need threads >= 1")
+        _require_count("threads", opts.threads)
         if opts.seed < 0:
             raise ValueError("need seed >= 0")
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import default_dt, flow_positions, sample_shell
-from .potentials import Potential, as_points, unit_directions
+from .dynamics import TURNING_FRACTION, default_dt, flow_positions, sample_shell
+from .potentials import Potential, _require_count, _require_window, as_points, unit_directions
 
 __all__ = [
     "Damping",
@@ -48,7 +48,6 @@ __all__ = [
 
 N_RAY = 256  # composite trapezoid nodes for line and time averages
 N_BALL_PER_DIM = 512  # ball-mean quadrature nodes per dimension: 512 in 1D, 1024 in 2D
-TURNING_FRACTION = 0.2  # share of DSC shell samples forced toward the turning surface
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return Damping(d, func, amplitude, f"constant({amplitude:g})", ball_value)
 
     if name == "exterior":
-        radius = _length(params, "radius")
+        radius = _require_window("radius", float(params.pop("radius", 1.0)))
         _reject_extra(params)
 
         def func(pts, r=radius):
@@ -113,7 +112,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return Damping(d, func, amplitude, f"exterior(R={radius:g})", ball_value)
 
     if name == "ball":
-        radius = _length(params, "radius")
+        radius = _require_window("radius", float(params.pop("radius", 1.0)))
         center = np.asarray(params.pop("center", np.zeros(d)), dtype=float)
         _reject_extra(params)
         if center.ndim > 1 or center.size not in (1, d):
@@ -130,7 +129,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
     if name not in ("checkerboard", "radial_shells", "strip_lattice"):
         raise ValueError(f"unknown damping {name!r}")
-    period = _length(params, "period")
+    period = _require_window("period", float(params.pop("period", 1.0)))
     duty = float(params.pop("duty", 0.5))
     _reject_extra(params)
     if not 0.0 < duty < 1.0:
@@ -217,13 +216,6 @@ def _band_value(s, radii, band, value):
     return np.where(lo == hi, value(lo), np.nan)
 
 
-def _length(params: dict, key: str) -> float:
-    value = float(params.pop(key, 1.0))
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"damping {key} must be positive and finite")
-    return value
-
-
 def _reject_extra(params: dict) -> None:
     if params:
         raise ValueError(f"unknown damping parameters {sorted(params)}")
@@ -231,14 +223,6 @@ def _reject_extra(params: dict) -> None:
 
 def default_threshold(b: Damping) -> float:
     return 1e-3 * b.b_max
-
-
-def _require_window(name: str, *values, where: str = "") -> None:
-    """The window rule for T, r and R: every value finite and > 0."""
-    if not all(v > 0.0 for v in values):
-        raise ValueError(f"need {name} > 0{where}")
-    if not all(v < np.inf for v in values):
-        raise ValueError(f"need {name} finite{where}")
 
 
 _SOBOL_BITS = 30
@@ -311,8 +295,7 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     """
     pts = as_points(x, b.d)
     radii = np.broadcast_to(np.asarray(r, dtype=float), pts.shape[:-1]).reshape(-1)
-    if not np.all(radii > 0.0):
-        raise ValueError("need mollification radius r > 0")
+    _require_window("mollification radius r", radii)
     n_nodes = N_BALL_PER_DIM * b.d
     planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
 
@@ -459,6 +442,7 @@ def tpc_scan(
     shells = sorted(float(s) for s in shells)
     if not shells:
         raise ValueError("need at least one shell radius")
+    _require_window("shells", shells)
 
     groups = []
     for rho in shells:
@@ -492,6 +476,8 @@ def flow_average(
     Averages (b * kappa_{R/sqrt(lam)}) over the flow segment |t| <= T/lam
     through each (x0, xi0); batched over leading axes of x0/xi0.
     """
+    for name, value in (("T", T), ("R", R), ("lam", lam)):
+        _require_window(name, value)
     x0 = np.atleast_2d(as_points(x0, pot.d))
     xi0 = np.atleast_2d(as_points(xi0, pot.d))
     window = T / lam
@@ -513,12 +499,13 @@ def dsc_scan(
 ) -> ConditionReport:
     """Shell-sampled infima of flow averages, per frequency.
 
-    A fifth of the samples (TURNING_FRACTION) is forced toward the turning
-    surface (|xi| <= 0.1 lam) where failures concentrate.  The liminf proxy
-    is the infimum at the largest sampled frequency.
+    A fifth of the samples (dynamics.TURNING_FRACTION) is forced toward the
+    turning surface (|xi| <= 0.1 lam) where failures concentrate.  The
+    liminf proxy is the infimum at the largest sampled frequency.
     """
     _require_window("T", T)
     _require_window("R", R)
+    _require_count("n_shell_samples", n_shell_samples)
     lams = [float(v) for v in np.atleast_1d(lambdas)]
     if not lams:
         raise ValueError("need at least one frequency lambda")
@@ -530,7 +517,7 @@ def dsc_scan(
     def one(pair):
         lam, ss = pair
         rng = np.random.default_rng(ss)
-        xs, xis = sample_shell(pot, lam, n_shell_samples, rng, turning_fraction=TURNING_FRACTION)
+        xs, xis = sample_shell(pot, lam, n_shell_samples, rng)
         return flow_average(b, pot, xs, xis, T, R, lam)
 
     results = _ordered_map(one, list(zip(lams, seeds)), threads)
@@ -569,7 +556,7 @@ def dsc_limit_scan(
         raise ValueError("(T, R) ladder must be non-decreasing in both slots")
     for k, slot in enumerate("TR"):
         where = " on every rung of the (T, R) ladder"
-        _require_window(slot, *(rung[k] for rung in tr_grid), where=where)
+        _require_window(slot, [rung[k] for rung in tr_grid], where=where)
 
     proxies = np.array(
         [

@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .potentials import EpsilonProfile, Potential, as_points, sublevel_radius
+from .potentials import EpsilonProfile, Potential, _require_count, _require_window, as_points, sublevel_radius
 
 __all__ = [
     "Trajectory",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ENERGY_DRIFT_TOL = 1e-6  # relative drift of p reported on a trajectory; 100x aborts
+TURNING_FRACTION = 0.2  # share of shell samples forced toward the turning surface
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ class Trajectory:
 
 def default_dt(lam: float) -> float:
     """Step size used by the frequency-rescaled kernels."""
+    _require_window("lam", lam)
     return 1e-3 * min(1.0, 1.0 / np.sqrt(lam))
 
 
@@ -93,12 +95,11 @@ def flow_integrate(
     drift above the tolerance itself is reported on the trajectory for the
     caller to inspect.
     """
-    if not (math.isfinite(T) and math.isfinite(dt)):
-        raise ValueError(f"need finite T and dt, got T={T}, dt={dt}")
-    if dt <= 0.0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
-    if record_every < 1:
-        raise ValueError("need record_every >= 1")
+    _require_window("T", T)
+    _require_window("dt", dt)
+    if T < dt:
+        raise ValueError("need T >= dt")
+    record_every = _require_count("record_every", record_every)
     x = as_points(x0, pot.d).astype(float)
     xi = as_points(xi0, pot.d).astype(float)
     n_steps = int(round(T / dt))
@@ -133,8 +134,7 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("need finite flow times")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"need finite dt > 0, got dt={dt}")
+    _require_window("dt", dt)
     xs = np.empty(times.shape + x0.shape)
     xis = np.empty_like(xs)
 
@@ -201,8 +201,9 @@ def linearization_deviation(
 
     Batched: y, eta may be (d,) or (n, d); deviations come back per sample.
     """
-    if not (math.isfinite(T) and math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"need finite T and finite lam > 0, got T={T}, lam={lam}")
+    if not math.isfinite(T):  # T = 0 is the degenerate window with no motion
+        raise ValueError(f"need finite T, got T={T}")
+    _require_window("lam", lam)
     y = np.atleast_2d(as_points(y, pot.d).astype(float))
     eta = np.atleast_2d(as_points(eta, pot.d).astype(float))
     if dt is None:
@@ -231,20 +232,20 @@ def sample_shell(
     lam: float,
     n: int,
     rng: np.random.Generator,
-    *,
-    turning_fraction: float = 0.0,
 ):
     """Draw n points on the energy shell {V(x) + |xi|^2/2 = lam^2}.
 
     Positions are uniform in the sublevel set {V <= lam^2} by rejection in the
     bounding box, momenta uniform on the sphere of radius sqrt(2(lam^2 - V)).
-    A ``turning_fraction`` of the samples is forced to |xi| <= 0.1*lam by
+    A TURNING_FRACTION of the samples is forced to |xi| <= 0.1*lam by
     solving for the position radius along a random direction instead; those
     samples probe the neighborhood of the turning surface.
     """
+    _require_window("lam", lam)
+    n = _require_count("n", n)
     d = pot.d
     box = sublevel_radius(pot, lam**2)
-    n_turn = int(round(turning_fraction * n))
+    n_turn = int(round(TURNING_FRACTION * n))
     n_free = n - n_turn
 
     xs = np.empty((n, d))

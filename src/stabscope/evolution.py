@@ -24,12 +24,11 @@ from scipy.linalg import cholesky_banded, eig_banded, solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .damping import Damping, _ordered_map
-from .fields import Field, Grid, _PKernel, check_resolution, make_grid, p_bands
-from .potentials import Potential, sublevel_radius
+from .fields import POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
+from .potentials import Potential, _require_count, _require_window, sublevel_radius
 
 log = logging.getLogger(__name__)
 
-RESOLVENT_PPW = 16
 RESOLVENT_CERT_RTOL = 1e-6
 
 
@@ -106,12 +105,11 @@ def evolve(
     grid = state.u.grid
     if pot.d != grid.d or b.d != grid.d:
         raise ValueError("potential, damping, and state dimensions differ")
-    if not (math.isfinite(T_final) and math.isfinite(dt)):
-        raise ValueError(f"need finite T_final and dt, got T_final={T_final}, dt={dt}")
-    if dt <= 0.0 or T_final < dt:
-        raise ValueError("need 0 < dt <= T_final")
-    if record_every < 1:
-        raise ValueError("need record_every >= 1")
+    _require_window("T_final", T_final)
+    _require_window("dt", dt)
+    if T_final < dt:
+        raise ValueError("need dt <= T_final")
+    record_every = _require_count("record_every", record_every)
     limit = cfl_limit(pot, grid)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt violates the CFL bound: dt={dt:.6g} > {limit:.6g}")
@@ -257,14 +255,14 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
     of order 1/lam, which is the regime where an asymptotically undamped
     packet shows its slow decay.
     """
-    if not (math.isfinite(T_final) and (dt is None or math.isfinite(dt))):
-        raise ValueError(f"need finite T_final and dt, got T_final={T_final}, dt={dt}")
+    _require_window("T_final", T_final)
     check_resolution(f.grid, lam)
     if dt is None:
         dt = 0.5 * cfl_limit(pot, f.grid)
+    _require_window("dt", dt)
     n_steps = max(int(round(T_final / dt)), 40)
     dt = T_final / n_steps
-    state = WaveState(f.copy(), Field(f.grid, 1j * lam * f.values), 0.0)
+    state = WaveState(f, Field(f.grid, 1j * lam * f.values), 0.0)
     stride = max(1, n_steps // 2000)
     trace = evolve(pot, b, state, T_final, dt, record_every=stride)
     return trace, decay_fit(trace)
@@ -285,8 +283,9 @@ class ResolventScan:
 
 def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
     """Dirichlet box at sublevel_radius(4 lam_max^2), carrier-resolved."""
+    _require_window("lam_max", lam_max)
     L = sublevel_radius(pot, 4.0 * lam_max**2)
-    h = 2.0 * np.pi / (RESOLVENT_PPW * lam_max)
+    h = 2.0 * np.pi / (POINTS_PER_WAVELENGTH * lam_max)
     n = int(math.ceil(2.0 * L / h)) + 1
     return make_grid(1, n, L)
 
@@ -378,7 +377,7 @@ def resolvent_scan(
     else:
         if grid.d != 1:
             raise ValueError("resolvent scan requires d = 1")
-        check_resolution(grid, lam_max, RESOLVENT_PPW)
+        check_resolution(grid, lam_max)
         needed = sublevel_radius(pot, 4.0 * lam_max**2)
         if grid.ls[0] < needed * (1.0 - 1e-9):
             raise ValueError(f"Dirichlet box too small: need half-width >= {needed:.6g}")
@@ -411,7 +410,8 @@ def p_spectrum_1d(pot: Potential, grid: Grid, count: int) -> np.ndarray:
     if grid.d != 1:
         raise ValueError("spectrum requires d = 1")
     n = grid.ns[0]
-    if count < 1 or count > n:
+    count = _require_count("count", count)
+    if count > n:
         raise ValueError("count out of range")
     band = p_bands(grid, pot.raw_value(grid.meshgrid()))[:3]
     return eig_banded(band, lower=False, eigvals_only=True, select="i", select_range=(0, count - 1))
@@ -431,14 +431,20 @@ class SpectrumResult:
 
 
 def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> SpectrumResult:
-    """Modes of (0, I; -P, -b): shift-invert Arnoldi around the origin."""
+    """Modes of (0, I; -P, -b): shift-invert Arnoldi around the origin.
+
+    The grid must resolve sqrt(count + 1/2), the count-th level of the
+    harmonic well, which the spectrum command sizes its default grid for.
+    """
     import scipy.sparse as sp  # deferred, as in _sigma_min
     import scipy.sparse.linalg as spla
 
     if pot.d != 1 or b.d != 1 or grid.d != 1:
         raise ValueError("damped spectrum requires d = 1")
+    count = _require_count("count", count)
     if count > 200:
         raise ValueError("count must stay at or below 200")
+    check_resolution(grid, math.sqrt(count + 0.5))
     n = grid.ns[0]
     # p_bands' rows ab[2 + i - j, j] = P[i, j] are the dia layout of offsets 2, 1, 0, -1, -2
     ab = p_bands(grid, pot.raw_value(grid.meshgrid()))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential
+from .potentials import Potential, _require_window
 
 __all__ = [
     "Grid",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _STENCIL = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
+POINTS_PER_WAVELENGTH = 16  # carrier resolution that check_resolution and resolvent grids use
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,7 @@ class Grid:
             raise ValueError("one extent and one point count per axis")
         if any(n < 8 for n in self.ns):
             raise ValueError("grid too coarse: need at least 8 points per axis")
-        if not all(0.0 < L < math.inf for L in self.ls):
-            raise ValueError(f"grid half-widths must be finite and > 0, got {self.ls}")
+        _require_window("grid half-widths", self.ls, where=f", got {self.ls}")
         if self.center is None:
             object.__setattr__(self, "center", (0.0,) * self.d)
         elif len(self.center) != self.d or not all(math.isfinite(c) for c in self.center):
@@ -105,23 +105,22 @@ class Field:
         if self.values.shape != self.grid.ns:
             raise ValueError(f"values shape {self.values.shape} does not match grid {self.grid.ns}")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
-
-def check_resolution(grid: Grid, lam: float, ppw: int = 16, axes=None) -> None:
-    """Enforce h <= 2*pi / (lam * ppw) on the axes carrying frequency-lam content.
+def check_resolution(grid: Grid, lam: float, axes=None) -> None:
+    """Enforce h <= 2*pi / (lam * POINTS_PER_WAVELENGTH) on the axes carrying
+    frequency-lam content.
 
     axes defaults to all of them; oscillation-free axes of a wave packet may be
     excluded by the caller and validated against the envelope scale instead.
     """
-    limit = 2.0 * np.pi / (lam * ppw)
+    _require_window("lam", lam)
+    limit = 2.0 * np.pi / (lam * POINTS_PER_WAVELENGTH)
     idx = range(grid.d) if axes is None else axes
     worst = max(grid.hs[i] for i in idx)
     if worst > limit:
         raise ValueError(
             f"grid too coarse for frequency {lam:.6g}: h={worst:.3e} exceeds {limit:.3e} "
-            f"({ppw} points per wavelength)"
+            f"({POINTS_PER_WAVELENGTH} points per wavelength)"
         )
 
 
@@ -265,8 +264,7 @@ def inner(f: Field, g: Field) -> complex:
 
 def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
     """|| P f - lam^2 f || / (lam ||f||)."""
-    if lam <= 0.0:
-        raise ValueError("need lam > 0")
+    _require_window("lam", lam)
     nrm = l2_norm(f)
     if nrm == 0.0:
         raise ValueError("zero field")

@@ -21,6 +21,11 @@ Two derived quantities live here because they only depend on V:
 * ``sublevel_radius``: the smallest radius outside of which V clears a level,
   used to truncate computational domains.
 
+The two input rules live here too, since every other module imports this one:
+``_require_window`` for lengths, times, steps, levels and frequencies (finite
+and > 0) and ``_require_count`` for numbers of steps, samples, modes and terms
+(an integer >= 1).
+
 Suprema over balls and annuli are estimated by sampling radial rays; this is
 exact for radial potentials and adequate for the mildly anisotropic builtins.
 """
@@ -40,6 +45,25 @@ __all__ = [
     "epsilon_lambda",
     "sublevel_radius",
 ]
+
+
+def _require_window(name: str, values, where: str = ""):
+    """The window rule: values, a number or an array, finite and > 0; returns values."""
+    checked = np.asarray(values, dtype=float)
+    if not np.all(checked > 0.0):
+        raise ValueError(f"need {name} > 0{where}")
+    if not np.all(checked < np.inf):
+        raise ValueError(f"need {name} finite{where}")
+    return values
+
+
+def _require_count(name: str, n) -> int:
+    """The count rule: n an integer >= 1; returns it as an int."""
+    if not 1 <= n < math.inf:
+        raise ValueError(f"need {name} >= 1")
+    if n != int(n):
+        raise ValueError(f"{name} must be an integer, got {n}")
+    return int(n)
 
 
 def as_points(x, d: int) -> np.ndarray:
@@ -116,8 +140,9 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
             weights = np.asarray(params.pop("weights", [1.0, 2.0][:d]), dtype=float)
             if params:
                 raise ValueError(f"unknown anisotropic-potential parameters {sorted(params)}")
-            if weights.shape != (d,) or not np.all((weights > 0.0) & np.isfinite(weights)):
-                raise ValueError("anisotropic potential needs one positive weight per axis")
+            if weights.shape != (d,):
+                raise ValueError("anisotropic potential needs one weight per axis")
+            _require_window("weights", weights)
             label = "anisotropic(" + ",".join(f"{w:g}" for w in weights) + ")"
         w2 = tuple(float(w) for w in weights**2)
 
@@ -248,6 +273,7 @@ def epsilon_lambda(
     lams = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)))
     if lams.size == 0:
         raise ValueError("need at least one frequency")
+    _require_window("lambdas", lams)
     if lams[0] < 1.0:
         raise ValueError("frequencies must satisfy lam >= 1")
 
@@ -282,6 +308,5 @@ def sublevel_radius(pot: Potential, level: float) -> float:
     the sublevel set {V < level} reaches out to sqrt(phi^-1(level) / min w2),
     along the axis of the smallest weight.
     """
-    if level <= 0.0:
-        raise ValueError("level too small")
+    _require_window("level", level)
     return math.sqrt(pot.phi_inv(level) / min(pot.w2))

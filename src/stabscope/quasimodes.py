@@ -33,6 +33,8 @@ from .fields import (
 from .potentials import (
     EpsilonProfile,
     Potential,
+    _require_count,
+    _require_window,
     as_points,
     epsilon_lambda,
     sublevel_radius,
@@ -187,8 +189,9 @@ class WavePacketSpec:
             raise ValueError("packet base point and direction must be finite")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
-        if not all(0.0 < v < math.inf for v in (self.t_n, self.r_n, self.lam_n)):
-            raise ValueError("packet lengths and frequency must be positive and finite")
+        for name in ("t_n", "r_n", "lam_n"):
+            _require_window(name, getattr(self, name))
+        _require_count("n", self.n)
 
     @property
     def transverse_width(self) -> float:
@@ -221,11 +224,10 @@ def _ball_sup(pot: Potential, center: np.ndarray, radius: float) -> float:
 
 def packet_spec(pot: Potential, n: int, nu=None, x_n=None, t_n: float = 2.0, r_n: float = 0.5) -> WavePacketSpec:
     """Sequence rule: lam_n = max((n+1)^2/r_n^2, n * sup V on the t_n ball)."""
-    if n < 1:
-        raise ValueError("need sequence index n >= 1")
-    if not 0.0 < r_n < math.inf:
-        # the sequence rule divides by r_n before the spec can check it
-        raise ValueError("packet lengths and frequency must be positive and finite")
+    # the rule divides by r_n and samples V on the t_n ball before the spec can check them
+    n = _require_count("n", n)
+    _require_window("t_n", t_n)
+    _require_window("r_n", r_n)
     if nu is None:
         nu = np.zeros(pot.d)
         nu[0] = 1.0
@@ -238,7 +240,7 @@ def packet_spec(pot: Potential, n: int, nu=None, x_n=None, t_n: float = 2.0, r_n
         nu=tuple(float(v) for v in nu),
         t_n=float(t_n),
         r_n=float(r_n),
-        n=int(n),
+        n=n,
         lam_n=float(lam_n),
     )
 
@@ -247,8 +249,7 @@ def packet_grid(spec: WavePacketSpec, ppw: int = 32) -> Grid:
     """Per-axis grid sized to the packet: carrier resolution along the
     momentum components, envelope resolution across, odd counts so the base
     point is a node."""
-    if ppw < 1:
-        raise ValueError("need ppw >= 1 points per wavelength")
+    _require_count("ppw", ppw)
     xi = spec.momentum
     extents = spec.axis_extents()
     ns, ls = [], []
@@ -321,6 +322,7 @@ def turning_point_bump(
     The report carries the two comparison terms of the defect bound,
     (laplacian + moment norms of the profile) * (1/R^2 + R * eps_hat(lam)).
     """
+    _require_window("R", R)
     x0 = as_points(x0, pot.d).reshape(pot.d)
     if not np.all(np.isfinite(x0)):
         raise ValueError("base point must be finite")
@@ -376,8 +378,7 @@ def tpc_violation_sequence(
     """
     if pot.d != b.d:
         raise ValueError("potential and damping dimensions differ")
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    n_max = _require_count("n_max", n_max)
 
     rho_max = 1e7
     lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), rho_max))

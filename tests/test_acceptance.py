@@ -60,7 +60,7 @@ def test_criterion_02_shell_linearization_bounds():
         profile = epsilon_lambda(pot, [25.0, 100.0, 400.0])
         rng = np.random.default_rng(0)
         for lam in (25.0, 100.0, 400.0):
-            xs, xis = sample_shell(pot, lam, 100, rng, turning_fraction=0.2)
+            xs, xis = sample_shell(pot, lam, 100, rng)
             rep = linearization_deviation(pot, xs, xis / lam, 2.0, lam, profile)
             worst_frac = min(worst_frac, float(np.mean(rep.eta_ok & rep.y_ok)))
             worst_excess = max(

@@ -357,7 +357,8 @@ def test_evolve_rejects_bad_initial_width(tmp_path, capsys, monkeypatch, width):
     }
     rc, _ = run_cli(tmp_path, "evolve", cfg)
     assert rc == 2
-    assert "initial width_space must be positive and finite" in capsys.readouterr().err
+    rule = "finite" if width == float("inf") else "> 0"
+    assert f"need width {rule} in config.initial.width_space" in capsys.readouterr().err
 
 
 def test_probe_command_reports_decay_rate(tmp_path):
@@ -411,7 +412,10 @@ def test_non_finite_time_exits_2(tmp_path, capsys, command, times):
     # json.dumps writes inf and NaN as the bare literals Infinity and NaN, which the config parser accepts
     rc, out = run_cli(tmp_path, command, {**TIMED_CFGS[command], **times})
     assert rc == 2
-    assert "need finite T" in capsys.readouterr().err
+    (key, value), = times.items()
+    name = "dt" if key == "dt_time" else "T" if command == "flow" else "T_final"
+    rule = "finite" if value == float("inf") else "> 0"
+    assert f"need {name} {rule}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -429,6 +433,34 @@ def test_spectrum_command_reports_abscissa(tmp_path):
     lines = (out / "spectrum.csv").read_text().strip().split("\n")
     assert lines[0] == "re,im,residual"
     assert len(lines) == 9
+
+
+BALL_1D = {"potential": {"name": "harmonic", "d": 1}, "damping": {"name": "ball", "radius_space": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        # these used to exit 2 with scipy's "k=0 must be greater than 0." and a bare "math domain error"
+        ({"count": 0}, "need config.count >= 1"),
+        ({"count": -3}, "need config.count >= 1"),
+        # h = 0.8 against 2 pi / (16 sqrt(30.5)) = 0.071: this grid used to report abscissa -7.8e-14, all flags "ok"
+        ({"count": 30, "grid": {"n_nodes": 16, "half_width_space": 6.0}}, "grid too coarse for frequency 5.52268"),
+    ],
+)
+def test_spectrum_rejects_bad_count_or_coarse_grid(tmp_path, capsys, change, match):
+    rc, out = run_cli(tmp_path, "spectrum", {**BALL_1D, **change})
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
+def test_spectrum_accepts_a_grid_that_resolves_its_count(tmp_path):
+    # the benchmark grid: h = 0.020 against 2 pi / (16 sqrt(40.5)) = 0.062
+    cfg = {**BALL_1D, "count": 40, "grid": {"n_nodes": 1201, "half_width_space": 12.0}}
+    rc, out = run_cli(tmp_path, "spectrum", cfg)
+    assert rc == 0
+    assert json.loads((out / "spectrum.json").read_text())["count"] == 40
 
 
 def test_quasimode_command_writes_mode(tmp_path):
@@ -454,12 +486,16 @@ def test_kinetic_sequence_command(tmp_path):
     "change, match",
     [
         ({"n_list": []}, "n_list must be a non-empty list"),
-        ({"t_width_space": float("nan")}, "packet lengths and frequency must be positive and finite"),
-        ({"r_width_space": 0.0}, "packet lengths and frequency must be positive and finite"),
+        pytest.param(
+            {"t_width_space": float("nan")}, "need t_n > 0", id="change1-packet lengths and frequency must be positive and finite"
+        ),
+        pytest.param(
+            {"r_width_space": 0.0}, "need r_n > 0", id="change2-packet lengths and frequency must be positive and finite"
+        ),
         ({"x0_space": [float("inf"), 0.0]}, "packet base point and direction must be finite"),
         ({"direction": [float("nan"), 1.0]}, "packet base point and direction must be finite"),
-        ({"ppw_nodes": 0}, "need ppw >= 1 points per wavelength"),
-        ({"ppw_nodes": -4}, "need ppw >= 1 points per wavelength"),
+        pytest.param({"ppw_nodes": 0}, "need ppw >= 1", id="change5-need ppw >= 1 points per wavelength"),
+        pytest.param({"ppw_nodes": -4}, "need ppw >= 1", id="change6-need ppw >= 1 points per wavelength"),
     ],
 )
 def test_kinetic_sequence_rejects_bad_geometry(tmp_path, capsys, monkeypatch, change, match):
@@ -550,9 +586,15 @@ def test_dsc_limit_rejects_bad_ladder(tmp_path, capsys, monkeypatch):
     "change, match",
     [
         ({"lambdas_freq": []}, "lambdas_freq must be a non-empty list"),
-        ({"lambdas_freq": [float("nan")]}, "lambdas_freq entries must be finite and > 0"),
-        ({"lambdas_freq": [-5.0]}, "lambdas_freq entries must be finite and > 0"),
-        ({"lambdas_freq": [0.0]}, "lambdas_freq entries must be finite and > 0"),
+        pytest.param(
+            {"lambdas_freq": [float("nan")]}, "need lambdas_freq entries > 0", id="change1-lambdas_freq entries must be finite and > 0"
+        ),
+        pytest.param(
+            {"lambdas_freq": [-5.0]}, "need lambdas_freq entries > 0", id="change2-lambdas_freq entries must be finite and > 0"
+        ),
+        pytest.param(
+            {"lambdas_freq": [0.0]}, "need lambdas_freq entries > 0", id="change3-lambdas_freq entries must be finite and > 0"
+        ),
         ({"n_shell_samples": 0}, "need n_shell_samples >= 1"),
         ({"n_shell_samples": float("inf")}, "need n_shell_samples >= 1"),
     ],
@@ -605,13 +647,13 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
         ({"tpc": {"shells_space": []}}, "tpc.shells_space must be a non-empty list"),
         ({"dsc": {"lambdas_freq": []}}, "dsc.lambdas_freq must be a non-empty list"),
         ({"dsc": {"lambdas_freq": 25.0}}, "dsc.lambdas_freq must be a non-empty list"),
-        ({"dsc": {"lambdas_freq": [float("nan")]}}, "dsc.lambdas_freq entries must be finite and > 0"),
-        ({"dsc": {"lambdas_freq": [-5.0]}}, "dsc.lambdas_freq entries must be finite and > 0"),
-        ({"dsc": {"lambdas_freq": [25.0, 0.0]}}, "dsc.lambdas_freq entries must be finite and > 0"),
-        ({"dsc": {"lambdas_freq": [float("inf")]}}, "dsc.lambdas_freq entries must be finite and > 0"),
+        ({"dsc": {"lambdas_freq": [float("nan")]}}, "dsc.lambdas_freq entries > 0"),
+        ({"dsc": {"lambdas_freq": [-5.0]}}, "dsc.lambdas_freq entries > 0"),
+        ({"dsc": {"lambdas_freq": [25.0, 0.0]}}, "dsc.lambdas_freq entries > 0"),
+        ({"dsc": {"lambdas_freq": [float("inf")]}}, "dsc.lambdas_freq entries finite"),
         ({"dsc": {"n_shell_samples": 0}}, "need dsc.n_shell_samples >= 1"),
-        ({"tpc": {"shells_space": [-4.0]}}, "tpc.shells_space entries must be finite and > 0"),
-        ({"tpc": {"shells_space": [4.0, float("nan")]}}, "tpc.shells_space entries must be finite and > 0"),
+        ({"tpc": {"shells_space": [-4.0]}}, "tpc.shells_space entries > 0"),
+        ({"tpc": {"shells_space": [4.0, float("nan")]}}, "tpc.shells_space entries > 0"),
         # json.dumps writes inf as the bare literal Infinity, which the config parser accepts
         ({"ugcc": {"r_space": float("inf")}}, "need r finite in ugcc.r_space"),
         ({"tpc": {"R_space": float("inf")}}, "need R finite in tpc.R_space"),
@@ -637,9 +679,13 @@ def test_invalid_window_is_rejected_before_any_scan(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "damping, match",
     [
-        ({"name": "checkerboard", "period_space": 0.0}, "period must be positive and finite"),
+        pytest.param(
+            {"name": "checkerboard", "period_space": 0.0}, "need period > 0", id="damping0-period must be positive and finite"
+        ),
         ({"name": "radial_shells", "duty": 1.5}, "duty ratio"),
-        ({"name": "exterior", "radius_space": -1.0}, "radius must be positive and finite"),
+        pytest.param(
+            {"name": "exterior", "radius_space": -1.0}, "need radius > 0", id="damping2-radius must be positive and finite"
+        ),
         ({"name": "constant", "amplitude": float("nan")}, "amplitude must be finite"),
     ],
 )
@@ -655,7 +701,7 @@ def test_invalid_potential_weights_exit_2(tmp_path, capsys):
     cfg = dict(COND_CFG, potential={"name": "anisotropic", "d": 2, "weights": [1.0, float("nan")]})
     rc, _ = run_cli(tmp_path, "conditions", cfg)
     assert rc == 2
-    assert "one positive weight per axis" in capsys.readouterr().err
+    assert "need weights > 0" in capsys.readouterr().err
 
 
 H1 = {"potential": {"name": "harmonic", "d": 1}}
@@ -702,8 +748,18 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
     [
         ("resolvent", {"lambdas_freq": [float("inf")]}, "need finite frequencies"),
         ("resolvent", {"lambdas_freq": [1.0, float("nan")]}, "need finite frequencies"),
-        ("spectrum", {"grid": {"n_nodes": 64, "half_width_space": -10.0}}, "grid half-widths must be finite and > 0"),
-        ("spectrum", {"grid": {"n_nodes": 64, "half_width_space": float("inf")}}, "grid half-widths must be finite"),
+        pytest.param(
+            "spectrum",
+            {"grid": {"n_nodes": 64, "half_width_space": -10.0}},
+            "need grid half-widths > 0",
+            id="spectrum-change2-grid half-widths must be finite and > 0",
+        ),
+        pytest.param(
+            "spectrum",
+            {"grid": {"n_nodes": 64, "half_width_space": float("inf")}},
+            "need grid half-widths finite",
+            id="spectrum-change3-grid half-widths must be finite",
+        ),
         ("evolve", {"grid": {"n_nodes": 64, "half_width_space": 6.0, "center_space": [float("inf")]}},
          "grid center must be 1 finite coordinate"),
         ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0, "center_space": [1.0]}},

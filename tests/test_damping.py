@@ -73,12 +73,21 @@ def test_builtin_rejects_bad_input():
     [
         ("constant", {"amplitude": float("nan")}, "amplitude must be finite"),
         ("exterior", {"amplitude": float("inf")}, "amplitude must be finite"),
-        ("exterior", {"radius": -1.0}, "radius must be positive and finite"),
-        ("ball", {"radius": 0.0}, "radius must be positive and finite"),
-        ("ball", {"radius": float("nan")}, "radius must be positive and finite"),
-        ("checkerboard", {"period": 0.0}, "period must be positive and finite"),
-        ("radial_shells", {"period": float("inf")}, "period must be positive and finite"),
-        ("strip_lattice", {"period": -1.0}, "period must be positive and finite"),
+        pytest.param("exterior", {"radius": -1.0}, "need radius > 0", id="exterior-params2-radius must be positive and finite"),
+        pytest.param("ball", {"radius": 0.0}, "need radius > 0", id="ball-params3-radius must be positive and finite"),
+        pytest.param("ball", {"radius": float("nan")}, "need radius > 0", id="ball-params4-radius must be positive and finite"),
+        pytest.param(
+            "checkerboard", {"period": 0.0}, "need period > 0", id="checkerboard-params5-period must be positive and finite"
+        ),
+        pytest.param(
+            "radial_shells",
+            {"period": float("inf")},
+            "need period finite",
+            id="radial_shells-params6-period must be positive and finite",
+        ),
+        pytest.param(
+            "strip_lattice", {"period": -1.0}, "need period > 0", id="strip_lattice-params7-period must be positive and finite"
+        ),
         ("radial_shells", {"duty": 1.5}, "duty ratio"),
         ("strip_lattice", {"duty": 0.0}, "duty ratio"),
         ("strip_lattice", {"duty": float("nan")}, "duty ratio"),
@@ -625,7 +634,7 @@ def test_tpc_rejects_bad_input(harmonic_2d):
     b = builtin_damping("constant", d=2)
     with pytest.raises(ValueError, match="need at least one shell radius"):
         tpc_scan(b, harmonic_2d, 1.0, [])
-    with pytest.raises(ValueError, match="shell must lie where V > 0"):
+    with pytest.raises(ValueError, match="need shells > 0"):
         tpc_scan(b, harmonic_2d, 1.0, [0.0])
 
 

@@ -288,9 +288,9 @@ def test_evolve_rejects_bad_input():
     h2 = builtin_potential("harmonic", d=2)
     with pytest.raises(ValueError, match="dimensions differ"):
         evolve(h2, B_ONE, state, 1.0, 1e-3)
-    with pytest.raises(ValueError, match="need 0 < dt <= T_final"):
+    with pytest.raises(ValueError, match="need dt > 0"):
         evolve(H1, B_ONE, state, 1.0, -1e-3)
-    with pytest.raises(ValueError, match="need 0 < dt <= T_final"):
+    with pytest.raises(ValueError, match="need dt <= T_final"):
         evolve(H1, B_ONE, state, 1e-4, 1e-3)
     with pytest.raises(ValueError, match="CFL bound"):
         evolve(H1, B_ONE, state, 1.0, 10.0 * cfl_limit(H1, grid))

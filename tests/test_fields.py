@@ -59,10 +59,10 @@ def test_grid_rejects_bad_input():
 @pytest.mark.parametrize(
     "ls, center, match",
     [
-        (-10.0, None, "grid half-widths must be finite and > 0"),
-        (0.0, None, "grid half-widths must be finite and > 0"),
-        (math.inf, None, "grid half-widths must be finite and > 0"),
-        ([1.0, math.nan], None, "grid half-widths must be finite and > 0"),
+        pytest.param(-10.0, None, "need grid half-widths > 0", id="-10.0-None-grid half-widths must be finite and > 0"),
+        pytest.param(0.0, None, "need grid half-widths > 0", id="0.0-None-grid half-widths must be finite and > 0"),
+        pytest.param(math.inf, None, "need grid half-widths finite", id="inf-None-grid half-widths must be finite and > 0"),
+        pytest.param([1.0, math.nan], None, "need grid half-widths > 0", id="ls3-None-grid half-widths must be finite and > 0"),
         (1.0, [math.inf, 0.0], "grid center must be 2 finite coordinate"),
         (1.0, [0.0, math.nan], "grid center must be 2 finite coordinate"),
         (1.0, [0.0], "grid center must be 2 finite coordinate"),

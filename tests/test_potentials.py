@@ -34,7 +34,8 @@ def test_unknown_name_rejected():
 
 @pytest.mark.parametrize("weights", [[1.0, float("nan")], [float("inf"), 1.0], [1.0, 0.0]])
 def test_anisotropic_rejects_invalid_weights(weights):
-    with pytest.raises(ValueError, match="one positive weight per axis"):
+    match = "need weights finite" if math.inf in weights else "need weights > 0"
+    with pytest.raises(ValueError, match=match):
         builtin_potential("anisotropic", d=2, weights=weights)
 
 
@@ -143,7 +144,7 @@ def test_sublevel_radius_closed_forms(harmonic_1d, harmonic_2d, power3_1d, power
 
 
 def test_sublevel_radius_rejects_low_level(harmonic_1d):
-    with pytest.raises(ValueError, match="level too small"):
+    with pytest.raises(ValueError, match="need level > 0"):
         sublevel_radius(harmonic_1d, -1.0)
 
 

@@ -72,7 +72,7 @@ def test_packet_spec_sequence_rule(harmonic_2d, harmonic_1d):
     far = packet_spec(harmonic_1d, 8, x_n=[10.0], t_n=2.0, r_n=2.0)
     assert far.lam_n == pytest.approx(8.0 * 72.0, rel=1e-12)
 
-    with pytest.raises(ValueError, match="need sequence index n >= 1"):
+    with pytest.raises(ValueError, match="need n >= 1"):
         packet_spec(harmonic_2d, 0)
     with pytest.raises(ValueError, match="direction must be a unit vector"):
         packet_spec(harmonic_2d, 4, nu=[1.0, 1.0])
@@ -223,11 +223,11 @@ def test_turning_bump_rejects_bad_input(harmonic_1d):
         ({"x_n": (math.inf, 0.0)}, "base point and direction must be finite"),
         ({"x_n": (0.0, math.nan)}, "base point and direction must be finite"),
         ({"nu": (math.nan, 1.0)}, "base point and direction must be finite"),
-        ({"t_n": math.nan}, "positive and finite"),
-        ({"r_n": math.nan}, "positive and finite"),
-        ({"lam_n": math.nan}, "positive and finite"),
-        ({"t_n": math.inf}, "positive and finite"),
-        ({"lam_n": 0.0}, "positive and finite"),
+        pytest.param({"t_n": math.nan}, "need t_n > 0", id="change3-positive and finite"),
+        pytest.param({"r_n": math.nan}, "need r_n > 0", id="change4-positive and finite"),
+        pytest.param({"lam_n": math.nan}, "need lam_n > 0", id="change5-positive and finite"),
+        pytest.param({"t_n": math.inf}, "need t_n finite", id="change6-positive and finite"),
+        pytest.param({"lam_n": 0.0}, "need lam_n > 0", id="change7-positive and finite"),
     ],
 )
 def test_packet_spec_rejects_non_finite_geometry(change, match):
@@ -239,8 +239,13 @@ def test_packet_spec_rejects_non_finite_geometry(change, match):
 
 def test_packet_spec_rule_rejects_bad_lengths(harmonic_2d):
     # r_n = 0 used to divide by zero inside the sequence rule
-    for kwargs in ({"r_n": 0.0}, {"r_n": math.inf}, {"t_n": math.nan}, {"x_n": [math.inf, 0.0]}):
-        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+    for kwargs, match in (
+        ({"r_n": 0.0}, "need r_n > 0"),
+        ({"r_n": math.inf}, "need r_n finite"),
+        ({"t_n": math.nan}, "need t_n > 0"),
+        ({"x_n": [math.inf, 0.0]}, "base point and direction must be finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
             packet_spec(harmonic_2d, 4, **kwargs)
 
 
