@@ -13,8 +13,9 @@ them statements about averages of b:
   uniformly over the energy shell, asymptotically in lam.
 
 Each scan samples its infimum over a finite, deterministic family.  Ball
-averages use a fixed low-discrepancy node set (`mollify_at`); the ray and
-flow averages are one window mean, the composite trapezoid rule over
+averages use a fixed low-discrepancy node set (`mollify_at`), whose damped
+nodes are counted rather than evaluated for the cell indicators; the ray
+and flow averages are one window mean, the composite trapezoid rule over
 |t| <= T divided by 2T.  Every scan returns a `ConditionReport` with the
 per-sample averages and the infimum; it passes when the infimum exceeds the
 threshold c = 1e-3 * b_max.  TPC and DSC build theirs through one grouped
@@ -58,6 +59,13 @@ class Damping:
     each ball it returns the value b takes on the whole closed ball around pts,
     widened by a slack far above rounding, or NaN where that is not proved.
     The mollifier skips the quadrature on certified balls.
+
+    `cells`, when given, says that b is an indicator of axis-aligned cells:
+    one cell index function c_i per leading axis, each mapping coordinates
+    x_i to integer-valued floats and non-decreasing in x_i, with b = b_max
+    where the sum of c_i(x_i) is even and 0 elsewhere; later axes do not
+    matter.  raw_func must be that rule.  The mollifier then counts nodes per
+    cell instead of evaluating b on balls that meet few cells.
     """
 
     d: int
@@ -65,6 +73,7 @@ class Damping:
     b_max: float
     label: str
     ball_value: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    cells: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return self.raw_func(as_points(x, self.d))
@@ -141,19 +150,22 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
     if name == "checkerboard":
 
-        def func(pts, a=duty * period):
+        def cell(s, a=duty * period):
+            return np.floor(s / a)
+
+        def func(pts):
             # the cell index sum, one axis plane at a time, in exact int64
-            idx = np.floor(pts[..., 0] / a).astype(np.int64)
+            idx = cell(pts[..., 0]).astype(np.int64)
             for i in range(1, pts.shape[-1]):
-                idx += np.floor(pts[..., i] / a).astype(np.int64)
+                idx += cell(pts[..., i]).astype(np.int64)
             return amplitude * ((idx & 1) == 0)
 
-        def ball_value(pts, radii, a=duty * period):
+        def ball_value(pts, radii):
             # one cell index per axis; NaN on any axis leaves the sum NaN
-            idx = sum(_band_value(pts[:, i], radii, lambda s: np.floor(s / a), lambda k: k) for i in range(d))
+            idx = sum(_band_value(pts[:, i], radii, cell, lambda k: k) for i in range(d))
             return np.where(np.isnan(idx), np.nan, even(idx))
 
-        return Damping(d, func, amplitude, label, ball_value)
+        return Damping(d, func, amplitude, label, ball_value, (cell,) * d)
 
     # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty];
     # frac(y) = y - floor(y) has np.mod(y, 1.0)'s bits for either sign of y, at a fraction of its cost
@@ -172,17 +184,15 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def ball_value(pts, radii):
             return _band_value(_norm(pts), radii, band, even)
 
-    else:
+        return Damping(d, func, amplitude, label, ball_value)
 
-        def func(pts, L=period, q=duty):
-            y = pts[..., 0] / L
-            frac = y - np.floor(y)
-            return amplitude * (frac < q)
+    def func(pts):
+        return even(band(pts[..., 0]))
 
-        def ball_value(pts, radii):
-            return _band_value(pts[:, 0], radii, band, even)
+    def ball_value(pts, radii):
+        return _band_value(pts[:, 0], radii, band, even)
 
-    return Damping(d, func, amplitude, label, ball_value)
+    return Damping(d, func, amplitude, label, ball_value, (band,))
 
 
 def _norm(pts, center=None):
@@ -275,6 +285,7 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
 
 BLOCK_BYTES = 1 << 19  # shifted-node scratch per block; it and the kernel's temporaries fit a 2 MB L2
 CERTIFY_CHUNK = 4096  # points classified by b.ball_value at a time
+COUNT_MAX_CELLS = 16  # cells per axis up to which counting a ball's nodes costs less than evaluating b
 
 
 def mollify_at(b: Damping, r, x) -> np.ndarray:
@@ -284,10 +295,15 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     broadcasts against the points' leading axes).  Each average is the mean
     of b(x + r * node) over the fixed set of N_BALL_PER_DIM * d nodes,
     evaluated block by block in one scratch buffer owned by the call, so
-    concurrent and nested calls share no state.  Balls on which b.ball_value
-    certifies b constant skip the quadrature: they get the mean of n_nodes
-    copies of that value, the same row sum the blocks form, so the result is
-    bit-identical.
+    concurrent and nested calls share no state.  Two shortcuts give the same
+    bits without evaluating b:
+
+    * balls on which b.ball_value certifies b constant get the mean of
+      n_nodes copies of that value, the same row sum the blocks form;
+    * for an indicator of cells (b.cells) whose amplitude sums exactly (see
+      `_sums_exactly`), balls that meet at most COUNT_MAX_CELLS cells per
+      axis get (k * b_max) / n_nodes, k the number of damped nodes, which
+      `_count_damped` counts.
 
     b.raw_func receives each block as a (points, nodes, d) view of a
     (d, points, nodes) buffer: its axis planes pts[..., i] are contiguous, the
@@ -298,6 +314,7 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     _require_window("mollification radius r", radii)
     n_nodes = N_BALL_PER_DIM * b.d
     planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
+    count = b.cells is not None and _sums_exactly(b.b_max, n_nodes)
 
     flat = pts.reshape(-1, b.d)
     out = np.empty(flat.shape[0])
@@ -306,14 +323,19 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     shifted = np.moveaxis(buf, 0, -1)  # the (points, nodes, d) view raw_func reads
     for chunk in range(0, flat.shape[0], CERTIFY_CHUNK):
         rows = slice(chunk, chunk + CERTIFY_CHUNK)
-        cpts, crad, todo = flat[rows], radii[rows], slice(None)
+        cpts, crad = flat[rows], radii[rows]
+        known = np.full(crad.size, np.nan)  # the means found without quadrature
         if b.ball_value is not None:
             values = b.ball_value(cpts, crad)
-            todo = np.isnan(values)
-            for v in np.unique(values[~todo]):
-                out[rows][values == v] = np.full((1, n_nodes), v).mean(axis=1)[0]
-            if not todo.all():  # with nothing certified the views serve as they are
-                cpts, crad = cpts[todo], crad[todo]
+            for v in np.unique(values[~np.isnan(values)]):
+                known[values == v] = np.full((1, n_nodes), v).mean(axis=1)[0]
+        if count:
+            todo = np.isnan(known)
+            damped = _count_damped(b.cells, n_nodes, cpts[todo], crad[todo])
+            known[todo] = damped * b.b_max / n_nodes  # NaN where not counted
+        todo = np.isnan(known)
+        if not todo.all():  # with nothing known the views serve as they are
+            cpts, crad = cpts[todo], crad[todo]
         means = np.empty(crad.size)
         for start in range(0, crad.size, m):
             block, rad = cpts[start : start + m], crad[start : start + m, None]
@@ -323,8 +345,116 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
                 np.multiply(rad, planes[i], out=buf[i, :k])
                 np.add(buf[i, :k], block[:, i, None], out=buf[i, :k])
             means[start : start + k] = b.raw_func(shifted[:k]).mean(axis=1)
-        out[rows][todo] = means
+        known[todo] = means
+        out[rows] = known
     return out.reshape(pts.shape[:-1])
+
+
+def _sums_exactly(amplitude: float, n: int) -> bool:
+    """Whether every sum of up to n copies of amplitude is exact in floats.
+
+    amplitude = m * 2^e with m odd, so j * amplitude is exact for j <= n when
+    n * m <= 2^53.  Then the quadrature's row sum of k copies, in any order,
+    is k * amplitude rounded once (inf where that overflows).
+    """
+    num, _ = amplitude.as_integer_ratio()
+    odd = num // (num & -num) if num else 0
+    return odd * n <= 2**53
+
+
+_NODE_RANK_CACHE: dict = {}
+
+
+def _node_ranks(d: int, n: int, q: int):
+    """Node order per axis and a rank-dominance table, for the first q axes.
+
+    Returns the node coordinates sorted on each of the first q axes and, for
+    q = 2, the (n + 1, n + 1) table D[i, j] = #{nodes of rank < i on axis 0
+    and rank < j on axis 1}.  Built on first use and read-only afterwards.
+    """
+    key = (d, n, q)
+    if key not in _NODE_RANK_CACHE:
+        nodes = unit_ball_nodes(d, n)
+        orders = [np.argsort(nodes[:, i], kind="stable") for i in range(q)]
+        planes = [nodes[order, i] for i, order in enumerate(orders)]
+        table = None
+        if q == 2:
+            ranks = np.empty((2, n), dtype=np.intp)
+            for i, order in enumerate(orders):
+                ranks[i, order] = np.arange(n)
+            table = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
+            table[ranks[0] + 1, ranks[1] + 1] = 1
+            np.cumsum(table, axis=0, out=table)
+            np.cumsum(table, axis=1, out=table)
+        _NODE_RANK_CACHE[key] = (planes, table)
+    return _NODE_RANK_CACHE[key]
+
+
+def _count_damped(cells: tuple, n: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Number of damped nodes in each ball, NaN where the ball is not counted.
+
+    The quadrature node j of the ball (x, r) lies in cell c_i(r * node_ji + x_i)
+    on axis i, the float expression the blocks evaluate.  Every step of it is
+    monotone, so the cell is non-decreasing along the nodes sorted on axis i:
+    the ball's nodes run through its cells lo_i, lo_i + 1, ..., hi_i in
+    consecutive rank intervals.  A branch-free bisection on the same
+    expression finds where each interval starts, in log2(n) steps for n a
+    power of two (512 d).  The interval ends on every axis are the corners of
+    the runs, boxes of nodes that share their cells; the corner counts (the
+    ends themselves in 1D, the dominance table in 2D) weighted by
+    `_parity_weights` sum the boxes whose cell sum is even.  A ball is
+    counted when it meets at most COUNT_MAX_CELLS cells per axis and its cell
+    indices stay below 2^52, where their parity is exact.
+    """
+    q = len(cells)
+    planes, table = _node_ranks(pts.shape[1], n, q)
+    cols = [pts[:, i] for i in range(q)]
+    lo = [cell(radii * s[0] + x) for cell, s, x in zip(cells, planes, cols)]
+    hi = [cell(radii * s[-1] + x) for cell, s, x in zip(cells, planes, cols)]
+    ok = np.ones(radii.shape, dtype=bool)
+    for a, z in zip(lo, hi):
+        ok &= (np.abs(a) < 2.0**52) & (np.abs(z) < 2.0**52) & (z - a < COUNT_MAX_CELLS)
+    result = np.full(radii.shape, np.nan)
+    if not ok.any():
+        return result
+    rad = radii[ok, None]
+    parity = np.zeros(int(ok.sum()), dtype=np.int64)  # of the lowest cell sum
+    ends = []  # per axis, (balls, cells + 1): 0, the rank where each later cell starts, n
+    for cell, s, x, a, z in zip(cells, planes, cols, lo, hi):
+        a, x = a[ok], x[ok, None]
+        parity += a.astype(np.int64)
+        target = a[:, None] + np.arange(1.0, np.max(z[ok] - a) + 1.0)
+        start = np.ones(target.shape, dtype=np.intp)  # every rank below start has a cell < target
+        for k in reversed(range(int(n).bit_length() - 1)):
+            np.add(start, 1 << k, out=start, where=cell(rad * s[start + ((1 << k) - 1)] + x) < target)
+        last = np.full((a.size, 1), n)
+        ends.append(np.concatenate([np.zeros_like(last), start, last], axis=1))
+    if q == 1:
+        corners = ends[0]
+    else:
+        corners = np.take(table, ends[0][:, :, None] * (n + 1) + ends[1][:, None, :])
+    damped = corners.reshape(corners.shape[0], -1).astype(float) @ _parity_weights(corners.shape[1:]).T
+    result[ok] = np.where(parity & 1, damped[:, 1], damped[:, 0])
+    return result
+
+
+def _parity_weights(shape: tuple) -> np.ndarray:
+    """Weights on the corner counts that sum the boxes of nodes with an even cell sum.
+
+    A box of runs (t_0, ..., t_{q-1}) holds the inclusion-exclusion sum of
+    the counts at its 2^q corners, and is damped when p + sum t_i is even.
+    Summing by parts puts the weight -diff(w) per axis on the corner counts,
+    w the damped indicator padded with zeros.  Row p of the (2, prod(shape))
+    result holds the weights for a lowest cell sum of parity p.
+    """
+    runs = tuple(m - 1 for m in shape)
+    rows = []
+    for p in (0, 1):
+        w = ((np.indices(runs).sum(axis=0) + p) % 2 == 0).astype(float)
+        for axis in range(len(runs)):
+            w = -np.diff(w, axis=axis, prepend=0.0, append=0.0)
+        rows.append(w.ravel())
+    return np.array(rows)
 
 
 def _window_mean(b: Damping, r, pts: np.ndarray, ts: np.ndarray, axis: int) -> np.ndarray:
@@ -549,6 +679,8 @@ def dsc_limit_scan(
     Cauchy trend of the ladder.  Every T and R must be finite and > 0.
     """
     tr_grid = [(float(t), float(r)) for t, r in tr_grid]
+    if not tr_grid:
+        raise ValueError("need at least one (T, R) rung")
     if any(
         tr_grid[i + 1][0] < tr_grid[i][0] or tr_grid[i + 1][1] < tr_grid[i][1]
         for i in range(len(tr_grid) - 1)

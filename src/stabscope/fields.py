@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential, _require_window
+from .potentials import Potential, _require_count, _require_window
 
 __all__ = [
     "Grid",
@@ -58,6 +58,7 @@ class Grid:
             raise ValueError("only dimensions 1 and 2 are supported")
         if len(self.ns) != self.d or len(self.ls) != self.d:
             raise ValueError("one extent and one point count per axis")
+        object.__setattr__(self, "ns", tuple(_require_count("grid point count", n) for n in self.ns))
         if any(n < 8 for n in self.ns):
             raise ValueError("grid too coarse: need at least 8 points per axis")
         _require_window("grid half-widths", self.ls, where=f", got {self.ls}")
@@ -89,7 +90,7 @@ class Grid:
 
 
 def make_grid(d: int, n, l, center=None) -> Grid:
-    ns = tuple(int(v) for v in (n if np.iterable(n) else [n] * d))
+    ns = tuple(n if np.iterable(n) else [n] * d)
     ls = tuple(float(v) for v in (l if np.iterable(l) else [l] * d))
     ctr = None if center is None else tuple(float(v) for v in np.atleast_1d(center))
     return Grid(d, ns, ls, ctr)

@@ -15,6 +15,8 @@ from stabscope.potentials import builtin_potential
 # Property tests replay the same examples on every run and take no per-example
 # deadline, so tier-1 stays deterministic on machines whose core speed drifts.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+# Ten times the examples, for a longer run of chosen properties (--hypothesis-profile deep).
+settings.register_profile("deep", settings.get_profile("tier1"), max_examples=1000)
 settings.load_profile("tier1")
 
 # The four reference damping patterns, in fixed order.

@@ -14,6 +14,7 @@ from stabscope.potentials import builtin_potential
 from stabscope.damping import (
     BLOCK_BYTES,
     CERTIFY_CHUNK,
+    COUNT_MAX_CELLS,
     N_RAY,
     Damping,
     _sobol,
@@ -393,6 +394,82 @@ def test_certificate_skips_constant_balls():
     # each ball that is not skipped costs 1024 node evaluations in d = 2
     assert count[0] < 0.1 * rep.sample_values.size * N_RAY * 1024
 
+    for name in ("checkerboard", "strip_lattice"):
+        # no ball meets more than two cells per axis, so every uncertified one is counted
+        cells, count = _counting(builtin_damping(name, d=2, period=1.0, duty=0.5))
+        ugcc_scan(cells, 2.0, 0.25)
+        assert count[0] == 0
+
+
+# ------------------------------------------------------ counted ball means
+
+# Every sum of up to 1024 copies of these is exact, so their ball means are counted
+DYADIC_AMPLITUDES = (0.0, 0.75, 1.0, 2.5, 3.0)
+
+
+@st.composite
+def counted_cases(draw):
+    """A checkerboard or strip lattice with points and radii around its cell edges.
+
+    Radii run from 0.01 to 50 cells, one for all points or one per point.
+    Each coordinate lies on a cell edge, 1e-12 off one, with the ball's rim
+    on one, anywhere in a few cells, or far out.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(["checkerboard", "strip_lattice"]))
+    params = {"period": draw(st.sampled_from([1.0, 0.37, 2.5, 1e-3])), "duty": draw(st.sampled_from([0.5, 0.3, 0.01]))}
+    amplitude = draw(st.sampled_from(DYADIC_AMPLITUDES + AMPLITUDES))
+    edges = _band_edges(name, params)
+    width = min(np.diff(edges))
+
+    def radius():
+        return width * 10.0 ** draw(st.floats(-2.0, math.log10(50.0)))
+
+    n = draw(st.integers(1, 8))
+    radii = [radius() for _ in range(n)]
+    pts = np.empty((n, d))
+    for p, r in zip(pts, radii):
+        for i in range(d):
+            kind = draw(st.sampled_from(["edge", "near", "rim", "free", "far"]))
+            e = draw(st.sampled_from(edges))
+            if kind == "near":
+                e += draw(st.sampled_from([-1e-12, 1e-12]))
+            elif kind == "rim":
+                e += draw(st.sampled_from([-r, r]))
+            elif kind == "free":
+                e = draw(st.floats(-3.0, 3.0)) * params["period"]
+            elif kind == "far":
+                e = draw(st.floats(-1e6, 1e6))
+            p[i] = e
+    r = np.array(radii) if draw(st.booleans()) else radii[0]
+    return name, params, amplitude, pts, r
+
+
+@given(counted_cases())
+# 1e17 cells out: beyond 2**52 cell indices the mean takes the quadrature
+@example(("checkerboard", {"period": 1e-3, "duty": 0.01}, 1.0, np.array([[1e12, 5.30001]]), 2e-5))
+# balls meeting 16 and 17 cells: the first is counted, the second evaluated
+@example(("checkerboard", {"period": 1.0, "duty": 0.5}, 1.0, np.array([[0.0], [0.1]]), 4.0))
+def test_counted_mollify_matches_direct_formula(case):
+    name, params, amplitude, pts, r = case
+    b = builtin_damping(name, d=pts.shape[1], amplitude=amplitude, **params)
+    watched, count = _counting(b)
+    got = mollify_at(watched, r, pts)
+    nodes = unit_ball_nodes(b.d, 512 * b.d)
+    radii = np.broadcast_to(r, pts.shape[:1])
+    direct = np.array([b.raw_func(p + rad * nodes).mean() for p, rad in zip(pts, radii)])
+    assert np.array_equal(got, direct)
+
+    # b is evaluated on exactly the balls neither certified constant nor
+    # counted; a ball is counted when the amplitude sums exactly and it meets
+    # at most COUNT_MAX_CELLS cells per axis, with cell indices below 2**52
+    counted = np.full(radii.shape, amplitude in DYADIC_AMPLITUDES)
+    for i, cell in enumerate(b.cells):
+        lo, hi = cell(radii * nodes[:, i].min() + pts[:, i]), cell(radii * nodes[:, i].max() + pts[:, i])
+        counted &= (hi - lo < COUNT_MAX_CELLS) & (np.abs(lo) < 2.0**52) & (np.abs(hi) < 2.0**52)
+    evaluated = np.isnan(b.ball_value(pts, radii)) & ~counted
+    assert count[0] == nodes.shape[0] * int(evaluated.sum())
+
 
 # ----------------------------------------------------- plane-wise kernels
 
@@ -749,6 +826,8 @@ def test_dsc_limit_rejects_bad_ladder(harmonic_2d):
     b = builtin_damping("constant", d=2)
     with pytest.raises(ValueError, match="non-decreasing in both slots"):
         dsc_limit_scan(b, harmonic_2d, [(2.0, 1.0), (1.0, 1.5)], [25.0], n_shell_samples=16)
+    with pytest.raises(ValueError, match=re.escape("need at least one (T, R) rung")):
+        dsc_limit_scan(b, harmonic_2d, [], [25.0], n_shell_samples=16)
 
 
 # ------------------------------------------------------------ invariants

@@ -28,7 +28,7 @@ from stabscope.evolution import (
     resolvent_grid,
     resolvent_scan,
 )
-from stabscope.fields import Field, make_grid, p_bands
+from stabscope.fields import Field, _PKernel, make_grid, p_bands
 from stabscope.potentials import builtin_potential, sublevel_radius
 from stabscope.quasimodes import turning_point_bump
 
@@ -281,6 +281,61 @@ def test_damped_energy_never_rises(d, damping, amplitude, center, width, data, c
     trace = evolve(pot, b, WaveState(Field(grid, u), Field(grid, v)), n_steps * dt, dt)
     assert trace.E[0] > 0.0
     assert float(np.max(np.diff(trace.E))) <= 1e-10 * trace.E[0]
+
+
+class _RecordingKernel(_PKernel):
+    """The stencil kernel, keeping a copy of every iterate u_n and of P u_n."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def __call__(self, values):
+        out = super().__call__(values)
+        self.calls.append((values.copy(), out.copy()))
+        return out
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(BUILTIN_DAMPINGS),
+    st.floats(0.0, 2.0),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([48, 64, 96]),
+    st.floats(-2.0, 2.0),
+    st.floats(0.3, 0.7),
+    st.booleans(),
+    st.floats(0.1, 0.9),
+    st.integers(1, 80),
+)
+def test_staggered_energy_never_rises(damping, amplitude, where, n, center, width, moving, cfl_fraction, n_steps):
+    # The leapfrog dissipates E_{n+1/2} = |(u_{n+1} - u_n)/dt|^2/2 + <u_{n+1}, P u_n>/2
+    # exactly: it falls by dt <b v_n, v_n> with the centred velocity v_n, so it
+    # never rises, wherever the damping sits relative to the packet.
+    params = dict(damping[1], center=[where]) if damping[0] == "ball" else damping[1]
+    b = builtin_damping(damping[0], d=1, amplitude=amplitude, **params)
+    grid = make_grid(1, n, 8.0)
+    x = grid.axis(0) - center
+    u = np.exp(-x * x / (2.0 * width * width))
+    v = x / width**2 * u if moving else 0.0 * u
+    dt = cfl_fraction * cfl_limit(H1, grid)
+    kernels = []
+
+    def kernel(*args):
+        kernels.append(_RecordingKernel(*args))
+        return kernels[-1]
+
+    with mock.patch.object(evolution, "_PKernel", kernel):
+        trace = evolve(H1, b, WaveState(Field(grid, u), Field(grid, v)), n_steps * dt, dt)
+    (rec,) = kernels
+    us, pus = zip(*rec.calls)  # u_0 .. u_N and P u_0 .. P u_N
+    assert len(us) == n_steps + 1
+    w = evolution._weights(grid)
+    staggered = [
+        0.5 * np.sum(w * ((u1 - u0) / dt) ** 2) + 0.5 * np.sum(w * u1 * pu0)
+        for u0, u1, pu0 in zip(us, us[1:], pus)
+    ]
+    assert np.max(np.diff(staggered), initial=0.0) <= 1e-12 * trace.E[0]
 
 
 def test_evolve_rejects_bad_input():

@@ -100,6 +100,8 @@ COUNTS = {
     "packet_spec n": ("n", lambda n: packet_spec(H1, n)),
     "packet_grid ppw": ("ppw", lambda n: packet_grid(packet_spec(H1, 1), ppw=n)),
     "tpc_violation_sequence n_max": ("n_max", lambda n: tpc_violation_sequence(H1, B1, n)),
+    "Grid ns": ("grid point count", lambda n: Grid(1, (n,), (1.0,))),
+    "make_grid n": ("grid point count", lambda n: make_grid(2, [16, n], 1.0)),
 }
 
 
@@ -126,3 +128,5 @@ def test_counts_read_as_int():
     spec = packet_spec(H1, 4.0)
     assert spec.n == 4 and type(spec.n) is int
     assert spec.lam_n == packet_spec(H1, 4).lam_n
+    grid = make_grid(2, [16.0, 24], 1.0)
+    assert grid.ns == (16, 24) and all(type(n) is int for n in grid.ns)
