@@ -13,14 +13,14 @@ them statements about averages of b:
   uniformly over the energy shell, asymptotically in lam.
 
 Each scan samples its infimum over a finite, deterministic family.  Ball
-averages use a fixed low-discrepancy node set (`mollify_at`), whose damped
-nodes are counted rather than evaluated for the cell indicators; the ray
-and flow averages are one window mean, the composite trapezoid rule over
-|t| <= T divided by 2T.  Every scan returns a `ConditionReport` with the
-per-sample averages and the infimum; it passes when the infimum exceeds the
-threshold c = 1e-3 * b_max.  TPC and DSC build theirs through one grouped
-report (per-shell or per-frequency infima, the outermost group as the liminf
-proxy).
+averages use a fixed low-discrepancy node set (`mollify_at`); a builtin
+counts the nodes of a ball at which it is damped (`Damping.damped_nodes`),
+so most balls need no evaluation of b.  The ray and flow averages are one
+window mean, the composite trapezoid rule over |t| <= T divided by 2T.
+Every scan returns a `ConditionReport` with the per-sample averages and the
+infimum; it passes when the infimum exceeds the threshold c = 1e-3 * b_max.
+TPC and DSC build theirs through one grouped report (per-shell or
+per-frequency infima, the outermost group as the liminf proxy).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,25 +56,18 @@ N_BALL_PER_DIM = 512  # ball-mean quadrature nodes per dimension: 512 in 1D, 102
 class Damping:
     """A bounded nonnegative damping coefficient with a batched evaluator.
 
-    `ball_value(pts, radii)`, when given, certifies where b is constant: for
-    each ball it returns the value b takes on the whole closed ball around pts,
-    widened by a slack far above rounding, or NaN where that is not proved.
-    The mollifier skips the quadrature on certified balls.
-
-    `cells`, when given, says that b is an indicator of axis-aligned cells:
-    one cell index function c_i per leading axis, each mapping coordinates
-    x_i to integer-valued floats and non-decreasing in x_i, with b = b_max
-    where the sum of c_i(x_i) is even and 0 elsewhere; later axes do not
-    matter.  raw_func must be that rule.  The mollifier then counts nodes per
-    cell instead of evaluating b on balls that meet few cells.
+    `damped_nodes(pts, radii)`, when given, counts the damped nodes of each
+    ball: the number k of the mollifier's N_BALL_PER_DIM * d nodes
+    x + r * node at which raw_func reads b_max, reading 0 at the others, or
+    NaN where k is not known.  `mollify_at` skips the quadrature on the
+    balls whose k fixes the mean.
     """
 
     d: int
     raw_func: Callable[[np.ndarray], np.ndarray]
     b_max: float
     label: str
-    ball_value: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    cells: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+    damped_nodes: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return self.raw_func(as_points(x, self.d))
@@ -90,7 +84,14 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
                     is damped
     radial_shells   b = amplitude on annuli {frac(|x|/period) < duty}
     strip_lattice   b = amplitude on strips {frac(x_1/period) < duty}
+
+    Each counts its damped nodes (Damping.damped_nodes): constant all of
+    them; exterior, ball and radial_shells all or none where the slack
+    certificate `_band_value` holds; the cell indicators per cell.
     """
+    if d not in (1, 2):
+        raise ValueError("only dimensions 1 and 2 are supported")
+    n_nodes = N_BALL_PER_DIM * d
     amplitude = float(params.pop("amplitude", 1.0))
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
@@ -103,10 +104,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts):
             return np.full(pts.shape[:-1], amplitude)
 
-        def ball_value(pts, radii):
-            return np.full(radii.shape, amplitude)
+        def damped_nodes(pts, radii):
+            return np.full(radii.shape, float(n_nodes))
 
-        return Damping(d, func, amplitude, f"constant({amplitude:g})", ball_value)
+        return Damping(d, func, amplitude, f"constant({amplitude:g})", damped_nodes)
 
     if name == "exterior":
         radius = _require_window("radius", float(params.pop("radius", 1.0)))
@@ -115,10 +116,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts, r=radius):
             return amplitude * (_norm(pts) >= r)
 
-        def ball_value(pts, radii, r=radius):
-            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda k: amplitude * k)
+        def damped_nodes(pts, radii, r=radius):
+            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda k: n_nodes * k)
 
-        return Damping(d, func, amplitude, f"exterior(R={radius:g})", ball_value)
+        return Damping(d, func, amplitude, f"exterior(R={radius:g})", damped_nodes)
 
     if name == "ball":
         radius = _require_window("radius", float(params.pop("radius", 1.0)))
@@ -131,10 +132,10 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def func(pts, r=radius, c=center):
             return amplitude * (_norm(pts, c) <= r)
 
-        def ball_value(pts, radii, r=radius, c=center):
-            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda k: amplitude * ~k)
+        def damped_nodes(pts, radii, r=radius, c=center):
+            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda k: n_nodes * ~k)
 
-        return Damping(d, func, amplitude, f"ball(R={radius:g})", ball_value)
+        return Damping(d, func, amplitude, f"ball(R={radius:g})", damped_nodes)
 
     if name not in ("checkerboard", "radial_shells", "strip_lattice"):
         raise ValueError(f"unknown damping {name!r}")
@@ -146,7 +147,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     label = f"{name}(L={period:g},duty={duty:g})"
 
     def even(k):
-        return amplitude * (np.fmod(k, 2.0) == 0.0)
+        return np.fmod(k, 2.0) == 0.0
 
     if name == "checkerboard":
 
@@ -154,18 +155,20 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             return np.floor(s / a)
 
         def func(pts):
-            # the cell index sum, one axis plane at a time, in exact int64
-            idx = cell(pts[..., 0]).astype(np.int64)
-            for i in range(1, pts.shape[-1]):
-                idx += cell(pts[..., i]).astype(np.int64)
+            # the cell index sum, one axis plane at a time, in exact int64 (a wrapped
+            # sum keeps its parity); the cast fails on a NaN cell or one beyond int64
+            try:
+                with np.errstate(invalid="raise"):
+                    idx = cell(pts[..., 0]).astype(np.int64)
+                    for i in range(1, pts.shape[-1]):
+                        idx += cell(pts[..., i]).astype(np.int64)
+            except FloatingPointError:  # NaN reads undamped, and floats of 2^53 cells and more are even
+                cells = [cell(pts[..., i]) for i in range(pts.shape[-1])]
+                idx = sum(np.where(np.abs(c) < 2.0**53, c, 0.0).astype(np.int64) for c in cells)
+                return amplitude * (((idx & 1) == 0) & np.logical_and.reduce([~np.isnan(c) for c in cells]))
             return amplitude * ((idx & 1) == 0)
 
-        def ball_value(pts, radii):
-            # one cell index per axis; NaN on any axis leaves the sum NaN
-            idx = sum(_band_value(pts[:, i], radii, cell, lambda k: k) for i in range(d))
-            return np.where(np.isnan(idx), np.nan, even(idx))
-
-        return Damping(d, func, amplitude, label, ball_value, (cell,) * d)
+        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, n_nodes))
 
     # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty];
     # frac(y) = y - floor(y) has np.mod(y, 1.0)'s bits for either sign of y, at a fraction of its cost
@@ -181,18 +184,15 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             frac = y - np.floor(y)
             return amplitude * (frac < q)
 
-        def ball_value(pts, radii):
-            return _band_value(_norm(pts), radii, band, even)
+        def damped_nodes(pts, radii):
+            return _band_value(_norm(pts), radii, band, lambda k: n_nodes * even(k))
 
-        return Damping(d, func, amplitude, label, ball_value)
+        return Damping(d, func, amplitude, label, damped_nodes)
 
     def func(pts):
-        return even(band(pts[..., 0]))
+        return amplitude * even(band(pts[..., 0]))
 
-    def ball_value(pts, radii):
-        return _band_value(pts[:, 0], radii, band, even)
-
-    return Damping(d, func, amplitude, label, ball_value, (band,))
+    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), n_nodes))
 
 
 def _norm(pts, center=None):
@@ -214,12 +214,12 @@ BALL_SLACK = 1e-9  # relative widening of a certified ball, far above rounding
 
 
 def _band_value(s, radii, band, value):
-    """Value on each ball of b = value(band(s)), s a 1-Lipschitz scalar of the point.
+    """Value on each ball of value(band(s)), s a 1-Lipschitz scalar of the point.
 
-    band must be non-decreasing in s, so b is constant on a ball whenever the
-    interval [s - r - delta, s + r + delta] starts and ends in one band; the
-    slack delta = BALL_SLACK * (1 + |s| + r) absorbs the rounding of s, of the
-    shifted nodes and of band itself.  NaN where two bands are met.
+    band must be non-decreasing in s, so band(s) is constant on a ball whenever
+    the interval [s - r - delta, s + r + delta] starts and ends in one band;
+    the slack delta = BALL_SLACK * (1 + |s| + r) absorbs the rounding of s, of
+    the shifted nodes and of band itself.  NaN where two bands are met.
     """
     delta = BALL_SLACK * (1.0 + np.abs(s) + radii)
     lo, hi = band(s - radii - delta), band(s + radii + delta)
@@ -284,7 +284,7 @@ def unit_ball_nodes(d: int, n: int) -> np.ndarray:
 
 
 BLOCK_BYTES = 1 << 19  # shifted-node scratch per block; it and the kernel's temporaries fit a 2 MB L2
-CERTIFY_CHUNK = 4096  # points classified by b.ball_value at a time
+CERTIFY_CHUNK = 4096  # points whose damped nodes b.damped_nodes counts at a time
 COUNT_MAX_CELLS = 16  # cells per axis up to which counting a ball's nodes costs less than evaluating b
 
 
@@ -295,15 +295,12 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     broadcasts against the points' leading axes).  Each average is the mean
     of b(x + r * node) over the fixed set of N_BALL_PER_DIM * d nodes,
     evaluated block by block in one scratch buffer owned by the call, so
-    concurrent and nested calls share no state.  Two shortcuts give the same
-    bits without evaluating b:
-
-    * balls on which b.ball_value certifies b constant get the mean of
-      n_nodes copies of that value, the same row sum the blocks form;
-    * for an indicator of cells (b.cells) whose amplitude sums exactly (see
-      `_sums_exactly`), balls that meet at most COUNT_MAX_CELLS cells per
-      axis get (k * b_max) / n_nodes, k the number of damped nodes, which
-      `_count_damped` counts.
+    concurrent and nested calls share no state.  Where b.damped_nodes counts
+    k damped nodes, the mean has the same bits without evaluating b: the
+    mean of n_nodes copies of b_max (the row sum the blocks form) for
+    k = n_nodes, 0.0 for k = 0, and (k * b_max) / n_nodes in between when
+    b_max sums exactly (see `_sums_exactly`).  The other balls, and every
+    ball of a Damping without the hook, take the quadrature.
 
     b.raw_func receives each block as a (points, nodes, d) view of a
     (d, points, nodes) buffer: its axis planes pts[..., i] are contiguous, the
@@ -314,7 +311,8 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     _require_window("mollification radius r", radii)
     n_nodes = N_BALL_PER_DIM * b.d
     planes = np.ascontiguousarray(unit_ball_nodes(b.d, n_nodes).T)  # (d, n_nodes)
-    count = b.cells is not None and _sums_exactly(b.b_max, n_nodes)
+    full = np.full((1, n_nodes), b.b_max).mean(axis=1)[0]
+    exact = _sums_exactly(b.b_max, n_nodes)
 
     flat = pts.reshape(-1, b.d)
     out = np.empty(flat.shape[0])
@@ -324,15 +322,9 @@ def mollify_at(b: Damping, r, x) -> np.ndarray:
     for chunk in range(0, flat.shape[0], CERTIFY_CHUNK):
         rows = slice(chunk, chunk + CERTIFY_CHUNK)
         cpts, crad = flat[rows], radii[rows]
-        known = np.full(crad.size, np.nan)  # the means found without quadrature
-        if b.ball_value is not None:
-            values = b.ball_value(cpts, crad)
-            for v in np.unique(values[~np.isnan(values)]):
-                known[values == v] = np.full((1, n_nodes), v).mean(axis=1)[0]
-        if count:
-            todo = np.isnan(known)
-            damped = _count_damped(b.cells, n_nodes, cpts[todo], crad[todo])
-            known[todo] = damped * b.b_max / n_nodes  # NaN where not counted
+        k = np.full(crad.size, np.nan) if b.damped_nodes is None else b.damped_nodes(cpts, crad)
+        # the means found without quadrature, NaN on the other balls
+        known = np.where(k == n_nodes, full, k * b.b_max / n_nodes if exact else np.where(k == 0, 0.0, np.nan))
         todo = np.isnan(known)
         if not todo.all():  # with nothing known the views serve as they are
             cpts, crad = cpts[todo], crad[todo]
@@ -391,7 +383,11 @@ def _node_ranks(d: int, n: int, q: int):
 
 
 def _count_damped(cells: tuple, n: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Number of damped nodes in each ball, NaN where the ball is not counted.
+    """Number of damped nodes in each ball of a cell indicator, NaN where not counted.
+
+    b is b_max where the sum of c_i(x_i) is even and 0 elsewhere: one cell
+    index function c_i per leading axis, mapping x_i to integer-valued floats
+    and non-decreasing in x_i; later axes do not matter.
 
     The quadrature node j of the ball (x, r) lies in cell c_i(r * node_ji + x_i)
     on axis i, the float expression the blocks evaluate.  Every step of it is
@@ -636,6 +632,7 @@ def dsc_scan(
     _require_window("T", T)
     _require_window("R", R)
     _require_count("n_shell_samples", n_shell_samples)
+    threads = _require_count("threads", threads)
     lams = [float(v) for v in np.atleast_1d(lambdas)]
     if not lams:
         raise ValueError("need at least one frequency lambda")

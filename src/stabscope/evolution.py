@@ -362,6 +362,7 @@ def resolvent_scan(
     threads: int = 1,
 ) -> ResolventScan:
     """Scan lam / sigma_min(P - lam^2 + i lam b) over the frequency grid."""
+    threads = _require_count("threads", threads)
     if pot.d != 1 or b.d != 1:
         raise ValueError("resolvent scan requires d = 1")
     lams = np.asarray(list(lambdas), dtype=float)

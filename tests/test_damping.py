@@ -57,6 +57,14 @@ def test_builtin_pointwise_values():
     assert float(strips(np.array([0.25, 3.7]))) == 1.0
     assert float(strips(np.array([0.75, -2.1]))) == 0.0
 
+    # a NaN cell reads 0 in both cell indicators; a float cell of 2^53 or more
+    # is an even integer, read without an overflowing cast, and 2^53 - 1 is odd
+    for name in ("checkerboard", "strip_lattice"):
+        assert float(builtin_damping(name, d=1)(np.nan)) == 0.0
+    odd = 0.5 * (2.0**53 - 1.0)
+    pts = np.array([[np.nan, 0.25], [np.nan, np.nan], [4.7e18, 0.25], [4.7e18, 0.75], [1e300, -1e300], [odd, 0.25]])
+    assert np.array_equal(cb(pts), [0.0, 0.0, 2.0, 0.0, 2.0, 0.0])
+
 
 def test_builtin_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown damping"):
@@ -67,6 +75,11 @@ def test_builtin_rejects_bad_input():
         builtin_damping("constant", d=1, radius=2.0)
     with pytest.raises(ValueError, match="duty ratio"):
         builtin_damping("checkerboard", d=1, period=1.0, duty=1.5)
+    # the message builtin_potential gives, before any node count is sized
+    for name in ("constant", "ball", "checkerboard", "strip_lattice"):
+        for d in (3, 0, -1, 2.5):
+            with pytest.raises(ValueError, match="only dimensions 1 and 2 are supported"):
+                builtin_damping(name, d=d)
 
 
 @pytest.mark.parametrize(
@@ -257,7 +270,7 @@ def test_numpy_trapezoid_keeps_the_scipy_bits(case):
     assert np.trapezoid(vals, ts, axis=axis).tobytes() == trapezoid(vals, ts, axis=axis).tobytes()
 
 
-# ------------------------------------------- constant-on-ball certificates
+# ------------------------------------------------------ damped-node counts
 
 # Non-dyadic amplitudes: the mean of n copies of 0.3 or 1/3 is not the amplitude itself
 AMPLITUDES = (0.3, 1.0 / 3.0, 1.0, 2.7)
@@ -286,7 +299,7 @@ def certificate_cases(draw):
 
     A touching ball's rim lies within 1e-12 or 1e-7 of a band edge, on either
     side; a centred ball sits in the middle of one band with room to spare,
-    so the certificate must cover it.  Each ball has its own radius.
+    so the hook must count it.  Each ball has its own radius.
     """
     d = draw(st.sampled_from([1, 2]))
     name, params = draw(st.sampled_from(BUILTIN_PARAMS))
@@ -350,27 +363,88 @@ def _probe_nodes(d: int) -> np.ndarray:
 @given(certificate_cases())
 def test_ball_certificate_is_sound_and_exact(case):
     b, pts, radii, inside = case
-    values = b.ball_value(pts, radii)
-    assert not np.any(np.isnan(values[inside]))
-    # (b) a certified value is what raw_func gives at every node, rim included
-    probe = _probe_nodes(b.d)
-    for x, r, v in zip(pts, radii, values):
-        if not np.isnan(v):
-            assert np.all(b.raw_func(r * probe + x) == v)
+    n = 512 * b.d
+    k = b.damped_nodes(pts, radii)
+    assert not np.any(np.isnan(k[inside]))
+    # (b) a ball counted all damped or all undamped reads one value at every
+    # node, and for the slack certificates on the rim too
+    probe = unit_ball_nodes(b.d, n) if b.label.startswith(("checkerboard", "strip_lattice")) else _probe_nodes(b.d)
+    for x, r, kk in zip(pts, radii, k):
+        if kk in (0, n):
+            assert np.all(b.raw_func(r * probe + x) == (b.b_max if kk == n else 0.0))
     # (a) skipping the quadrature changes no bit of the average
-    uncertified = dataclasses.replace(b, ball_value=None)
-    assert np.array_equal(mollify_at(b, radii, pts), mollify_at(uncertified, radii, pts))
+    uncounted = dataclasses.replace(b, damped_nodes=None)
+    assert np.array_equal(mollify_at(b, radii, pts), mollify_at(uncounted, radii, pts))
+
+
+def _edge_coordinate(draw, edges, r, scale):
+    """On a band edge, 1e-12 off one, a rim's distance r from one (so an extreme
+    node lands on it), anywhere within three scales of 0, or far out."""
+    kind = draw(st.sampled_from(["edge", "near", "rim", "free", "far"]))
+    e = draw(st.sampled_from(edges))
+    if kind == "near":
+        e += draw(st.sampled_from([-1e-12, 1e-12]))
+    elif kind == "rim":
+        e += draw(st.sampled_from([-r, r]))
+    elif kind == "free":
+        e = draw(st.floats(-3.0, 3.0)) * scale
+    elif kind == "far":
+        e = draw(st.floats(-1e6, 1e6))
+    return e
+
+
+@st.composite
+def damped_node_cases(draw):
+    """A builtin, an amplitude of AMPLITUDES, and balls anywhere relative to its bands.
+
+    Each coordinate, or |x| for the radial builtins, is an `_edge_coordinate`;
+    radii run from 0.01 to 20 bands.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name, params = draw(st.sampled_from(BUILTIN_PARAMS))
+    params = dict(params)
+    if "radius" in params:
+        params["radius"] = draw(st.sampled_from([0.3, 1.0, 2.7]))
+    if "period" in params:
+        params["period"] = draw(st.sampled_from([0.37, 1.0, 2.5]))
+        params["duty"] = draw(st.sampled_from([0.3, 0.5, 0.85]))
+    b = builtin_damping(name, d=d, amplitude=draw(st.sampled_from(AMPLITUDES)), **params)
+    edges = _band_edges(name, params)
+    width = min(np.diff(edges))
+    n = draw(st.integers(1, 6))
+    radii = np.array([width * 10.0 ** draw(st.floats(-2.0, math.log10(20.0))) for _ in range(n)])
+    pts = np.array([[_edge_coordinate(draw, edges, r, width) for _ in range(d)] for r in radii])
+    if d == 2 and name in ("exterior", "ball", "radial_shells"):
+        for p in pts:
+            theta = draw(st.floats(0.0, 2.0 * np.pi))
+            p[:] = p[0] * np.array([np.cos(theta), np.sin(theta)])
+    return b, pts, radii
+
+
+@given(damped_node_cases())
+def test_damped_nodes_counts_the_nodes_raw_func_damps(case):
+    # the hook's contract: where k is known, raw_func reads b_max at exactly
+    # k of the ball's nodes and 0 at the others
+    b, pts, radii = case
+    nodes = unit_ball_nodes(b.d, 512 * b.d)
+    k = b.damped_nodes(pts, radii)
+    assert k.shape == radii.shape
+    for x, r, kk in zip(pts, radii, k):
+        if not np.isnan(kk):
+            values = b.raw_func(r * nodes + x)
+            assert np.all((values == b.b_max) | (values == 0.0))
+            assert np.count_nonzero(values == b.b_max) == kk
 
 
 @pytest.mark.parametrize("name, params", BUILTIN_PARAMS)
 def test_certified_mollify_spans_chunks(name, params):
-    # several classification chunks, each mixing certified and quadrature rows
+    # several counting chunks, each mixing counted and quadrature rows
     b = builtin_damping(name, d=2, amplitude=0.3, **params)
     rng = np.random.default_rng(7)
     n = 2 * CERTIFY_CHUNK + 37
     pts, radii = rng.uniform(-4.0, 4.0, size=(n, 2)), rng.uniform(0.01, 0.3, size=n)
     got = mollify_at(b, radii, pts)
-    assert np.array_equal(got, mollify_at(dataclasses.replace(b, ball_value=None), radii, pts))
+    assert np.array_equal(got, mollify_at(dataclasses.replace(b, damped_nodes=None), radii, pts))
 
 
 def _counting(b: Damping):
@@ -395,7 +469,7 @@ def test_certificate_skips_constant_balls():
     assert count[0] < 0.1 * rep.sample_values.size * N_RAY * 1024
 
     for name in ("checkerboard", "strip_lattice"):
-        # no ball meets more than two cells per axis, so every uncertified one is counted
+        # no ball meets more than two cells per axis, so every one is counted
         cells, count = _counting(builtin_damping(name, d=2, period=1.0, duty=0.5))
         ugcc_scan(cells, 2.0, 0.25)
         assert count[0] == 0
@@ -427,20 +501,7 @@ def counted_cases(draw):
 
     n = draw(st.integers(1, 8))
     radii = [radius() for _ in range(n)]
-    pts = np.empty((n, d))
-    for p, r in zip(pts, radii):
-        for i in range(d):
-            kind = draw(st.sampled_from(["edge", "near", "rim", "free", "far"]))
-            e = draw(st.sampled_from(edges))
-            if kind == "near":
-                e += draw(st.sampled_from([-1e-12, 1e-12]))
-            elif kind == "rim":
-                e += draw(st.sampled_from([-r, r]))
-            elif kind == "free":
-                e = draw(st.floats(-3.0, 3.0)) * params["period"]
-            elif kind == "far":
-                e = draw(st.floats(-1e6, 1e6))
-            p[i] = e
+    pts = np.array([[_edge_coordinate(draw, edges, r, params["period"]) for _ in range(d)] for r in radii])
     r = np.array(radii) if draw(st.booleans()) else radii[0]
     return name, params, amplitude, pts, r
 
@@ -460,14 +521,21 @@ def test_counted_mollify_matches_direct_formula(case):
     direct = np.array([b.raw_func(p + rad * nodes).mean() for p, rad in zip(pts, radii)])
     assert np.array_equal(got, direct)
 
-    # b is evaluated on exactly the balls neither certified constant nor
-    # counted; a ball is counted when the amplitude sums exactly and it meets
-    # at most COUNT_MAX_CELLS cells per axis, with cell indices below 2**52
-    counted = np.full(radii.shape, amplitude in DYADIC_AMPLITUDES)
-    for i, cell in enumerate(b.cells):
+    # b is evaluated on exactly the balls not counted; a ball is counted when
+    # it meets at most COUNT_MAX_CELLS cells per axis, with cell indices below
+    # 2**52, and the amplitude sums exactly or its nodes are all damped or all not
+    L, q = params["period"], params["duty"]
+    if name == "checkerboard":
+        rules = [lambda s: np.floor(s / (q * L))] * b.d
+    else:
+        rules = [lambda s: 2.0 * np.floor(s / L) + (s / L - np.floor(s / L) >= q)]
+    within = np.ones(radii.shape, dtype=bool)
+    for i, cell in enumerate(rules):
         lo, hi = cell(radii * nodes[:, i].min() + pts[:, i]), cell(radii * nodes[:, i].max() + pts[:, i])
-        counted &= (hi - lo < COUNT_MAX_CELLS) & (np.abs(lo) < 2.0**52) & (np.abs(hi) < 2.0**52)
-    evaluated = np.isnan(b.ball_value(pts, radii)) & ~counted
+        within &= (hi - lo < COUNT_MAX_CELLS) & (np.abs(lo) < 2.0**52) & (np.abs(hi) < 2.0**52)
+    damped = np.array([np.count_nonzero(b.raw_func(p + rad * nodes) == amplitude) for p, rad in zip(pts, radii)])
+    one_value = (damped == 0) | (damped == nodes.shape[0])
+    evaluated = ~(within & (one_value | (amplitude in DYADIC_AMPLITUDES)))
     assert count[0] == nodes.shape[0] * int(evaluated.sum())
 
 

@@ -16,7 +16,15 @@ import pytest
 
 from stabscope.damping import builtin_damping, dsc_limit_scan, dsc_scan, flow_average, mollify_at, tpc_scan, ugcc_scan
 from stabscope.dynamics import default_dt, flow_integrate, flow_positions, linearization_deviation, sample_shell
-from stabscope.evolution import WaveState, damped_spectrum_1d, evolve, p_spectrum_1d, quasimode_probe, resolvent_grid
+from stabscope.evolution import (
+    WaveState,
+    damped_spectrum_1d,
+    evolve,
+    p_spectrum_1d,
+    quasimode_probe,
+    resolvent_grid,
+    resolvent_scan,
+)
 from stabscope.fields import Field, Grid, check_resolution, make_grid, residual_ratio
 from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius
 from stabscope.quasimodes import WavePacketSpec, packet_grid, packet_spec, tpc_violation_sequence, turning_point_bump
@@ -93,6 +101,12 @@ COUNTS = {
         "n_shell_samples",
         lambda n: dsc_limit_scan(B1, H1, [(1.0, 1.0)], [25.0], n_shell_samples=n),
     ),
+    "dsc_scan threads": ("threads", lambda n: dsc_scan(B1, H1, 1.0, 1.0, [25.0, 36.0], n_shell_samples=8, threads=n)),
+    "dsc_limit_scan threads": (
+        "threads",
+        lambda n: dsc_limit_scan(B1, H1, [(1.0, 1.0)], [25.0, 36.0], n_shell_samples=8, threads=n),
+    ),
+    "resolvent_scan threads": ("threads", lambda n: resolvent_scan(H1, B1, [1.0, 2.0], threads=n)),
     "evolve record_every": ("record_every", lambda n: evolve(H1, B1, STATE, 0.01, 1e-3, record_every=n)),
     "p_spectrum_1d count": ("count", lambda n: p_spectrum_1d(H1, GRID, n)),
     "damped_spectrum_1d count": ("count", lambda n: damped_spectrum_1d(H1, B1, GRID, n)),
@@ -114,7 +128,7 @@ def test_window_rule(case, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf], ids=repr)
+@pytest.mark.parametrize("bad", [0, -1, 2.5, math.inf, math.nan], ids=repr)
 @pytest.mark.parametrize("case", sorted(COUNTS))
 def test_count_rule(case, bad):
     name, call = COUNTS[case]
