@@ -179,12 +179,41 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _column(values) -> list:
+    """The cells of one column under _cell's rule, formatted a column at a time.
+
+    A float64 array formats each distinct bit pattern once (so -0.0 and nan
+    keep their own text), an integer or bool array goes straight to text, a
+    column of plain strings (the group labels) is its own text, and any other
+    column goes through _cell value by value.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype == np.float64:
+            keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
+            return texts[inverse].tolist()
+        if values.dtype.kind in "iu":
+            return list(map(int.__repr__, values.tolist()))
+        if values.dtype == np.bool_:
+            return np.where(values, "true", "false").tolist()
+    elif all(type(x) is str for x in values):
+        return list(values)
+    return [_cell(x) for x in values]
+
+
+CSV_BLOCK_ROWS = 2048  # rows formatted at a time, so a long table's cells never sit in memory at once
+
+
+def _write_csv(path: Path, header, columns) -> None:
     """UTF-8, LF line endings, csv quoting (labels such as T=2,R=1 hold commas)."""
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of {path.name} differ in length")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            writer.writerows(zip(*[_column(c[start : start + CSV_BLOCK_ROWS]) for c in columns]))
 
 
 def _jsonable(obj):
@@ -206,15 +235,15 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _report_table(report) -> tuple:
-    """Per-sample rows of a condition report: index, group label, average."""
+    """Per-sample columns of a condition report: index, group label, average."""
+    n = report.sample_values.size
     labels = report.groups.get("sample_labels")
-    values = report.sample_values.tolist()
-    rows = ((i, "" if labels is None else labels[i], v) for i, v in enumerate(values))
-    return ("index", "group", "average"), rows
+    labels = [""] * n if labels is None else labels
+    return ("index", "group", "average"), (np.arange(n), labels, report.sample_values)
 
 
 def _trace_table(trace) -> tuple:
-    return ("t", "E", "D"), np.column_stack([trace.t, trace.E, trace.D]).tolist()
+    return ("t", "E", "D"), (trace.t, trace.E, trace.D)
 
 
 def _fit_dict(fit) -> dict:
@@ -229,7 +258,7 @@ def _fit_dict(fit) -> dict:
 
 # ---------------------------------------------------------------------------
 # commands: each maps its config to an ordered {artifact name: payload} dict,
-# a .csv payload being (header, rows) and a .json payload the document
+# a .csv payload being (header, columns) and a .json payload the document
 
 
 def _cmd_flow(cfg: _Section, opts) -> dict:
@@ -244,9 +273,10 @@ def _cmd_flow(cfg: _Section, opts) -> dict:
     log.info("flow: %d samples, drift %.3e", len(traj.t), traj.drift)
     d, n = pot.d, len(traj.t)
     header = ["t"] + [f"x_{i+1}" for i in range(d)] + [f"xi_{i+1}" for i in range(d)] + ["p"]
-    rows = np.column_stack([traj.t, traj.x.reshape(n, d), traj.xi.reshape(n, d), traj.p.reshape(n)])
+    x, xi = traj.x.reshape(n, d), traj.xi.reshape(n, d)
+    columns = [traj.t, *(x[:, i] for i in range(d)), *(xi[:, i] for i in range(d)), traj.p.reshape(n)]
     return {
-        "trajectory.csv": (header, rows.tolist()),
+        "trajectory.csv": (header, columns),
         "flow.json": {"drift": traj.drift, "p0": traj.p0, "dt_time": traj.dt},
     }
 
@@ -372,8 +402,9 @@ def _cmd_quasimode(cfg: _Section, opts) -> dict:
     log.info("quasimode: lam %.4f, residual ratio %.4f", rep.lam, rep.residual_ratio)
     vals = f.values.reshape(-1)
     header = [f"x_{i+1}" for i in range(f.grid.d)] + ["re", "im"]
-    rows = np.column_stack([f.grid.meshgrid().reshape(-1, f.grid.d), vals.real, vals.imag])
-    return {"mode.csv": (header, rows.tolist()), "quasimode.json": rep.to_json_dict()}
+    pts = f.grid.meshgrid().reshape(-1, f.grid.d)
+    columns = [*(pts[:, i] for i in range(f.grid.d)), vals.real, vals.imag]
+    return {"mode.csv": (header, columns), "quasimode.json": rep.to_json_dict()}
 
 
 def _cmd_kinetic(cfg: _Section, opts) -> dict:
@@ -407,8 +438,9 @@ def _cmd_kinetic(cfg: _Section, opts) -> dict:
         reports.append(rep)
 
     header = ("n", "lam", "residual_ratio", "damping_pairing")
-    rows = ((rep.details["n"], rep.lam, rep.residual_ratio, rep.damping_pairing) for rep in reports)
-    return {"kinetic_sequence.csv": (header, rows), "kinetic_sequence.json": [r.to_json_dict() for r in reports]}
+    columns = [[r.details["n"] for r in reports], [r.lam for r in reports],
+               [r.residual_ratio for r in reports], [r.damping_pairing for r in reports]]
+    return {"kinetic_sequence.csv": (header, columns), "kinetic_sequence.json": [r.to_json_dict() for r in reports]}
 
 
 def _cmd_tpc_witness(cfg: _Section, opts) -> dict:
@@ -419,12 +451,10 @@ def _cmd_tpc_witness(cfg: _Section, opts) -> dict:
 
     reports = tpc_violation_sequence(pot, b, n_max)
     header = ("n", "lam", "ball_average", "threshold", "damping_pairing", "residual_ratio")
-    rows = (
-        (r.details["n"], r.lam, r.details["ball_average"], r.details["threshold"], r.damping_pairing,
-         r.residual_ratio)
-        for r in reports
-    )
-    return {"tpc_witness.csv": (header, rows), "tpc_witness.json": [rep.to_json_dict() for rep in reports]}
+    columns = [[r.details["n"] for r in reports], [r.lam for r in reports],
+               [r.details["ball_average"] for r in reports], [r.details["threshold"] for r in reports],
+               [r.damping_pairing for r in reports], [r.residual_ratio for r in reports]]
+    return {"tpc_witness.csv": (header, columns), "tpc_witness.json": [rep.to_json_dict() for rep in reports]}
 
 
 def _initial_state(grid, sec: _Section) -> WaveState:
@@ -513,7 +543,7 @@ def _cmd_resolvent(cfg: _Section, opts) -> dict:
         max(scan.matvecs),
     )
     header = ("lambda", "sigma_min", "lambda_over_sigma_min", "flag")
-    return {"resolvent.csv": (header, zip(scan.lambdas, scan.sigma_min, scan.ratio, scan.flags))}
+    return {"resolvent.csv": (header, (scan.lambdas, scan.sigma_min, scan.ratio, scan.flags))}
 
 
 def _cmd_spectrum(cfg: _Section, opts) -> dict:
@@ -528,9 +558,9 @@ def _cmd_spectrum(cfg: _Section, opts) -> dict:
 
     result = damped_spectrum_1d(pot, b, grid, count)
     log.info("spectrum: abscissa %.6f", result.abscissa)
-    rows = ((z.real, z.imag, r) for z, r in zip(result.values, result.residuals))
     summary = {"abscissa": result.abscissa, "count": len(result.values), "flags": sorted(set(result.flags))}
-    return {"spectrum.csv": (("re", "im", "residual"), rows), "spectrum.json": summary}
+    columns = (result.values.real, result.values.imag, result.residuals)
+    return {"spectrum.csv": (("re", "im", "residual"), columns), "spectrum.json": summary}
 
 
 CANONICAL_PAIRS = (
@@ -559,7 +589,7 @@ def _cmd_suite(cfg: _Section, opts) -> dict:
             matrix[label][rep.condition] = rep.passed
             rows.append((label, rep.condition, rep.infimum, rep.threshold, rep.passed))
 
-    artifacts["suite_matrix.csv"] = (("pair", "condition", "infimum", "threshold", "passed"), rows)
+    artifacts["suite_matrix.csv"] = (("pair", "condition", "infimum", "threshold", "passed"), list(zip(*rows)))
     artifacts["suite_matrix.json"] = matrix
     return artifacts
 

@@ -149,6 +149,11 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     def even(k):
         return np.fmod(k, 2.0) == 0.0
 
+    # balls of the cell indicators are counted across up to COUNT_MAX_CELLS cells per
+    # axis when the amplitude sums exactly; otherwise mollify_at uses only k = 0 and
+    # k = n_nodes, which a ball in one cell per axis alone can give
+    max_cells = COUNT_MAX_CELLS if _sums_exactly(amplitude, n_nodes) else 1
+
     if name == "checkerboard":
 
         def cell(s, a=duty * period):
@@ -156,19 +161,20 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
         def func(pts):
             # the cell index sum, one axis plane at a time, in exact int64 (a wrapped
-            # sum keeps its parity); the cast fails on a NaN cell or one beyond int64
+            # sum keeps its parity); s / a overflows beyond the float range, and the
+            # cast fails on a NaN cell or one beyond int64
             try:
-                with np.errstate(invalid="raise"):
+                with np.errstate(over="raise", invalid="raise"):
                     idx = cell(pts[..., 0]).astype(np.int64)
                     for i in range(1, pts.shape[-1]):
                         idx += cell(pts[..., i]).astype(np.int64)
             except FloatingPointError:  # NaN reads undamped, and floats of 2^53 cells and more are even
-                cells = [cell(pts[..., i]) for i in range(pts.shape[-1])]
+                cells = [cell(_clamped(pts[..., i], duty * period)) for i in range(pts.shape[-1])]
                 idx = sum(np.where(np.abs(c) < 2.0**53, c, 0.0).astype(np.int64) for c in cells)
                 return amplitude * (((idx & 1) == 0) & np.logical_and.reduce([~np.isnan(c) for c in cells]))
             return amplitude * ((idx & 1) == 0)
 
-        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, n_nodes))
+        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, n_nodes, max_cells))
 
     # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty];
     # frac(y) = y - floor(y) has np.mod(y, 1.0)'s bits for either sign of y, at a fraction of its cost
@@ -190,9 +196,15 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return Damping(d, func, amplitude, label, damped_nodes)
 
     def func(pts):
-        return amplitude * even(band(pts[..., 0]))
+        s = pts[..., 0]
+        try:  # s / L or 2 floor(s / L) beyond the float range, or s infinite
+            with np.errstate(over="raise", invalid="raise"):
+                k = band(s)
+        except FloatingPointError:  # floats of 2^53 bands and more are even
+            k = band(_clamped(s, period))
+        return amplitude * even(k)
 
-    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), n_nodes))
+    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), n_nodes, max_cells))
 
 
 def _norm(pts, center=None):
@@ -208,6 +220,16 @@ def _norm(pts, center=None):
     for x in planes:
         sq += x * x
     return np.sqrt(sq)
+
+
+def _clamped(s, width):
+    """s with |s| cut to width * 2^60, so that s / width stays finite.
+
+    Every float of 2^53 or more is an even integer, so a cell or band index of
+    2^53 or more reads the same parity before and after the cut.
+    """
+    lim = min(width * 2.0**60, np.finfo(float).max)
+    return np.clip(s, -lim, lim)
 
 
 BALL_SLACK = 1e-9  # relative widening of a certified ball, far above rounding
@@ -382,7 +404,7 @@ def _node_ranks(d: int, n: int, q: int):
     return _NODE_RANK_CACHE[key]
 
 
-def _count_damped(cells: tuple, n: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _count_damped(cells: tuple, n: int, max_cells: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of damped nodes in each ball of a cell indicator, NaN where not counted.
 
     b is b_max where the sum of c_i(x_i) is even and 0 elsewhere: one cell
@@ -399,17 +421,20 @@ def _count_damped(cells: tuple, n: int, pts: np.ndarray, radii: np.ndarray) -> n
     the runs, boxes of nodes that share their cells; the corner counts (the
     ends themselves in 1D, the dominance table in 2D) weighted by
     `_parity_weights` sum the boxes whose cell sum is even.  A ball is
-    counted when it meets at most COUNT_MAX_CELLS cells per axis and its cell
-    indices stay below 2^52, where their parity is exact.
+    counted when it meets at most max_cells cells per axis and its cell
+    indices stay below 2^52, where their parity is exact; every node of a
+    counted ball lies between its extreme ones, so no cell in the bisection
+    leaves that range.
     """
     q = len(cells)
     planes, table = _node_ranks(pts.shape[1], n, q)
     cols = [pts[:, i] for i in range(q)]
-    lo = [cell(radii * s[0] + x) for cell, s, x in zip(cells, planes, cols)]
-    hi = [cell(radii * s[-1] + x) for cell, s, x in zip(cells, planes, cols)]
     ok = np.ones(radii.shape, dtype=bool)
-    for a, z in zip(lo, hi):
-        ok &= (np.abs(a) < 2.0**52) & (np.abs(z) < 2.0**52) & (z - a < COUNT_MAX_CELLS)
+    with np.errstate(over="ignore", invalid="ignore"):  # a cell beyond the float range is not counted
+        lo = [cell(radii * s[0] + x) for cell, s, x in zip(cells, planes, cols)]
+        hi = [cell(radii * s[-1] + x) for cell, s, x in zip(cells, planes, cols)]
+        for a, z in zip(lo, hi):
+            ok &= (np.abs(a) < 2.0**52) & (np.abs(z) < 2.0**52) & (z - a < max_cells)
     result = np.full(radii.shape, np.nan)
     if not ok.any():
         return result
@@ -496,6 +521,9 @@ def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str,
     under `key`, and the infimum of the last group is the liminf proxy.
     """
     infima = {value: float(vals.min()) for value, vals in groups}
+    labels = []
+    for value, vals in groups:
+        labels += [f"{name}={value:g}"] * vals.size
     return ConditionReport(
         condition=condition,
         params=params,
@@ -503,7 +531,7 @@ def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str,
         infimum=infima[groups[-1][0]],
         threshold=default_threshold(b),
         groups={
-            "sample_labels": [f"{name}={value:g}" for value, vals in groups for _ in vals],
+            "sample_labels": labels,
             key: infima,
         },
     )

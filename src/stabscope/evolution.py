@@ -93,7 +93,8 @@ def evolve(
 
     Leapfrog in the elliptic part; the damping enters through the centered
     velocity, so each update divides by (1 + dt b/2) pointwise.  Raises on a
-    CFL violation up front and aborts on NaN mid-run.
+    CFL violation up front and aborts on NaN mid-run.  The recorded E is not
+    the quantity the scheme dissipates: it can rise by O(dt^2) where b misses the wave.
 
     The arithmetic follows the data: real when u and v have zero imaginary
     part, complex otherwise.  Each step runs in preallocated buffers and

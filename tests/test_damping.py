@@ -475,6 +475,55 @@ def test_certificate_skips_constant_balls():
         assert count[0] == 0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ["checkerboard", "strip_lattice"])
+def test_overflowed_cell_reads_as_a_far_cell(name, d):
+    # x / (cell width) beyond the float range is a cell beyond 2^53, which is
+    # even: damped, as a finite cell that far reads, and no warning is raised
+    b = builtin_damping(name, d=d, period=1e-300)
+    assert np.all(b([1e10, 0.0]) == 1.0)  # two points in 1D, one in 2D
+    far = np.array([[1e10, 0.0], [-1e10, 0.25], [1e300, -3.0], [-1.7e308, 1e10]])[:, :d]
+    assert np.array_equal(b.raw_func(far), np.ones(4))
+    finite_far = builtin_damping(name, d=d, period=1e-3)
+    assert np.array_equal(finite_far.raw_func(np.array([[1e14, 0.0]])[:, :d]), [1.0])
+    # the extreme nodes' cells overflow too, so no ball is counted and the
+    # quadrature reads every node damped
+    radii = np.array([0.25, 1e-290, 3.0, 0.5])
+    assert np.all(np.isnan(b.damped_nodes(far, radii)))
+    nodes = unit_ball_nodes(d, 512 * d)
+    direct = np.array([b.raw_func(p + r * nodes).mean() for p, r in zip(far, radii)])
+    assert np.array_equal(mollify_at(b, radii, far), direct)
+    assert np.array_equal(direct, np.ones(4))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ["checkerboard", "strip_lattice"])
+def test_inexact_amplitude_counts_only_one_cell_balls(name, d):
+    # at an amplitude whose sums are not exact, mollify_at uses only k = 0 and
+    # k = n_nodes, so the hook counts the balls in one cell per axis and no
+    # other; the means keep the bits of the direct quadrature
+    b = builtin_damping(name, d=d, amplitude=0.3, period=1.0, duty=0.5)
+    rng = np.random.default_rng(5)
+    pts, radii = rng.uniform(-3.0, 3.0, size=(300, d)), rng.uniform(0.01, 0.6, size=300)
+    n = 512 * d
+    k = b.damped_nodes(pts, radii)
+    nodes = unit_ball_nodes(d, n)
+    values = np.array([b.raw_func(p + r * nodes) for p, r in zip(pts, radii)])
+    edges = np.arange(-8.0, 9.0) * 0.5  # cell and band edges of period 1, duty 0.5
+    lo = np.searchsorted(edges, pts - radii[:, None], side="right")
+    hi = np.searchsorted(edges, pts + radii[:, None], side="right")
+    axes = d if name == "checkerboard" else 1
+    one_cell = np.all(lo[:, :axes] == hi[:, :axes], axis=1)
+    assert one_cell.any() and not one_cell.all()
+    assert np.all(np.isnan(k[~one_cell]))
+    assert np.array_equal(k[one_cell], np.count_nonzero(values[one_cell] == 0.3, axis=1))
+    assert set(np.unique(k[one_cell])) <= {0.0, float(n)}
+    assert np.array_equal(mollify_at(b, radii, pts), values.mean(axis=1))
+    # at amplitude 1 the same straddling balls are counted
+    exact = builtin_damping(name, d=d, amplitude=1.0, period=1.0, duty=0.5)
+    assert not np.any(np.isnan(exact.damped_nodes(pts, radii)))
+
+
 # ------------------------------------------------------ counted ball means
 
 # Every sum of up to 1024 copies of these is exact, so their ball means are counted
@@ -521,21 +570,22 @@ def test_counted_mollify_matches_direct_formula(case):
     direct = np.array([b.raw_func(p + rad * nodes).mean() for p, rad in zip(pts, radii)])
     assert np.array_equal(got, direct)
 
-    # b is evaluated on exactly the balls not counted; a ball is counted when
-    # it meets at most COUNT_MAX_CELLS cells per axis, with cell indices below
-    # 2**52, and the amplitude sums exactly or its nodes are all damped or all not
+    # b is evaluated on exactly the balls not counted; with cell indices below
+    # 2**52, a ball is counted when it meets at most COUNT_MAX_CELLS cells per
+    # axis and the amplitude sums exactly, or else when it sits in one cell per axis
     L, q = params["period"], params["duty"]
     if name == "checkerboard":
         rules = [lambda s: np.floor(s / (q * L))] * b.d
     else:
         rules = [lambda s: 2.0 * np.floor(s / L) + (s / L - np.floor(s / L) >= q)]
     within = np.ones(radii.shape, dtype=bool)
+    one_cell = np.ones(radii.shape, dtype=bool)
     for i, cell in enumerate(rules):
         lo, hi = cell(radii * nodes[:, i].min() + pts[:, i]), cell(radii * nodes[:, i].max() + pts[:, i])
-        within &= (hi - lo < COUNT_MAX_CELLS) & (np.abs(lo) < 2.0**52) & (np.abs(hi) < 2.0**52)
-    damped = np.array([np.count_nonzero(b.raw_func(p + rad * nodes) == amplitude) for p, rad in zip(pts, radii)])
-    one_value = (damped == 0) | (damped == nodes.shape[0])
-    evaluated = ~(within & (one_value | (amplitude in DYADIC_AMPLITUDES)))
+        in_range = (np.abs(lo) < 2.0**52) & (np.abs(hi) < 2.0**52)
+        within &= (hi - lo < COUNT_MAX_CELLS) & in_range
+        one_cell &= (hi == lo) & in_range
+    evaluated = ~(within if amplitude in DYADIC_AMPLITUDES else one_cell)
     assert count[0] == nodes.shape[0] * int(evaluated.sum())
 
 
