@@ -237,9 +237,7 @@ def _write_json(path: Path, payload) -> None:
 def _report_table(report) -> tuple:
     """Per-sample columns of a condition report: index, group label, average."""
     n = report.sample_values.size
-    labels = report.groups.get("sample_labels")
-    labels = [""] * n if labels is None else labels
-    return ("index", "group", "average"), (np.arange(n), labels, report.sample_values)
+    return ("index", "group", "average"), (np.arange(n), report.groups["sample_labels"], report.sample_values)
 
 
 def _trace_table(trace) -> tuple:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -88,6 +88,11 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     Each counts its damped nodes (Damping.damped_nodes): constant all of
     them; exterior, ball and radial_shells all or none where the slack
     certificate `_band_value` holds; the cell indicators per cell.
+
+    One out-of-range rule holds for all: a NaN coordinate reads undamped, a
+    norm beyond the float range saturates to inf, and a cell or band index of
+    2^53 or more, inf included, is even, so such points read as the far points
+    they are.  A ball centred on a NaN coordinate that b reads takes the quadrature.
     """
     if d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
@@ -117,7 +122,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             return amplitude * (_norm(pts) >= r)
 
         def damped_nodes(pts, radii, r=radius):
-            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda k: n_nodes * k)
+            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda s: n_nodes * (s >= r))
 
         return Damping(d, func, amplitude, f"exterior(R={radius:g})", damped_nodes)
 
@@ -133,7 +138,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             return amplitude * (_norm(pts, c) <= r)
 
         def damped_nodes(pts, radii, r=radius, c=center):
-            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda k: n_nodes * ~k)
+            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda s: n_nodes * (s <= r))
 
         return Damping(d, func, amplitude, f"ball(R={radius:g})", damped_nodes)
 
@@ -146,9 +151,6 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         raise ValueError("duty ratio must lie in (0, 1)")
     label = f"{name}(L={period:g},duty={duty:g})"
 
-    def even(k):
-        return np.fmod(k, 2.0) == 0.0
-
     # balls of the cell indicators are counted across up to COUNT_MAX_CELLS cells per
     # axis when the amplitude sums exactly; otherwise mollify_at uses only k = 0 and
     # k = n_nodes, which a ball in one cell per axis alone can give
@@ -160,19 +162,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
             return np.floor(s / a)
 
         def func(pts):
-            # the cell index sum, one axis plane at a time, in exact int64 (a wrapped
-            # sum keeps its parity); s / a overflows beyond the float range, and the
-            # cast fails on a NaN cell or one beyond int64
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    idx = cell(pts[..., 0]).astype(np.int64)
-                    for i in range(1, pts.shape[-1]):
-                        idx += cell(pts[..., i]).astype(np.int64)
-            except FloatingPointError:  # NaN reads undamped, and floats of 2^53 cells and more are even
-                cells = [cell(_clamped(pts[..., i], duty * period)) for i in range(pts.shape[-1])]
-                idx = sum(np.where(np.abs(c) < 2.0**53, c, 0.0).astype(np.int64) for c in cells)
-                return amplitude * (((idx & 1) == 0) & np.logical_and.reduce([~np.isnan(c) for c in cells]))
-            return amplitude * ((idx & 1) == 0)
+            return amplitude * _even((cell,) * d, [pts[..., i] for i in range(d)])
 
         return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, n_nodes, max_cells))
 
@@ -181,30 +171,42 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     def band(s, L=period, q=duty):
         y = s / L
         k = np.floor(y)
-        return 2.0 * k + (y - k >= q)
+        y -= k  # frac(s/L)
+        k *= 2.0
+        k += y >= q
+        return k
 
     if name == "radial_shells":
 
-        def func(pts, L=period, q=duty):
-            y = _norm(pts) / L
-            frac = y - np.floor(y)
-            return amplitude * (frac < q)
+        def func(pts):
+            return amplitude * _even((band,), (_norm(pts),))
 
         def damped_nodes(pts, radii):
-            return _band_value(_norm(pts), radii, band, lambda k: n_nodes * even(k))
+            return _band_value(_norm(pts), radii, band, lambda s: n_nodes * _even((band,), (s,)))
 
         return Damping(d, func, amplitude, label, damped_nodes)
 
     def func(pts):
-        s = pts[..., 0]
-        try:  # s / L or 2 floor(s / L) beyond the float range, or s infinite
-            with np.errstate(over="raise", invalid="raise"):
-                k = band(s)
-        except FloatingPointError:  # floats of 2^53 bands and more are even
-            k = band(_clamped(s, period))
-        return amplitude * even(k)
+        return amplitude * _even((band,), (pts[..., 0],))
 
     return Damping(d, func, amplitude, label, partial(_count_damped, (band,), n_nodes, max_cells))
+
+
+def _even(cells, scalars):
+    """Where the sum of the indices cell_i(s_i) is even: the damped set of a periodic builtin.
+
+    Each cell_i maps its scalar to integer-valued floats.  An index k is even
+    when k / 2 is whole, as it is for every |k| >= 2^53, an overflowed +-inf
+    included; the sum is even when an even number of its indices are odd.  A
+    NaN index reads undamped.
+    """
+    even, nan = True, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell, s in zip(cells, scalars):
+            half = 0.5 * cell(s)
+            even = even == (half == np.floor(half))
+            nan = nan | np.isnan(half)
+    return even & ~nan
 
 
 def _norm(pts, center=None):
@@ -212,40 +214,33 @@ def _norm(pts, center=None):
 
     sqrt(x_0*x_0 + x_1*x_1) adds the squares in the order add.reduce does for
     d <= 2, so it has the bits of np.linalg.norm(pts - center, axis=-1) without
-    reducing over a strided axis.
+    reducing over a strided axis.  A norm beyond the float range saturates to inf.
     """
     planes = (pts[..., i] if center is None else pts[..., i] - center[i] for i in range(pts.shape[-1]))
-    x = next(planes)
-    sq = x * x
-    for x in planes:
-        sq += x * x
+    with np.errstate(over="ignore"):
+        x = next(planes)
+        sq = x * x
+        for x in planes:
+            sq += x * x
     return np.sqrt(sq)
-
-
-def _clamped(s, width):
-    """s with |s| cut to width * 2^60, so that s / width stays finite.
-
-    Every float of 2^53 or more is an even integer, so a cell or band index of
-    2^53 or more reads the same parity before and after the cut.
-    """
-    lim = min(width * 2.0**60, np.finfo(float).max)
-    return np.clip(s, -lim, lim)
 
 
 BALL_SLACK = 1e-9  # relative widening of a certified ball, far above rounding
 
 
 def _band_value(s, radii, band, value):
-    """Value on each ball of value(band(s)), s a 1-Lipschitz scalar of the point.
+    """value(s) on each ball within one band, s a 1-Lipschitz scalar of its centre.
 
     band must be non-decreasing in s, so band(s) is constant on a ball whenever
     the interval [s - r - delta, s + r + delta] starts and ends in one band;
     the slack delta = BALL_SLACK * (1 + |s| + r) absorbs the rounding of s, of
-    the shifted nodes and of band itself.  NaN where two bands are met.
+    the shifted nodes and of band itself.  NaN where two bands are met, and
+    where s is NaN or infinite, so those balls take the quadrature.
     """
-    delta = BALL_SLACK * (1.0 + np.abs(s) + radii)
-    lo, hi = band(s - radii - delta), band(s + radii + delta)
-    return np.where(lo == hi, value(lo), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = BALL_SLACK * (1.0 + np.abs(s) + radii)
+        lo, hi = band(s - radii - delta), band(s + radii + delta)
+        return np.where((lo == hi) & np.isfinite(s), value(s), np.nan)
 
 
 def _reject_extra(params: dict) -> None:
@@ -292,6 +287,7 @@ _BALL_NODE_CACHE: dict = {}
 
 def unit_ball_nodes(d: int, n: int) -> np.ndarray:
     """Fixed low-discrepancy quadrature nodes for the unit ball."""
+    n = _require_count("n", n)
     key = (d, n)
     if key not in _BALL_NODE_CACHE:
         u = _sobol(d, n)
@@ -495,7 +491,7 @@ class ConditionReport:
     sample_values: np.ndarray
     infimum: float
     threshold: float
-    groups: dict = field(default_factory=dict)
+    groups: dict
 
     @property
     def passed(self) -> bool:
@@ -539,9 +535,10 @@ def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str,
 
 def default_ray_family(d: int, box: float = 10.0, n_per_axis: int = 7, n_dirs: int = 16):
     """Deterministic lattice of base points crossed with a fan of directions."""
-    axes = [np.linspace(-box, box, n_per_axis)] * d
+    _require_window("box", box)
+    axes = [np.linspace(-box, box, _require_count("n_per_axis", n_per_axis))] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    dirs = unit_directions(d, n_dirs)
+    dirs = unit_directions(d, _require_count("n_dirs", n_dirs))
     if d == 1:
         dirs = dirs[:1]  # the reversed ray covers the same segment
     return [(p, q) for p in pts for q in dirs]
@@ -564,6 +561,8 @@ def ugcc_scan(
     _require_window("r", r)
     if rays is None:
         rays = default_ray_family(b.d)
+    if len(rays) == 0:
+        raise ValueError("need at least one ray")
     base = np.stack([as_points(p, b.d) for p, _ in rays])
     dirs = np.stack([as_points(q, b.d) for _, q in rays])
     if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:

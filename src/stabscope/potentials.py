@@ -77,7 +77,8 @@ def as_points(x, d: int) -> np.ndarray:
 
 
 def unit_directions(d: int, n: int) -> np.ndarray:
-    """A deterministic set of unit vectors; both signs in 1D, a fan in 2D."""
+    """A deterministic set of unit vectors; both signs in 1D, a fan of n in 2D."""
+    n = _require_count("n", n)
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:

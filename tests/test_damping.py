@@ -476,7 +476,7 @@ def test_certificate_skips_constant_balls():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("name", ["checkerboard", "strip_lattice"])
+@pytest.mark.parametrize("name", ["checkerboard", "strip_lattice", "radial_shells"])
 def test_overflowed_cell_reads_as_a_far_cell(name, d):
     # x / (cell width) beyond the float range is a cell beyond 2^53, which is
     # even: damped, as a finite cell that far reads, and no warning is raised
@@ -487,13 +487,50 @@ def test_overflowed_cell_reads_as_a_far_cell(name, d):
     finite_far = builtin_damping(name, d=d, period=1e-3)
     assert np.array_equal(finite_far.raw_func(np.array([[1e14, 0.0]])[:, :d]), [1.0])
     # the extreme nodes' cells overflow too, so no ball is counted and the
-    # quadrature reads every node damped
+    # quadrature reads every node damped; the shells' slack certificate may
+    # count a ball whose nodes all lie in the one overflowed band
     radii = np.array([0.25, 1e-290, 3.0, 0.5])
-    assert np.all(np.isnan(b.damped_nodes(far, radii)))
+    k = b.damped_nodes(far, radii)
+    assert np.all(np.isnan(k) | ((name == "radial_shells") & (k == 512 * d)))
     nodes = unit_ball_nodes(d, 512 * d)
     direct = np.array([b.raw_func(p + r * nodes).mean() for p, r in zip(far, radii)])
     assert np.array_equal(mollify_at(b, radii, far), direct)
     assert np.array_equal(direct, np.ones(4))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name, far_value", [("exterior", 1.0), ("ball", 0.0), ("radial_shells", 1.0)])
+def test_norm_beyond_the_float_range_reads_as_a_far_point(name, far_value, d):
+    # |x|^2 overflows: the norm saturates to inf, farther than any radius or shell
+    b = builtin_damping(name, d=d)
+    far = np.array([[1e200, 0.0], [-1e200, 3.0], [-1.7e308, 1e10]])[:, :d]
+    radii = np.array([0.5, 1e190, 2.0])
+    nodes = unit_ball_nodes(d, 512 * d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(b.raw_func(far), np.full(3, far_value))
+        direct = np.array([b.raw_func(p + r * nodes).mean() for p, r in zip(far, radii)])
+        assert np.array_equal(direct, np.full(3, far_value))
+        assert np.array_equal(mollify_at(b, radii, far), direct)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name, params", BUILTIN_PARAMS)
+def test_nan_ball_takes_the_quadrature(name, params, d):
+    # a NaN coordinate reads undamped in raw_func, and the hook counts no ball
+    # whose centre has a NaN coordinate that b reads, so its mean is the quadrature's
+    b = builtin_damping(name, d=d, **params)
+    pts = np.array([[np.nan, np.nan], [np.nan, 0.5], [0.5, np.nan]][: d + 1])[:, :d]
+    nodes = unit_ball_nodes(d, 512 * d)
+    direct = np.array([b.raw_func(p + 0.25 * nodes).mean() for p in pts])
+    watched, count = _counting(b)
+    assert np.array_equal(mollify_at(watched, 0.25, pts), direct)
+    reads = np.isnan(pts).any(axis=1)
+    if name == "constant":  # b reads no coordinate
+        reads[:] = False
+    elif name == "strip_lattice":  # b reads x_1 alone
+        reads = np.isnan(pts[:, 0])
+    assert count[0] == nodes.shape[0] * np.count_nonzero(reads)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -658,7 +695,7 @@ def kernel_cases(draw):
     return name, params, amplitude, pts.reshape(m, n, d)
 
 
-@settings(max_examples=300)
+@settings(max_examples=max(300, settings.default.max_examples))  # 300, or the deep profile's count
 @given(kernel_cases())
 # 1e17 + 530001 cells: a float sum of the cell indices rounds the odd parity away
 @example(("checkerboard", {"period": 1e-3, "duty": 0.01}, 1.0, np.array([[[1e12, 5.30001]]])))
@@ -770,6 +807,11 @@ def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
             warnings.simplefilter("error")  # a warning means the window reached numpy first
             with pytest.raises(ValueError, match=re.escape(f"need {slot} {rule}{where}")):
                 call()
+
+
+def test_ugcc_scan_needs_a_ray():
+    with pytest.raises(ValueError, match="need at least one ray"):
+        ugcc_scan(builtin_damping("exterior", d=2, radius=1.0), 1.0, 0.25, [])
 
 
 def test_dsc_scan_needs_a_frequency(harmonic_1d):

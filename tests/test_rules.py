@@ -14,7 +14,17 @@ import re
 import numpy as np
 import pytest
 
-from stabscope.damping import builtin_damping, dsc_limit_scan, dsc_scan, flow_average, mollify_at, tpc_scan, ugcc_scan
+from stabscope.damping import (
+    builtin_damping,
+    default_ray_family,
+    dsc_limit_scan,
+    dsc_scan,
+    flow_average,
+    mollify_at,
+    tpc_scan,
+    ugcc_scan,
+    unit_ball_nodes,
+)
 from stabscope.dynamics import default_dt, flow_integrate, flow_positions, linearization_deviation, sample_shell
 from stabscope.evolution import (
     WaveState,
@@ -26,7 +36,7 @@ from stabscope.evolution import (
     resolvent_scan,
 )
 from stabscope.fields import Field, Grid, check_resolution, make_grid, residual_ratio
-from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius
+from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius, unit_directions
 from stabscope.quasimodes import WavePacketSpec, packet_grid, packet_spec, tpc_violation_sequence, turning_point_bump
 
 H1 = builtin_potential("harmonic", d=1)
@@ -63,6 +73,7 @@ WINDOWS = {
     "builtin_damping checkerboard period": ("period", lambda v: builtin_damping("checkerboard", d=2, period=v)),
     "mollify_at r": ("mollification radius r", lambda v: mollify_at(B1, v, [[2.0]])),
     "mollify_at r per point": ("mollification radius r", lambda v: mollify_at(B1, [0.5, v], [[2.0], [3.0]])),
+    "default_ray_family box": ("box", lambda v: default_ray_family(2, box=v)),
     "ugcc_scan T": ("T", lambda v: ugcc_scan(B1, v, 0.25)),
     "ugcc_scan r": ("r", lambda v: ugcc_scan(B1, 1.0, v)),
     "tpc_scan R": ("R", lambda v: tpc_scan(B1, H1, v, [4.0])),
@@ -96,6 +107,10 @@ WINDOWS = {
 COUNTS = {
     "flow_integrate record_every": ("record_every", lambda n: flow_integrate(H1, [1.0], [0.0], 0.01, 1e-3, record_every=n)),
     "sample_shell n": ("n", lambda n: sample_shell(H1, 25.0, n, _rng())),
+    "unit_directions n": ("n", lambda n: unit_directions(2, n)),
+    "unit_ball_nodes n": ("n", lambda n: unit_ball_nodes(2, n)),
+    "default_ray_family n_per_axis": ("n_per_axis", lambda n: default_ray_family(2, n_per_axis=n)),
+    "default_ray_family n_dirs": ("n_dirs", lambda n: default_ray_family(2, n_dirs=n)),
     "dsc_scan n_shell_samples": ("n_shell_samples", lambda n: dsc_scan(B1, H1, 1.0, 1.0, [25.0], n_shell_samples=n)),
     "dsc_limit_scan n_shell_samples": (
         "n_shell_samples",
