@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .damping import (
@@ -608,6 +607,8 @@ _DISPATCH = {
 
 
 def _manifest(command: str, config_bytes: bytes, opts, wall: float, write: float, artifacts) -> dict:
+    import scipy  # here, its only use, so that importing the CLI loads no scipy module
+
     return {
         "command": command,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),

@@ -16,12 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-# module-level on purpose: the benchmark tracer (bench/tracing.py) binds its
-# banded_solves and cholesky_factorizations counters by reading and patching
-# these names on this module, so a deferred import would break it;
-# solve_banded is imported for the tracer alone
-from scipy.linalg import cholesky_banded, eig_banded, solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .damping import Damping, _ordered_map
 from .fields import POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
@@ -30,6 +24,29 @@ from .potentials import Potential, _require_count, _require_window, sublevel_rad
 log = logging.getLogger(__name__)
 
 RESOLVENT_CERT_RTOL = 1e-6
+
+# scipy.linalg costs about half of a CLI start, and only the resolvent and
+# spectrum layers use it, so its band routines are bound onto this module on
+# first use.  They stay module attributes: the benchmark tracer and the tests
+# read and patch them here, and solve_banded is bound for the tracer alone.
+_BAND_ROUTINES = ("cholesky_banded", "eig_banded", "solve_banded", "zgbtrf", "zgbtrs")
+
+
+def _bind_band_routines() -> None:
+    """Bind the scipy band routines as module globals, keeping any patched in earlier."""
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    for name in _BAND_ROUTINES:
+        source = scipy.linalg.lapack if name.startswith("zgb") else scipy.linalg
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name in _BAND_ROUTINES:
+        _bind_band_routines()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -311,6 +328,7 @@ def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
     # commands that make no sparse solve do not load scipy.sparse at start
     import scipy.sparse.linalg as spla
 
+    _bind_band_routines()
     n = ab.shape[1]
     work = np.zeros((7, n), dtype=complex, order="F")  # zgbtrf's layout: two fill-in rows above ab
     work[2:] = np.asarray_chkfinite(ab)  # a NaN or inf band raises ValueError, as in solve_banded
@@ -416,6 +434,7 @@ def p_spectrum_1d(pot: Potential, grid: Grid, count: int) -> np.ndarray:
     if count > n:
         raise ValueError("count out of range")
     band = p_bands(grid, pot.raw_value(grid.meshgrid()))[:3]
+    _bind_band_routines()
     return eig_banded(band, lower=False, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 

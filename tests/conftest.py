@@ -1,12 +1,17 @@
 """Shared fixtures: the heavy condition matrix and resolvent sweeps run once."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import stabscope
 from stabscope.cli import main
 from stabscope.damping import builtin_damping, dsc_scan, tpc_scan, ugcc_scan
 from stabscope.evolution import resolvent_scan
@@ -35,6 +40,21 @@ CANONICAL_1D = (
     ("ball", {"radius": 1.0}),
     ("checkerboard", {"period": 2.0, "duty": 0.5}),
 )
+
+
+def run_fresh(script, *args):
+    """Run a Python script in a fresh interpreter on this stabscope; return its stdout.
+
+    The script sees args as sys.argv[1:].  Import-time behaviour (which
+    modules load, what binds on first use) is only observable there, since
+    the test process has long since imported everything.
+    """
+    src = str(Path(stabscope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", script, *map(str, args)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

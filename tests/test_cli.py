@@ -3,19 +3,15 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import stabscope
 from stabscope import cli
 from stabscope.cli import main
 from stabscope.damping import dsc_scan
@@ -913,12 +909,76 @@ def test_suite_command_builds_consistency_matrix(tmp_path):
     assert len(manifest["artifacts"]) == 14
 
 
-def test_cold_start_skips_unused_scipy_subpackages():
-    # every CLI command pays for what `import stabscope.cli` loads; these five
-    # subpackages cost most of a second and no command needs them at import
-    src = str(Path(stabscope.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, stabscope.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout.split())
-    assert "stabscope.cli" in loaded
-    assert not loaded & {"scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse"}
+# Runs commands in a fresh interpreter and reports, as one JSON object, which
+# scipy modules and band routines `import stabscope.cli` loaded and bound and,
+# after each run, its exit status and whether scipy.linalg had loaded by then.
+# argv[2] lists the runs as [name, command, config, *flags]; run name writes
+# to argv[1]/name.
+LOAD_PROBE = """
+import json, sys
+from pathlib import Path
+from stabscope import evolution
+from stabscope.cli import main
+
+report = {
+    "import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "bound": sorted(set(evolution._BAND_ROUTINES) & set(vars(evolution))),
+}
+out = Path(sys.argv[1])
+for name, command, cfg, *flags in json.loads(sys.argv[2]):
+    path = out / (name + ".json")
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(path), "--out", str(out / name), *flags])
+    report[name] = [rc, "scipy.linalg" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_skips_unused_scipy_subpackages(tmp_path):
+    # every CLI command pays for what `import stabscope.cli` loads: no scipy
+    # module at all, and scipy.linalg only once a command needs band algebra
+    flow = {
+        "potential": {"name": "harmonic", "d": 1},
+        "x0_space": [1.0],
+        "xi0_momentum": [0.5],
+        "T_time": 0.1,
+        "dt_time": 1e-3,
+    }
+    evolve = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "grid": {"n_nodes": 64, "half_width_space": 6.0},
+        "T_time": 0.2,
+    }
+    resolvent = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "constant", "amplitude": 1.0},
+        "lambdas_freq": [1.0],
+    }
+    runs = [
+        ["flow", "flow", flow],
+        ["evolve", "evolve", evolve],
+        ["conditions", "conditions", COND_CFG],
+        ["resolvent", "resolvent", resolvent],
+    ]
+    report = json.loads(run_fresh(LOAD_PROBE, tmp_path, json.dumps(runs)))
+    assert report["import"] == []
+    assert report["bound"] == []
+    assert report["flow"] == report["evolve"] == report["conditions"] == [0, False]
+    assert report["resolvent"] == [0, True]
+    assert (tmp_path / "resolvent" / "resolvent.csv").is_file()
+
+
+def test_first_use_binding_under_threads_keeps_the_bytes(tmp_path):
+    # the first two frequencies reach _sigma_min, and so bind the band
+    # routines, on two threads at once
+    cfg = {
+        "potential": {"name": "harmonic", "d": 1},
+        "damping": {"name": "ball", "radius_space": 1.0},
+        "lambdas_freq": [0.7, 1.3, 2.1, 3.4],
+    }
+    runs = [["t2", "resolvent", cfg, "--threads", "2"], ["t1", "resolvent", cfg, "--threads", "1"]]
+    report = json.loads(run_fresh(LOAD_PROBE, tmp_path, json.dumps(runs)))
+    assert report["bound"] == []
+    assert report["t2"] == report["t1"] == [0, True]
+    assert assert_same_artifacts(tmp_path / "t2", tmp_path / "t1") == {"resolvent.csv"}

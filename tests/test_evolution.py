@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from conftest import CANONICAL_1D
+from conftest import CANONICAL_1D, run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded, svdvals
@@ -555,6 +555,63 @@ def test_resolvent_factors_each_band_once(monkeypatch):
     assert all(count >= 1 for count in scan.matvecs)
 
 
+def test_band_routines_bind_on_first_read():
+    # the benchmark tracer reads and patches these names on the module; a
+    # fresh interpreter must hand it scipy's own routines, bound on first
+    # read, here by eight threads at once with a short switch interval
+    probe = """
+import sys, threading
+from stabscope import evolution
+names = ("cholesky_banded", "eig_banded", "solve_banded", "zgbtrf", "zgbtrs")
+unbound = "scipy.linalg" not in sys.modules and not set(names) & set(vars(evolution))
+sys.setswitchinterval(1e-6)
+start, seen = threading.Barrier(8), []
+def read():
+    start.wait()
+    seen.append([getattr(evolution, name) for name in names])
+threads = [threading.Thread(target=read) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+from scipy.linalg import cholesky_banded, eig_banded, solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+expected = [cholesky_banded, eig_banded, solve_banded, zgbtrf, zgbtrs]
+same = len(seen) == 8 and all(a is b for routines in seen for a, b in zip(routines, expected))
+print(unbound, same, hasattr(evolution, "no_such_name"))
+"""
+    assert run_fresh(probe).split() == ["True", "True", "False"]
+
+
+def test_patch_before_first_use_is_kept():
+    # binding fills only the names not already set on the module
+    probe = """
+from stabscope import evolution
+from stabscope.damping import builtin_damping
+from stabscope.potentials import builtin_potential
+calls = []
+evolution.cholesky_banded = lambda *args, **kwargs: calls.append(1)
+evolution.resolvent_scan(builtin_potential("harmonic", d=1), builtin_damping("constant", d=1, amplitude=1.0), [1.0, 2.0])
+print(len(calls))
+"""
+    assert run_fresh(probe).split() == ["2"]
+
+
+def test_resolvent_certifies_through_the_module_cholesky(monkeypatch):
+    # the tracer's Cholesky counter: one certificate per frequency
+    calls = []
+    cholesky_banded = evolution.cholesky_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cholesky_banded(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "cholesky_banded", counting)
+    scan = resolvent_scan(H1, B_ONE, [1.0, 1.5, 2.0])
+    assert calls == [(5, scan.grid.ns[0])] * 3
+    assert scan.flags == ("ok",) * 3
+
+
 def test_bad_band_raises_like_solve_banded():
     ab = damped_bands(B_ONE, 64, 2.0)
     ab[:, 10] = 0.0  # column 10 of A is zero: exactly singular
@@ -633,6 +690,26 @@ def test_undamped_spectrum_sits_on_axis(spectrum_setup):
     gap = np.min(np.abs(np.abs(result.values.imag)[:, None] - mus[None, :]), axis=1)
     assert float(np.max(gap)) <= 1e-8
     assert result.abscissa == pytest.approx(0.0, abs=1e-8)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(BUILTIN_DAMPINGS),
+    st.floats(0.25, 4.0),
+    st.floats(0.05, 0.95),
+    st.integers(4, 40),
+)
+def test_damped_spectrum_is_conjugation_symmetric(spectrum_setup, damping, period, duty, count):
+    # real V and b give a real companion matrix, whose spectrum is closed
+    # under z -> conj(z); only the last two values, where the count can cut a
+    # conjugate pair in half, may miss their partner
+    grid, _ = spectrum_setup
+    name, params = damping
+    if "period" in params:
+        params = {"period": period, "duty": duty}
+    z = damped_spectrum_1d(H1, builtin_damping(name, d=1, **params), grid, count).values
+    gap = np.min(np.abs(z[:-2, None] - np.conj(z)[None, :]), axis=1)
+    assert np.all(gap <= 1e-10 * np.abs(z[:-2]))
 
 
 def test_damped_spectrum_rejects_bad_input(spectrum_setup):
