@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .damping import (
+    _dsc_scans,
     builtin_damping,
     dsc_limit_scan,
     dsc_scan,
@@ -576,9 +577,15 @@ def _cmd_suite(cfg: _Section, opts) -> dict:
     artifacts = {}
     matrix = {}
     rows = []
-    for label, spec in CANONICAL_PAIRS:
-        b = _build_damping(_Section(label, {"name": label, **spec}), 2)
-        reports = _run_conditions(pot, b, params, ("ugcc", "tpc", "dsc"), opts.seed, opts.threads)
+    dampings = [_build_damping(_Section(label, {"name": label, **spec}), 2) for label, spec in CANONICAL_PAIRS]
+    all_reports = [_run_conditions(pot, b, params, ("ugcc", "tpc"), opts.seed, opts.threads) for b in dampings]
+    # DSC's shell flows do not depend on b: integrate them once for all pairs
+    p = params["dsc"]
+    dsc = _dsc_scans(
+        dampings, pot, p["T_time"], p["R_space"], p["lambdas_freq"], p["n_shell_samples"], opts.seed, opts.threads
+    )
+    for (label, _), reports, dsc_report in zip(CANONICAL_PAIRS, all_reports, dsc):
+        reports["dsc"] = dsc_report
         matrix[label] = {}
         for check, rep in reports.items():
             log.info("suite %s %s: passed=%s", label, rep.condition, rep.passed)

@@ -534,13 +534,15 @@ def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str,
 
 
 def default_ray_family(d: int, box: float = 10.0, n_per_axis: int = 7, n_dirs: int = 16):
-    """Deterministic lattice of base points crossed with a fan of directions."""
+    """Deterministic lattice of base points crossed with a fan of line directions."""
     _require_window("box", box)
     axes = [np.linspace(-box, box, _require_count("n_per_axis", n_per_axis))] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     dirs = unit_directions(d, _require_count("n_dirs", n_dirs))
-    if d == 1:
-        dirs = dirs[:1]  # the reversed ray covers the same segment
+    if len(dirs) % 2 == 0:
+        # an even fan pairs each direction with its reverse, which covers the
+        # same segment: keep the first half, the angles in [0, pi)
+        dirs = dirs[: len(dirs) // 2]
     return [(p, q) for p in pts for q in dirs]
 
 
@@ -615,6 +617,14 @@ def tpc_scan(
     )
 
 
+def _flow_window(pot: Potential, x0: np.ndarray, xi0: np.ndarray, T: float, lam: float):
+    """The N_RAY times of the window |t| <= T/lam and the flow positions through
+    (x0, xi0) at them, shape (N_RAY,) + x0.shape; no damping enters."""
+    window = T / lam
+    times = np.linspace(-window, window, N_RAY)
+    return times, flow_positions(pot, x0, xi0, times, default_dt(lam))
+
+
 def flow_average(
     b: Damping,
     pot: Potential,
@@ -633,9 +643,7 @@ def flow_average(
         _require_window(name, value)
     x0 = np.atleast_2d(as_points(x0, pot.d))
     xi0 = np.atleast_2d(as_points(xi0, pot.d))
-    window = T / lam
-    times = np.linspace(-window, window, N_RAY)
-    pos = flow_positions(pot, x0, xi0, times, default_dt(lam))  # (N_RAY, n, d)
+    times, pos = _flow_window(pot, x0, xi0, T, lam)
     return _window_mean(b, R / np.sqrt(lam), pos, times, axis=0)
 
 
@@ -656,6 +664,19 @@ def dsc_scan(
     turning surface (|xi| <= 0.1 lam) where failures concentrate.  The
     liminf proxy is the infimum at the largest sampled frequency.
     """
+    return _dsc_scans((b,), pot, T, R, lambdas, n_shell_samples, seed, threads)[0]
+
+
+def _dsc_scans(
+    dampings, pot: Potential, T: float, R: float, lambdas, n_shell_samples: int, seed: int, threads: int
+) -> list:
+    """One dsc_scan report per damping, all averaged over the same flows.
+
+    The flow depends on the potential, T, the frequency, the sample count
+    and the seed, not on the damping, so each frequency's shell flow is
+    integrated once, every damping is averaged over it, and it is dropped
+    before the next frequency; at most ``threads`` flows exist at a time.
+    """
     _require_window("T", T)
     _require_window("R", R)
     _require_count("n_shell_samples", n_shell_samples)
@@ -670,9 +691,9 @@ def dsc_scan(
 
     def one(pair):
         lam, ss = pair
-        rng = np.random.default_rng(ss)
-        xs, xis = sample_shell(pot, lam, n_shell_samples, rng)
-        return flow_average(b, pot, xs, xis, T, R, lam)
+        xs, xis = sample_shell(pot, lam, n_shell_samples, np.random.default_rng(ss))
+        times, pos = _flow_window(pot, xs, xis, T, lam)
+        return [_window_mean(b, R / np.sqrt(lam), pos, times, axis=0) for b in dampings]
 
     results = _ordered_map(one, list(zip(lams, seeds)), threads)
     params = {
@@ -683,7 +704,10 @@ def dsc_scan(
         "turning_fraction": TURNING_FRACTION,
         "seed": seed,
     }
-    return _grouped_report("DSC", params, b, list(zip(lams, results)), "lam", "lambda_infima")
+    return [
+        _grouped_report("DSC", params, b, list(zip(lams, means)), "lam", "lambda_infima")
+        for b, means in zip(dampings, zip(*results))
+    ]
 
 
 def dsc_limit_scan(

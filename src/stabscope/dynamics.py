@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -57,27 +56,26 @@ def default_dt(lam: float) -> float:
     return 1e-3 * min(1.0, 1.0 / np.sqrt(lam))
 
 
-def _verlet(pot: Potential, x, xi, dt: float):
-    """Velocity-Verlet states (x, xi) after each step of size dt, without end.
+def _verlet(force, x, xi, a, dt: float, n: int):
+    """Velocity-Verlet state (x, xi, a) after n steps of size dt.
 
-    ``x`` and ``xi`` hold per-axis components, each a float for one
-    trajectory or an array for a batch; the same lines run both ways.  The
-    axes are walked by plain loops, which keeps a single trajectory's step
-    at a few float operations.
+    ``x``, ``xi`` and the force ``a`` at x hold per-axis components, each a
+    float for one trajectory or an array for a batch; the same lines run
+    both ways.  Returning the force lets the next call start without
+    evaluating it again.  The axes are walked by plain loops, which keeps a
+    single trajectory's step at a few float operations.
     """
-    force = pot.force
     h, h2 = 0.5 * dt, 0.5 * dt * dt
-    axes = range(pot.d)
-
-    x, xi, a = list(x), list(xi), force(x)
-    while True:
+    axes = range(len(x))
+    x, xi = list(x), list(xi)
+    for _ in range(n):
         for i in axes:
             x[i] = x[i] + (dt * xi[i] + h2 * a[i])
         b = force(x)
         for i in axes:
             xi[i] = xi[i] + h * (a[i] + b[i])
         a = b
-        yield tuple(x), tuple(xi)
+    return x, xi, a
 
 
 def flow_integrate(
@@ -105,12 +103,16 @@ def flow_integrate(
     n_steps = int(round(T / dt))
 
     p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))
-    start = ([float(c) for c in x.reshape(pot.d)], [float(c) for c in xi.reshape(pot.d)])
-    ts, states = [0.0], [start]
-    for k, state in enumerate(islice(_verlet(pot, *start, dt), n_steps), 1):
-        if k % record_every == 0 or k == n_steps:
-            ts.append(k * dt)
-            states.append(state)
+    xc, xic = [float(c) for c in x.reshape(pot.d)], [float(c) for c in xi.reshape(pot.d)]
+    a = pot.force(xc)
+    ts, states = [0.0], [(tuple(xc), tuple(xic))]
+    k = 0
+    while k < n_steps:
+        n = min(record_every, n_steps - k)
+        xc, xic, a = _verlet(pot.force, xc, xic, a, dt, n)
+        k += n
+        ts.append(k * dt)
+        states.append((tuple(xc), tuple(xic)))  # tuples hold a long record in less memory than lists
 
     t = np.array(ts)
     xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
@@ -142,12 +144,13 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
         sel = np.nonzero(times * sign >= 0.0)[0]
         x = [x0[..., i] for i in range(pot.d)]
         xi = [sign * xi0[..., i] for i in range(pot.d)]
+        a = pot.force(x)
         t_cur = 0.0
         for j in sel[np.argsort(np.abs(times[sel]))]:
             span = abs(times[j]) - t_cur
             if span > 1e-15:
                 n = max(1, int(np.ceil(span / dt)))
-                x, xi = next(islice(_verlet(pot, x, xi, span / n), n - 1, None))
+                x, xi, a = _verlet(pot.force, x, xi, a, span / n, n)
                 t_cur = abs(times[j])
             xs[j] = np.stack(x, axis=-1)
             xis[j] = sign * np.stack(xi, axis=-1)

@@ -113,16 +113,13 @@ def test_unwritable_artifact_exits_2_without_manifest(tmp_path, capsys):
 
 
 def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
-    # the first pair's report tables used to be on disk before the second pair ran
-    calls = []
+    # the first pair's report tables used to be on disk before a later scan
+    # ran; the suite's one DSC call, shared by all pairs, comes after every
+    # pair's UGCC and TPC reports are built
+    def failing_dsc(*args, **kwargs):
+        raise RuntimeError("injected DSC failure")
 
-    def failing_second_dsc(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("injected DSC failure")
-        return dsc_scan(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "dsc_scan", failing_second_dsc)
+    monkeypatch.setattr(cli, "_dsc_scans", failing_dsc)
     cfg = {
         "ugcc": {"T_time": 1.0, "r_space": 0.25},
         "tpc": {"R_space": 1.0, "shells_space": [4.0]},
@@ -171,6 +168,25 @@ def test_conditions_threads_are_byte_identical(tmp_path):
     rc2, out2 = run_cli(tmp_path, "conditions", cfg, out_name="t2", extra=("--threads", "2"))
     assert rc1 == rc2 == 0
     assert {"conditions_dsc.csv", "conditions_dsc.json"} <= assert_same_artifacts(out1, out2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
+    # the suite integrates each frequency's shell flow once for all pairs;
+    # every pair must still read the bits of its own dsc_scan
+    dsc = {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [100.0, 25.0], "n_shell_samples": 16}
+    cfg = {"ugcc": {"T_time": 1.0, "r_space": 0.25}, "tpc": {"R_space": 1.0, "shells_space": [4.0]}, "dsc": dsc}
+    rc, out = run_cli(tmp_path, "suite", cfg, extra=("--threads", str(threads), "--seed", "5"))
+    assert rc == 0
+    pot = cli.builtin_potential("harmonic", d=2)
+    for label, spec in cli.CANONICAL_PAIRS:
+        b = cli._build_damping(cli._Section(label, {"name": label, **spec}), 2)
+        rep = dsc_scan(
+            b, pot, dsc["T_time"], dsc["R_space"], dsc["lambdas_freq"], n_shell_samples=16, seed=5, threads=1
+        )
+        with open(out / f"conditions_{label}_dsc.csv", newline="") as fh:
+            got = np.array([float(row["average"]) for row in csv.DictReader(fh)])
+        assert got.tobytes() == rep.sample_values.tobytes()
 
 
 def test_resolvent_threads_are_byte_identical(tmp_path):

@@ -368,3 +368,53 @@ def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
     back, _ = reference_verlet(w2, dphi, x_axes, [-c for c in xi_axes], dt, n_back)
     expected = np.concatenate([back[:0:-1], fwd]).swapaxes(1, 2)  # (times, batch, d)
     assert pos.tobytes() == expected.tobytes()
+
+
+# The kernel carries the force from one call to the next.  These properties
+# pin flow_integrate and _flow_states to the reference loop above, which
+# evaluates the force afresh at the start of every run of steps.
+
+
+@given(builtin_cases(), st.data(), st.integers(1, 80), st.integers(1, 7))
+def test_flow_integrate_keeps_the_reference_bits(case, data, n_steps, record_every):
+    pot, w2, dphi, s = case
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    x0, xi0 = np.array(data.draw(point)), np.array(data.draw(point))
+    dt = stable_dt(pot, w2, s, x0, xi0)
+    traj = flow_integrate(pot, x0, xi0, n_steps * dt, dt, record_every=record_every)
+    xs, xis = reference_verlet(w2, dphi, [float(c) for c in x0], [float(c) for c in xi0], dt, n_steps)
+    rows = sorted(set(range(0, n_steps + 1, record_every)) | {n_steps})
+    assert traj.t.tobytes() == (np.array(rows) * dt).tobytes()
+    assert traj.x.tobytes() == xs[rows].tobytes()
+    assert traj.xi.tobytes() == xis[rows].tobytes()
+
+
+@given(builtin_cases(), st.data())
+def test_flow_states_keep_the_reference_bits(case, data):
+    # requested times of both signs, in any order, repeated or zero; each
+    # span between consecutive |t| is cut into steps of span / n <= dt
+    pot, w2, dphi, s = case
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    x0 = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
+    xi0 = np.array(data.draw(st.lists(point, min_size=len(x0), max_size=len(x0))))
+    dt = stable_dt(pot, w2, s, x0, xi0)
+    steps = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-40.0, 40.0))
+    times = dt * np.array(data.draw(st.lists(steps, min_size=1, max_size=8)))
+    xs, xis = _flow_states(pot, x0, xi0, times, dt)
+
+    exp_x, exp_xi = np.empty_like(xs), np.empty_like(xis)
+    for sign in (1.0, -1.0):
+        x = [x0[:, i] for i in range(pot.d)]
+        xi = [sign * xi0[:, i] for i in range(pot.d)]
+        t_cur = 0.0
+        for j in sorted((j for j in range(len(times)) if sign * times[j] >= 0.0), key=lambda j: abs(times[j])):
+            span = abs(times[j]) - t_cur
+            if span > 1e-15:
+                n = max(1, math.ceil(span / dt))
+                path, moms = reference_verlet(w2, dphi, x, xi, span / n, n)
+                x, xi = list(path[-1]), list(moms[-1])
+                t_cur = abs(times[j])
+            exp_x[j] = np.stack(x, axis=-1)
+            exp_xi[j] = sign * np.stack(xi, axis=-1)
+    assert xs.tobytes() == exp_x.tobytes()
+    assert xis.tobytes() == exp_xi.tobytes()
