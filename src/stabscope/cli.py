@@ -29,7 +29,6 @@ from .damping import (
     _dsc_scans,
     builtin_damping,
     dsc_limit_scan,
-    dsc_scan,
     tpc_scan,
     ugcc_scan,
 )
@@ -314,24 +313,22 @@ def _condition_params(cfg: _Section) -> dict:
     return params
 
 
-def _run_conditions(pot, b, params: dict, checks, seed: int, threads: int) -> dict:
-    reports = {}
-    if "ugcc" in checks:
-        reports["ugcc"] = ugcc_scan(b, params["ugcc"]["T_time"], params["ugcc"]["r_space"])
-    if "tpc" in checks:
-        reports["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"], params["tpc"]["shells_space"])
+def _run_conditions(pot, dampings, params: dict, checks, seed: int, threads: int) -> list:
+    """One {check: report} dict per damping, in the order ugcc, tpc, dsc; DSC's
+    shell flows do not depend on b, so one _dsc_scans call serves all dampings."""
+    reports = [{} for _ in dampings]
+    for b, reps in zip(dampings, reports):
+        if "ugcc" in checks:
+            reps["ugcc"] = ugcc_scan(b, params["ugcc"]["T_time"], params["ugcc"]["r_space"])
+        if "tpc" in checks:
+            reps["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"], params["tpc"]["shells_space"])
     if "dsc" in checks:
         p = params["dsc"]
-        reports["dsc"] = dsc_scan(
-            b,
-            pot,
-            p["T_time"],
-            p["R_space"],
-            p["lambdas_freq"],
-            n_shell_samples=p["n_shell_samples"],
-            seed=seed,
-            threads=threads,
+        dsc = _dsc_scans(
+            dampings, pot, p["T_time"], p["R_space"], p["lambdas_freq"], p["n_shell_samples"], seed, threads
         )
+        for reps, rep in zip(reports, dsc):
+            reps["dsc"] = rep
     return reports
 
 
@@ -345,7 +342,7 @@ def _cmd_conditions(cfg: _Section, opts) -> dict:
     params = _condition_params(cfg)
     cfg.done()
 
-    reports = _run_conditions(pot, b, params, checks, opts.seed, opts.threads)
+    (reports,) = _run_conditions(pot, [b], params, checks, opts.seed, opts.threads)
     artifacts = {}
     summary = {}
     for check, rep in reports.items():
@@ -578,14 +575,8 @@ def _cmd_suite(cfg: _Section, opts) -> dict:
     matrix = {}
     rows = []
     dampings = [_build_damping(_Section(label, {"name": label, **spec}), 2) for label, spec in CANONICAL_PAIRS]
-    all_reports = [_run_conditions(pot, b, params, ("ugcc", "tpc"), opts.seed, opts.threads) for b in dampings]
-    # DSC's shell flows do not depend on b: integrate them once for all pairs
-    p = params["dsc"]
-    dsc = _dsc_scans(
-        dampings, pot, p["T_time"], p["R_space"], p["lambdas_freq"], p["n_shell_samples"], opts.seed, opts.threads
-    )
-    for (label, _), reports, dsc_report in zip(CANONICAL_PAIRS, all_reports, dsc):
-        reports["dsc"] = dsc_report
+    all_reports = _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), opts.seed, opts.threads)
+    for (label, _), reports in zip(CANONICAL_PAIRS, all_reports):
         matrix[label] = {}
         for check, rep in reports.items():
             log.info("suite %s %s: passed=%s", label, rep.condition, rep.passed)

@@ -19,8 +19,12 @@ so most balls need no evaluation of b.  The ray and flow averages are one
 window mean, the composite trapezoid rule over |t| <= T divided by 2T.
 Every scan returns a `ConditionReport` with the per-sample averages and the
 infimum; it passes when the infimum exceeds the threshold c = 1e-3 * b_max.
-TPC and DSC build theirs through one grouped report (per-shell or
-per-frequency infima, the outermost group as the liminf proxy).
+All four build it through one constructor from labelled sample groups, the
+last and outermost of which gives the infimum (the liminf proxy).  One
+turning-point kernel gives the TPC ball means, at radius R / V^(1/4), to
+`tpc_scan` and to the TPC witness search; the CLI runs `conditions` and
+`suite` through one runner, whose one `_dsc_scans` call shares each
+frequency's shell flow among all its dampings.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import TURNING_FRACTION, default_dt, flow_positions, sample_shell
-from .potentials import Potential, _require_count, _require_window, as_points, unit_directions
+from .potentials import Potential, _require_count, _require_finite, _require_window, as_points, unit_directions
 
 __all__ = [
     "Damping",
@@ -510,26 +514,16 @@ class ConditionReport:
         }
 
 
-def _grouped_report(condition: str, params: dict, b: Damping, groups, name: str, key: str):
-    """Report over sample groups (value, averages), ordered so the last one is outermost.
-
-    Each sample is labelled "name=value", the per-group infima are reported
-    under `key`, and the infimum of the last group is the liminf proxy.
-    """
-    infima = {value: float(vals.min()) for value, vals in groups}
-    labels = []
-    for value, vals in groups:
-        labels += [f"{name}={value:g}"] * vals.size
+def _report(condition: str, params: dict, b: Damping, groups, **extra) -> ConditionReport:
+    """The report over sample groups (labels, averages): one label per sample, the last
+    group outermost, its least average the infimum; extra sits beside the labels."""
     return ConditionReport(
         condition=condition,
         params=params,
         sample_values=np.concatenate([vals for _, vals in groups]),
-        infimum=infima[groups[-1][0]],
+        infimum=float(groups[-1][1].min()),
         threshold=default_threshold(b),
-        groups={
-            "sample_labels": labels,
-            key: infima,
-        },
+        groups={"sample_labels": [label for labels, _ in groups for label in labels], **extra},
     )
 
 
@@ -565,21 +559,24 @@ def ugcc_scan(
         rays = default_ray_family(b.d)
     if len(rays) == 0:
         raise ValueError("need at least one ray")
-    base = np.stack([as_points(p, b.d) for p, _ in rays])
-    dirs = np.stack([as_points(q, b.d) for _, q in rays])
-    if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
+    base = _require_finite("base points", np.stack([as_points(p, b.d) for p, _ in rays]))
+    dirs = _require_finite("directions", np.stack([as_points(q, b.d) for _, q in rays]))
+    if not np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) <= 1e-12:
         raise ValueError("directions must be unit vectors")
     ts = np.linspace(-T, T, N_RAY)
     pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
     vals = _window_mean(b, r, pts, ts, axis=-1)
-    return ConditionReport(
-        condition="UGCC",
-        params={"T_time": T, "r_space": r, "n_rays": len(rays)},
-        sample_values=vals,
-        infimum=float(vals.min()),
-        threshold=default_threshold(b),
-        groups={"sample_labels": [f"ray{k}" for k in range(len(rays))]},
-    )
+    labels = [f"ray{k}" for k in range(len(rays))]
+    return _report("UGCC", {"T_time": T, "r_space": r, "n_rays": len(rays)}, b, [(labels, vals)])
+
+
+def _turning_balls(b: Damping, pot: Potential, R: float, pts: np.ndarray):
+    """V at each point and the mean of b over its TPC ball, of radius R / V^(1/4);
+    V must be positive at every point."""
+    v = pot.raw_value(pts)
+    if np.any(v <= 0.0):
+        raise ValueError("shell must lie where V > 0")
+    return v, mollify_at(b, R / v**0.25, pts)
 
 
 def tpc_scan(
@@ -599,7 +596,7 @@ def tpc_scan(
         raise ValueError("need at least one shell radius")
     _require_window("shells", shells)
 
-    groups = []
+    groups, infima = [], {}
     for rho in shells:
         if b.d == 1:
             pts = np.array([[rho], [-rho]])
@@ -608,13 +605,10 @@ def tpc_scan(
             # half-step offset keeps samples off the coordinate axes
             theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
             pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        v = pot.raw_value(pts)
-        if np.any(v <= 0.0):
-            raise ValueError("shell must lie where V > 0")
-        groups.append((rho, mollify_at(b, R / v**0.25, pts)))
-    return _grouped_report(
-        "TPC", {"R_space": R, "shells": shells}, b, groups, "shell", "shell_infima"
-    )
+        _, means = _turning_balls(b, pot, R, pts)
+        groups.append(([f"shell={rho:g}"] * means.size, means))
+        infima[rho] = float(means.min())
+    return _report("TPC", {"R_space": R, "shells": shells}, b, groups, shell_infima=infima)
 
 
 def _flow_window(pot: Potential, x0: np.ndarray, xi0: np.ndarray, T: float, lam: float):
@@ -704,10 +698,12 @@ def _dsc_scans(
         "turning_fraction": TURNING_FRACTION,
         "seed": seed,
     }
-    return [
-        _grouped_report("DSC", params, b, list(zip(lams, means)), "lam", "lambda_infima")
-        for b, means in zip(dampings, zip(*results))
-    ]
+    reports = []
+    for b, means in zip(dampings, zip(*results)):
+        groups = [([f"lam={lam:g}"] * m.size, m) for lam, m in zip(lams, means)]
+        infima = {lam: float(m.min()) for lam, m in zip(lams, means)}
+        reports.append(_report("DSC", params, b, groups, lambda_infima=infima))
+    return reports
 
 
 def dsc_limit_scan(
@@ -738,26 +734,11 @@ def dsc_limit_scan(
         where = " on every rung of the (T, R) ladder"
         _require_window(slot, [rung[k] for rung in tr_grid], where=where)
 
-    proxies = np.array(
-        [
-            dsc_scan(
-                b, pot, T, R, lambdas, n_shell_samples=n_shell_samples, seed=seed, threads=threads
-            ).infimum
-            for T, R in tr_grid
-        ]
-    )
-    return ConditionReport(
-        condition="DSC_LIMIT",
-        params={"TR_grid": tr_grid, "lambdas": list(np.atleast_1d(lambdas)), "seed": seed},
-        sample_values=proxies,
-        infimum=float(proxies[-1]),
-        threshold=default_threshold(b),
-        groups={
-            "sample_labels": [f"T={t:g},R={r:g}" for t, r in tr_grid],
-            "proxies": proxies,
-            "successive_differences": np.abs(np.diff(proxies)),
-        },
-    )
+    scan = partial(dsc_scan, b, pot, lambdas=lambdas, n_shell_samples=n_shell_samples, seed=seed, threads=threads)
+    proxies = np.array([scan(T, R).infimum for T, R in tr_grid])
+    groups = [([f"T={t:g},R={r:g}"], proxies[k : k + 1]) for k, (t, r) in enumerate(tr_grid)]
+    params = {"TR_grid": tr_grid, "lambdas": list(np.atleast_1d(lambdas)), "seed": seed}
+    return _report("DSC_LIMIT", params, b, groups, proxies=proxies, successive_differences=np.abs(np.diff(proxies)))
 
 
 def _ordered_map(fn, items, threads: int):

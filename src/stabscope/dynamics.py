@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import EpsilonProfile, Potential, _require_count, _require_window, as_points, sublevel_radius
+from .potentials import (
+    EpsilonProfile, Potential, _require_count, _require_finite, _require_window, as_points, sublevel_radius
+)
 
 __all__ = [
     "Trajectory",
@@ -98,8 +100,8 @@ def flow_integrate(
     if T < dt:
         raise ValueError("need T >= dt")
     record_every = _require_count("record_every", record_every)
-    x = as_points(x0, pot.d).astype(float)
-    xi = as_points(xi0, pot.d).astype(float)
+    x = _require_finite("x0", as_points(x0, pot.d).astype(float))
+    xi = _require_finite("xi0", as_points(xi0, pot.d).astype(float))
     n_steps = int(round(T / dt))
 
     p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))
@@ -118,7 +120,7 @@ def flow_integrate(
     xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
     p = pot.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
     drift = float(np.max(np.abs(p - p0)) / max(p0, 1.0))
-    if drift > 100.0 * ENERGY_DRIFT_TOL:
+    if not drift <= 100.0 * ENERGY_DRIFT_TOL:  # a NaN drift aborts too
         raise RuntimeError("integrator unstable -- reduce dt")
     return Trajectory(t, xs, xis, p, dt=dt, p0=p0, drift=drift)
 
@@ -131,11 +133,9 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
     requested times are hit exactly.  xi carries its true sign on both legs.
     Returns two arrays of shape (n_times,) + x0.shape.
     """
-    x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("need finite flow times")
+    x0 = _require_finite("x0", np.asarray(x0, dtype=float))
+    xi0 = _require_finite("xi0", np.asarray(xi0, dtype=float))
+    times = _require_finite("flow times", np.asarray(times, dtype=float))
     _require_window("dt", dt)
     xs = np.empty(times.shape + x0.shape)
     xis = np.empty_like(xs)

@@ -21,10 +21,10 @@ Two derived quantities live here because they only depend on V:
 * ``sublevel_radius``: the smallest radius outside of which V clears a level,
   used to truncate computational domains.
 
-The two input rules live here too, since every other module imports this one:
+The input rules live here too, since every other module imports this one:
 ``_require_window`` for lengths, times, steps, levels and frequencies (finite
-and > 0) and ``_require_count`` for numbers of steps, samples, modes and terms
-(an integer >= 1).
+and > 0), ``_require_count`` for numbers of steps, samples, modes and terms
+(an integer >= 1) and ``_require_finite`` for points and vectors.
 
 Suprema over balls and annuli are estimated by sampling radial rays; this is
 exact for radial potentials and adequate for the mildly anisotropic builtins.
@@ -54,6 +54,13 @@ def _require_window(name: str, values, where: str = ""):
         raise ValueError(f"need {name} > 0{where}")
     if not np.all(checked < np.inf):
         raise ValueError(f"need {name} finite{where}")
+    return values
+
+
+def _require_finite(name: str, values):
+    """The point rule: every entry of values finite; returns values."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"need finite {name}")
     return values
 
 

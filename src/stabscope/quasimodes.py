@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .damping import N_BALL_PER_DIM, Damping, mollify_at, unit_ball_nodes
+from .damping import N_BALL_PER_DIM, Damping, _turning_balls, unit_ball_nodes
 from .fields import (
     Field,
     Grid,
@@ -370,7 +370,7 @@ def tpc_violation_sequence(
 
     For each n the search sweeps outward over shells, growing by 1.2x up to
     radius 1e7 (512-direction angular lattice, deterministic first-hit
-    order), for a point whose ball average of b at radius (n+1)/sqrt(lam)
+    order), for a point whose TPC ball average of b at radius (n+1)/sqrt(lam)
     drops below 2^-n * b_max, far enough out that the admissibility caps
     leave R_n = n+1 intact; it then builds the bump there.
     Raises when the damping never violates the thin-point condition within
@@ -398,9 +398,8 @@ def tpc_violation_sequence(
         found = None
         while rho <= rho_max:
             pts = rho * dirs
-            lam_pts = np.sqrt(pot.raw_value(pts))
-            radii = R_n / np.sqrt(lam_pts)
-            avgs = mollify_at(b, radii, pts)
+            v, avgs = _turning_balls(b, pot, R_n, pts)
+            lam_pts = np.sqrt(v)
             ok = (lam_pts >= lam_floor) & (avgs <= thr)
             if np.any(ok):
                 k = int(np.argmax(ok))

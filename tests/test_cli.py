@@ -91,6 +91,13 @@ def test_flow_rejects_zero_record_every(tmp_path, capsys):
     assert "need record_every >= 1" in capsys.readouterr().err
 
 
+def test_flow_rejects_non_finite_start(tmp_path, capsys):
+    # json.dumps writes NaN as a bare literal, which the config parser accepts
+    rc, _ = run_cli(tmp_path, "flow", {**H1, "x0_space": [float("nan")], "xi0_momentum": [0.5]})
+    assert rc == 2
+    assert "need finite x0" in capsys.readouterr().err
+
+
 def test_out_under_a_regular_file_exits_2_before_computing(tmp_path, capsys, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the flow ran although --out cannot be created")
@@ -112,10 +119,11 @@ def test_unwritable_artifact_exits_2_without_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["conditions", "suite"])
+def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch, command):
     # the first pair's report tables used to be on disk before a later scan
-    # ran; the suite's one DSC call, shared by all pairs, comes after every
-    # pair's UGCC and TPC reports are built
+    # ran; the runner's one DSC call, shared by all dampings, comes after
+    # every damping's UGCC and TPC reports are built
     def failing_dsc(*args, **kwargs):
         raise RuntimeError("injected DSC failure")
 
@@ -125,7 +133,9 @@ def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch):
         "tpc": {"R_space": 1.0, "shells_space": [4.0]},
         "dsc": {"lambdas_freq": [25.0], "n_shell_samples": 8},
     }
-    rc, _ = run_cli(tmp_path, "suite", cfg)  # run_cli checks that --out stays empty
+    if command == "conditions":
+        cfg.update(potential={"name": "harmonic", "d": 2}, damping={"name": "ball"})
+    rc, _ = run_cli(tmp_path, command, cfg)  # run_cli checks that --out stays empty
     assert rc == 3
     assert "injected DSC failure" in capsys.readouterr().err
 
@@ -173,10 +183,12 @@ def test_conditions_threads_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
     # the suite integrates each frequency's shell flow once for all pairs;
-    # every pair must still read the bits of its own dsc_scan
+    # every pair must still read the bits of its own dsc_scan, and every
+    # table must be the one `conditions` writes for that pair alone
     dsc = {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [100.0, 25.0], "n_shell_samples": 16}
     cfg = {"ugcc": {"T_time": 1.0, "r_space": 0.25}, "tpc": {"R_space": 1.0, "shells_space": [4.0]}, "dsc": dsc}
-    rc, out = run_cli(tmp_path, "suite", cfg, extra=("--threads", str(threads), "--seed", "5"))
+    extra = ("--threads", str(threads), "--seed", "5")
+    rc, out = run_cli(tmp_path, "suite", cfg, extra=extra)
     assert rc == 0
     pot = cli.builtin_potential("harmonic", d=2)
     for label, spec in cli.CANONICAL_PAIRS:
@@ -187,6 +199,13 @@ def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
         with open(out / f"conditions_{label}_dsc.csv", newline="") as fh:
             got = np.array([float(row["average"]) for row in csv.DictReader(fh)])
         assert got.tobytes() == rep.sample_values.tobytes()
+
+        pair = {**cfg, "potential": {"name": "harmonic", "d": 2}, "damping": {"name": label, **spec}}
+        rc, alone = run_cli(tmp_path, "conditions", pair, out_name=label, extra=extra)
+        assert rc == 0
+        for check in ("ugcc", "tpc", "dsc"):
+            suite_table = (out / f"conditions_{label}_{check}.csv").read_bytes()
+            assert suite_table == (alone / f"conditions_{check}.csv").read_bytes()
 
 
 def test_resolvent_threads_are_byte_identical(tmp_path):
@@ -681,7 +700,7 @@ def test_invalid_window_is_rejected_before_any_scan(tmp_path, capsys, monkeypatc
     def no_scan(*args, **kwargs):
         raise AssertionError("a scan ran before the whole config was validated")
 
-    for name in ("ugcc_scan", "tpc_scan", "dsc_scan"):
+    for name in ("ugcc_scan", "tpc_scan", "_dsc_scans"):
         monkeypatch.setattr(cli, name, no_scan)
     cfg = dict(section)
     if command == "conditions":

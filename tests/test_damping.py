@@ -1135,3 +1135,42 @@ def test_scans_share_one_window_mean_and_verdict(case):
     ]
     for rep in reports:
         assert rep.passed == (rep.infimum > rep.threshold)
+
+
+@st.composite
+def report_cases(draw):
+    """A small 1D config of all four scans over one builtin: rays, shells,
+    distinct frequencies and a (T, R) ladder growing in both slots."""
+    name, params = draw(st.sampled_from(BUILTIN_PARAMS))
+    b = builtin_damping(name, d=1, amplitude=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), **params)
+    bases = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
+    rays = [([x], [draw(st.sampled_from([1.0, -1.0]))]) for x in bases]
+    T, R = draw(st.floats(0.25, 1.0)), draw(st.floats(0.25, 2.0))
+    shells = draw(st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3, unique=True))
+    lams = draw(st.lists(st.sampled_from([25.0, 100.0, 400.0]), min_size=1, max_size=2, unique=True))
+    ladder = [(T * k, R * k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    return b, rays, T, R, shells, lams, ladder, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+
+
+@given(report_cases())
+def test_reports_read_the_outermost_group(case):
+    # every scan builds its report through one constructor: one label per
+    # sample, the infimum the least average of the outermost group, and the
+    # verdict the infimum against the threshold of b
+    b, rays, T, R, shells, lams, ladder, n, seed = case
+    pot = builtin_potential("harmonic", d=1)
+    last_shell, last_lam, (last_T, last_R) = max(shells), max(lams), ladder[-1]
+    outermost = [
+        # report, sample count, labels of the outermost group: all rays, the
+        # last shell (two points in 1D), the largest frequency, the last rung
+        (ugcc_scan(b, T, R, rays), len(rays), [f"ray{k}" for k in range(len(rays))]),
+        (tpc_scan(b, pot, R, shells), 2 * len(shells), [f"shell={last_shell:g}"] * 2),
+        (dsc_scan(b, pot, T, R, lams, n_shell_samples=n, seed=seed), n * len(lams), [f"lam={last_lam:g}"] * n),
+        (dsc_limit_scan(b, pot, ladder, lams, n_shell_samples=n, seed=seed), len(ladder), [f"T={last_T:g},R={last_R:g}"]),
+    ]
+    for rep, size, labels in outermost:
+        assert len(rep.groups["sample_labels"]) == rep.sample_values.size == size
+        assert rep.groups["sample_labels"][-len(labels) :] == labels
+        assert rep.infimum == rep.sample_values[-len(labels) :].min()
+        assert rep.threshold == 1e-3 * b.b_max
+        assert rep.passed == (rep.infimum > rep.threshold)

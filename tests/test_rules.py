@@ -1,13 +1,16 @@
-"""One window rule and one count rule, at every public entry point.
+"""One window rule, one count rule and one point rule, at every public entry point.
 
 Every length, time, step, level and frequency must be finite and > 0
 (``potentials._require_window``); every number of steps, samples, modes and
-terms must be an integer >= 1 (``potentials._require_count``).  Each entry
-point below must reject a bad value with a ValueError naming the parameter
-before the value reaches numpy: a RuntimeWarning on the way fails the test,
-since the suite runs with RuntimeWarning as an error (pyproject).
+terms must be an integer >= 1 (``potentials._require_count``); every flow
+start state and every ray must have finite coordinates
+(``potentials._require_finite``).  Each entry point below must reject a bad
+value with a ValueError naming the parameter before the value reaches numpy:
+a RuntimeWarning on the way fails the test, since the suite runs with
+RuntimeWarning as an error (pyproject).
 """
 
+import dataclasses
 import math
 import re
 
@@ -133,6 +136,25 @@ COUNTS = {
     "make_grid n": ("grid point count", lambda n: make_grid(2, [16, n], 1.0)),
 }
 
+# entry point and argument -> (name in the message, call with one bad coordinate);
+# the flow layer names the start state (x0, xi0) it integrates from
+POINTS = {
+    "flow_integrate x0": ("x0", lambda v: flow_integrate(H1, [v], [0.5], 1.0, 1e-3)),
+    "flow_integrate xi0": ("xi0", lambda v: flow_integrate(H1, [1.0], [v], 1.0, 1e-3)),
+    "flow_positions x0": ("x0", lambda v: flow_positions(H1, [[1.0], [v]], XI0, np.array([-0.5, 0.5]), 1e-3)),
+    "flow_positions xi0": ("xi0", lambda v: flow_positions(H1, X0, [[0.0], [v]], np.array([-0.5, 0.5]), 1e-3)),
+    "flow_average x0": ("x0", lambda v: flow_average(B1, H1, [[v]], [[0.5]], 1.0, 1.0, 25.0)),
+    "flow_average xi0": ("xi0", lambda v: flow_average(B1, H1, [[1.0]], [[v]], 1.0, 1.0, 25.0)),
+    "linearization_deviation y": ("x0", lambda v: linearization_deviation(H1, [v], [1.0], 2.0, 25.0, _eps())),
+    "linearization_deviation eta": ("xi0", lambda v: linearization_deviation(H1, [0.0], [v], 2.0, 25.0, _eps())),
+    "ugcc_scan base point": ("base points", lambda v: ugcc_scan(B1, 1.0, 0.25, rays=[([0.0], [1.0]), ([v], [1.0])])),
+    "ugcc_scan direction": ("directions", lambda v: ugcc_scan(B1, 1.0, 0.25, rays=[([0.0], [1.0]), ([0.0], [v])])),
+    "ugcc_scan 2D direction": (
+        "directions",
+        lambda v: ugcc_scan(builtin_damping("ball", d=2), 1.0, 0.25, rays=[([0.0, 0.0], [v, 0.0])]),
+    ),
+}
+
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan], ids=repr)
 @pytest.mark.parametrize("case", sorted(WINDOWS))
@@ -159,3 +181,19 @@ def test_counts_read_as_int():
     assert spec.lam_n == packet_spec(H1, 4).lam_n
     grid = make_grid(2, [16.0, 24], 1.0)
     assert grid.ns == (16, 24) and all(type(n) is int for n in grid.ns)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("case", sorted(POINTS))
+def test_point_rule(case, bad):
+    name, call = POINTS[case]
+    with pytest.raises(ValueError, match=re.escape(f"need finite {name}")):
+        call(bad)
+
+
+def test_nan_energy_drift_aborts_the_flow():
+    # a force that turns the state NaN makes the drift NaN, which no
+    # comparison with the bound may let through
+    pot = dataclasses.replace(H1, force=lambda x: [math.nan for _ in x])
+    with pytest.raises(RuntimeError, match="integrator unstable"):
+        flow_integrate(pot, [1.0], [0.5], 0.01, 1e-3)
