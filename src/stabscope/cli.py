@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -624,7 +625,9 @@ def _manifest(command: str, config_bytes: bytes, opts, wall: float, write: float
     }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of main; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stabscope",
         description="Stabilization-condition experiments for damped waves with confinement.",
@@ -634,7 +637,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    opts = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    opts = _parser().parse_args(argv)
 
     level = _LOG_LEVELS.get(os.environ.get("STABSCOPE_LOG", "warning").strip().lower())
     logging.basicConfig(level=logging.WARNING if level is None else level)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import Damping, _ordered_map
-from .fields import POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
-from .potentials import Potential, _require_count, _require_window, sublevel_radius
+from .fields import _NODE_BUDGET, POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
+from .potentials import Potential, _require_count, _require_finite, _require_window, sublevel_radius
 
 log = logging.getLogger(__name__)
 
@@ -109,16 +109,26 @@ def evolve(
     """March the damped wave equation and record (t, E, D).
 
     Leapfrog in the elliptic part; the damping enters through the centered
-    velocity, so each update divides by (1 + dt b/2) pointwise.  Raises on a
-    CFL violation up front and aborts on NaN mid-run.  The recorded E is not
-    the quantity the scheme dissipates: it can rise by O(dt^2) where b misses the wave.
+    velocity, so each update divides by (1 + dt b/2) pointwise.  Raises on
+    non-finite initial data and on a CFL violation up front, and aborts on
+    NaN mid-run.  The recorded E is not the quantity the scheme dissipates:
+    it can rise by O(dt^2) where b misses the wave.
 
     The arithmetic follows the data: real when u and v have zero imaginary
     part, complex otherwise.  Each step runs in preallocated buffers and
     divides by (1 + dt b/2) and by 2 dt through their reciprocals, which is
     what complex division by a divisor with zero imaginary part computes, so
-    a real run records the bits a complex run of the same data would.  |v|^2
-    is taken once per step for both the kinetic energy and the dissipation.
+    a real run records the bits a complex run of the same data would.
+
+    The energy bookkeeping runs by blocks of steps.  Each step copies u P u
+    (Re of conj(u) P u for complex data) and v (|v| for complex data) into
+    one row each of two block buffers of at most _NODE_BUDGET nodes.  Once
+    per block, the velocity rows are squared, the rows are weighted by w and
+    by w b, and each row is summed on its own: numpy's pairwise sum over a
+    contiguous row, as over the whole field.  E = (<u, P u> + ||v||^2) / 2 and
+    D = <v, b v> of every step then give the balance coefficient, the largest
+    |E_n - E_{n-1} + dt (D_n + D_{n-1}) / 2| / (dt (E_{n-1} + 1)) with NaN ignored,
+    and the recorded samples, in one vectorized pass after the run.
     """
     grid = state.u.grid
     if pot.d != grid.d or b.d != grid.d:
@@ -128,6 +138,8 @@ def evolve(
     if T_final < dt:
         raise ValueError("need dt <= T_final")
     record_every = _require_count("record_every", record_every)
+    u0 = _require_finite("state.u", state.u.values)
+    v0 = _require_finite("state.v", state.v.values)
     limit = cfl_limit(pot, grid)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt violates the CFL bound: dt={dt:.6g} > {limit:.6g}")
@@ -135,14 +147,13 @@ def evolve(
     mesh = grid.meshgrid()
     vvals = pot.raw_value(mesh)
     bvals = b.raw_func(mesh)
-    w = _weights(grid)
-    wb = w * bvals
+    w = _weights(grid).ravel()
+    wb = w * bvals.ravel()
     half_b = 0.5 * dt * bvals
     inv_denom = 1.0 / (1.0 + half_b)
     dt2 = dt * dt
     inv_2dt = 1.0 / (2.0 * dt)
 
-    u0, v0 = state.u.values, state.v.values
     real = not (np.any(u0.imag) or np.any(v0.imag))
     dtype = float if real else complex
     if real:
@@ -153,34 +164,42 @@ def evolve(
     u_next = np.empty_like(u_prev)
     v = np.empty_like(u_prev)
     tmp = np.empty_like(u_prev)
-    v2 = np.empty(grid.ns)
-    acc = np.empty(grid.ns)
-
-    def energy_and_dissipation(u_arr, pu_arr, v_arr):
-        # E = (<u, P u> + ||v||^2) / 2 and D = <v, b v>, trapezoid-weighted
-        if real:
-            np.multiply(u_arr, pu_arr, out=acc)
-            np.multiply(w, acc, out=acc)
-            np.multiply(v_arr, v_arr, out=v2)
-        else:
-            np.multiply(np.conjugate(u_arr, out=tmp), pu_arr, out=tmp)
-            np.multiply(w, tmp.real, out=acc)
-            np.abs(v_arr, out=v2)
-            np.multiply(v2, v2, out=v2)
-        quad = float(acc.sum())
-        np.multiply(w, v2, out=acc)
-        kin = float(acc.sum())
-        np.multiply(wb, v2, out=acc)
-        return 0.5 * (quad + kin), float(acc.sum())
 
     n_steps = int(round(T_final / dt))
+    block = min(n_steps + 1, max(1, _NODE_BUDGET // u_prev.size))
+    quad = np.empty((block, u_prev.size))  # u P u per step, then weighted
+    speed = np.empty((block, u_prev.size))  # v or |v| per step, then squared
+    quad_rows = [row.reshape(grid.ns) for row in quad]
+    speed_rows = [row.reshape(grid.ns) for row in speed]
+    E = np.empty(n_steps + 1)
+    D = np.empty(n_steps + 1)
+
+    def keep(n, u_arr, pu_arr, v_arr):
+        # the step-n rows of the block; the block is summed when it is full
+        j = n % block
+        if real:
+            np.multiply(u_arr, pu_arr, out=quad_rows[j])
+            speed_rows[j][...] = v_arr
+        else:
+            np.multiply(np.conjugate(u_arr, out=tmp), pu_arr, out=tmp)
+            quad_rows[j][...] = tmp.real
+            np.abs(v_arr, out=speed_rows[j])
+        if j == block - 1 or n == n_steps:
+            k = j + 1
+            q, v2 = quad[:k], speed[:k]
+            q *= w
+            quad_sums = q.sum(axis=1)
+            np.multiply(v2, v2, out=v2)
+            np.multiply(v2, w, out=q)
+            E[n + 1 - k : n + 1] = 0.5 * (quad_sums + q.sum(axis=1))
+            np.multiply(v2, wb, out=q)
+            D[n + 1 - k : n + 1] = q.sum(axis=1)
+
     start = time.perf_counter()
     pu = kernel(u_prev)
-    e_prev, d_prev = energy_and_dissipation(u_prev, pu, v0)
-    ts, es, ds = [state.t], [e_prev], [d_prev]
+    keep(0, u_prev, pu, v0)
 
     u_curr[...] = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
-    balance = 0.0
     for n in range(1, n_steps + 1):
         pu = kernel(u_curr)
         # u_next = (2 u_curr - u_prev - dt^2 P u_curr + (dt/2) b u_prev) / (1 + dt b/2)
@@ -193,18 +212,19 @@ def evolve(
         u_next *= inv_denom
         np.subtract(u_next, u_prev, out=v)
         v *= inv_2dt
-        e_curr, d_curr = energy_and_dissipation(u_curr, pu, v)
-        defect = abs(e_curr - e_prev + dt * 0.5 * (d_curr + d_prev))
-        balance = max(balance, defect / (dt * (e_prev + 1.0)))
+        keep(n, u_curr, pu, v)
         if n % 64 == 0 and not np.isfinite(u_next.ravel()[:: max(1, u_next.size // 4096)]).all():
             raise RuntimeError(f"time integration produced NaN at t={n * dt:.6g}")
-        if n % record_every == 0 or n == n_steps:
-            ts.append(state.t + n * dt)
-            es.append(e_curr)
-            ds.append(d_curr)
-        e_prev, d_prev = e_curr, d_curr
         u_prev, u_curr, u_next = u_curr, u_next, u_prev
 
+    with np.errstate(invalid="ignore", over="ignore"):  # float semantics: inf - inf is a NaN to skip
+        defect = np.abs(E[1:] - E[:-1] + dt * 0.5 * (D[1:] + D[:-1]))
+        balance = float(np.fmax.reduce(defect / (dt * (E[:-1] + 1.0)), initial=0.0))
+    steps = np.arange(0, n_steps + 1, record_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    t = state.t + steps * dt
+    t[0] = state.t
     elapsed = time.perf_counter() - start
     log.info(
         "evolve: %d steps on %d nodes in %s arithmetic, %.3g node-steps/s; "
@@ -213,16 +233,10 @@ def evolve(
         u_prev.size,
         "real" if real else "complex",
         n_steps * u_prev.size / elapsed if elapsed > 0.0 else math.inf,
-        len(ts),
+        len(t),
         balance,
     )
-    return EnergyTrace(
-        t=np.array(ts),
-        E=np.array(es),
-        D=np.array(ds),
-        dt=dt,
-        balance_coefficient=balance,
-    )
+    return EnergyTrace(t=t, E=E[steps], D=D[steps], dt=dt, balance_coefficient=balance)
 
 
 def energy_balance_defect(trace: EnergyTrace) -> float:

@@ -10,9 +10,11 @@ The Laplacian uses the standard 4th-order central stencil per axis,
 (-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  This module is the one place that
 stencil lives: the stencil kernel ``_PKernel`` and the 1D band matrix
 ``p_bands`` (resolvent scans and spectra).  A kernel is built once per grid
-and dtype and keeps its zero-bordered scratch, shifted views and output
+and dtype and keeps its zero-bordered copy of the field, its strip-sized
+scratch for the stencil products, their shifted views and its output
 buffer, so ``apply_P`` runs it once and the time stepper runs it every step
-without allocating, in real arithmetic when the data are real.
+without allocating, in real arithmetic when the data are real.  Fields
+must be finite; ``apply_P`` names a NaN or inf instead of spreading it.
 Inner products and norms use tensor trapezoid weights; the inner product is
 conjugate-linear in its first slot.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential, _require_count, _require_window
+from .potentials import Potential, _require_count, _require_finite, _require_window
 
 __all__ = [
     "Grid",
@@ -42,6 +44,7 @@ __all__ = [
 
 _STENCIL = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
 POINTS_PER_WAVELENGTH = 16  # carrier resolution that check_resolution and resolvent grids use
+_NODE_BUDGET = 2**15  # nodes per kernel strip and per evolve energy block
 
 
 @dataclass(frozen=True)
@@ -174,49 +177,67 @@ def _check_boundary_clear(f: Field, layers: int = 2) -> None:
 class _PKernel:
     """V f - Laplacian/2 f with the Dirichlet reading, reusable on one grid.
 
-    The kernel owns a scratch with two extra node layers on both sides of
-    every axis, zero there; each call rewrites only its interior, so one
-    kernel serves every application on a grid.  The five shifted views per
-    axis are taken once.  Per axis the stencil sums c_k * f(x + k h) for
-    k = -2..2 in that order and multiplies by 1/h^2; the axes are summed into
-    the Laplacian before it is halved and subtracted.  The dtype is fixed at
-    construction; the result lives in the kernel's output buffer, which the
-    next call overwrites.
+    The kernel owns a copy of the field with two extra node layers on both
+    sides of every axis, zero there; each call rewrites only its interior, so
+    one kernel serves every application on a grid.  The stencil is symmetric,
+    c_-2 = c_2 and c_-1 = c_1, so one multiply forms the three products
+    c_0 f, c_1 f and c_2 f, and the five taps of every axis are shifted views
+    of them.  The work runs in strips of rows along axis 0, each of at most
+    _NODE_BUDGET nodes, so the product scratch stays small whatever the grid;
+    the strips and all their views are laid out at construction.  Within a
+    strip the products lie flat, padded rows end to end: a tap along axis 0
+    is a shift by whole padded rows and a tap along axis 1 a shift by single
+    nodes, so every sum runs over one contiguous range, the full padded width,
+    and the four padded columns it also fills are never read.  Per axis the
+    stencil sums c_k f(x + k h) for k = -2..2 in that order and multiplies by
+    1/h^2; the axes are summed into the Laplacian before it is halved and
+    subtracted from V f.  The dtype is fixed at construction; the result lives
+    in the kernel's output buffer, which the next call overwrites.
     """
 
     def __init__(self, vvals: np.ndarray, hs, dtype):
         ns = vvals.shape
-        self.vvals = vvals
-        self.pad = np.zeros(tuple(n + 4 for n in ns), dtype=dtype)
-        interior = (slice(2, -2),) * len(ns)
-        self.interior = self.pad[interior]
-        self.axes = []  # per axis: the shifted views f(x + k h), k = -2..2, and 1/h^2
-        for ax, h in enumerate(hs):
-            views = []
-            for k in range(5):
-                shifted = list(interior)
-                shifted[ax] = slice(k, k + ns[ax])
-                views.append(self.pad[tuple(shifted)])
-            self.axes.append((views, 1.0 / (h * h)))
-        self.lap = np.empty(ns, dtype=dtype)
-        self.d2 = np.empty(ns, dtype=dtype)  # second derivative along axes after the first
+        d = len(ns)
+        padded = np.zeros(tuple(n + 4 for n in ns), dtype=dtype)
+        self.interior = padded[(slice(2, -2),) * d]
         self.out = np.empty(ns, dtype=dtype)
+        self.coefs = _STENCIL[:3, None]  # c_0 = c_4, c_1 = c_3 and c_2
+        width = math.prod(padded.shape[1:])  # one padded row, 1 on the line
+        rows = min(ns[0], max(1, _NODE_BUDGET // math.prod(ns[1:])))
+        prods = np.empty(3 * (rows + 4) * width, dtype=dtype)
+        lap = np.empty(rows * width, dtype=dtype)
+        d2 = np.empty_like(lap)  # second derivative along axis 1
+        self.strips = []
+        for r0 in range(0, ns[0], rows):
+            m = min(rows, ns[0] - r0)
+            size = m * width
+            p = prods[: 3 * (m + 4) * width].reshape(3, -1)
+            taps = []  # per axis: the views c_k f(x + k h), k = -2..2, and 1/h^2
+            for ax, (step, base) in enumerate(((width, 0), (1, 2 * width - 2))[:d]):
+                views = [p[c, base + k * step : base + k * step + size] for k, c in enumerate((0, 1, 2, 1, 0))]
+                taps.append((views, 1.0 / (hs[ax] * hs[ax])))
+            lap_nodes = lap[:size].reshape((m,) + padded.shape[1:])[(slice(None),) + (slice(2, -2),) * (d - 1)]
+            pad = padded[r0 : r0 + m + 4].reshape(1, -1)
+            rs = slice(r0, r0 + m)
+            nodes = (vvals[rs], self.interior[rs], self.out[rs])
+            self.strips.append((pad, p, taps, lap[:size], d2[:size], lap_nodes, *nodes))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         self.interior[...] = values
-        term = self.out  # scratch until the final product
-        for ax, (views, inv_h2) in enumerate(self.axes):
-            d2 = self.lap if ax == 0 else self.d2
-            np.multiply(_STENCIL[0], views[0], out=d2)
-            for c, view in zip(_STENCIL[1:], views[1:]):
-                np.multiply(c, view, out=term)
-                d2 += term
-            d2 *= inv_h2
-            if ax > 0:
-                self.lap += d2
-        self.lap *= 0.5
-        np.multiply(self.vvals, values, out=self.out)
-        self.out -= self.lap
+        for pad, prods, taps, lap, d2, lap_nodes, v, f, out in self.strips:
+            np.multiply(self.coefs, pad, out=prods)
+            for ax, (views, inv_h2) in enumerate(taps):
+                acc = lap if ax == 0 else d2
+                np.add(views[0], views[1], out=acc)
+                acc += views[2]
+                acc += views[3]
+                acc += views[4]
+                acc *= inv_h2
+                if ax > 0:
+                    lap += acc
+            lap *= 0.5
+            np.multiply(v, f, out=out)
+            out -= lap_nodes
         return self.out
 
 
@@ -224,6 +245,7 @@ def apply_P(pot: Potential, f: Field) -> Field:
     """Apply V - Laplacian/2 with Dirichlet reading outside the grid."""
     if pot.d != f.grid.d:
         raise ValueError("potential and field dimensions differ")
+    _require_finite("field values", f.values)
     _check_boundary_clear(f)
     v = pot.raw_value(f.grid.meshgrid())
     return Field(f.grid, _PKernel(v, f.grid.hs, f.values.dtype)(f.values))
@@ -266,10 +288,10 @@ def inner(f: Field, g: Field) -> complex:
 def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
     """|| P f - lam^2 f || / (lam ||f||)."""
     _require_window("lam", lam)
+    res = apply_P(pot, f)  # first, so that a non-finite field is named before its norm is taken
     nrm = l2_norm(f)
     if nrm == 0.0:
         raise ValueError("zero field")
-    res = apply_P(pot, f)
     res.values -= lam**2 * f.values
     return l2_norm(res) / (lam * nrm)
 

@@ -276,6 +276,19 @@ def test_bad_flag_values_are_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_calls_in_one_process_keep_their_own_flags(tmp_path):
+    # the parser is built once per process; each call still reads its own flags
+    cfg = {"potential": {"name": "harmonic", "d": 1}, "x0_space": [1.0], "xi0_momentum": [0.5], "T_time": 0.1}
+    runs = {"first": ["--seed", "5", "--threads", "2"], "second": ["--seed", "9"]}
+    for name, flags in runs.items():
+        rc, _ = run_cli(tmp_path, "flow", cfg, out_name=name, extra=flags)
+        assert rc == 0
+    first, second = (json.loads((tmp_path / name / "manifest.json").read_text()) for name in runs)
+    assert (first["seed"], first["threads"]) == (5, 2)
+    assert (second["seed"], second["threads"]) == (9, 1)
+    assert cli._parser() is cli._parser()
+
+
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

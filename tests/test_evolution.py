@@ -28,7 +28,7 @@ from stabscope.evolution import (
     resolvent_grid,
     resolvent_scan,
 )
-from stabscope.fields import Field, _PKernel, make_grid, p_bands
+from stabscope.fields import _NODE_BUDGET, Field, _PKernel, make_grid, p_bands
 from stabscope.potentials import builtin_potential, sublevel_radius
 from stabscope.quasimodes import turning_point_bump
 
@@ -251,6 +251,72 @@ def test_evolve_keeps_the_reference_bits(potential, damping, amplitude, data, n_
     assert np.array_equal(_bits(trace.E), _bits(E))
     assert np.array_equal(_bits(trace.D), _bits(D))
     assert _bits(trace.balance_coefficient) == _bits(balance)
+
+
+@given(
+    st.sampled_from([("harmonic", 1, {}), ("power", 1, {"s": 3.0}), ("harmonic", 2, {}),
+                     ("anisotropic", 2, {"weights": [1.0, 2.5]})]),
+    st.sampled_from(BUILTIN_DAMPINGS),
+    st.sampled_from([0.3, 1.0]),
+    st.sampled_from(["real", "probe", "complex"]),
+    st.integers(1, 200),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+@example(("harmonic", 1, {}), BUILTIN_DAMPINGS[2], 1.0, "real", 64, 1, 0)  # one row past the first block
+@example(("harmonic", 2, {}), BUILTIN_DAMPINGS[3], 1.0, "complex", 95, 7, 1)  # three full blocks
+def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitude, data, n_steps, record_every, seed):
+    # grids whose energy blocks hold 64 (line) and 32 (plane) steps, so a run
+    # spans up to seven of them, with a partial block at its end
+    name, d, params = potential
+    pot = builtin_potential(name, d=d, **params)
+    b = builtin_damping(damping[0], d=d, amplitude=amplitude, **damping[1])
+    rng = np.random.default_rng(seed)
+    grid = make_grid(d, 512 if d == 1 else 32, 5.0)
+    assert _NODE_BUDGET // math.prod(grid.ns) == (64 if d == 1 else 32)
+    bump = np.exp(-np.sum(grid.meshgrid() ** 2, axis=-1))
+    u = bump * rng.standard_normal(grid.ns)
+    v = 1j * 3.0 * u if data == "probe" else bump * rng.standard_normal(grid.ns)
+    if data == "complex":
+        u = u + 1j * bump * rng.standard_normal(grid.ns)
+    state = WaveState(Field(grid, u), Field(grid, v), 0.25)
+    dt = 0.5 * cfl_limit(pot, grid)
+    trace = evolve(pot, b, state, n_steps * dt, dt, record_every=record_every)
+    t, E, D, balance = _reference_evolve(pot, b, state, n_steps * dt, dt, record_every)
+    assert np.array_equal(_bits(trace.t), _bits(t))
+    assert np.array_equal(_bits(trace.E), _bits(E))
+    assert np.array_equal(_bits(trace.D), _bits(D))
+    assert _bits(trace.balance_coefficient) == _bits(balance)
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from([float, complex]),
+    st.integers(8, 400),
+    st.integers(8, 200),
+    st.floats(0.5, 12.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, complex, 300, 250, 5.0, 0)  # 75000 nodes: three strips on the line
+@example(2, float, 400, 200, 5.0, 1)  # 163 rows a strip: three strips
+@example(2, complex, 400, 120, 5.0, 2)  # 273 rows a strip: two strips
+def test_kernel_keeps_the_reference_bits(d, dtype, n0, n1, half_width, seed):
+    # the strip-blocked kernel against the full-grid reference stencil, on
+    # grids of one to three strips; the line has n0 * n1 nodes so that it
+    # reaches past one strip too.  Real data must give the real part of the
+    # complex reference, bit for bit.
+    grid = make_grid(d, [n0 * n1] if d == 1 else [n0, n1], half_width)
+    rng = np.random.default_rng(seed)
+    vvals = 10.0 * rng.random(grid.ns)
+    values = rng.standard_normal(grid.ns)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(grid.ns)
+    kernel = _PKernel(vvals, grid.hs, dtype)
+    got = kernel(values)
+    pad = np.zeros(tuple(n + 4 for n in grid.ns), dtype=complex)
+    ref = _reference_p(vvals, values.astype(complex), grid.hs, pad)
+    assert got.dtype == dtype
+    assert np.array_equal(got.view(np.uint64), (ref.real if dtype is float else ref).view(np.uint64))
 
 
 @settings(max_examples=40)

@@ -3,8 +3,8 @@
 Every length, time, step, level and frequency must be finite and > 0
 (``potentials._require_window``); every number of steps, samples, modes and
 terms must be an integer >= 1 (``potentials._require_count``); every flow
-start state and every ray must have finite coordinates
-(``potentials._require_finite``).  Each entry point below must reject a bad
+start state, every ray and every field that the stencil or the time stepper
+reads must have finite entries (``potentials._require_finite``).  Each entry point below must reject a bad
 value with a ValueError naming the parameter before the value reaches numpy:
 a RuntimeWarning on the way fails the test, since the suite runs with
 RuntimeWarning as an error (pyproject).
@@ -38,7 +38,7 @@ from stabscope.evolution import (
     resolvent_grid,
     resolvent_scan,
 )
-from stabscope.fields import Field, Grid, check_resolution, make_grid, residual_ratio
+from stabscope.fields import Field, Grid, apply_P, check_resolution, make_grid, residual_ratio
 from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius, unit_directions
 from stabscope.quasimodes import WavePacketSpec, packet_grid, packet_spec, tpc_violation_sequence, turning_point_bump
 
@@ -57,6 +57,13 @@ def _eps():
 
 def _rng():
     return np.random.default_rng(0)
+
+
+def _poked(node, v):
+    """PACKET with one node set to v: node 32 is interior, node 0 on the edge."""
+    values = PACKET.values.copy()
+    values[node] = v
+    return Field(GRID, values)
 
 
 # entry point and parameter -> (name in the message, call with the bad value)
@@ -137,7 +144,8 @@ COUNTS = {
 }
 
 # entry point and argument -> (name in the message, call with one bad coordinate);
-# the flow layer names the start state (x0, xi0) it integrates from
+# the flow layer names the start state (x0, xi0) it integrates from, the wave
+# layer the initial state or the field it applies the stencil to
 POINTS = {
     "flow_integrate x0": ("x0", lambda v: flow_integrate(H1, [v], [0.5], 1.0, 1e-3)),
     "flow_integrate xi0": ("xi0", lambda v: flow_integrate(H1, [1.0], [v], 1.0, 1e-3)),
@@ -153,6 +161,12 @@ POINTS = {
         "directions",
         lambda v: ugcc_scan(builtin_damping("ball", d=2), 1.0, 0.25, rays=[([0.0, 0.0], [v, 0.0])]),
     ),
+    "evolve u": ("state.u", lambda v: evolve(H1, B1, WaveState(_poked(32, v), STATE.v), 0.5, 1e-2)),
+    "evolve v": ("state.v", lambda v: evolve(H1, B1, WaveState(PACKET, _poked(32, v)), 0.5, 1e-2)),
+    "apply_P interior node": ("field values", lambda v: apply_P(H1, _poked(32, v))),
+    "apply_P edge node": ("field values", lambda v: apply_P(H1, _poked(0, v))),
+    "residual_ratio interior node": ("field values", lambda v: residual_ratio(H1, _poked(32, v), 1.0)),
+    "residual_ratio edge node": ("field values", lambda v: residual_ratio(H1, _poked(0, v), 1.0)),
 }
 
 
