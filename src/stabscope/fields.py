@@ -278,6 +278,8 @@ def inner(f: Field, g: Field) -> complex:
     """Trapezoid-weighted inner product, conjugate-linear in the first slot."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
+    for h in (f,) if g is f else (f, g):
+        _require_finite("field values", h.values)
     ws = f.grid.trapezoid_weights()
     prod = np.conj(f.values) * g.values
     if f.grid.d == 1:
@@ -288,7 +290,7 @@ def inner(f: Field, g: Field) -> complex:
 def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
     """|| P f - lam^2 f || / (lam ||f||)."""
     _require_window("lam", lam)
-    res = apply_P(pot, f)  # first, so that a non-finite field is named before its norm is taken
+    res = apply_P(pot, f)
     nrm = l2_norm(f)
     if nrm == 0.0:
         raise ValueError("zero field")

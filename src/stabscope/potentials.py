@@ -18,6 +18,8 @@ Two derived quantities live here because they only depend on V:
   which is non-increasing in lam and tends to 0 exactly because V is
   sub-quartic.  It calibrates how far the rescaled classical flow can drift
   from a straight line, and how large localized bumps may be taken.
+  Its suprema are read off one point each, never sampled: on a level set
+  q = c, |grad V| = 2 phi'(c) |W x| peaks on the axis of the largest weight.
 * ``sublevel_radius``: the smallest radius outside of which V clears a level,
   used to truncate computational domains.
 
@@ -25,9 +27,6 @@ The input rules live here too, since every other module imports this one:
 ``_require_window`` for lengths, times, steps, levels and frequencies (finite
 and > 0), ``_require_count`` for numbers of steps, samples, modes and terms
 (an integer >= 1) and ``_require_finite`` for points and vectors.
-
-Suprema over balls and annuli are estimated by sampling radial rays; this is
-exact for radial potentials and adequate for the mildly anisotropic builtins.
 """
 
 from __future__ import annotations
@@ -38,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Potential",
-    "EpsilonProfile",
-    "builtin_potential",
-    "epsilon_lambda",
-    "sublevel_radius",
-]
+__all__ = ["Potential", "EpsilonProfile", "builtin_potential", "epsilon_lambda", "sublevel_radius"]
 
 
 def _require_window(name: str, values, where: str = ""):
@@ -103,6 +96,9 @@ class Potential:
     one point or an array for a batch; ``raw_grad`` is built from it, so the
     gradient has one formula.  ``w2`` holds the squared axis weights and
     ``phi_inv`` inverts phi, so level sets come in closed form.
+    ``peak_radii`` holds three radii on the axis of the largest weight: where
+    |grad V| / (1 + V)^(3/4) peaks, where |grad V| peaks (inf: never) and where
+    |grad V| / V^(3/4) has an interior local maximum (0: none).
     """
 
     d: int
@@ -112,6 +108,7 @@ class Potential:
     w2: tuple[float, ...]
     force: Callable[[list], list]
     phi_inv: Callable[[float], float]
+    peak_radii: tuple[float, float, float]
 
     @property
     def a0(self) -> float:
@@ -164,6 +161,9 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         def phi_inv(v):
             return 2.0 * v
 
+        # along the heavy axis |grad V| / (1 + V)^(3/4) peaks at q = 4
+        peak_radii = (2.0 / math.sqrt(max(w2)), math.inf, 0.0)
+
     elif name == "power":
         s = float(params.pop("s"))
         if params:
@@ -188,6 +188,20 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         def phi_inv(v):
             return (1.0 + v) ** (2.0 / s) - 1.0
 
+        # |grad V| / V^(3/4) rises where F(q) = (s/2) ln(1 + q) + ln(1 - a q) - ln(1 + b q) > 0;
+        # F(0) = 0 and F' has the sign of -(2ab q^2 + lin q + 1), so F peaks at most once, at
+        # that quadratic's larger root, and the rise ends at F's root above it, below q = 1/a
+        a, b, lin = 1.0 - s / 4.0, s - 1.0, 7.0 - 2.5 * s
+        disc = lin * lin - 8.0 * a * b
+
+        def rises(q):
+            return half * math.log1p(q) + math.log1p(-a * q) - math.log1p(b * q) > 0.0
+
+        q_peak = (math.sqrt(disc) - lin) / (4.0 * a * b) if lin < 0.0 and disc > 0.0 else 0.0
+        q_tail = _bisect(rises, q_peak, 1.0 / a) if q_peak > 0.0 and rises(q_peak) else 0.0
+        # |grad V| / (1 + V)^(3/4) peaks at q = 1/a, and |grad V| at q = 1/(1 - s) when s < 1
+        peak_radii = (math.sqrt(1.0 / a), math.sqrt(1.0 / (1.0 - s)) if s < 1.0 else math.inf, math.sqrt(q_tail))
+
     else:
         raise ValueError(f"unknown potential {name!r}")
 
@@ -199,7 +213,7 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
     def grad(pts):
         return -np.stack(force([pts[..., i] for i in range(d)]), axis=-1)
 
-    return Potential(d, value, grad, label, w2, force, phi_inv)
+    return Potential(d, value, grad, label, w2, force, phi_inv, peak_radii)
 
 
 @dataclass(frozen=True)
@@ -219,64 +233,80 @@ class EpsilonProfile:
         return np.interp(lam, self.lambdas, self.values)
 
 
-def _polar_samples(pot: Potential, radii: np.ndarray, n_dirs: int):
-    """|grad V| and V at the polar points radii[k] * direction[j], shape (radii, n_dirs)."""
-    pts = radii[:, None, None] * unit_directions(pot.d, n_dirs)[None, :, :]
-    return np.linalg.norm(pot.raw_grad(pts), axis=-1), pot.raw_value(pts)
+def _bisect(below, lo: float, hi: float) -> float:
+    """Shrink [lo, hi] to adjacent floats with below(lo) true, below(hi) false; return lo."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
 
 
-def _radial_supremum_tables(pot: Potential, r_tail: float, n_dirs: int, n_dense: int):
-    """Tables of sup_{|x|<=A}|grad V| and sup_{|x|>=A}|grad V|/V^(3/4).
+def _on_ray(pot: Potential, radii, u=None):
+    """|grad V| and V at radii * u, u the heavy axis (the one of the largest weight) by default."""
+    x = np.multiply.outer(radii, np.eye(pot.d)[int(np.argmax(pot.w2))] if u is None else u)
+    return np.linalg.norm(pot.raw_grad(x), axis=-1), pot.raw_value(x)
 
-    Sampled on a single dense radial grid shared by all trial radii A; the
-    tail table assumes the ratio does not peak beyond ``r_tail`` (true for
-    sub-quartic growth at these scales).
+
+def _growth_constant(pot: Potential) -> float:
+    """sup |grad V| / (4 (1 + V)^(3/4)), attained on the heavy axis at peak_radii[0]."""
+    g, v = _on_ray(pot, pot.peak_radii[0])
+    return float(g / (4.0 * (1.0 + v) ** 0.75))
+
+
+def _gradient_suprema(pot: Potential, a) -> tuple:
+    """sup_{|x| <= a} |grad V| and sup_{|x| >= a} |grad V| / V^(3/4) for radii a > 0.
+
+    The first is attained on the heavy axis, where |grad V| grows out to
+    peak_radii[1].  For the quadratic wells the ratio is homogeneous of degree
+    -1/2, so it peaks on |x| = a, along the u with u^T W u = 3 w2_1 w2_2 /
+    (w2_1 + w2_2) clipped to the weights; with unit weights it is radial and
+    falls, but for its rise to the local maximum at peak_radii[2].
     """
-    radii = np.concatenate([[0.0], np.geomspace(1e-3, r_tail, n_dense)])
-    gnorm, vals = _polar_samples(pot, radii, n_dirs)
-
-    g_by_radius = gnorm.max(axis=1)
-    sup_inside = np.maximum.accumulate(g_by_radius)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(vals > 0.0, gnorm / np.maximum(vals, 1e-300) ** 0.75, 0.0)
-    ratio_by_radius = ratio.max(axis=1)
-    sup_tail = np.maximum.accumulate(ratio_by_radius[::-1])[::-1]
-    return radii, sup_inside, sup_tail
-
-
-def _gradient_growth_constant(pot: Potential, n_dirs: int) -> float:
-    """Sampled supremum of |grad V| / (4 (1 + V)^(3/4)) over [-1e3, 1e3]^d."""
-    radii = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 512)])
-
-    def ratio_max(rs):
-        g, v = _polar_samples(pot, rs, n_dirs)
-        return (g / (4.0 * (1.0 + v) ** 0.75)).max(axis=1)
-
-    vals = ratio_max(radii)
-    best = int(np.argmax(vals))
-    # two refinement rounds around the coarse argmax
-    for _ in range(2):
-        lo = radii[max(best - 1, 0)]
-        hi = radii[min(best + 1, len(radii) - 1)]
-        if hi <= lo:
-            break
-        radii = np.linspace(lo, hi, 256)
-        vals = ratio_max(radii)
-        best = int(np.argmax(vals))
-    return float(vals[best])
+    inside = _on_ray(pot, np.minimum(a, pot.peak_radii[1]))[0]
+    u, w = None, pot.w2
+    if w[0] != w[-1]:
+        m = min(max(3.0 * w[0] * w[1] / (w[0] + w[1]), min(w)), max(w))
+        cos2 = (m - w[1]) / (w[0] - w[1])
+        u = (math.sqrt(cos2), math.sqrt(1.0 - cos2))
+    g, v = _on_ray(pot, a, u)
+    tail = g / v**0.75
+    if (r := pot.peak_radii[2]) > 0.0:
+        g, v = _on_ray(pot, r, u)
+        tail = np.where(np.asarray(a) <= r, np.maximum(tail, g / v**0.75), tail)
+    return inside, tail
 
 
-def epsilon_lambda(
-    pot: Potential,
-    lambdas,
-) -> EpsilonProfile:
+def _ball_sup(pot: Potential, center, radius: float) -> float:
+    """max of V over the closed ball |x - c| <= r.
+
+    V = phi(q), phi increasing, and the convex q peaks on the sphere: for equal
+    weights at the far point along c.  Else (d = 2, heavy axis k, light j) the
+    Lagrange condition W x = (w2_k + t)(x - c), t >= 0, puts the light offset
+    y = |x_j - c_j| at the root of y (w2_k |c_k| / sqrt(r^2 - y^2) + w2_k - w2_j)
+    = w2_j |c_j| in [0, r] (r if none) and the heavy one at sqrt(r^2 - y^2).
+    """
+    c, w, r = np.array(center, dtype=float), pot.w2, radius
+    if w[0] == w[-1]:
+        u = c / s if 0.0 < (s := np.abs(c).max()) < math.inf else np.eye(pot.d)[0]
+        return float(pot.raw_value(c + r * u / math.hypot(*u)))
+    k, j = (1, 0) if w[1] > w[0] else (0, 1)
+
+    def below_root(y):
+        return y * (w[k] * abs(c[k]) / math.sqrt((r - y) * (r + y)) + w[k] - w[j]) < w[j] * abs(c[j])
+
+    y = _bisect(below_root, 0.0, r)
+    c[j] += math.copysign(y, c[j])
+    c[k] += math.copysign(math.sqrt((r - y) * (r + y)), c[k])
+    return float(pot.raw_value(c))
+
+
+def epsilon_lambda(pot: Potential, lambdas) -> EpsilonProfile:
     """Sample the smallness factor eps(lam) on a frequency grid.
 
     For each lam the trial radius A ranges over [a0, max(a0, lam)] and the
-    bracketed minimum is taken over a log-spaced grid of 64 radii.
-    A running minimum over ascending lam enforces monotonicity, which the
-    exact quantity satisfies but sampled suprema may jitter away from.
+    bracketed minimum is taken over a log-spaced grid of 64 radii, with both
+    suprema in closed form.  A running minimum over ascending lam enforces
+    monotonicity, which the exact quantity satisfies but a minimum over a
+    grid that moves with lam may miss.
     """
     lams = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)))
     if lams.size == 0:
@@ -285,27 +315,17 @@ def epsilon_lambda(
     if lams[0] < 1.0:
         raise ValueError("frequencies must satisfy lam >= 1")
 
-    n_dirs = 64 * pot.d
-    c = _gradient_growth_constant(pot, n_dirs)
-    c_v = (2.0**0.25 + c) ** 3
-
-    a_max_global = max(pot.a0, lams[-1])
-    radii, sup_inside, sup_tail = _radial_supremum_tables(
-        pot, r_tail=4.0 * a_max_global, n_dirs=n_dirs, n_dense=2048
-    )
-
+    c_v = (2.0**0.25 + _growth_constant(pot)) ** 3
+    a0 = pot.a0
     values = np.empty_like(lams)
     for i, lam in enumerate(lams):
-        a_grid = np.geomspace(pot.a0, max(pot.a0, lam), 64)
-        idx = np.searchsorted(radii, a_grid)
-        idx = np.clip(idx, 1, len(radii) - 1)
-        inner = sup_inside[idx] / lam**1.5
-        outer = sup_tail[idx]
-        values[i] = c_v * np.min(inner + outer)
+        a_grid = np.geomspace(a0, max(a0, lam), 64)
+        inside, tail = _gradient_suprema(pot, a_grid)
+        values[i] = c_v * np.min(inside / lam**1.5 + tail)
 
     values = np.minimum.accumulate(values)
     if np.any(values <= 0.0):
-        raise ValueError("sampled eps(lam) is not strictly positive")
+        raise ValueError("eps(lam) is not strictly positive")
     return EpsilonProfile(lams, values)
 
 

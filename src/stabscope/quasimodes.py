@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .damping import N_BALL_PER_DIM, Damping, _turning_balls, unit_ball_nodes
+from .damping import Damping, _turning_balls
 from .fields import (
     Field,
     Grid,
@@ -31,8 +31,8 @@ from .fields import (
     snap_to_grid,
 )
 from .potentials import (
-    EpsilonProfile,
     Potential,
+    _ball_sup,
     _require_count,
     _require_window,
     as_points,
@@ -213,18 +213,9 @@ class WavePacketSpec:
         return np.sqrt(np.sum(sig * sig, axis=1))
 
 
-def _ball_sup(pot: Potential, center: np.ndarray, radius: float) -> float:
-    # the maximum over the closed ball, probed on the bounding sphere plus
-    # interior low-discrepancy nodes; exact for the radially increasing builtins
-    dirs = unit_directions(pot.d, 256)
-    pts = [center[None, :], center[None, :] + radius * dirs]
-    pts.append(center[None, :] + radius * unit_ball_nodes(pot.d, N_BALL_PER_DIM * pot.d))
-    return float(max(np.max(pot.raw_value(p)) for p in pts))
-
-
 def packet_spec(pot: Potential, n: int, nu=None, x_n=None, t_n: float = 2.0, r_n: float = 0.5) -> WavePacketSpec:
     """Sequence rule: lam_n = max((n+1)^2/r_n^2, n * sup V on the t_n ball)."""
-    # the rule divides by r_n and samples V on the t_n ball before the spec can check them
+    # the rule divides by r_n and reads sup V on the t_n ball before the spec can check them
     n = _require_count("n", n)
     _require_window("t_n", t_n)
     _require_window("r_n", r_n)
@@ -309,14 +300,7 @@ def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None =
     return _finish(pot, grid, vals, lam, b, center, (spec.r_n, spec.t_n), details)
 
 
-def turning_point_bump(
-    pot: Potential,
-    x0,
-    R: float,
-    grid: Grid | None = None,
-    b: Damping | None = None,
-    eps_profile: EpsilonProfile | None = None,
-):
+def turning_point_bump(pot: Potential, x0, R: float, grid: Grid | None = None, b: Damping | None = None):
     """Zero-phase envelope of radius R/sqrt(lam) at x0, lam = sqrt(V(x0)).
 
     The report carries the two comparison terms of the defect bound,
@@ -344,10 +328,7 @@ def turning_point_bump(
     consts = profile_constants(pot.d)
     vals = bump_raw((grid.meshgrid() - center) / r) / (consts["norm"] * r ** (pot.d / 2.0))
 
-    if eps_profile is not None:
-        eps_hat = float(eps_profile.at(lam))
-    else:
-        eps_hat = float(epsilon_lambda(pot, [lam]).values[0])
+    eps_hat = float(epsilon_lambda(pot, [lam]).values[0])
     c_est = consts["laplacian"] + consts["moment"]
     details = {
         "R": float(R),
@@ -361,11 +342,7 @@ def turning_point_bump(
     return _finish(pot, grid, vals, lam, b, center, (0.5 * r, r), details)
 
 
-def tpc_violation_sequence(
-    pot: Potential,
-    b: Damping,
-    n_max: int,
-) -> list:
+def tpc_violation_sequence(pot: Potential, b: Damping, n_max: int) -> list:
     """Turning-point witnesses on balls where the damping average collapses.
 
     For each n the search sweeps outward over shells, growing by 1.2x up to
@@ -410,7 +387,7 @@ def tpc_violation_sequence(
             raise ValueError("TPC not violated in range")
         x_n, avg, lam_x = found
         R_used = min(R_n, float(profile.at(lam_x)) ** -0.5, lam_x)
-        _, rep = turning_point_bump(pot, x_n, R_used, b=b, eps_profile=profile)
+        _, rep = turning_point_bump(pot, x_n, R_used, b=b)
         rep.details.update(
             {
                 "n": n,

@@ -108,10 +108,9 @@ def test_criterion_04_turning_point_defect_bound():
     t0 = time.perf_counter()
     pot = builtin_potential("harmonic", d=1)
     x0s = (20.0, 40.0, 80.0)
-    profile = epsilon_lambda(pot, [np.sqrt(x * x / 2.0) for x in x0s])
     residuals, constants = [], []
     for x0 in x0s:
-        _, rep = turning_point_bump(pot, [x0], 2.0, eps_profile=profile)
+        _, rep = turning_point_bump(pot, [x0], 2.0)
         residuals.append(rep.residual_ratio)
         constants.append(
             rep.residual_ratio

@@ -146,7 +146,7 @@ def test_rescaled_energy_identity_power(power3_1d):
 
 def test_linearization_turning_points(harmonic_1d):
     prof = epsilon_lambda(harmonic_1d, [25.0, 100.0, 400.0])
-    expected_bound_y = {25.0: 1.1951494269471545, 100.0: 0.29878135129889744, 400.0: 0.07470723027386945}
+    expected_bound_y = {25.0: 1.1951923677992622, 100.0: 0.29879327889469004, 400.0: 0.07470372226321527}
     for lam, bound_y in expected_bound_y.items():
         y0 = np.array([math.sqrt(2.0) * lam])
         rep = linearization_deviation(harmonic_1d, y0, np.zeros(1), 2.0, lam, prof)

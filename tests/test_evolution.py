@@ -213,7 +213,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-@settings(max_examples=40)
+@settings(max_examples=max(40, settings.default.max_examples))  # the profile's count, 100 or deep's 1000
 @given(
     st.sampled_from([("harmonic", 1, {}), ("power", 1, {"s": 3.0}), ("harmonic", 2, {}),
                      ("anisotropic", 2, {"weights": [1.0, 2.5]})]),

@@ -204,6 +204,22 @@ def test_inner_rejects_grid_mismatch():
         inner(f, h)
 
 
+def test_field_functionals_reject_a_nan_node(harmonic_1d):
+    g = make_grid(1, 64, 6.0)
+    vals = np.exp(-g.axis(0) ** 2)
+    vals[32] = math.nan
+    f = Field(g, vals)
+    b = builtin_damping("constant", d=1)
+    for measure in (
+        lambda: l2_norm(f),
+        lambda: damping_pairing(b, f),
+        lambda: mass_in_ball(f, np.zeros(1), 1.0),
+        lambda: residual_ratio(harmonic_1d, f, 1.0),
+    ):
+        with pytest.raises(ValueError, match="need finite field values"):
+            measure()
+
+
 # -------------------------------------------------------- residual_ratio
 
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabscope.potentials import (
+    _ball_sup,
+    _gradient_suprema,
+    _growth_constant,
     builtin_potential,
     epsilon_lambda,
     sublevel_radius,
@@ -113,6 +116,83 @@ def test_epsilon_harmonic_sqrt_scaling(harmonic_1d):
     oracle = (2.0**0.25 + c_sup) ** 3 * 3.0 * 2.0 ** (-1.0 / 6.0)
     assert np.all(np.abs(scaled - oracle) <= 0.01 * oracle)
     assert np.max(scaled) / np.min(scaled) <= 1.001
+
+
+@pytest.mark.parametrize(
+    "name, d, params",
+    [("harmonic", 1, {}), ("power", 1, {"s": 3.0}), ("power", 1, {"s": 3.99}), ("anisotropic", 2, {"weights": [1.0, 2.5]})],
+)
+@pytest.mark.parametrize("lam", [2.0, math.sqrt(200.0), 25.0])
+def test_epsilon_ignores_the_other_frequencies(name, d, params, lam):
+    pot = builtin_potential(name, d=d, **params)
+    assert epsilon_lambda(pot, [lam]).values[0] == epsilon_lambda(pot, [lam, 1000.0]).values[0]
+
+
+@pytest.mark.parametrize("lam", [math.sqrt(200.0), 25.0, 400.0])
+def test_epsilon_harmonic_matches_its_oracle_on_the_a_grid(harmonic_1d, lam):
+    # V = x^2/2: sup_{|x|<=A} |V'| = A, sup_{|x|>=A} |V'|/V^(3/4) = 2^(3/4)/sqrt(A)
+    # and C = 1/(2*3^(3/4)), on the same 64 trial radii as epsilon_lambda
+    a = np.geomspace(harmonic_1d.a0, max(harmonic_1d.a0, lam), 64)
+    c_v = (2.0**0.25 + 0.5 * 3.0**-0.75) ** 3
+    oracle = c_v * np.min(a / lam**1.5 + 2.0**0.75 / np.sqrt(a))
+    assert abs(epsilon_lambda(harmonic_1d, [lam]).values[0] - oracle) <= 1e-12
+
+
+def _polar_max(f, d, lo, hi):
+    """Sampled max of f over r u, r in [lo, hi] log-spaced, u a unit vector of R^d.
+
+    Each ray takes 512 radii, then four rounds of 128 between the neighbours
+    of its best node.  In 2D eight rounds of 32 rays each span the neighbours
+    of the round before's best ray: 2^18 points in all (2^11 in 1D).
+    """
+    t = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    best = -np.inf
+    for _ in range(8 if d == 2 else 1):
+        u = np.array([[1.0], [-1.0]]) if d == 1 else np.stack([np.cos(t), np.sin(t)], axis=-1)
+        rays = np.arange(len(u))
+        s_lo, s_hi, n = np.full(len(u), math.log(lo)), np.full(len(u), math.log(hi)), 512
+        ray_max = np.full(len(u), -np.inf)
+        for _ in range(5):
+            s = np.linspace(s_lo, s_hi, n)
+            vals = f(np.exp(s)[:, :, None] * u[None, :, :])
+            i = np.argmax(vals, axis=0)
+            ray_max = np.maximum(ray_max, vals[i, rays])
+            s_lo, s_hi, n = s[np.maximum(i - 1, 0), rays], s[np.minimum(i + 1, n - 1), rays], 128
+        best = max(best, float(ray_max.max()))
+        j = int(np.argmax(ray_max))
+        t = np.linspace(t[j] - (t[1] - t[0]), t[j] + (t[1] - t[0]), 32)
+    return best
+
+
+@given(
+    builtin_potentials(),
+    st.floats(1.0, 1e3),
+    st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2),
+    st.floats(0.01, 20.0),
+)
+def test_closed_form_suprema_match_dense_samples(pot, a_scale, center, radius):
+    """Each closed-form supremum is at least a sample of its region (to
+    rounding) and within 1e-7 of it; in 2D the four samples take 2^20 points."""
+    a = pot.a0 * a_scale
+
+    def gnorm(x):
+        g = pot.raw_grad(x)
+        return np.sqrt(np.sum(g * g, axis=-1))
+
+    # V = phi(q) with q convex and phi increasing peaks on the sphere: 2^18 points of it
+    c = np.array(center[: pot.d])
+    t = np.linspace(0.0, 2.0 * np.pi, 2**18, endpoint=False)
+    sphere = c + radius * (np.array([[1.0], [-1.0]]) if pot.d == 1 else np.stack([np.cos(t), np.sin(t)], axis=-1))
+    inside, tail = _gradient_suprema(pot, np.array([a]))
+    cases = [
+        (_growth_constant(pot), _polar_max(lambda x: gnorm(x) / (4.0 * (1.0 + pot.raw_value(x)) ** 0.75), pot.d, 1e-3, 1e4)),
+        (inside[0], _polar_max(gnorm, pot.d, 1e-9 * a, a)),
+        (tail[0], _polar_max(lambda x: gnorm(x) / pot.raw_value(x) ** 0.75, pot.d, a, 1e4 * a)),
+        (_ball_sup(pot, c, radius), float(np.max(pot.raw_value(sphere)))),
+    ]
+    for closed, sampled in cases:
+        assert closed >= sampled * (1.0 - 1e-12)
+        assert closed <= sampled * (1.0 + 1e-7)
 
 
 def test_epsilon_power_decays(power3_1d):

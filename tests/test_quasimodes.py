@@ -12,7 +12,7 @@ from stabscope.fields import (
     make_grid,
     wavenumber_bins,
 )
-from stabscope.potentials import builtin_potential, epsilon_lambda
+from stabscope.potentials import builtin_potential
 from stabscope.quasimodes import (
     WavePacketSpec,
     kinetic_wavepacket,
@@ -150,11 +150,9 @@ def test_kinetic_rejects_bad_grids(harmonic_2d):
 
 @pytest.fixture(scope="module")
 def turning_sequence(harmonic_1d):
-    lams = [math.sqrt(200.0), math.sqrt(800.0), math.sqrt(3200.0)]
-    prof = epsilon_lambda(harmonic_1d, lams)
     reps = []
     for x0 in (20.0, 40.0, 80.0):
-        _, rep = turning_point_bump(harmonic_1d, [x0], 2.0, eps_profile=prof)
+        _, rep = turning_point_bump(harmonic_1d, [x0], 2.0)
         reps.append(rep)
     return reps
 
@@ -162,8 +160,8 @@ def turning_sequence(harmonic_1d):
 def test_turning_bump_bound(turning_sequence):
     rep = turning_sequence[0]
     assert rep.lam == pytest.approx(math.sqrt(200.0), rel=1e-12)
-    assert rep.details["eps_hat"] == pytest.approx(1.9861878327406395, rel=1e-9)
-    assert rep.details["bound_value"] == pytest.approx(39.52837969255297, rel=1e-9)
+    assert rep.details["eps_hat"] == pytest.approx(1.9861645367446845, rel=1e-9)
+    assert rep.details["bound_value"] == pytest.approx(39.52794351489074, rel=1e-9)
     assert rep.residual_ratio == pytest.approx(1.1566941564239115, rel=1e-9)
     assert rep.residual_ratio <= rep.details["bound_value"]
     assert rep.details["raw_norm"] > 0.0
@@ -188,7 +186,7 @@ def test_turning_bump_trend(turning_sequence):
 def test_turning_bump_default_profile(harmonic_1d):
     _, rep = turning_point_bump(harmonic_1d, [20.0], 2.0)
     assert rep.residual_ratio == pytest.approx(1.1566941564239115, rel=1e-9)
-    assert rep.details["eps_hat"] == pytest.approx(1.9862000548170187, rel=1e-9)
+    assert rep.details["eps_hat"] == pytest.approx(1.9861645367446845, rel=1e-9)
 
 
 def test_turning_bump_refinement(harmonic_1d, turning_sequence):
