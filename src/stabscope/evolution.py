@@ -90,13 +90,6 @@ def cfl_limit(pot: Potential, grid: Grid) -> float:
     return 0.5 * min(grid.hs) / math.sqrt(1.0 + vmax)
 
 
-def _weights(grid: Grid):
-    ws = grid.trapezoid_weights()
-    if grid.d == 1:
-        return ws[0]
-    return np.outer(ws[0], ws[1])
-
-
 def evolve(
     pot: Potential,
     b: Damping,
@@ -147,7 +140,7 @@ def evolve(
     mesh = grid.meshgrid()
     vvals = pot.raw_value(mesh)
     bvals = b.raw_func(mesh)
-    w = _weights(grid).ravel()
+    w = grid.weights().ravel()
     wb = w * bvals.ravel()
     half_b = 0.5 * dt * bvals
     inv_denom = 1.0 / (1.0 + half_b)

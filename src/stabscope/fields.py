@@ -15,8 +15,9 @@ scratch for the stencil products, their shifted views and its output
 buffer, so ``apply_P`` runs it once and the time stepper runs it every step
 without allocating, in real arithmetic when the data are real.  Fields
 must be finite; ``apply_P`` names a NaN or inf instead of spreading it.
-Inner products and norms use tensor trapezoid weights; the inner product is
-conjugate-linear in its first slot.
+Field integrals share one rule, the trapezoid weights w of ``Grid.weights``
+summed pairwise without BLAS: the inner product (conjugate-linear in its first
+slot), and the damping pairing and ball mass as means under w |f|^2.
 """
 
 from __future__ import annotations
@@ -82,14 +83,12 @@ class Grid:
         axes = [self.axis(i) for i in range(self.d)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def trapezoid_weights(self) -> list:
-        ws = []
-        for i in range(self.d):
-            w = np.full(self.ns[i], self.hs[i])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            ws.append(w)
-        return ws
+    def weights(self) -> np.ndarray:
+        """Tensor trapezoid weights, shape ns."""
+        ws = [np.full(n, h) for n, h in zip(self.ns, self.hs)]
+        for w in ws:
+            w[[0, -1]] *= 0.5
+        return ws[0] if self.d == 1 else np.outer(*ws)
 
 
 def make_grid(d: int, n, l, center=None) -> Grid:
@@ -280,11 +279,9 @@ def inner(f: Field, g: Field) -> complex:
         raise ValueError("fields live on different grids")
     for h in (f,) if g is f else (f, g):
         _require_finite("field values", h.values)
-    ws = f.grid.trapezoid_weights()
     prod = np.conj(f.values) * g.values
-    if f.grid.d == 1:
-        return complex(np.dot(ws[0], prod))
-    return complex(ws[0] @ prod @ ws[1])
+    prod *= f.grid.weights()
+    return complex(prod.sum())
 
 
 def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
@@ -298,29 +295,36 @@ def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
     return l2_norm(res) / (lam * nrm)
 
 
-def damping_pairing(damping, f: Field) -> float:
-    """<f, b f> / ||f||^2 for a nonnegative damping coefficient."""
-    b = damping.raw_func(f.grid.meshgrid())
-    weighted = Field(f.grid, np.sqrt(np.maximum(b, 0.0)) * f.values)
-    n2 = inner(f, f).real
-    if n2 == 0.0:
+def _mean_under_density(f: Field, q: np.ndarray) -> float:
+    """Mean of the node weight q under w |f|^2; in [0, 1] to the bit if q is."""
+    vals = _require_finite("field values", f.values)
+    dens = vals.real * vals.real
+    dens += vals.imag * vals.imag
+    dens *= f.grid.weights()
+    total = dens.sum()
+    if total == 0.0:
         raise ValueError("zero field")
-    return float(inner(weighted, weighted).real / n2)
+    return float((dens * q).sum() / total)
+
+
+def damping_pairing(damping, f: Field) -> float:
+    """<f, b f> / ||f||^2, with b clamped at 0."""
+    return _mean_under_density(f, np.maximum(damping.raw_func(f.grid.meshgrid()), 0.0))
 
 
 def _cell_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     """Fraction of each node's cell inside the ball, for mass bookkeeping.
 
-    1D cells are clipped exactly; 2D partial cells are resolved on a 8x8
-    midpoint subgrid, giving an O(h^2) quadrature overall.
+    1D cells are clipped exactly, in units of h, so none exceeds 1; 2D partial
+    cells are resolved on a 8x8 midpoint subgrid, giving an O(h^2) quadrature.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if grid.d == 1:
         x = grid.axis(0)
         h = grid.hs[0]
-        lo = np.maximum(x - 0.5 * h, center[0] - radius)
-        hi = np.minimum(x + 0.5 * h, center[0] + radius)
-        return np.clip(hi - lo, 0.0, None) / h
+        lo = np.maximum((center[0] - radius - x) / h, -0.5)
+        hi = np.minimum((center[0] + radius - x) / h, 0.5)
+        return np.clip(hi - lo, 0.0, None)
 
     x0 = grid.axis(0)[:, None]
     x1 = grid.axis(1)[None, :]
@@ -345,10 +349,4 @@ def mass_in_ball(f: Field, center, radius: float) -> float:
         raise ValueError("need radius >= 0")
     if radius == 0.0:
         return 0.0
-    cover = _cell_coverage(f.grid, center, radius)
-    cell = np.prod(f.grid.hs)
-    inside = float(np.sum(cover * np.abs(f.values) ** 2) * cell)
-    total = inner(f, f).real
-    if total == 0.0:
-        raise ValueError("zero field")
-    return inside / total
+    return _mean_under_density(f, _cell_coverage(f.grid, center, radius))

@@ -3,11 +3,11 @@
 Two families share one smooth compactly supported envelope: kinetic packets
 (an oscillating cylinder moved to a phase-space base point) and turning-point
 bumps (zero-phase envelopes placed where the potential equals the squared
-frequency).  Each constructor samples its own dilation of the envelope, then
-both take one path: ``_check_fit`` checks the grid against the envelope and
-``_finish`` normalizes the field and measures its report (residual ratio,
-damping pairing, localization), so the stabilization scans can be
-cross-examined against explicit witnesses.
+frequency).  Both take one path: ``_check_fit`` checks the grid against the
+envelope, ``_sample_envelope`` samples it from the grid axes, and ``_finish``
+normalizes the field and measures its report (residual ratio, damping
+pairing, localization), so the stabilization scans can be cross-examined
+against explicit witnesses.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ from .potentials import (
 ENVELOPE_NODES = 32
 
 
-def bump_raw(points) -> np.ndarray:
-    """Unnormalized exp(-1/(1-|y|^2)) on |y| < 1, zero outside."""
-    pts = np.asarray(points, dtype=float)
-    r2 = np.sum(pts * pts, axis=-1)
-    out = np.zeros_like(r2, dtype=float)
+def bump_raw(r2) -> np.ndarray:
+    """Unnormalized exp(-1/(1-|y|^2)) on |y| < 1, zero outside, from r2 = |y|^2."""
+    r2 = np.asarray(r2, dtype=float)
+    out = np.zeros_like(r2)
     inside = r2 < 1.0
     # exp underflows to exactly 0 near the support edge, which keeps the
     # sampled field compactly supported to the last bit
@@ -146,6 +145,25 @@ def _check_fit(grid: Grid, center: np.ndarray, extents, h_max) -> None:
         room = grid.ls[i] - abs(center[i] - grid.center[i]) - 2.0 * grid.hs[i]
         if extents[i] >= room:
             raise ValueError("support overflow: envelope does not fit inside the grid box")
+
+
+def _sample_envelope(grid: Grid, nu, t: float, w: float, center, xi) -> np.ndarray:
+    """The L2-normalized envelope of half-length t along the unit vector nu and
+    half-width w across, centred at center and carrying e^{i xi.(x - center/2)},
+    sampled from open-grid broadcasts of the grid axes, one phase per axis."""
+    d = grid.d
+    axes = [grid.axis(i).reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
+    frame = [(nu, t)] if d == 1 else [(nu, t), ((-nu[1], nu[0]), w)]
+    y2 = np.zeros(grid.ns)
+    for e, half in frame:
+        y = sum(e[i] * (axes[i] - center[i]) / half for i in range(d))
+        y2 += y * y
+    env = bump_raw(y2)
+    env /= profile_constants(d)["norm"] * (t * w ** (d - 1)) ** 0.5
+    vals = env.astype(complex)
+    for i in range(d):
+        vals *= np.exp(1j * (xi[i] * (axes[i] - 0.5 * center[i])))
+    return vals
 
 
 def _finish(pot, grid, vals, lam, b, center, radii, details) -> tuple:
@@ -277,17 +295,7 @@ def kinetic_wavepacket(pot: Potential, spec: WavePacketSpec, grid: Grid | None =
     center = snap_to_grid(grid, np.asarray(spec.x_n))
     _check_fit(grid, center, extents, extents / (ENVELOPE_NODES / 2))
 
-    sig = spec.sigma
-    mesh = grid.meshgrid()
-    rel = mesh - center
-    y = np.tensordot(rel, np.linalg.inv(sig), axes=([-1], [1]))
-    det = spec.t_n * spec.transverse_width ** (spec.d - 1)
-    consts = profile_constants(spec.d)
-    env = bump_raw(y) / (consts["norm"] * math.sqrt(det))
-    phase = np.exp(1j * np.tensordot(mesh, xi, axes=([-1], [0])))
-    vals = env * phase * np.exp(-0.5j * float(np.dot(xi, center)))
-    del mesh, rel, y, env, phase  # grid-sized temporaries: free them before _finish allocates its own
-
+    vals = _sample_envelope(grid, spec.nu, spec.t_n, spec.transverse_width, center, xi)
     lam = math.sqrt(float(pot.raw_value(center[None, :])[0]) + spec.lam_n**2 / 2.0)
     details = {
         "lam_n": spec.lam_n,
@@ -325,9 +333,9 @@ def turning_point_bump(pot: Potential, x0, R: float, grid: Grid | None = None, b
     r = R / math.sqrt(lam)
     _check_fit(grid, center, [r] * pot.d, [r / ENVELOPE_NODES] * pot.d)
 
-    consts = profile_constants(pot.d)
-    vals = bump_raw((grid.meshgrid() - center) / r) / (consts["norm"] * r ** (pot.d / 2.0))
+    vals = _sample_envelope(grid, np.eye(pot.d)[0], r, r, center, np.zeros(pot.d))
 
+    consts = profile_constants(pot.d)
     eps_hat = float(epsilon_lambda(pot, [lam]).values[0])
     c_est = consts["laplacian"] + consts["moment"]
     details = {

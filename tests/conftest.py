@@ -42,15 +42,17 @@ CANONICAL_1D = (
 )
 
 
-def run_fresh(script, *args):
+def run_fresh(script, *args, env=None):
     """Run a Python script in a fresh interpreter on this stabscope; return its stdout.
 
-    The script sees args as sys.argv[1:].  Import-time behaviour (which
-    modules load, what binds on first use) is only observable there, since
+    The script sees args as sys.argv[1:] and env on top of this process's
+    environment.  Import-time behaviour (which modules load, what binds on
+    first use, how many threads BLAS starts) is only observable there, since
     the test process has long since imported everything.
     """
     src = str(Path(stabscope.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=pythonpath)
     argv = [sys.executable, "-c", script, *map(str, args)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

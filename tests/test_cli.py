@@ -235,6 +235,28 @@ def test_dsc_limit_threads_are_byte_identical(tmp_path):
     assert assert_same_artifacts(out1, out2) == {"dsc_limit.csv", "dsc_limit.json"}
 
 
+# `python -m stabscope.cli` on sys.argv[1:]
+CLI_MODULE = "import runpy; runpy.run_module('stabscope.cli', run_name='__main__', alter_sys=True)"
+
+
+def test_packet_artifacts_ignore_the_blas_thread_count(tmp_path):
+    # every packet integral is a pairwise sum over the grid, never a BLAS
+    # product, so the witnesses keep their bytes under one or two BLAS threads
+    h2 = {"name": "harmonic", "d": 2}
+    runs = {
+        "tpc-witness": {"potential": h2, "damping": {"name": "checkerboard", "period_space": 1.0, "duty": 0.5}, "n_max": 6},
+        "kinetic-sequence": {"potential": h2, "n_list": [4, 6, 8]},
+    }
+    for command, cfg in runs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        for threads in ("1", "2"):
+            env = {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+            run_fresh(CLI_MODULE, command, "--config", path, "--out", tmp_path / f"{command}_{threads}", env=env)
+        names = assert_same_artifacts(tmp_path / f"{command}_1", tmp_path / f"{command}_2")
+        assert len(names) == 2
+
+
 def test_conditions_rejects_unknown_check(tmp_path, capsys):
     cfg = dict(COND_CFG, checks=["ugcc", "bogus"])
     rc, _ = run_cli(tmp_path, "conditions", cfg)

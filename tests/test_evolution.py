@@ -162,7 +162,7 @@ def _reference_evolve(pot, b, state, T_final, dt, record_every):
     vvals = pot.raw_value(mesh)
     bvals = b.raw_func(mesh)
     denom = 1.0 + 0.5 * dt * bvals
-    w = evolution._weights(grid)
+    w = grid.weights()
     pad = np.zeros(tuple(n + 4 for n in grid.ns), dtype=complex)
 
     def energy_of(u_arr, pu_arr, v_arr):
@@ -396,7 +396,7 @@ def test_staggered_energy_never_rises(damping, amplitude, where, n, center, widt
     (rec,) = kernels
     us, pus = zip(*rec.calls)  # u_0 .. u_N and P u_0 .. P u_N
     assert len(us) == n_steps + 1
-    w = evolution._weights(grid)
+    w = grid.weights()
     staggered = [
         0.5 * np.sum(w * ((u1 - u0) / dt) ** 2) + 0.5 * np.sum(w * u1 * pu0)
         for u0, u1, pu0 in zip(us, us[1:], pus)

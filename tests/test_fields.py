@@ -313,6 +313,37 @@ def test_mass_in_ball_gaussian_erf():
     assert abs(got - math.erf(1.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_mass_in_ball_of_a_constant_field_is_one(d):
+    # the ball covers every cell, and mass and norm share one weight rule
+    f = Field(make_grid(d, 16, 1.0), np.ones((16,) * d))
+    assert mass_in_ball(f, np.zeros(d), 10.0) == 1.0
+
+
+@st.composite
+def fields_and_balls(draw):
+    # finite complex fields whose edge nodes carry mass, on offset grids, and
+    # balls from inside one cell to past the whole box
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ns = rng.integers(8, 33, size=d)
+    ls = rng.uniform(0.5, 5.0, size=d)
+    grid = make_grid(d, ns, ls, center=rng.uniform(-3.0, 3.0, size=d))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    vals = scale * (rng.uniform(0.1, 1.0, size=grid.ns) * np.exp(2j * np.pi * rng.uniform(size=grid.ns)))
+    center = np.asarray(grid.center) + rng.uniform(-1.5, 1.5, size=d) * ls
+    radius = float(rng.uniform(1e-3, 3.0) * np.max(ls))
+    return Field(grid, vals), center, radius
+
+
+@given(fields_and_balls(), st.floats(1e-3, 1e3))
+def test_mass_and_pairing_are_means_under_one_density(case, amplitude):
+    f, center, radius = case
+    assert 0.0 <= mass_in_ball(f, center, radius) <= 1.0
+    b = builtin_damping("constant", d=f.grid.d, amplitude=amplitude)
+    assert abs(damping_pairing(b, f) / amplitude - 1.0) <= 1e-15
+
+
 def test_mass_in_ball_rejects_bad_input():
     f = cos_bump_field(512)
     with pytest.raises(ValueError, match="need radius >= 0"):

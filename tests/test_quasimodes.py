@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stabscope.fields import (
     make_grid,
     wavenumber_bins,
 )
+from stabscope import quasimodes
 from stabscope.potentials import builtin_potential
 from stabscope.quasimodes import (
     WavePacketSpec,
@@ -324,6 +326,58 @@ def test_one_packet_path_fits_or_rejects(case):
     y = np.tensordot(rel, inv_sigma, axes=([-1], [1]))
     outside = np.sum(y * y, axis=-1) > 1.0 + 1e-9
     assert np.all(f.values[outside] == 0.0)
+
+
+def _mesh_bump(y):
+    # exp(-1/(1-|y|^2)) from coordinates y along the last axis
+    r2 = np.sum(y * y, axis=-1)
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return out
+
+
+def _mesh_samples(packet, grid, center, radius):
+    """The packet samples by the node-coordinate mesh formula: the dilation
+    inverted on every node of a (ns..., d) mesh."""
+    mesh = grid.meshgrid()
+    norm = profile_constants(grid.d)["norm"]
+    if packet[0] == "turning":
+        return _mesh_bump((mesh - center) / radius) / (norm * radius ** (grid.d / 2.0))
+    spec = packet[1]
+    y = np.tensordot(mesh - center, np.linalg.inv(spec.sigma), axes=([-1], [1]))
+    env = _mesh_bump(y) / (norm * math.sqrt(spec.t_n * spec.transverse_width ** (spec.d - 1)))
+    xi = spec.momentum
+    phase = np.exp(1j * np.tensordot(mesh, xi, axes=([-1], [0])))
+    return env * phase * np.exp(-0.5j * float(np.dot(xi, center)))
+
+
+@given(packet_cases())
+def test_sampler_matches_the_mesh_formula(case):
+    # the open-grid sampler reproduces the mesh formula: turning bumps to the
+    # bit, kinetic packets to rounding in the dilation and the carrier phase
+    pot, packet, grid = case
+    seen = []
+
+    def capture(pot, grid, vals, lam, b, center, radii, details):
+        seen.append((grid, vals.copy(), center, details.get("radius")))
+        return None, None
+
+    with mock.patch.object(quasimodes, "_finish", capture):
+        try:
+            if packet[0] == "turning":
+                turning_point_bump(pot, packet[1], packet[2], grid=grid)
+            else:
+                kinetic_wavepacket(pot, packet[1], grid=grid)
+        except ValueError as exc:
+            assert str(exc).startswith(PACKET_ERRORS), str(exc)
+            return
+    ((grid, vals, center, radius),) = seen
+    ref = _mesh_samples(packet, grid, center, radius)
+    if packet[0] == "turning":
+        assert vals.tobytes() == ref.astype(complex).tobytes()
+    else:
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # --------------------------------------------- thin-point witness chain
