@@ -37,7 +37,9 @@ from functools import partial
 import numpy as np
 
 from .dynamics import TURNING_FRACTION, default_dt, flow_positions, sample_shell
-from .potentials import Potential, _require_count, _require_finite, _require_window, as_points, unit_directions
+from .potentials import (
+    Potential, _require_count, _require_dimension, _require_finite, _require_window, as_points, unit_directions
+)
 
 __all__ = [
     "Damping",
@@ -98,8 +100,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     2^53 or more, inf included, is even, so such points read as the far points
     they are.  A ball centred on a NaN coordinate that b reads takes the quadrature.
     """
-    if d not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
+    _require_dimension(d)
     n_nodes = N_BALL_PER_DIM * d
     amplitude = float(params.pop("amplitude", 1.0))
     if not np.isfinite(amplitude):

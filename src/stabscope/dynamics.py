@@ -2,11 +2,12 @@
 
 The flow is integrated with velocity Verlet, which is symplectic and
 time-reversible; the conserved energy p is the accuracy monitor.  One kernel
-serves a single trajectory and a batch alike: it advances per-axis
-components, each a float for one trajectory or an array for a whole family
-advancing in lockstep (what the shell-sampling scans on top of this module
-rely on), and takes the force -grad V from the potential's own ``force``.
-Every flow starts from a position x0 and a momentum xi0.
+serves a single trajectory and a batch alike: it holds the per-axis
+components of x, xi and the force in locals, each a float for one trajectory
+or an array for a whole family advancing in lockstep (what the
+shell-sampling scans on top of this module rely on), and takes the force
+-grad V from the potential's own ``force``.  Every flow starts from a
+position x0 and a momentum xi0, in dimension 1 or 2.
 
 The rescaled picture runs the same flow at energy lam^2 through slow time
 s = lam * t with momenta scaled down by lam, so that over |s| <= T the motion
@@ -22,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import (
-    EpsilonProfile, Potential, _require_count, _require_finite, _require_window, as_points, sublevel_radius
+    EpsilonProfile,
+    Potential,
+    _require_count,
+    _require_dimension,
+    _require_finite,
+    _require_window,
+    as_points,
+    sublevel_radius,
 )
 
 __all__ = [
@@ -59,25 +67,33 @@ def default_dt(lam: float) -> float:
 
 
 def _verlet(force, x, xi, a, dt: float, n: int):
-    """Velocity-Verlet state (x, xi, a) after n steps of size dt.
+    """Velocity-Verlet state (x, xi, a) after n steps of size dt, as d-tuples.
 
-    ``x``, ``xi`` and the force ``a`` at x hold per-axis components, each a
-    float for one trajectory or an array for a batch; the same lines run
-    both ways.  Returning the force lets the next call start without
-    evaluating it again.  The axes are walked by plain loops, which keeps a
-    single trajectory's step at a few float operations.
+    ``x``, ``xi`` and the force ``a`` at x hold d = 1 or 2 per-axis
+    components, each a float for one trajectory or an array for a batch; the
+    same lines run both ways.  Returning the force lets the next call start
+    without evaluating it again.  The components are unpacked into locals,
+    one loop per dimension, which keeps a single trajectory's step at a few
+    float operations and one call of ``force``.
     """
     h, h2 = 0.5 * dt, 0.5 * dt * dt
-    axes = range(len(x))
-    x, xi = list(x), list(xi)
+    if len(x) == 1:
+        (x0,), (p0,), (a0,) = x, xi, a
+        for _ in range(n):
+            x0 = x0 + (dt * p0 + h2 * a0)
+            (b0,) = force((x0,))
+            p0 = p0 + h * (a0 + b0)
+            a0 = b0
+        return (x0,), (p0,), (a0,)
+    (x0, x1), (p0, p1), (a0, a1) = x, xi, a
     for _ in range(n):
-        for i in axes:
-            x[i] = x[i] + (dt * xi[i] + h2 * a[i])
-        b = force(x)
-        for i in axes:
-            xi[i] = xi[i] + h * (a[i] + b[i])
-        a = b
-    return x, xi, a
+        x0 = x0 + (dt * p0 + h2 * a0)
+        x1 = x1 + (dt * p1 + h2 * a1)
+        b0, b1 = force((x0, x1))
+        p0 = p0 + h * (a0 + b0)
+        p1 = p1 + h * (a1 + b1)
+        a0, a1 = b0, b1
+    return (x0, x1), (p0, p1), (a0, a1)
 
 
 def flow_integrate(
@@ -91,10 +107,13 @@ def flow_integrate(
 ) -> Trajectory:
     """Integrate the flow from (x0, xi0) over [0, T], sampling every few steps.
 
-    Aborts when the relative energy drift exceeds 100x ENERGY_DRIFT_TOL; a
-    drift above the tolerance itself is reported on the trajectory for the
-    caller to inspect.
+    When T is a whole number of steps dt (to 1e-9 relative) the flow takes
+    them; else it takes n = ceil(T / dt) equal steps of T / n, the step the
+    trajectory reports.  Aborts when the relative energy drift exceeds 100x
+    ENERGY_DRIFT_TOL; a drift above the tolerance itself is reported on the
+    trajectory for the caller to inspect.
     """
+    _require_dimension(pot.d)
     _require_window("T", T)
     _require_window("dt", dt)
     if T < dt:
@@ -102,19 +121,23 @@ def flow_integrate(
     record_every = _require_count("record_every", record_every)
     x = _require_finite("x0", as_points(x0, pot.d).astype(float))
     xi = _require_finite("xi0", as_points(xi0, pot.d).astype(float))
-    n_steps = int(round(T / dt))
+    steps = T / dt
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * steps:
+        n_steps = math.ceil(steps)
+        dt = T / n_steps
 
     p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))
-    xc, xic = [float(c) for c in x.reshape(pot.d)], [float(c) for c in xi.reshape(pot.d)]
+    xc, xic = tuple(float(c) for c in x.reshape(pot.d)), tuple(float(c) for c in xi.reshape(pot.d))
     a = pot.force(xc)
-    ts, states = [0.0], [(tuple(xc), tuple(xic))]
+    ts, states = [0.0], [(xc, xic)]
     k = 0
     while k < n_steps:
         n = min(record_every, n_steps - k)
         xc, xic, a = _verlet(pot.force, xc, xic, a, dt, n)
         k += n
         ts.append(k * dt)
-        states.append((tuple(xc), tuple(xic)))  # tuples hold a long record in less memory than lists
+        states.append((xc, xic))  # the kernel's own tuples, which hold a long record in little memory
 
     t = np.array(ts)
     xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
@@ -133,6 +156,7 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
     requested times are hit exactly.  xi carries its true sign on both legs.
     Returns two arrays of shape (n_times,) + x0.shape.
     """
+    _require_dimension(pot.d)
     x0 = _require_finite("x0", np.asarray(x0, dtype=float))
     xi0 = _require_finite("xi0", np.asarray(xi0, dtype=float))
     times = _require_finite("flow times", np.asarray(times, dtype=float))

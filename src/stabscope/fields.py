@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential, _require_count, _require_finite, _require_window
+from .potentials import Potential, _require_count, _require_dimension, _require_finite, _require_window
 
 __all__ = [
     "Grid",
@@ -58,8 +58,7 @@ class Grid:
     center: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
+        _require_dimension(self.d)
         if len(self.ns) != self.d or len(self.ls) != self.d:
             raise ValueError("one extent and one point count per axis")
         object.__setattr__(self, "ns", tuple(_require_count("grid point count", n) for n in self.ns))

@@ -4,9 +4,10 @@ A potential here is a smooth function V >= 0 on R^d that grows at infinity
 slower than |x|^4 (strict sub-quarticity).  Everything downstream -- classical
 flow, damping-condition scans, localized quasimode constructions -- consumes
 potentials through this module's `Potential` handle, which bundles a batched
-evaluator, the force -grad V on per-axis components, and the radius beyond
-which V >= 1.  The builtins form one family V = phi(sum_i w_i^2 x_i^2), so the
-handle also carries phi^-1 and the squared weights for closed-form level sets.
+evaluator, the force -grad V on per-axis components (a d-tuple out), and the
+radius beyond which V >= 1.  The builtins form one family
+V = phi(sum_i w_i^2 x_i^2), so the handle also carries phi^-1 and the squared
+weights for closed-form level sets.
 
 Two derived quantities live here because they only depend on V:
 
@@ -26,13 +27,14 @@ Two derived quantities live here because they only depend on V:
 The input rules live here too, since every other module imports this one:
 ``_require_window`` for lengths, times, steps, levels and frequencies (finite
 and > 0), ``_require_count`` for numbers of steps, samples, modes and terms
-(an integer >= 1) and ``_require_finite`` for points and vectors.
+(an integer >= 1), ``_require_finite`` for points and vectors and
+``_require_dimension`` for the dimension (1 or 2).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,12 @@ def _require_count(name: str, n) -> int:
     return int(n)
 
 
+def _require_dimension(d) -> None:
+    """The dimension rule: d is 1 or 2."""
+    if d not in (1, 2):
+        raise ValueError("only dimensions 1 and 2 are supported")
+
+
 def as_points(x, d: int) -> np.ndarray:
     """Coerce input to an array of points with trailing axis of length d."""
     arr = np.asarray(x, dtype=float)
@@ -79,12 +87,11 @@ def as_points(x, d: int) -> np.ndarray:
 def unit_directions(d: int, n: int) -> np.ndarray:
     """A deterministic set of unit vectors; both signs in 1D, a fan of n in 2D."""
     n = _require_count("n", n)
+    _require_dimension(d)
     if d == 1:
         return np.array([[1.0], [-1.0]])
-    if d == 2:
-        angles = 2.0 * np.pi * np.arange(n) / n
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    raise ValueError("only dimensions 1 and 2 are supported")
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,11 @@ class Potential:
     """A confining potential V(x) = phi(q), q = sum_i w2_i x_i^2.
 
     ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``force``
-    maps the d per-axis components of x to those of -grad V, each a float for
-    one point or an array for a batch; ``raw_grad`` is built from it, so the
-    gradient has one formula.  ``w2`` holds the squared axis weights and
-    ``phi_inv`` inverts phi, so level sets come in closed form.
+    takes a sequence of the d per-axis components of x and returns a d-tuple
+    of those of -grad V, each a float for one point or an array for a batch;
+    ``raw_grad`` is built from it, so the gradient has one formula.  ``w2``
+    holds the squared axis weights and ``phi_inv`` inverts phi, so level sets
+    come in closed form.
     ``peak_radii`` holds three radii on the axis of the largest weight: where
     |grad V| / (1 + V)^(3/4) peaks, where |grad V| peaks (inf: never) and where
     |grad V| / V^(3/4) has an interior local maximum (0: none).
@@ -106,7 +114,7 @@ class Potential:
     raw_grad: Callable[[np.ndarray], np.ndarray]
     label: str
     w2: tuple[float, ...]
-    force: Callable[[list], list]
+    force: Callable[[Sequence], tuple]
     phi_inv: Callable[[float], float]
     peak_radii: tuple[float, float, float]
 
@@ -115,11 +123,17 @@ class Potential:
         """A radius with V(x) >= 1 whenever |x| >= a0."""
         return sublevel_radius(self, 1.0)
 
+    # value and grad take a lone point as a batch of one, so it gets the bits of
+    # its row in a batch: numpy's power on a scalar can differ in the last
+    # place from its power on an array
+
     def value(self, x) -> np.ndarray:
-        return self.raw_value(as_points(x, self.d))
+        pts = as_points(x, self.d)
+        return self.raw_value(pts.reshape(-1, self.d)).reshape(pts.shape[:-1])
 
     def grad(self, x) -> np.ndarray:
-        return self.raw_grad(as_points(x, self.d))
+        pts = as_points(x, self.d)
+        return self.raw_grad(pts.reshape(-1, self.d)).reshape(pts.shape)
 
 
 def builtin_potential(name: str, d: int = 1, **params) -> Potential:
@@ -132,8 +146,7 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
     All three are phi(sum_i w_i^2 x_i^2): phi(q) = q/2 for the quadratic
     wells, phi(q) = (1 + q)^(s/2) - 1 with unit weights for the power family.
     """
-    if d not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
+    _require_dimension(d)
 
     if name in ("harmonic", "anisotropic"):
         if name == "harmonic":
@@ -154,9 +167,18 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         def phi(q):
             return 0.5 * q
 
-        def force(x):
-            # phi' is the constant 1/2, so -grad V = -w2 x needs no q
-            return [-w * c for w, c in zip(w2, x)]
+        # phi' is the constant 1/2, so -grad V = -w2 x needs no q
+        if d == 1:
+            (w0,) = w2
+
+            def force(x):
+                return (-w0 * x[0],)
+
+        else:
+            w0, w1 = w2
+
+            def force(x):
+                return (-w0 * x[0], -w1 * x[1])
 
         def phi_inv(v):
             return 2.0 * v
@@ -177,13 +199,22 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         def phi(q):
             return (1.0 + q) ** half - 1.0
 
-        def force(x):
-            # -grad V = -2 phi'(q) x with unit weights; q summed in axis order
-            q = 0.0
-            for c in x:
-                q = q + c * c
-            g = -2.0 * (half * (1.0 + q) ** e)
-            return [g * c for c in x]
+        # -grad V = -2 phi'(q) x with unit weights; q summed in axis order
+        if d == 1:
+
+            def force(x):
+                (c0,) = x
+                q = 0.0 + c0 * c0
+                g = -2.0 * (half * (1.0 + q) ** e)
+                return (g * c0,)
+
+        else:
+
+            def force(x):
+                c0, c1 = x
+                q = 0.0 + c0 * c0 + c1 * c1
+                g = -2.0 * (half * (1.0 + q) ** e)
+                return (g * c0, g * c1)
 
         def phi_inv(v):
             return (1.0 + v) ** (2.0 / s) - 1.0

@@ -34,6 +34,7 @@ from .potentials import (
     Potential,
     _ball_sup,
     _require_count,
+    _require_dimension,
     _require_window,
     as_points,
     epsilon_lambda,
@@ -69,8 +70,7 @@ def profile_constants(d: int) -> dict:
     # and scipy.special, which every CLI start would otherwise pay for
     from scipy.integrate import quad
 
-    if d not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
+    _require_dimension(d)
     sphere = 2.0 if d == 1 else 2.0 * np.pi
 
     def k(rho):

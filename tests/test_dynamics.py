@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import warnings
 
@@ -119,6 +121,18 @@ def test_linearization_rejects_bad_windows(harmonic_1d, T, lam):
 def test_flow_unstable_aborts(harmonic_1d):
     with pytest.raises(RuntimeError, match="integrator unstable"):
         flow_integrate(harmonic_1d, np.array([1.0]), np.array([0.0]), 200.0, 2.1)
+
+
+def test_flows_reject_other_dimensions(harmonic_2d):
+    # the kernel unpacks one or two components; a third gets the rule's message
+    pot = dataclasses.replace(harmonic_2d, d=3)
+    x0, xi0, times = np.ones((2, 3)), np.zeros((2, 3)), np.array([-0.5, 0.5])
+    with pytest.raises(ValueError, match="only dimensions 1 and 2 are supported"):
+        flow_integrate(pot, x0[0], xi0[0], 1.0, 1e-3)
+    with pytest.raises(ValueError, match="only dimensions 1 and 2 are supported"):
+        flow_positions(pot, x0, xi0, times, 1e-3)
+    with pytest.raises(ValueError, match="only dimensions 1 and 2 are supported"):
+        _flow_states(pot, x0, xi0, times, 1e-3)
 
 
 def test_rescaled_harmonic_closed_form(harmonic_1d):
@@ -329,7 +343,7 @@ def stable_dt(pot, w2, s, x0, xi0):
     return 2.0 ** math.floor(math.log2(2.0**-7 / math.sqrt(omega2)))
 
 
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))  # 200, or the deep profile's count
 @given(builtin_cases(), st.data())
 def test_raw_grad_keeps_the_pre_change_formula(case, data):
     pot, w2, dphi, _ = case
@@ -343,7 +357,7 @@ def test_raw_grad_keeps_the_pre_change_formula(case, data):
     assert pot.grad(pts[0]).tobytes() == expected[0].tobytes()
 
 
-@settings(max_examples=60)
+@settings(max_examples=max(60, settings.default.max_examples))  # 60, or the deep profile's count
 @given(builtin_cases(), st.data(), st.integers(200, 400))
 def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
     pot, w2, dphi, s = case
@@ -418,3 +432,65 @@ def test_flow_states_keep_the_reference_bits(case, data):
             exp_xi[j] = sign * np.stack(xi, axis=-1)
     assert xs.tobytes() == exp_x.tobytes()
     assert xis.tobytes() == exp_xi.tobytes()
+
+
+@given(builtin_cases(), st.data())
+def test_force_returns_a_d_tuple(case, data):
+    pot, w2, dphi, s = case
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=8)))
+    axes = range(pot.d)
+    # on floats: a d-tuple of floats, -2 phi'(q) w2 x with q summed in axis order
+    for row in pts.tolist():
+        a = pot.force(row)
+        assert type(a) is tuple and len(a) == pot.d and all(type(c) is float for c in a)
+        q = 0.0
+        for i in axes:
+            q = q + w2[i] * row[i] * row[i]
+        g = -2.0 * dphi(q)
+        assert np.array(a).tobytes() == np.array([g * w2[i] * row[i] for i in axes]).tobytes()
+    # on arrays: a d-tuple of the components of -raw_grad, bit for bit
+    a = pot.force([pts[:, i] for i in axes])
+    assert type(a) is tuple and len(a) == pot.d
+    assert np.stack(a, axis=-1).tobytes() == (-pot.raw_grad(pts)).tobytes()
+
+    # a hand-built force that returns a list still integrates to the reference bits
+    listed = dataclasses.replace(pot, force=lambda x: list(pot.force(x)))
+    x0, xi0 = pts[0], np.array(data.draw(point))
+    dt = stable_dt(pot, w2, s, x0, xi0)
+    n_steps = data.draw(st.integers(1, 40))
+    traj = flow_integrate(listed, x0, xi0, n_steps * dt, dt)
+    xs, xis = reference_verlet(w2, dphi, [float(c) for c in x0], [float(c) for c in xi0], dt, n_steps)
+    assert traj.x.tobytes() == xs.tobytes()
+    assert traj.xi.tobytes() == xis.tobytes()
+
+
+@given(builtin_cases(), st.data())
+def test_a_lone_point_gets_the_bits_of_its_batch_row(case, data):
+    # numpy's power on a scalar can differ in the last place from its power on an array
+    pot = case[0]
+    point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=8)))
+    values, grads = pot.raw_value(pts), pot.raw_grad(pts)
+    for j, row in enumerate(pts):
+        assert pot.value(row).tobytes() == values[j].tobytes()
+        assert pot.grad(row).tobytes() == grads[j].tobytes()
+
+
+@pytest.mark.parametrize("T", [1.0015, 0.0019])
+def test_flow_ends_at_T(harmonic_1d, command_artifacts, T):
+    # T is no whole number of steps dt = 1e-3, so the flow takes n = ceil(T / dt)
+    # equal steps of T / n and reports that step; round(T / dt) steps of dt overran T
+    n = math.ceil(T / 1e-3)
+    traj = flow_integrate(harmonic_1d, np.array([1.0]), np.array([0.5]), T, 1e-3)
+    assert traj.dt == T / n
+    assert traj.t[-1] == T
+    assert traj.t.tobytes() == (np.arange(n + 1) * (T / n)).tobytes()
+    xs, xis = reference_verlet((1.0,), lambda q: 0.5, [1.0], [0.5], T / n, n)
+    assert traj.x.tobytes() == xs.tobytes()
+    assert traj.xi.tobytes() == xis.tobytes()
+
+    cfg = {"potential": {"name": "harmonic", "d": 1}, "x0_space": [1.0], "xi0_momentum": [0.5], "T_time": T, "dt_time": 1e-3}
+    out = command_artifacts("flow", cfg)
+    assert json.loads((out / "flow.json").read_text())["dt_time"] == T / n
+    assert float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0]) == T
