@@ -11,7 +11,6 @@ fails.  A failed command writes nothing.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -167,7 +166,7 @@ def _build_grid(sec: _Section, d: int):
 
 
 def _cell(x) -> str:
-    """CSV cell: exact float repr, plain int, true/false, empty for None."""
+    """CSV cell: exact float repr, plain int, true/false, empty for None, other text quoted."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if x is None:
@@ -176,7 +175,21 @@ def _cell(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return str(x)
+    return _quoted(str(x))
+
+
+# the csv module's minimal quoting under LF line ends: a cell holding a comma, a
+# quote or a line feed (from Python 3.13 on also a carriage return) is quoted,
+# its quotes doubled
+_CSV_SPECIALS = ',"\n\r' if sys.version_info >= (3, 13) else ',"\n'
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in _CSV_SPECIALS)
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
 
 
 def _column(values) -> list:
@@ -184,8 +197,8 @@ def _column(values) -> list:
 
     A float64 array formats each distinct bit pattern once (so -0.0 and nan
     keep their own text), an integer or bool array goes straight to text, a
-    column of plain strings (the group labels) is its own text, and any other
-    column goes through _cell value by value.
+    column of plain strings (the group labels) is its own text, quoted, and any
+    other column goes through _cell value by value.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1:
         if values.dtype == np.float64:
@@ -197,7 +210,8 @@ def _column(values) -> list:
         if values.dtype == np.bool_:
             return np.where(values, "true", "false").tolist()
     elif all(type(x) is str for x in values):
-        return list(values)
+        # one scan of the joined column tells whether any label needs quotes
+        return list(map(_quoted, values)) if _needs_quotes("".join(values)) else list(values)
     return [_cell(x) for x in values]
 
 
@@ -205,15 +219,26 @@ CSV_BLOCK_ROWS = 2048  # rows formatted at a time, so a long table's cells never
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    """UTF-8, LF line endings, csv quoting (labels such as T=2,R=1 hold commas)."""
+    """UTF-8, LF line endings, csv quoting (labels such as T=2,R=1 hold commas).
+
+    Each block of rows is formatted a column at a time and written as lines of
+    its cells; a one-column row of the empty cell is written as "" so that it
+    is not a blank line, as the csv module writes it.
+    """
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns of {path.name} differ in length")
+    line = ",".join(["{}"] * len(columns)) + "\n"
+
+    def lines(cells):  # the cells of a block, column by column
+        if len(cells) == 1:
+            cells = [[c or '""' for c in cells[0]]]
+        return map(line.format, *cells) if cells else [line]
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.writelines(lines([[h] for h in _column(list(header))]))
         for start in range(0, n, CSV_BLOCK_ROWS):
-            writer.writerows(zip(*[_column(c[start : start + CSV_BLOCK_ROWS]) for c in columns]))
+            fh.writelines(lines([_column(c[start : start + CSV_BLOCK_ROWS]) for c in columns]))
 
 
 def _jsonable(obj):
@@ -398,8 +423,8 @@ def _cmd_quasimode(cfg: _Section, opts) -> dict:
     log.info("quasimode: lam %.4f, residual ratio %.4f", rep.lam, rep.residual_ratio)
     vals = f.values.reshape(-1)
     header = [f"x_{i+1}" for i in range(f.grid.d)] + ["re", "im"]
-    pts = f.grid.meshgrid().reshape(-1, f.grid.d)
-    columns = [*(pts[:, i] for i in range(f.grid.d)), vals.real, vals.imag]
+    mesh = f.grid.meshgrid()
+    columns = [*(mesh[..., i].ravel() for i in range(f.grid.d)), vals.real, vals.imag]
     return {"mode.csv": (header, columns), "quasimode.json": rep.to_json_dict()}
 
 

@@ -127,7 +127,6 @@ def flow_integrate(
         n_steps = math.ceil(steps)
         dt = T / n_steps
 
-    p0 = float(pot.raw_value(x) + 0.5 * np.sum(xi**2))
     xc, xic = tuple(float(c) for c in x.reshape(pot.d)), tuple(float(c) for c in xi.reshape(pot.d))
     a = pot.force(xc)
     ts, states = [0.0], [(xc, xic)]
@@ -142,6 +141,7 @@ def flow_integrate(
     t = np.array(ts)
     xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
     p = pot.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
+    p0 = float(p.flat[0])  # drift from the trajectory's own first sample
     drift = float(np.max(np.abs(p - p0)) / max(p0, 1.0))
     if not drift <= 100.0 * ENERGY_DRIFT_TOL:  # a NaN drift aborts too
         raise RuntimeError("integrator unstable -- reduce dt")

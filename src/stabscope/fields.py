@@ -78,9 +78,16 @@ class Grid:
         return self.center[i] + np.linspace(-self.ls[i], self.ls[i], self.ns[i])
 
     def meshgrid(self) -> np.ndarray:
-        """Node coordinates, shape ns + (d,)."""
-        axes = [self.axis(i) for i in range(self.d)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        """Node coordinates, shape ns + (d,).
+
+        The coordinates are stored one axis plane at a time, (d,) + ns in
+        memory, so x[..., i] is contiguous: V and b, which read their points a
+        plane at a time, come out C-contiguous and fast.
+        """
+        mesh = np.empty((self.d, *self.ns))
+        for i in range(self.d):
+            mesh[i] = self.axis(i).reshape([-1 if k == i else 1 for k in range(self.d)])
+        return np.moveaxis(mesh, 0, -1)
 
     def weights(self) -> np.ndarray:
         """Tensor trapezoid weights, shape ns."""

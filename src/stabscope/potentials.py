@@ -335,9 +335,9 @@ def epsilon_lambda(pot: Potential, lambdas) -> EpsilonProfile:
 
     For each lam the trial radius A ranges over [a0, max(a0, lam)] and the
     bracketed minimum is taken over a log-spaced grid of 64 radii, with both
-    suprema in closed form.  A running minimum over ascending lam enforces
-    monotonicity, which the exact quantity satisfies but a minimum over a
-    grid that moves with lam may miss.
+    suprema in closed form; all lam are evaluated as one array of radii.  A
+    running minimum over ascending lam enforces monotonicity, which the exact
+    quantity satisfies but a minimum over a grid that moves with lam may miss.
     """
     lams = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)))
     if lams.size == 0:
@@ -347,12 +347,18 @@ def epsilon_lambda(pot: Potential, lambdas) -> EpsilonProfile:
         raise ValueError("frequencies must satisfy lam >= 1")
 
     c_v = (2.0**0.25 + _growth_constant(pot)) ** 3
-    a0 = pot.a0
-    values = np.empty_like(lams)
-    for i, lam in enumerate(lams):
-        a_grid = np.geomspace(a0, max(a0, lam), 64)
-        inside, tail = _gradient_suprema(pot, a_grid)
-        values[i] = c_v * np.min(inside / lam**1.5 + tail)
+    a0, stops = pot.a0, np.maximum(pot.a0, lams)
+    # row i is np.geomspace(a0, stops[i], 64) to the bit; one call with an array
+    # of stops would switch every row to its zero-step rule when one row has it
+    log_a0, log_stops = np.log10(a0), np.log10(stops)
+    y = np.arange(64.0) * ((log_stops - log_a0) / 63)[:, np.newaxis]
+    y += log_a0
+    y[:, -1] = log_stops
+    a_grid = np.power(10.0, y)
+    a_grid[:, 0], a_grid[:, -1] = a0, stops
+    inside, tail = _gradient_suprema(pot, a_grid)
+    scale = np.array([lam**1.5 for lam in lams])  # numpy's scalar power, as per frequency
+    values = c_v * np.min(inside / scale[:, np.newaxis] + tail, axis=1)
 
     values = np.minimum.accumulate(values)
     if np.any(values <= 0.0):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -475,6 +475,23 @@ def test_a_lone_point_gets_the_bits_of_its_batch_row(case, data):
     for j, row in enumerate(pts):
         assert pot.value(row).tobytes() == values[j].tobytes()
         assert pot.grad(row).tobytes() == grads[j].tobytes()
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.floats(0.1, 3.9),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    st.integers(1, 5),
+)
+@example(2, 1.5, [-0.2044005530144144, -2.447466205865303, 0.7905131532165508, 0.6983027465694613], 2)
+@example(1, 1.5, [1.4827837254432588, 2.055760602329947, 0.0, 0.0], 2)
+def test_flow_drift_is_measured_from_its_first_sample(d, s, coords, n_steps):
+    # p0 is the recorded p[0], never a separate lone-point evaluation of V,
+    # whose numpy power can differ in the last place for the power family
+    pot = builtin_potential("power", d=d, s=s)
+    traj = flow_integrate(pot, np.array(coords[:d]), np.array(coords[2 : 2 + d]), n_steps * 1e-3, 1e-3)
+    assert np.float64(traj.p0).tobytes() == traj.p[0].tobytes()
+    assert traj.drift == float(np.max(np.abs(traj.p - traj.p[0])) / max(traj.p[0], 1.0))
 
 
 @pytest.mark.parametrize("T", [1.0015, 0.0019])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig_banded
 
+from stabscope import fields
 from stabscope.damping import Damping, builtin_damping
 from stabscope.fields import (
     Field,
+    _PKernel,
     apply_P,
     check_resolution,
     damping_pairing,
@@ -45,6 +48,47 @@ def test_grid_geometry():
     assert g.hs == (0.25, 0.25)
     assert g.axis(0)[0] == -1.0 and g.axis(0)[-1] == 1.0
     assert g.meshgrid().shape == (9, 17, 2)
+
+
+@st.composite
+def mesh_cases(draw):
+    """An off-centre grid in d = 1 or 2, a builtin well and a builtin damping on it."""
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_grid(d, rng.integers(8, 40, size=d), rng.uniform(0.5, 30.0, size=d),
+                     center=rng.uniform(-20.0, 20.0, size=d))
+    name = draw(st.sampled_from(["harmonic", "power", "anisotropic"]))
+    params = {"s": draw(st.floats(0.1, 3.9))} if name == "power" else {}
+    if name == "anisotropic":
+        params["weights"] = rng.uniform(0.1, 10.0, size=d)
+    pot = builtin_potential(name, d=d, **params)
+    kind = draw(st.sampled_from(["constant", "exterior", "ball", "checkerboard", "radial_shells", "strip_lattice"]))
+    params = {"amplitude": rng.uniform(0.1, 3.0)}
+    if kind in ("exterior", "ball"):
+        params["radius"] = rng.uniform(0.1, 20.0)
+    if kind == "ball":
+        params["center"] = rng.uniform(-10.0, 10.0, size=d)
+    if kind in ("checkerboard", "radial_shells", "strip_lattice"):
+        params.update(period=rng.uniform(0.1, 5.0), duty=rng.uniform(0.05, 0.95))
+    return grid, pot, builtin_damping(kind, d=d, **params)
+
+
+@given(mesh_cases())
+def test_meshgrid_keeps_the_stacked_bits(case):
+    # the mesh stored a coordinate plane at a time holds the stacked mesh's
+    # bits, and V and b read on it keep theirs and come out C-contiguous
+    grid, pot, b = case
+    stacked = np.stack(np.meshgrid(*[grid.axis(i) for i in range(grid.d)], indexing="ij"), axis=-1)
+    mesh = grid.meshgrid()
+    assert mesh.shape == stacked.shape and mesh.tobytes() == stacked.tobytes()
+    for planar, reference in ((pot.raw_value(mesh), pot.raw_value(stacked)), (b.raw_func(mesh), b.raw_func(stacked))):
+        assert planar.flags.c_contiguous
+        assert planar.tobytes() == np.ascontiguousarray(reference).tobytes()
+
+    handed = []  # the V that apply_P hands to the stencil kernel
+    with mock.patch.object(fields, "_PKernel", lambda v, *args: handed.append(v) or _PKernel(v, *args)):
+        apply_P(pot, Field(grid, np.zeros(grid.ns)))
+    assert handed[0].flags.c_contiguous
 
 
 def test_grid_rejects_bad_input():

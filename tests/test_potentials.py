@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabscope.potentials import (
@@ -103,6 +103,31 @@ def test_epsilon_non_increasing_property(pot, lams):
     assert np.array_equal(prof.lambdas, lams)
     assert np.all(eps > 0.0)
     assert np.all(np.diff(eps) <= 0.0)
+
+
+def _loop_epsilon(pot, lams):
+    """eps(lam) one frequency at a time, each on its own np.geomspace of trial radii."""
+    c_v = (2.0**0.25 + _growth_constant(pot)) ** 3
+    values = np.empty_like(lams)
+    for i, lam in enumerate(lams):
+        inside, tail = _gradient_suprema(pot, np.geomspace(pot.a0, max(pot.a0, lam), 64))
+        values[i] = c_v * np.min(inside / lam**1.5 + tail)
+    return np.minimum.accumulate(values)
+
+
+@given(
+    builtin_potentials(),
+    st.lists(st.floats(1.0, 1e3) | st.floats(1.0, 1e7) | st.sampled_from([1.0, 2.0]), min_size=1, max_size=40),
+)
+@example(builtin_potential("harmonic", d=2), list(np.geomspace(1.0, 1e7, 160)))
+@example(builtin_potential("power", d=2, s=3.0), list(np.geomspace(1.0, 2e5, 160)))
+@example(builtin_potential("anisotropic", d=2, weights=[1.0, 2.5]), [1.0, 1.0, 50.0])
+def test_epsilon_keeps_the_loop_bits(pot, lams):
+    # all frequencies as one array of trial radii: the bits of the per-frequency
+    # loop, also when some lam <= a0 gives a zero-step radius grid
+    prof = epsilon_lambda(pot, lams)
+    expected = _loop_epsilon(pot, np.sort(np.asarray(lams, dtype=float)))
+    assert prof.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_epsilon_harmonic_sqrt_scaling(harmonic_1d):
