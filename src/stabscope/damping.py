@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -287,23 +287,15 @@ def _sobol(d: int, n: int) -> np.ndarray:
     return x / 2.0**_SOBOL_BITS
 
 
-_BALL_NODE_CACHE: dict = {}
-
-
+@cache
 def unit_ball_nodes(d: int, n: int) -> np.ndarray:
     """Fixed low-discrepancy quadrature nodes for the unit ball."""
-    n = _require_count("n", n)
-    key = (d, n)
-    if key not in _BALL_NODE_CACHE:
-        u = _sobol(d, n)
-        if d == 1:
-            nodes = 2.0 * u - 1.0
-        else:
-            r = np.sqrt(u[:, 0])
-            th = 2.0 * np.pi * u[:, 1]
-            nodes = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        _BALL_NODE_CACHE[key] = nodes
-    return _BALL_NODE_CACHE[key]
+    u = _sobol(d, _require_count("n", n))
+    if d == 1:
+        return 2.0 * u - 1.0
+    r = np.sqrt(u[:, 0])
+    th = 2.0 * np.pi * u[:, 1]
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
 BLOCK_BYTES = 1 << 19  # shifted-node scratch per block; it and the kernel's temporaries fit a 2 MB L2
@@ -377,9 +369,7 @@ def _sums_exactly(amplitude: float, n: int) -> bool:
     return odd * n <= 2**53
 
 
-_NODE_RANK_CACHE: dict = {}
-
-
+@cache
 def _node_ranks(d: int, n: int, q: int):
     """Node order per axis and a rank-dominance table, for the first q axes.
 
@@ -387,22 +377,19 @@ def _node_ranks(d: int, n: int, q: int):
     q = 2, the (n + 1, n + 1) table D[i, j] = #{nodes of rank < i on axis 0
     and rank < j on axis 1}.  Built on first use and read-only afterwards.
     """
-    key = (d, n, q)
-    if key not in _NODE_RANK_CACHE:
-        nodes = unit_ball_nodes(d, n)
-        orders = [np.argsort(nodes[:, i], kind="stable") for i in range(q)]
-        planes = [nodes[order, i] for i, order in enumerate(orders)]
-        table = None
-        if q == 2:
-            ranks = np.empty((2, n), dtype=np.intp)
-            for i, order in enumerate(orders):
-                ranks[i, order] = np.arange(n)
-            table = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
-            table[ranks[0] + 1, ranks[1] + 1] = 1
-            np.cumsum(table, axis=0, out=table)
-            np.cumsum(table, axis=1, out=table)
-        _NODE_RANK_CACHE[key] = (planes, table)
-    return _NODE_RANK_CACHE[key]
+    nodes = unit_ball_nodes(d, n)
+    orders = [np.argsort(nodes[:, i], kind="stable") for i in range(q)]
+    planes = [nodes[order, i] for i, order in enumerate(orders)]
+    table = None
+    if q == 2:
+        ranks = np.empty((2, n), dtype=np.intp)
+        for i, order in enumerate(orders):
+            ranks[i, order] = np.arange(n)
+        table = np.zeros((n + 1, n + 1), dtype=np.min_scalar_type(n))
+        table[ranks[0] + 1, ranks[1] + 1] = 1
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+    return planes, table
 
 
 def _count_damped(cells: tuple, n: int, max_cells: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -14,10 +14,14 @@ and dtype and keeps its zero-bordered copy of the field, its strip-sized
 scratch for the stencil products, their shifted views and its output
 buffer, so ``apply_P`` runs it once and the time stepper runs it every step
 without allocating, in real arithmetic when the data are real.  Fields
-must be finite; ``apply_P`` names a NaN or inf instead of spreading it.
+must be finite; every reader names a NaN or inf instead of spreading it.
 Field integrals share one rule, the trapezoid weights w of ``Grid.weights``
-summed pairwise without BLAS: the inner product (conjugate-linear in its first
-slot), and the damping pairing and ball mass as means under w |f|^2.
+summed pairwise without BLAS.  The one quadratic form is the density
+w |f|^2: its sum is ||f||^2, and the damping pairing and the ball mass are
+means under it.  Its sum is finite exactly when every node is, so the
+functionals read the point rule off it, and ``apply_P`` reads it off max |f|,
+the same pass that checks the outermost layers; only the cross product
+``inner`` (conjugate-linear in its first slot) checks its fields first.
 """
 
 from __future__ import annotations
@@ -140,10 +144,8 @@ def snap_to_grid(grid: Grid, point) -> np.ndarray:
         raise ValueError(f"expected a point with {grid.d} coordinates")
     out = np.empty(grid.d)
     for i in range(grid.d):
-        lo = grid.center[i] - grid.ls[i]
-        idx = int(round((p[i] - lo) / grid.hs[i]))
-        idx = min(max(idx, 0), grid.ns[i] - 1)
-        out[i] = lo + idx * grid.hs[i]
+        idx = int(round((p[i] - (grid.center[i] - grid.ls[i])) / grid.hs[i]))
+        out[i] = grid.axis(i)[min(max(idx, 0), grid.ns[i] - 1)]
     return out
 
 
@@ -162,21 +164,6 @@ def dominant_wavenumber(f: Field) -> np.ndarray:
 def wavenumber_bins(grid: Grid) -> np.ndarray:
     """DFT bin width per axis."""
     return np.array([2.0 * np.pi / (n * h) for n, h in zip(grid.ns, grid.hs)])
-
-
-def _check_boundary_clear(f: Field, layers: int = 2) -> None:
-    vals = f.values
-    vmax = np.max(np.abs(vals))
-    if vmax == 0.0:
-        return
-    for ax in range(f.grid.d):
-        sl_lo = [slice(None)] * f.grid.d
-        sl_hi = [slice(None)] * f.grid.d
-        sl_lo[ax] = slice(0, layers)
-        sl_hi[ax] = slice(-layers, None)
-        edge = max(np.max(np.abs(vals[tuple(sl_lo)])), np.max(np.abs(vals[tuple(sl_hi)])))
-        if edge > 1e-10 * vmax:
-            raise ValueError("field must vanish on the outermost two node layers")
 
 
 class _PKernel:
@@ -250,8 +237,13 @@ def apply_P(pot: Potential, f: Field) -> Field:
     """Apply V - Laplacian/2 with Dirichlet reading outside the grid."""
     if pot.d != f.grid.d:
         raise ValueError("potential and field dimensions differ")
-    _require_finite("field values", f.values)
-    _check_boundary_clear(f)
+    mag = np.abs(f.values)
+    vmax = mag.max()
+    if not vmax < math.inf:
+        raise ValueError("need finite field values")
+    mag[(slice(2, -2),) * f.grid.d] = 0.0  # leaves the outermost two node layers
+    if mag.max() > 1e-10 * vmax:
+        raise ValueError("field must vanish on the outermost two node layers")
     v = pot.raw_value(f.grid.meshgrid())
     return Field(f.grid, _PKernel(v, f.grid.hs, f.values.dtype)(f.values))
 
@@ -275,8 +267,26 @@ def p_bands(grid: Grid, diag) -> np.ndarray:
     return ab
 
 
+def _density(f: Field) -> tuple:
+    """The density w |f|^2 at the nodes and its sum, ||f||^2.
+
+    The weights are finite and > 0 and the density is >= 0, so the sum is
+    finite exactly when every node is and no square overflows; a NaN or inf
+    node reaches it without a floating-point warning.
+    """
+    vals = f.values
+    with np.errstate(over="ignore"):
+        dens = vals.real * vals.real
+        dens += vals.imag * vals.imag
+        dens *= f.grid.weights()
+        total = dens.sum()
+    if not total < math.inf:
+        raise ValueError("need finite field values")
+    return dens, total
+
+
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(inner(f, f).real))
+    return math.sqrt(_density(f)[1])
 
 
 def inner(f: Field, g: Field) -> complex:
@@ -303,11 +313,7 @@ def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
 
 def _mean_under_density(f: Field, q: np.ndarray) -> float:
     """Mean of the node weight q under w |f|^2; in [0, 1] to the bit if q is."""
-    vals = _require_finite("field values", f.values)
-    dens = vals.real * vals.real
-    dens += vals.imag * vals.imag
-    dens *= f.grid.weights()
-    total = dens.sum()
+    dens, total = _density(f)
     if total == 0.0:
         raise ValueError("zero field")
     return float((dens * q).sum() / total)
@@ -315,6 +321,8 @@ def _mean_under_density(f: Field, q: np.ndarray) -> float:
 
 def damping_pairing(damping, f: Field) -> float:
     """<f, b f> / ||f||^2, with b clamped at 0."""
+    if damping.d != f.grid.d:
+        raise ValueError("damping and field dimensions differ")
     return _mean_under_density(f, np.maximum(damping.raw_func(f.grid.meshgrid()), 0.0))
 
 
@@ -324,7 +332,6 @@ def _cell_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     1D cells are clipped exactly, in units of h, so none exceeds 1; 2D partial
     cells are resolved on a 8x8 midpoint subgrid, giving an O(h^2) quadrature.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
     if grid.d == 1:
         x = grid.axis(0)
         h = grid.hs[0]
@@ -350,9 +357,13 @@ def _cell_coverage(grid: Grid, center, radius: float) -> np.ndarray:
 
 
 def mass_in_ball(f: Field, center, radius: float) -> float:
-    """Fraction of the squared norm carried inside a ball."""
-    if radius < 0.0:
-        raise ValueError("need radius >= 0")
+    """Fraction of the squared norm carried inside a ball; radius 0 carries
+    none and radius inf all of it."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (f.grid.d,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"ball center must be {f.grid.d} finite coordinate(s), got {center}")
+    if not radius >= 0.0:
+        raise ValueError(f"need radius >= 0, got {radius}")
     if radius == 0.0:
         return 0.0
     return _mean_under_density(f, _cell_coverage(f.grid, center, radius))

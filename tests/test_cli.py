@@ -940,6 +940,7 @@ def csv_tables(draw):
 LONG = 2 * cli.CSV_BLOCK_ROWS + 1  # rows in three of the writer's row blocks
 
 
+@pytest.mark.deep
 @given(csv_tables())
 @example((["group"], [[""] * 3]))
 @example((["t", "k", "flag", "group"], [np.resize([0.5, -0.0, math.nan, 1e-310], LONG), np.arange(LONG),

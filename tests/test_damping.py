@@ -195,6 +195,7 @@ def mollify_cases(draw):
     return b, pts, r
 
 
+@pytest.mark.deep
 @given(mollify_cases())
 def test_mollify_matches_direct_formula(case):
     # the blocked kernel keeps every bit of the per-point node average
@@ -421,6 +422,7 @@ def damped_node_cases(draw):
     return b, pts, radii
 
 
+@pytest.mark.deep
 @given(damped_node_cases())
 def test_damped_nodes_counts_the_nodes_raw_func_damps(case):
     # the hook's contract: where k is known, raw_func reads b_max at exactly
@@ -592,6 +594,7 @@ def counted_cases(draw):
     return name, params, amplitude, pts, r
 
 
+@pytest.mark.deep
 @given(counted_cases())
 # 1e17 cells out: beyond 2**52 cell indices the mean takes the quadrature
 @example(("checkerboard", {"period": 1e-3, "duty": 0.01}, 1.0, np.array([[1e12, 5.30001]]), 2e-5))
@@ -695,6 +698,7 @@ def kernel_cases(draw):
     return name, params, amplitude, pts.reshape(m, n, d)
 
 
+@pytest.mark.deep
 @settings(max_examples=max(300, settings.default.max_examples))  # 300, or the deep profile's count
 @given(kernel_cases())
 # 1e17 + 530001 cells: a float sum of the cell indices rounds the odd parity away
@@ -819,6 +823,7 @@ def test_ugcc_scan_needs_a_ray():
 _DEFAULT_FAMILY = (2, 10.0, 7, 16)
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from([1, 2]),
     st.floats(0.5, 20.0),
@@ -1152,6 +1157,7 @@ def report_cases(draw):
     return b, rays, T, R, shells, lams, ladder, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
 
 
+@pytest.mark.deep
 @given(report_cases())
 def test_reports_read_the_outermost_group(case):
     # every scan builds its report through one constructor: one label per

@@ -343,6 +343,7 @@ def stable_dt(pot, w2, s, x0, xi0):
     return 2.0 ** math.floor(math.log2(2.0**-7 / math.sqrt(omega2)))
 
 
+@pytest.mark.deep
 @settings(max_examples=max(200, settings.default.max_examples))  # 200, or the deep profile's count
 @given(builtin_cases(), st.data())
 def test_raw_grad_keeps_the_pre_change_formula(case, data):
@@ -357,6 +358,7 @@ def test_raw_grad_keeps_the_pre_change_formula(case, data):
     assert pot.grad(pts[0]).tobytes() == expected[0].tobytes()
 
 
+@pytest.mark.deep
 @settings(max_examples=max(60, settings.default.max_examples))  # 60, or the deep profile's count
 @given(builtin_cases(), st.data(), st.integers(200, 400))
 def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
@@ -389,6 +391,7 @@ def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
 # evaluates the force afresh at the start of every run of steps.
 
 
+@pytest.mark.deep
 @given(builtin_cases(), st.data(), st.integers(1, 80), st.integers(1, 7))
 def test_flow_integrate_keeps_the_reference_bits(case, data, n_steps, record_every):
     pot, w2, dphi, s = case
@@ -403,6 +406,7 @@ def test_flow_integrate_keeps_the_reference_bits(case, data, n_steps, record_eve
     assert traj.xi.tobytes() == xis[rows].tobytes()
 
 
+@pytest.mark.deep
 @given(builtin_cases(), st.data())
 def test_flow_states_keep_the_reference_bits(case, data):
     # requested times of both signs, in any order, repeated or zero; each
@@ -434,6 +438,7 @@ def test_flow_states_keep_the_reference_bits(case, data):
     assert xis.tobytes() == exp_xi.tobytes()
 
 
+@pytest.mark.deep
 @given(builtin_cases(), st.data())
 def test_force_returns_a_d_tuple(case, data):
     pot, w2, dphi, s = case
@@ -465,6 +470,7 @@ def test_force_returns_a_d_tuple(case, data):
     assert traj.xi.tobytes() == xis.tobytes()
 
 
+@pytest.mark.deep
 @given(builtin_cases(), st.data())
 def test_a_lone_point_gets_the_bits_of_its_batch_row(case, data):
     # numpy's power on a scalar can differ in the last place from its power on an array

@@ -213,6 +213,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+@pytest.mark.deep
 @settings(max_examples=max(40, settings.default.max_examples))  # the profile's count, 100 or deep's 1000
 @given(
     st.sampled_from([("harmonic", 1, {}), ("power", 1, {"s": 3.0}), ("harmonic", 2, {}),
@@ -253,6 +254,7 @@ def test_evolve_keeps_the_reference_bits(potential, damping, amplitude, data, n_
     assert _bits(trace.balance_coefficient) == _bits(balance)
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from([("harmonic", 1, {}), ("power", 1, {"s": 3.0}), ("harmonic", 2, {}),
                      ("anisotropic", 2, {"weights": [1.0, 2.5]})]),
@@ -289,6 +291,7 @@ def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitu
     assert _bits(trace.balance_coefficient) == _bits(balance)
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from([1, 2]),
     st.sampled_from([float, complex]),

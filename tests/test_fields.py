@@ -73,6 +73,7 @@ def mesh_cases(draw):
     return grid, pot, builtin_damping(kind, d=d, **params)
 
 
+@pytest.mark.deep
 @given(mesh_cases())
 def test_meshgrid_keeps_the_stacked_bits(case):
     # the mesh stored a coordinate plane at a time holds the stacked mesh's
@@ -139,6 +140,23 @@ def test_snap_to_grid():
     assert float(snap_to_grid(g, [0.13])[0]) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError, match="expected a point with 1 coordinates"):
         snap_to_grid(g, [0.1, 0.2])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_snap_returns_a_node_of_the_axis(seed):
+    # the snapped point is the nearest element of grid.axis(i) itself, not a
+    # value an ulp away from it, on off-centre grids and outside the box
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    ls = rng.uniform(0.5, 30.0, size=d)
+    grid = make_grid(d, rng.integers(8, 200, size=d), ls, center=rng.uniform(-50.0, 50.0, size=d))
+    for _ in range(20):
+        point = np.asarray(grid.center) + rng.uniform(-1.2, 1.2, size=d) * ls
+        snapped = snap_to_grid(grid, point)
+        for i in range(d):
+            axis = grid.axis(i)
+            assert snapped[i] in axis
+            assert abs(snapped[i] - point[i]) <= np.min(np.abs(axis - point[i])) + 1e-9 * grid.hs[i]
 
 
 # --------------------------------------------------------------- apply_P
@@ -249,19 +267,47 @@ def test_inner_rejects_grid_mismatch():
 
 
 def test_field_functionals_reject_a_nan_node(harmonic_1d):
+    # a NaN or inf node, in the real or the imaginary part, interior or on the
+    # edge, is named before any result; a RuntimeWarning on the way would
+    # fail the test (pyproject filterwarnings)
     g = make_grid(1, 64, 6.0)
-    vals = np.exp(-g.axis(0) ** 2)
-    vals[32] = math.nan
-    f = Field(g, vals)
     b = builtin_damping("constant", d=1)
-    for measure in (
-        lambda: l2_norm(f),
-        lambda: damping_pairing(b, f),
-        lambda: mass_in_ball(f, np.zeros(1), 1.0),
-        lambda: residual_ratio(harmonic_1d, f, 1.0),
-    ):
-        with pytest.raises(ValueError, match="need finite field values"):
-            measure()
+    for node in (32, 0):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)):
+            vals = np.exp(-g.axis(0) ** 2).astype(complex)
+            vals[node] = bad
+            f = Field(g, vals)
+            for measure in (
+                lambda: l2_norm(f),
+                lambda: damping_pairing(b, f),
+                lambda: mass_in_ball(f, np.zeros(1), 1.0),
+                lambda: residual_ratio(harmonic_1d, f, 1.0),
+                lambda: inner(f, f),
+            ):
+                with pytest.raises(ValueError, match="need finite field values"):
+                    measure()
+
+
+def test_a_norm_that_overflows_is_not_finite():
+    # |f| near 1e200 is finite, but its squared norm is not a float
+    g = make_grid(1, 64, 6.0)
+    f = Field(g, 1e200 * np.exp(-g.axis(0) ** 2))
+    with pytest.raises(ValueError, match="need finite field values"):
+        l2_norm(f)
+
+
+@pytest.mark.deep
+@given(st.sampled_from([1, 2]), st.integers(0, 2**32 - 1), st.integers(-60, 60))
+def test_l2_norm_matches_the_inner_product(d, seed, exponent):
+    # the norm read off the density w |f|^2 agrees with the formula it
+    # replaced, the square root of the complex sum <f, f>
+    rng = np.random.default_rng(seed)
+    grid = make_grid(d, rng.integers(8, 65, size=d), rng.uniform(0.5, 20.0, size=d),
+                     center=rng.uniform(-10.0, 10.0, size=d))
+    vals = 2.0**exponent * (rng.normal(size=grid.ns) + 1j * rng.normal(size=grid.ns))
+    f = Field(grid, vals)
+    reference = math.sqrt(inner(f, f).real)
+    assert abs(l2_norm(f) - reference) <= 1e-14 * reference
 
 
 # -------------------------------------------------------- residual_ratio
@@ -329,6 +375,16 @@ def test_damping_pairing_halfline_symmetry():
     assert abs(damping_pairing(b, f) - 0.5) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["constant", "exterior", "ball", "checkerboard"])
+def test_damping_pairing_rejects_the_other_dimension(kind):
+    # a 1D damping read on a 2D field used to see the first coordinate only,
+    # or fail with an IndexError; and the other way round
+    for d_field, d_damping in ((2, 1), (1, 2)):
+        f = Field(make_grid(d_field, 16, 1.0), np.ones((16,) * d_field))
+        with pytest.raises(ValueError, match="damping and field dimensions differ"):
+            damping_pairing(builtin_damping(kind, d=d_damping), f)
+
+
 def test_damping_pairing_rejects_zero_field():
     g = make_grid(1, 16, 1.0)
     b = builtin_damping("constant", d=1)
@@ -380,6 +436,7 @@ def fields_and_balls(draw):
     return Field(grid, vals), center, radius
 
 
+@pytest.mark.deep
 @given(fields_and_balls(), st.floats(1e-3, 1e3))
 def test_mass_and_pairing_are_means_under_one_density(case, amplitude):
     f, center, radius = case
@@ -395,6 +452,17 @@ def test_mass_in_ball_rejects_bad_input():
     zero = Field(f.grid, np.zeros(512))
     with pytest.raises(ValueError, match="zero field"):
         mass_in_ball(zero, np.zeros(1), 1.0)
+    # a NaN radius used to give NaN in 1D and 0.0 in 2D, without a warning;
+    # radius 0 and radius inf keep their meaning
+    for d in (1, 2):
+        f = Field(make_grid(d, 16, 1.0), np.ones((16,) * d))
+        with pytest.raises(ValueError, match="need radius >= 0"):
+            mass_in_ball(f, np.zeros(d), math.nan)
+        for center in (np.full(d, math.nan), np.full(d, math.inf), np.zeros(d + 1)):
+            with pytest.raises(ValueError, match=f"ball center must be {d} finite coordinate"):
+                mass_in_ball(f, center, 1.0)
+        assert mass_in_ball(f, np.zeros(d), 0.0) == 0.0
+        assert mass_in_ball(f, np.zeros(d), math.inf) == 1.0
 
 
 # ------------------------------------------------------------ invariants

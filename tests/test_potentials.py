@@ -115,6 +115,7 @@ def _loop_epsilon(pot, lams):
     return np.minimum.accumulate(values)
 
 
+@pytest.mark.deep
 @given(
     builtin_potentials(),
     st.lists(st.floats(1.0, 1e3) | st.floats(1.0, 1e7) | st.sampled_from([1.0, 2.0]), min_size=1, max_size=40),
@@ -189,6 +190,7 @@ def _polar_max(f, d, lo, hi):
     return best
 
 
+@pytest.mark.deep
 @given(
     builtin_potentials(),
     st.floats(1.0, 1e3),

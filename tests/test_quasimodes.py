@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stabscope import fields
 from stabscope.damping import builtin_damping
 from stabscope.fields import (
     dominant_wavenumber,
@@ -255,6 +256,27 @@ def test_turning_bump_rejects_non_finite_base_point(harmonic_1d, x0):
         turning_point_bump(harmonic_1d, x0, 2.0)
 
 
+def test_packets_reject_a_damping_of_the_other_dimension(harmonic_1d, harmonic_2d):
+    # the damping pairing used to read a 1D damping off the first coordinate
+    # of a 2D packet, or fail with an IndexError
+    b1, b2 = builtin_damping("exterior", d=1), builtin_damping("ball", d=2)
+    with pytest.raises(ValueError, match="damping and field dimensions differ"):
+        turning_point_bump(harmonic_2d, [20.0, 0.0], 2.0, b=b1)
+    with pytest.raises(ValueError, match="damping and field dimensions differ"):
+        turning_point_bump(harmonic_1d, [20.0], 2.0, b=b2)
+    with pytest.raises(ValueError, match="damping and field dimensions differ"):
+        kinetic_wavepacket(harmonic_2d, packet_spec(harmonic_2d, 2), b=b1)
+
+
+def test_a_packet_is_not_swept_for_finiteness(harmonic_1d, harmonic_2d):
+    # the constructor samples a finite field, and its measures read the point
+    # rule off the quantities they compute: no separate sweep of the field
+    with mock.patch.object(fields, "_require_finite", wraps=fields._require_finite) as sweep:
+        turning_point_bump(harmonic_1d, [20.0], 2.0, b=builtin_damping("ball", d=1))
+        kinetic_wavepacket(harmonic_2d, packet_spec(harmonic_2d, 2), b=builtin_damping("checkerboard", d=2))
+    assert sweep.call_count == 0
+
+
 # ------------------------------------------- one construction path
 
 
@@ -352,6 +374,7 @@ def _mesh_samples(packet, grid, center, radius):
     return env * phase * np.exp(-0.5j * float(np.dot(xi, center)))
 
 
+@pytest.mark.deep
 @given(packet_cases())
 def test_sampler_matches_the_mesh_formula(case):
     # the open-grid sampler reproduces the mesh formula: turning bumps to the

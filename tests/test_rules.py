@@ -3,11 +3,15 @@
 Every length, time, step, level and frequency must be finite and > 0
 (``potentials._require_window``); every number of steps, samples, modes and
 terms must be an integer >= 1 (``potentials._require_count``); every flow
-start state, every ray and every field that the stencil or the time stepper
-reads must have finite entries (``potentials._require_finite``).  Each entry point below must reject a bad
-value with a ValueError naming the parameter before the value reaches numpy:
-a RuntimeWarning on the way fails the test, since the suite runs with
-RuntimeWarning as an error (pyproject).
+start state, every ray and every field that the stencil, the time stepper or
+a field functional reads must have finite entries, in the real and the
+imaginary part.  Points, rays, wave states and both fields of ``inner`` are
+checked by ``potentials._require_finite``; ``apply_P`` reads the rule off
+max |f| and the other field functionals off the sum of w |f|^2, which a NaN
+or inf node reaches without a floating-point warning.  Each entry point
+below must reject a bad value with a ValueError naming the parameter before a
+result is formed: a RuntimeWarning on the way fails the test, since the
+suite runs with RuntimeWarning as an error (pyproject).
 """
 
 import dataclasses
@@ -38,7 +42,18 @@ from stabscope.evolution import (
     resolvent_grid,
     resolvent_scan,
 )
-from stabscope.fields import Field, Grid, apply_P, check_resolution, make_grid, residual_ratio
+from stabscope.fields import (
+    Field,
+    Grid,
+    apply_P,
+    check_resolution,
+    damping_pairing,
+    inner,
+    l2_norm,
+    make_grid,
+    mass_in_ball,
+    residual_ratio,
+)
 from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius, unit_directions
 from stabscope.quasimodes import WavePacketSpec, packet_grid, packet_spec, tpc_violation_sequence, turning_point_bump
 
@@ -167,7 +182,15 @@ POINTS = {
     "apply_P edge node": ("field values", lambda v: apply_P(H1, _poked(0, v))),
     "residual_ratio interior node": ("field values", lambda v: residual_ratio(H1, _poked(32, v), 1.0)),
     "residual_ratio edge node": ("field values", lambda v: residual_ratio(H1, _poked(0, v), 1.0)),
+    "l2_norm interior node": ("field values", lambda v: l2_norm(_poked(32, v))),
+    "l2_norm edge node": ("field values", lambda v: l2_norm(_poked(0, v))),
+    "inner first slot": ("field values", lambda v: inner(_poked(32, v), PACKET)),
+    "inner second slot": ("field values", lambda v: inner(PACKET, _poked(0, v))),
+    "damping_pairing interior node": ("field values", lambda v: damping_pairing(B1, _poked(32, v))),
+    "mass_in_ball edge node": ("field values", lambda v: mass_in_ball(_poked(0, v), [0.0], 1.0)),
 }
+# the entries that read a complex field, where the bad value may sit in the imaginary part
+FIELD_POINTS = sorted(case for case, (name, _) in POINTS.items() if name in ("field values", "state.u", "state.v"))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan], ids=repr)
@@ -200,6 +223,14 @@ def test_counts_read_as_int():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("case", sorted(POINTS))
 def test_point_rule(case, bad):
+    name, call = POINTS[case]
+    with pytest.raises(ValueError, match=re.escape(f"need finite {name}")):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [complex(0.0, math.nan), complex(0.0, math.inf), complex(0.0, -math.inf)], ids=repr)
+@pytest.mark.parametrize("case", FIELD_POINTS)
+def test_point_rule_reads_the_imaginary_part(case, bad):
     name, call = POINTS[case]
     with pytest.raises(ValueError, match=re.escape(f"need finite {name}")):
         call(bad)
