@@ -306,7 +306,7 @@ def _cmd_flow(cfg: _Section, opts) -> dict:
 
 _CONDITION_DEFAULTS = {
     "ugcc": {"T_time": 2.0, "r_space": 0.25},
-    "tpc": {"R_space": 1.0, "shells_space": [4.0, 9.0, 36.0]},
+    "tpc": {"R_space": 1.0},
     "dsc": {
         "T_time": 2.0,
         "R_space": 1.0,
@@ -347,7 +347,7 @@ def _run_conditions(pot, dampings, params: dict, checks, seed: int, threads: int
         if "ugcc" in checks:
             reps["ugcc"] = ugcc_scan(b, params["ugcc"]["T_time"], params["ugcc"]["r_space"])
         if "tpc" in checks:
-            reps["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"], params["tpc"]["shells_space"])
+            reps["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"])
     if "dsc" in checks:
         p = params["dsc"]
         dsc = _dsc_scans(

@@ -21,10 +21,10 @@ Every scan returns a `ConditionReport` with the per-sample averages and the
 infimum; it passes when the infimum exceeds the threshold c = 1e-3 * b_max.
 All four build it through one constructor from labelled sample groups, the
 last and outermost of which gives the infimum (the liminf proxy).  One
-turning-point kernel gives the TPC ball means, at radius R / V^(1/4), to
-`tpc_scan` and to the TPC witness search; the CLI runs `conditions` and
-`suite` through one runner, whose one `_dsc_scans` call shares each
-frequency's shell flow among all its dampings.
+turning-point lattice (`turning_lattice`) and one kernel over it give the
+TPC ball means, at radius R / V^(1/4), to `tpc_scan` and to the TPC witness
+search; the CLI runs `conditions` and `suite` through one runner, whose one
+`_dsc_scans` call shares each frequency's shell flow among all its dampings.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "mollify_at",
     "ugcc_scan",
     "tpc_scan",
+    "turning_lattice",
     "flow_average",
     "dsc_scan",
     "dsc_limit_scan",
@@ -558,45 +559,46 @@ def ugcc_scan(
     return _report("UGCC", {"T_time": T, "r_space": r, "n_rays": len(rays)}, b, [(labels, vals)])
 
 
+TPC_SHELLS = 4.0 * 1.2 ** np.arange(81)  # shells of the turning-point lattice: 4 * 1.2^k up to 1e7
+TPC_DIRECTIONS = 64  # directions per shell in 2D; both signs in 1D
+
+
+def turning_lattice(d: int, rho_min: float = 0.0):
+    """The shells of the turning-point lattice at or beyond rho_min and their
+    points, shape (shells, directions, d): each shell times unit_directions."""
+    shells = TPC_SHELLS[TPC_SHELLS >= rho_min]
+    return shells, shells[:, None, None] * unit_directions(d, TPC_DIRECTIONS)
+
+
 def _turning_balls(b: Damping, pot: Potential, R: float, pts: np.ndarray):
-    """V at each point and the mean of b over its TPC ball, of radius R / V^(1/4);
-    V must be positive at every point."""
+    """V at each point, the TPC ball radius R / V^(1/4) there and the mean of b
+    over that ball; V must be positive at every point."""
     v = pot.raw_value(pts)
     if np.any(v <= 0.0):
         raise ValueError("shell must lie where V > 0")
-    return v, mollify_at(b, R / v**0.25, pts)
+    radii = R / v**0.25
+    return v, radii, mollify_at(b, radii, pts)
 
 
-def tpc_scan(
-    b: Damping,
-    pot: Potential,
-    R: float,
-    shells,
-) -> ConditionReport:
-    """Ball averages of b at radius R / V(x)^(1/4) on expanding shells.
+def tpc_scan(b: Damping, pot: Potential, R: float) -> ConditionReport:
+    """Ball averages of b at radius R / V(x)^(1/4) over the turning-point lattice.
 
-    The liminf proxy is the infimum over the outermost shell; the per-shell
-    trend table is reported so a decreasing tail is visible.
+    The liminf proxy is the infimum over the outer half of the shells, whose
+    least ball the report names (point, |x| and radius); the per-shell trend
+    table is reported so a decreasing tail is visible.
     """
     _require_window("R", R)
-    shells = sorted(float(s) for s in shells)
-    if not shells:
-        raise ValueError("need at least one shell radius")
-    _require_window("shells", shells)
-
-    groups, infima = [], {}
-    for rho in shells:
-        if b.d == 1:
-            pts = np.array([[rho], [-rho]])
-        else:
-            n = min(max(512, int(2.0 * np.pi * rho / 0.05)), 20000)
-            # half-step offset keeps samples off the coordinate axes
-            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        _, means = _turning_balls(b, pot, R, pts)
-        groups.append(([f"shell={rho:g}"] * means.size, means))
-        infima[rho] = float(means.min())
-    return _report("TPC", {"R_space": R, "shells": shells}, b, groups, shell_infima=infima)
+    shells, pts = turning_lattice(b.d)
+    _, radii, means = _turning_balls(b, pot, R, pts)
+    half, n_dirs = len(shells) // 2, pts.shape[1]
+    labels = [f"shell={rho:g}" for rho in shells]
+    inner, outer = ([lab for lab in part for _ in range(n_dirs)] for part in (labels[:half], labels[half:]))
+    k = half * n_dirs + int(np.argmin(means[half:]))
+    point = pts.reshape(-1, b.d)[k]
+    worst = {"point": point, "norm": float(_norm(point)), "ball_radius": float(radii.flat[k])}
+    infima = {float(rho): float(m) for rho, m in zip(shells, means.min(axis=1))}
+    groups = [(inner, means[:half].reshape(-1)), (outer, means[half:].reshape(-1))]
+    return _report("TPC", {"R_space": R}, b, groups, shell_infima=infima, worst_sample=worst)
 
 
 def _flow_window(pot: Potential, x0: np.ndarray, xi0: np.ndarray, T: float, lam: float):

@@ -142,6 +142,7 @@ def snap_to_grid(grid: Grid, point) -> np.ndarray:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (grid.d,):
         raise ValueError(f"expected a point with {grid.d} coordinates")
+    _require_finite("point", p)
     out = np.empty(grid.d)
     for i in range(grid.d):
         idx = int(round((p[i] - (grid.center[i] - grid.ls[i])) / grid.hs[i]))

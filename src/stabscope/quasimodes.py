@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .damping import Damping, _turning_balls
+from .damping import Damping, _turning_balls, turning_lattice
 from .fields import (
     Field,
     Grid,
@@ -39,7 +38,6 @@ from .potentials import (
     as_points,
     epsilon_lambda,
     sublevel_radius,
-    unit_directions,
 )
 
 # nodes across the envelope half-width; doubling changes residuals by well
@@ -58,55 +56,35 @@ def bump_raw(r2) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+# continuum norms of the envelope by radial quadrature of the closed-form
+# derivatives of exp(-1/(1-rho^2)); tests/test_quasimodes.py recomputes them
+PROFILE_CONSTANTS = {
+    1: {
+        "norm": 0.3648097049764345,
+        "sup": 1.0084146231669087,
+        "grad_axis": 1.7543115832805378,
+        "laplacian": 9.022635232749835,
+        "moment": 0.339009212036298,
+    },
+    2: {
+        "norm": 0.34339097424534115,
+        "sup": 1.0713136592477968,
+        "grad_axis": 1.8988540208616511,
+        "laplacian": 15.886952554782662,
+        "moment": 0.4440458351670496,
+    },
+}
+
+
 def profile_constants(d: int) -> dict:
-    """Continuum norms of the L2-normalized envelope, by radial quadrature.
+    """Continuum norms of the L2-normalized envelope in dimension d.
 
     Keys: "norm" (raw L2 norm of the unnormalized bump), "sup", "grad_axis"
     (single-axis derivative), "laplacian", "moment" (|y| weight); all but
     "norm" refer to the normalized profile.
     """
-    # imported here, by its only user: scipy.integrate loads scipy.optimize
-    # and scipy.special, which every CLI start would otherwise pay for
-    from scipy.integrate import quad
-
     _require_dimension(d)
-    sphere = 2.0 if d == 1 else 2.0 * np.pi
-
-    def k(rho):
-        s = 1.0 - rho * rho
-        return math.exp(-1.0 / s) if s > 0.0 else 0.0
-
-    def kp(rho):
-        s = 1.0 - rho * rho
-        if s <= 0.0:
-            return 0.0
-        return k(rho) * (-2.0 * rho / s**2)
-
-    def kpp(rho):
-        s = 1.0 - rho * rho
-        if s <= 0.0:
-            return 0.0
-        return k(rho) * (4.0 * rho**2 / s**4 - 2.0 / s**2 - 8.0 * rho**2 / s**3)
-
-    def radial(f):
-        val, _ = quad(lambda rho: f(rho) * rho ** (d - 1), 0.0, 1.0, limit=200)
-        return sphere * val
-
-    def lap(rho):
-        if rho == 0.0:
-            return d * kpp(0.0)
-        return kpp(rho) + (d - 1) * kp(rho) / rho
-
-    n2 = radial(lambda rho: k(rho) ** 2)
-    norm = math.sqrt(n2)
-    return {
-        "norm": norm,
-        "sup": k(0.0) / norm,
-        "grad_axis": math.sqrt(radial(lambda rho: kp(rho) ** 2) / d) / norm,
-        "laplacian": math.sqrt(radial(lambda rho: lap(rho) ** 2)) / norm,
-        "moment": math.sqrt(radial(lambda rho: rho**2 * k(rho) ** 2)) / norm,
-    }
+    return PROFILE_CONSTANTS[d]
 
 
 @dataclass(frozen=True)
@@ -353,22 +331,20 @@ def turning_point_bump(pot: Potential, x0, R: float, grid: Grid | None = None, b
 def tpc_violation_sequence(pot: Potential, b: Damping, n_max: int) -> list:
     """Turning-point witnesses on balls where the damping average collapses.
 
-    For each n the search sweeps outward over shells, growing by 1.2x up to
-    radius 1e7 (512-direction angular lattice, deterministic first-hit
-    order), for a point whose TPC ball average of b at radius (n+1)/sqrt(lam)
-    drops below 2^-n * b_max, far enough out that the admissibility caps
-    leave R_n = n+1 intact; it then builds the bump there.
-    Raises when the damping never violates the thin-point condition within
-    the sweep range.
+    For each n the search walks the turning-point lattice (`turning_lattice`)
+    outward from the radius where the admissibility caps leave R_n = n+1
+    intact, to the first shell holding a point whose TPC ball average of b at
+    radius (n+1)/sqrt(lam) drops below 2^-n * b_max; it builds the bump at
+    that shell's deepest such ball.  Raises when the damping never violates
+    the thin-point condition on the lattice.
     """
     if pot.d != b.d:
         raise ValueError("potential and damping dimensions differ")
     n_max = _require_count("n_max", n_max)
 
-    rho_max = 1e7
-    lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), rho_max))
+    # the eps_hat profile reaches the frequencies of |x| <= 1e7, where the lattice ends
+    lam_cap = math.sqrt(_ball_sup(pot, np.zeros(pot.d), 1e7))
     profile = epsilon_lambda(pot, np.geomspace(1.0, max(lam_cap, 2.0), 160))
-    dirs = unit_directions(pot.d, 512)
 
     reports = []
     for n in range(1, n_max + 1):
@@ -379,18 +355,15 @@ def tpc_violation_sequence(pot: Potential, b: Damping, n_max: int) -> list:
         if not np.any(feas):
             raise ValueError("TPC not violated in range")
         lam_floor = max(float(profile.lambdas[np.argmax(feas)]), R_n)
-        rho = sublevel_radius(pot, lam_floor**2)
         found = None
-        while rho <= rho_max:
-            pts = rho * dirs
-            v, avgs = _turning_balls(b, pot, R_n, pts)
+        for pts in turning_lattice(pot.d, sublevel_radius(pot, lam_floor**2))[1]:
+            v, _, avgs = _turning_balls(b, pot, R_n, pts)
             lam_pts = np.sqrt(v)
             ok = (lam_pts >= lam_floor) & (avgs <= thr)
             if np.any(ok):
-                k = int(np.argmax(ok))
+                k = int(np.argmin(np.where(ok, avgs, np.inf)))
                 found = (pts[k], float(avgs[k]), float(lam_pts[k]))
                 break
-            rho *= 1.2
         if found is None:
             raise ValueError("TPC not violated in range")
         x_n, avg, lam_x = found

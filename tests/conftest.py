@@ -130,7 +130,7 @@ def canonical_conditions(harmonic_2d):
         b = builtin_damping(name, d=2, **params)
         reports[name] = {
             "UGCC": ugcc_scan(b, 2.0, 0.25),
-            "TPC": tpc_scan(b, harmonic_2d, 1.0, [4.0, 9.0, 36.0]),
+            "TPC": tpc_scan(b, harmonic_2d, 1.0),
             "DSC": dsc_scan(
                 b, harmonic_2d, 2.0, 1.0, [25.0, 100.0, 400.0],
                 n_shell_samples=256, seed=0,

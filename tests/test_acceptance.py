@@ -270,7 +270,7 @@ def test_criterion_10_spectral_cross_check():
 def test_criterion_11_suite_reproducibility(tmp_path):
     cfg = {
         "ugcc": {"T_time": 1.0, "r_space": 0.25},
-        "tpc": {"R_space": 1.0, "shells_space": [4.0, 36.0]},
+        "tpc": {"R_space": 1.0},
         "dsc": {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [25.0], "n_shell_samples": 32},
     }
     cfg_path = tmp_path / "suite.json"

@@ -14,13 +14,13 @@ from hypothesis.extra import numpy as hnp
 
 from stabscope import cli
 from stabscope.cli import main
-from stabscope.damping import dsc_scan
+from stabscope.damping import builtin_damping, dsc_scan, mollify_at
 
 COND_CFG = {
     "potential": {"name": "harmonic", "d": 1},
     "damping": {"name": "constant", "amplitude": 1.0},
     "ugcc": {"T_time": 1.0, "r_space": 0.25},
-    "tpc": {"R_space": 1.0, "shells_space": [4.0, 9.0]},
+    "tpc": {"R_space": 1.0},
     "dsc": {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [25.0], "n_shell_samples": 32},
 }
 
@@ -130,7 +130,7 @@ def test_failed_suite_leaves_no_artifacts(tmp_path, capsys, monkeypatch, command
     monkeypatch.setattr(cli, "_dsc_scans", failing_dsc)
     cfg = {
         "ugcc": {"T_time": 1.0, "r_space": 0.25},
-        "tpc": {"R_space": 1.0, "shells_space": [4.0]},
+        "tpc": {"R_space": 1.0},
         "dsc": {"lambdas_freq": [25.0], "n_shell_samples": 8},
     }
     if command == "conditions":
@@ -151,6 +151,20 @@ def test_conditions_constant_damping_all_pass(tmp_path):
     for check in ("ugcc", "tpc", "dsc"):
         assert (out / f"conditions_{check}.csv").exists()
         assert (out / f"conditions_{check}.json").exists()
+
+
+def test_conditions_tpc_names_its_worst_ball(tmp_path):
+    # the ball the TPC report names, read back from its JSON, averages to
+    # the reported infimum bit for bit
+    damping = {"name": "strip_lattice", "period_space": 1e-4, "duty": 0.3}
+    cfg = {"potential": {"name": "harmonic", "d": 2}, "damping": damping, "checks": ["tpc"]}
+    rc, out = run_cli(tmp_path, "conditions", cfg)
+    assert rc == 0
+    doc = json.loads((out / "conditions_tpc.json").read_text())
+    worst = doc["groups"]["worst_sample"]
+    assert set(worst) == {"point", "norm", "ball_radius"}
+    b = builtin_damping("strip_lattice", d=2, period=1e-4, duty=0.3)
+    assert mollify_at(b, worst["ball_radius"], [worst["point"]])[0] == doc["infimum"] > 0.0
 
 
 def test_conditions_reruns_are_byte_identical(tmp_path):
@@ -186,7 +200,7 @@ def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
     # every pair must still read the bits of its own dsc_scan, and every
     # table must be the one `conditions` writes for that pair alone
     dsc = {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [100.0, 25.0], "n_shell_samples": 16}
-    cfg = {"ugcc": {"T_time": 1.0, "r_space": 0.25}, "tpc": {"R_space": 1.0, "shells_space": [4.0]}, "dsc": dsc}
+    cfg = {"ugcc": {"T_time": 1.0, "r_space": 0.25}, "tpc": {"R_space": 1.0}, "dsc": dsc}
     extra = ("--threads", str(threads), "--seed", "5")
     rc, out = run_cli(tmp_path, "suite", cfg, extra=extra)
     assert rc == 0
@@ -269,6 +283,17 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "conditions", cfg)
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["conditions", "suite"])
+def test_tpc_shells_are_not_configurable(tmp_path, capsys, command):
+    # TPC reads the library's one turning-point lattice; a shell list is an unknown key
+    cfg = dict(COND_CFG, tpc={"R_space": 1.0, "shells_space": [4.0, 9.0]})
+    if command == "suite":
+        del cfg["potential"], cfg["damping"]
+    rc, _ = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    assert "unknown config keys in config.tpc: ['shells_space']" in capsys.readouterr().err
 
 
 def test_invalid_json_is_rejected(tmp_path, capsys):
@@ -714,7 +739,7 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
         ({"ugcc": {"r_space": 0.0}}, "need r > 0 in ugcc.r_space"),
         ({"tpc": {"R_space": -1.0}}, "need R > 0 in tpc.R_space"),
         ({"dsc": {"R_space": float("nan")}}, "need R > 0 in dsc.R_space"),
-        ({"tpc": {"shells_space": []}}, "tpc.shells_space must be a non-empty list"),
+        ({"ugcc": {"T_time": -1.0}}, "need T > 0 in ugcc.T_time"),
         ({"dsc": {"lambdas_freq": []}}, "dsc.lambdas_freq must be a non-empty list"),
         ({"dsc": {"lambdas_freq": 25.0}}, "dsc.lambdas_freq must be a non-empty list"),
         ({"dsc": {"lambdas_freq": [float("nan")]}}, "dsc.lambdas_freq entries > 0"),
@@ -722,8 +747,8 @@ def test_nonpositive_time_window_is_rejected(tmp_path, capsys, command, check, T
         ({"dsc": {"lambdas_freq": [25.0, 0.0]}}, "dsc.lambdas_freq entries > 0"),
         ({"dsc": {"lambdas_freq": [float("inf")]}}, "dsc.lambdas_freq entries finite"),
         ({"dsc": {"n_shell_samples": 0}}, "need dsc.n_shell_samples >= 1"),
-        ({"tpc": {"shells_space": [-4.0]}}, "tpc.shells_space entries > 0"),
-        ({"tpc": {"shells_space": [4.0, float("nan")]}}, "tpc.shells_space entries > 0"),
+        ({"ugcc": {"T_time": float("nan")}}, "need T > 0 in ugcc.T_time"),
+        ({"dsc": {"R_space": float("inf")}}, "need R finite in dsc.R_space"),
         # json.dumps writes inf as the bare literal Infinity, which the config parser accepts
         ({"ugcc": {"r_space": float("inf")}}, "need r finite in ugcc.r_space"),
         ({"tpc": {"R_space": float("inf")}}, "need R finite in tpc.R_space"),
@@ -788,7 +813,7 @@ EVOLVE_CFG = {
 @pytest.mark.parametrize(
     "command, cfg, key",
     [
-        ("conditions", {**COND_CFG, "tpc": {"shells_space": [{}]}}, "tpc.shells_space[0]"),
+        ("conditions", {**COND_CFG, "tpc": {"R_space": [1.0]}}, "tpc.R_space"),
         ("conditions", {**COND_CFG, "ugcc": {"T_time": "two"}}, "ugcc.T_time"),
         ("conditions", {**COND_CFG, "dsc": {"n_shell_samples": [32]}}, "dsc.n_shell_samples"),
         ("conditions", {**COND_CFG, "potential": {"name": "harmonic", "d": None}}, "config.potential.d"),
@@ -961,7 +986,7 @@ def test_suite_command_builds_consistency_matrix(tmp_path):
     # is ladder-dependent at this size, so only the stable cells are pinned
     cfg = {
         "ugcc": {"T_time": 1.0, "r_space": 0.25},
-        "tpc": {"R_space": 1.0, "shells_space": [4.0, 36.0]},
+        "tpc": {"R_space": 1.0},
         "dsc": {"T_time": 2.0, "R_space": 1.0, "lambdas_freq": [25.0], "n_shell_samples": 32},
     }
     rc, out = run_cli(tmp_path, "suite", cfg)
@@ -1038,6 +1063,19 @@ def test_cold_start_skips_unused_scipy_subpackages(tmp_path):
     assert report["flow"] == report["evolve"] == report["conditions"] == [0, False]
     assert report["resolvent"] == [0, True]
     assert (tmp_path / "resolvent" / "resolvent.csv").is_file()
+
+
+def test_witness_command_loads_no_quadrature(tmp_path):
+    # the envelope norms are a table: a packet command loads neither
+    # scipy.integrate nor the scipy.linalg that importing it brings
+    probe = (
+        "import sys\nfrom stabscope.cli import main\n"
+        "rc = main(['tpc-witness', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    cfg = tmp_path / "witness.json"
+    cfg.write_text(json.dumps({**H2, "damping": {"name": "checkerboard"}, "n_max": 1}))
+    assert run_fresh(probe, cfg, tmp_path / "out").split() == ["0", "[]"]
 
 
 def test_first_use_binding_under_threads_keeps_the_bytes(tmp_path):

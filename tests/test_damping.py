@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stabscope.cli import _report_table, _write_csv
+from stabscope.cli import _condition_params, _report_table, _run_conditions, _Section, _write_csv
 from stabscope.potentials import builtin_potential, unit_directions
 from stabscope.damping import (
     BLOCK_BYTES,
@@ -25,6 +25,7 @@ from stabscope.damping import (
     flow_average,
     mollify_at,
     tpc_scan,
+    turning_lattice,
     ugcc_scan,
     unit_ball_nodes,
 )
@@ -797,7 +798,7 @@ def test_direct_scans_reject_bad_windows(harmonic_1d, bad):
     calls = [
         ("T", "", lambda: ugcc_scan(b, bad, 0.25)),
         ("r", "", lambda: ugcc_scan(b, 1.0, bad)),
-        ("R", "", lambda: tpc_scan(b, harmonic_1d, bad, [4.0])),
+        ("R", "", lambda: tpc_scan(b, harmonic_1d, bad)),
         ("T", "", lambda: dsc_scan(b, harmonic_1d, bad, 1.0, [25.0], n_shell_samples=8)),
         ("R", "", lambda: dsc_scan(b, harmonic_1d, 1.0, bad, [25.0], n_shell_samples=8)),
         ("T", " on every rung", lambda: dsc_limit_scan(b, harmonic_1d, [(bad, 1.0)], [25.0], n_shell_samples=8)),
@@ -882,48 +883,89 @@ def test_tpc_constant_flat(canonical_conditions):
 
 def test_tpc_exterior_saturates(harmonic_2d):
     b = builtin_damping("exterior", d=2, radius=1.0)
-    rep = tpc_scan(b, harmonic_2d, 1.0, [5.0, 10.0, 20.0])
-    # sampling balls at |x| = 5 have radius < 1 already, so they sit entirely
-    # inside the damped region
+    rep = tpc_scan(b, harmonic_2d, 1.0)
+    # the innermost lattice balls, at |x| = 4, have radius 8^(-1/4) < 0.6
+    # already, so every ball sits entirely inside the damped region
     assert all(v == 1.0 for v in rep.groups["shell_infima"].values())
+    assert rep.infimum == 1.0
     assert rep.passed
 
 
 def test_tpc_checkerboard_fails(harmonic_2d):
     b = builtin_damping("checkerboard", d=2, period=1.0, duty=0.5)
-    rep = tpc_scan(b, harmonic_2d, 1.0, [10.0, 20.0, 40.0])
-    inf = rep.groups["shell_infima"]
-    assert inf[10.0] == pytest.approx(0.4140625, abs=1e-12)
-    assert inf[20.0] == pytest.approx(0.044921875, abs=1e-12)
-    assert inf[40.0] == 0.0
+    rep = tpc_scan(b, harmonic_2d, 1.0)
+    inf = list(rep.groups["shell_infima"].values())
+    # the lattice shells 4 * 1.2^k: every ball is partly damped inside
+    # |x| ~ 30, and from k = 12 (|x| ~ 35.7) out each shell holds an undamped ball
+    assert inf[:3] == [0.41796875, 0.396484375, 0.4228515625]
+    assert inf[9:12] == [0.0859375, 0.0908203125, 0.111328125]
+    assert all(v == 0.0 for v in inf[12:])
+    assert rep.infimum == 0.0
     assert not rep.passed
-    # the sampling ball fits inside one undamped cell at the outer shell
-    ball_radius = 1.0 / float(harmonic_2d.value(np.array([40.0, 0.0]))) ** 0.25
-    assert ball_radius < 0.25
+    # the sampling ball fits inside one undamped cell over the outer half
+    assert rep.groups["worst_sample"]["ball_radius"] < 0.25
 
-    # dense-disc overlap oracle at each shell's worst sample point
-    labels = rep.groups["sample_labels"]
-    for rho in (10.0, 20.0, 40.0):
-        idx = [i for i, lab in enumerate(labels) if lab == f"shell={rho:g}"]
-        n = len(idx)
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        k = int(np.argmin(rep.sample_values[idx]))
-        x = pts[k]
+    # dense-disc overlap oracle at the worst sample of a few shells
+    shells, pts = turning_lattice(2)
+    means = rep.sample_values.reshape(len(shells), -1)
+    for k in (0, 5, 10, 12, 40):
+        j = int(np.argmin(means[k]))
+        x = pts[k, j]
         r = 1.0 / float(harmonic_2d.value(x)) ** 0.25
         rr = np.sqrt((np.arange(400) + 0.5) / 400)[:, None] * r
         aa = 2.0 * np.pi * (np.arange(1200) + 0.5) / 1200
         disc = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=-1)
         frac = float(b.raw_func(x[None, :] + disc).mean())
-        assert abs(float(rep.sample_values[idx][k]) - frac) <= 0.02
+        assert abs(float(means[k, j]) - frac) <= 0.02
 
 
 def test_tpc_rejects_bad_input(harmonic_2d):
     b = builtin_damping("constant", d=2)
-    with pytest.raises(ValueError, match="need at least one shell radius"):
-        tpc_scan(b, harmonic_2d, 1.0, [])
-    with pytest.raises(ValueError, match="need shells > 0"):
-        tpc_scan(b, harmonic_2d, 1.0, [0.0])
+    with pytest.raises(ValueError, match="need R > 0"):
+        tpc_scan(b, harmonic_2d, 0.0)
+    # the shells are the library's lattice, not an argument
+    with pytest.raises(TypeError):
+        tpc_scan(b, harmonic_2d, 1.0, [4.0, 9.0])
+
+
+def test_turning_lattice_shells():
+    shells, pts = turning_lattice(2)
+    assert len(shells) == 81 and shells[0] == 4.0 and shells[-1] <= 1e7 < 1.2 * shells[-1]
+    assert pts.shape == (81, 64, 2)
+    assert np.all(pts == shells[:, None, None] * unit_directions(2, 64))
+    outer, pts1 = turning_lattice(1, shells[40])
+    assert np.all(outer == shells[40:])
+    assert np.all(pts1[:, :, 0] == outer[:, None] * [1.0, -1.0])
+
+
+def _ripple(d: int) -> Damping:
+    """A smooth damping without a node count: every ball takes the quadrature."""
+    return Damping(d, lambda pts: 0.5 + 0.5 * np.cos(3.0 * pts[..., 0]), 1.0, "ripple")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "make",
+    [_ripple, lambda d: builtin_damping("strip_lattice", d=d, period=1e-4, duty=0.3)],
+    ids=["quadrature", "counted"],
+)
+def test_tpc_names_its_worst_ball(make, d):
+    # the outer half of the lattice decides; the named ball's mean is the
+    # infimum bit for bit, and the ball sits on an outer shell
+    b = make(d)
+    pot = builtin_potential("harmonic", d=d)
+    rep = tpc_scan(b, pot, 1.0)
+    shells, _ = turning_lattice(d)
+    half = len(shells) // 2
+    n_inner = half * (2 if d == 1 else 64)
+    assert 0.0 < rep.infimum == rep.sample_values[n_inner:].min() < 1.0
+    assert rep.groups["sample_labels"][n_inner - 1 : n_inner + 1] == [f"shell={shells[half - 1]:g}", f"shell={shells[half]:g}"]
+    worst = rep.groups["worst_sample"]
+    point, radius = np.asarray(worst["point"]), worst["ball_radius"]
+    assert mollify_at(b, radius, point[None, :])[0] == rep.infimum
+    assert radius == pytest.approx(1.0 / float(pot.raw_value(point)) ** 0.25, rel=1e-15)
+    assert worst["norm"] == pytest.approx(float(np.linalg.norm(point)), rel=1e-15)
+    assert np.isclose(shells[half:], worst["norm"], rtol=1e-15, atol=0.0).any()
 
 
 # ---------------------------------------------------------- flow_average
@@ -987,6 +1029,21 @@ def test_dsc_checkerboard_fails(canonical_conditions):
     # failure mode: rays are controlled but the shrinking balls are not
     assert reps["UGCC"].passed
     assert not reps["TPC"].passed
+
+
+def test_dsc_holds_exactly_when_ugcc_and_tpc_hold():
+    # the theorem, DSC <=> UGCC and TPC, on every builtin at its default
+    # parameters (period 1, duty 0.5, radius 1) over the harmonic well, with
+    # the windows of a `conditions` run that sets none
+    names = ("constant", "exterior", "ball", "checkerboard", "radial_shells", "strip_lattice")
+    params = _condition_params(_Section("config", {}))
+    verdicts = {}
+    for d in (1, 2):
+        pot = builtin_potential("harmonic", d=d)
+        dampings = [builtin_damping(name, d=d) for name in names]
+        for name, reps in zip(names, _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), 0, 1)):
+            verdicts[f"{name} d={d}"] = "".join("P" if reps[c].passed else "F" for c in ("ugcc", "tpc", "dsc"))
+    assert {case: v for case, v in verdicts.items() if (v[2] == "P") != (v[:2] == "PP")} == {}
 
 
 # -------------------------------------------------------- dsc_limit_scan
@@ -1072,8 +1129,8 @@ def test_pointwise_monotone_averages(harmonic_2d):
     u1 = ugcc_scan(small, 1.5, 0.3, rays)
     u2 = ugcc_scan(large, 1.5, 0.3, rays)
     assert np.all(u1.sample_values <= u2.sample_values + 1e-15)
-    t1 = tpc_scan(small, harmonic_2d, 1.0, [4.0])
-    t2 = tpc_scan(large, harmonic_2d, 1.0, [4.0])
+    t1 = tpc_scan(small, harmonic_2d, 1.0)
+    t2 = tpc_scan(large, harmonic_2d, 1.0)
     assert np.all(t1.sample_values <= t2.sample_values + 1e-15)
 
 
@@ -1134,7 +1191,7 @@ def test_scans_share_one_window_mean_and_verdict(case):
     pot = builtin_potential("harmonic", d=b.d)
     reports = [
         rep,
-        tpc_scan(b, pot, r, [T + 1.0, 2.0 * T + 1.0]),
+        tpc_scan(b, pot, r),
         dsc_scan(b, pot, T, r, [25.0], n_shell_samples=4),
         dsc_limit_scan(b, pot, [(T, r), (2.0 * T, r)], [25.0], n_shell_samples=4),
     ]
@@ -1144,17 +1201,16 @@ def test_scans_share_one_window_mean_and_verdict(case):
 
 @st.composite
 def report_cases(draw):
-    """A small 1D config of all four scans over one builtin: rays, shells,
-    distinct frequencies and a (T, R) ladder growing in both slots."""
+    """A small 1D config of all four scans over one builtin: rays, distinct
+    frequencies and a (T, R) ladder growing in both slots."""
     name, params = draw(st.sampled_from(BUILTIN_PARAMS))
     b = builtin_damping(name, d=1, amplitude=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), **params)
     bases = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
     rays = [([x], [draw(st.sampled_from([1.0, -1.0]))]) for x in bases]
     T, R = draw(st.floats(0.25, 1.0)), draw(st.floats(0.25, 2.0))
-    shells = draw(st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3, unique=True))
     lams = draw(st.lists(st.sampled_from([25.0, 100.0, 400.0]), min_size=1, max_size=2, unique=True))
     ladder = [(T * k, R * k) for k in range(1, draw(st.integers(1, 3)) + 1)]
-    return b, rays, T, R, shells, lams, ladder, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+    return b, rays, T, R, lams, ladder, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
 
 
 @pytest.mark.deep
@@ -1163,14 +1219,17 @@ def test_reports_read_the_outermost_group(case):
     # every scan builds its report through one constructor: one label per
     # sample, the infimum the least average of the outermost group, and the
     # verdict the infimum against the threshold of b
-    b, rays, T, R, shells, lams, ladder, n, seed = case
+    b, rays, T, R, lams, ladder, n, seed = case
     pot = builtin_potential("harmonic", d=1)
-    last_shell, last_lam, (last_T, last_R) = max(shells), max(lams), ladder[-1]
+    shells, _ = turning_lattice(1)
+    outer_shells = [f"shell={rho:g}" for rho in shells[len(shells) // 2 :] for _ in range(2)]
+    last_lam, (last_T, last_R) = max(lams), ladder[-1]
     outermost = [
         # report, sample count, labels of the outermost group: all rays, the
-        # last shell (two points in 1D), the largest frequency, the last rung
+        # outer half of the lattice (two points a shell in 1D), the largest
+        # frequency, the last rung
         (ugcc_scan(b, T, R, rays), len(rays), [f"ray{k}" for k in range(len(rays))]),
-        (tpc_scan(b, pot, R, shells), 2 * len(shells), [f"shell={last_shell:g}"] * 2),
+        (tpc_scan(b, pot, R), 2 * len(shells), outer_shells),
         (dsc_scan(b, pot, T, R, lams, n_shell_samples=n, seed=seed), n * len(lams), [f"lam={last_lam:g}"] * n),
         (dsc_limit_scan(b, pot, ladder, lams, n_shell_samples=n, seed=seed), len(ladder), [f"T={last_T:g},R={last_R:g}"]),
     ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from stabscope import fields
 from stabscope.damping import builtin_damping
@@ -47,11 +48,51 @@ CONSTS_2D = {
 # ------------------------------------------------------- profile constants
 
 
+def _radial_constants(d: int) -> dict:
+    """The envelope norms by scipy's quad on the closed-form derivatives of
+    k(rho) = exp(-1/(1 - rho^2)), the reference for the library's table."""
+    sphere = 2.0 if d == 1 else 2.0 * np.pi
+
+    def k(rho):
+        s = 1.0 - rho * rho
+        return math.exp(-1.0 / s) if s > 0.0 else 0.0
+
+    def kp(rho):
+        s = 1.0 - rho * rho
+        if s <= 0.0:
+            return 0.0
+        return k(rho) * (-2.0 * rho / s**2)
+
+    def kpp(rho):
+        s = 1.0 - rho * rho
+        if s <= 0.0:
+            return 0.0
+        return k(rho) * (4.0 * rho**2 / s**4 - 2.0 / s**2 - 8.0 * rho**2 / s**3)
+
+    def radial(f):
+        val, _ = quad(lambda rho: f(rho) * rho ** (d - 1), 0.0, 1.0, limit=200)
+        return sphere * val
+
+    def lap(rho):
+        if rho == 0.0:
+            return d * kpp(0.0)
+        return kpp(rho) + (d - 1) * kp(rho) / rho
+
+    norm = math.sqrt(radial(lambda rho: k(rho) ** 2))
+    return {
+        "norm": norm,
+        "sup": k(0.0) / norm,
+        "grad_axis": math.sqrt(radial(lambda rho: kp(rho) ** 2) / d) / norm,
+        "laplacian": math.sqrt(radial(lambda rho: lap(rho) ** 2)) / norm,
+        "moment": math.sqrt(radial(lambda rho: rho**2 * k(rho) ** 2)) / norm,
+    }
+
+
 def test_profile_constants_frozen():
+    # the library's table, the frozen values and the quadrature agree bit for bit
     for d, table in ((1, CONSTS_1D), (2, CONSTS_2D)):
-        got = profile_constants(d)
-        for key, val in table.items():
-            assert got[key] == pytest.approx(val, rel=1e-12), (d, key)
+        assert _radial_constants(d) == table, d
+        assert profile_constants(d) == table, d
     # the 2D axis derivative is the radial norm split evenly over two axes
     assert profile_constants(2)["grad_axis"] * math.sqrt(2.0) == pytest.approx(
         2.685385109268928, rel=1e-12
@@ -270,11 +311,12 @@ def test_packets_reject_a_damping_of_the_other_dimension(harmonic_1d, harmonic_2
 
 def test_a_packet_is_not_swept_for_finiteness(harmonic_1d, harmonic_2d):
     # the constructor samples a finite field, and its measures read the point
-    # rule off the quantities they compute: no separate sweep of the field
+    # rule off the quantities they compute: no separate sweep of the field;
+    # the one check is of the base point the kinetic packet snaps to the grid
     with mock.patch.object(fields, "_require_finite", wraps=fields._require_finite) as sweep:
         turning_point_bump(harmonic_1d, [20.0], 2.0, b=builtin_damping("ball", d=1))
         kinetic_wavepacket(harmonic_2d, packet_spec(harmonic_2d, 2), b=builtin_damping("checkerboard", d=2))
-    assert sweep.call_count == 0
+    assert [call.args[0] for call in sweep.call_args_list] == ["point"]
 
 
 # ------------------------------------------- one construction path
@@ -410,10 +452,12 @@ def test_tpc_violation_witnesses(harmonic_2d):
     b = builtin_damping("checkerboard", d=2, period=1.0, duty=0.5)
     reps = tpc_violation_sequence(harmonic_2d, b, 2)
     assert [rep.details["threshold"] for rep in reps] == [0.5, 0.25]
-    assert reps[0].lam == pytest.approx(938.4648693477833, rel=1e-9)
-    assert reps[1].lam == pytest.approx(4588.538417982174, rel=1e-9)
-    assert reps[0].residual_ratio == pytest.approx(1.9860244435774668, rel=1e-9)
-    assert reps[1].residual_ratio == pytest.approx(0.8828024782929046, rel=1e-9)
+    # the witnesses sit on points of the turning-point lattice, each the
+    # deepest violating ball of the first shell out that holds one
+    assert reps[0].lam == pytest.approx(966.8183108018853, rel=1e-9)
+    assert reps[1].lam == pytest.approx(4988.570124029396, rel=1e-9)
+    assert reps[0].residual_ratio == pytest.approx(1.9860182252741012, rel=1e-9)
+    assert reps[1].residual_ratio == pytest.approx(0.8827849097823898, rel=1e-9)
     assert reps[1].residual_ratio < reps[0].residual_ratio
     for n, rep in enumerate(reps, start=1):
         assert rep.details["ball_average"] <= rep.details["threshold"]

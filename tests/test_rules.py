@@ -53,6 +53,7 @@ from stabscope.fields import (
     make_grid,
     mass_in_ball,
     residual_ratio,
+    snap_to_grid,
 )
 from stabscope.potentials import builtin_potential, epsilon_lambda, sublevel_radius, unit_directions
 from stabscope.quasimodes import WavePacketSpec, packet_grid, packet_spec, tpc_violation_sequence, turning_point_bump
@@ -101,8 +102,7 @@ WINDOWS = {
     "default_ray_family box": ("box", lambda v: default_ray_family(2, box=v)),
     "ugcc_scan T": ("T", lambda v: ugcc_scan(B1, v, 0.25)),
     "ugcc_scan r": ("r", lambda v: ugcc_scan(B1, 1.0, v)),
-    "tpc_scan R": ("R", lambda v: tpc_scan(B1, H1, v, [4.0])),
-    "tpc_scan shells": ("shells", lambda v: tpc_scan(B1, H1, 1.0, [4.0, v])),
+    "tpc_scan R": ("R", lambda v: tpc_scan(B1, H1, v)),
     "flow_average T": ("T", lambda v: flow_average(B1, H1, X0, XI0, v, 1.0, 25.0)),
     "flow_average R": ("R", lambda v: flow_average(B1, H1, X0, XI0, 1.0, v, 25.0)),
     "flow_average lam": ("lam", lambda v: flow_average(B1, H1, X0, XI0, 1.0, 1.0, v)),
@@ -188,6 +188,7 @@ POINTS = {
     "inner second slot": ("field values", lambda v: inner(PACKET, _poked(0, v))),
     "damping_pairing interior node": ("field values", lambda v: damping_pairing(B1, _poked(32, v))),
     "mass_in_ball edge node": ("field values", lambda v: mass_in_ball(_poked(0, v), [0.0], 1.0)),
+    "snap_to_grid point": ("point", lambda v: snap_to_grid(GRID, [v])),
 }
 # the entries that read a complex field, where the bad value may sit in the imaginary part
 FIELD_POINTS = sorted(case for case, (name, _) in POINTS.items() if name in ("field values", "state.u", "state.v"))
