@@ -24,12 +24,13 @@ from .potentials import Potential, _require_count, _require_finite, _require_win
 log = logging.getLogger(__name__)
 
 RESOLVENT_CERT_RTOL = 1e-6
+LANCZOS_RTOL = 1e-13
 
 # scipy.linalg costs about half of a CLI start, and only the resolvent and
 # spectrum layers use it, so its band routines are bound onto this module on
 # first use.  They stay module attributes: the benchmark tracer and the tests
 # read and patch them here, and solve_banded is bound for the tracer alone.
-_BAND_ROUTINES = ("cholesky_banded", "eig_banded", "solve_banded", "zgbtrf", "zgbtrs")
+_BAND_ROUTINES = ("cholesky_banded", "eig_banded", "eigh_tridiagonal", "solve_banded", "zgbtrf", "zgbtrs")
 
 
 def _bind_band_routines() -> None:
@@ -315,26 +316,60 @@ def resolvent_grid(pot: Potential, lam_max: float) -> Grid:
     return make_grid(1, n, L)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a, b> = sum of conj(a) b, summed pairwise by numpy and never through BLAS."""
+    return complex((np.conj(a) * b).sum())
+
+
+def _lanczos_top(matvec, v0: np.ndarray):
+    """Top eigenvalue of a Hermitian positive definite operator, and the matvecs it took.
+
+    The plain three-term Lanczos recurrence from v0, without
+    reorthogonalization; every inner product is _dot, so the bits do not
+    depend on the BLAS thread count.  After step k, eigh_tridiagonal gives the
+    top Ritz pair (theta, s) of the tridiagonal T_k, and the loop stops once
+    the residual estimate beta_k |s_k| <= LANCZOS_RTOL theta, which beta_k = 0
+    (an invariant subspace) meets since theta > 0, or at k = n.
+    """
+    n = v0.size
+    q = v0 / math.sqrt(_dot(v0, v0).real)
+    q_prev = np.zeros_like(q)
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(1, n + 1):
+        w = matvec(q)
+        w -= beta * q_prev
+        alpha = _dot(q, w).real
+        w -= alpha * q
+        beta = math.sqrt(_dot(w, w).real)
+        alphas.append(alpha)
+        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
+        theta = float(theta[0])
+        if beta * abs(s[-1, 0]) <= LANCZOS_RTOL * theta or k == n:
+            return theta, k
+        betas.append(beta)
+        q_prev, q = q, w / beta
+
+
 def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
     """Smallest singular value of the banded A, certified from below.
 
-    Lanczos (ARPACK) finds the top eigenvalue mu of (A*A)^-1.  A is LU-factored
+    _lanczos_top finds the top eigenvalue mu of (A*A)^-1.  A is LU-factored
     once (zgbtrf, partial pivoting); each matvec is two zgbtrs solves, first
     with the conjugated factors, which are the LU of A* = conj(A) (A is
     complex symmetric) under the same pivots, then with the factors of A.
     These are the solves solve_banded's zgbsv would make, bit for bit; an
     exactly singular A raises LinAlgError as it does.  The seeded random
-    complex start sees modes of both parities.  A Ritz value never exceeds the
-    top eigenvalue, so sigma = mu^-1/2 >= sigma_min, and a Cholesky
+    complex start sees modes of both parities.  In exact arithmetic a Ritz
+    value never exceeds the top eigenvalue; without reorthogonalization that
+    holds only up to rounding, so sigma = mu^-1/2 >= sigma_min is not proven
+    by the loop.  The certificate carries the proven side: a Cholesky
     factorization of A*A - ((1 - RESOLVENT_CERT_RTOL) sigma)^2 proves
-    sigma_min > (1 - RESOLVENT_CERT_RTOL) sigma (flag "ok"); a failed
-    factorization flags "failed".  The number of matvecs is appended to
-    matvecs when given.
+    sigma_min > (1 - RESOLVENT_CERT_RTOL) sigma (flag "ok"), and a failed
+    factorization, as after a loop that stopped short of the top, flags
+    "failed".  A proven upper bracket on sigma_min is left to a later check.
+    The number of matvecs is appended to matvecs when given.
     """
-    # imported here and in damped_spectrum_1d, their only users, so that the
-    # commands that make no sparse solve do not load scipy.sparse at start
-    import scipy.sparse.linalg as spla
-
     _bind_band_routines()
     n = ab.shape[1]
     work = np.zeros((7, n), dtype=complex, order="F")  # zgbtrf's layout: two fill-in rows above ab
@@ -343,18 +378,14 @@ def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     luh = np.conj(lu)
-    count = 0
 
     def apply_inverse(v):
-        nonlocal count
-        count += 1
         w = zgbtrs(luh, 2, 2, v, piv)[0]
         return zgbtrs(lu, 2, 2, w, piv, overwrite_b=1)[0]
 
-    op = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=complex)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    mu = float(spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    mu, count = _lanczos_top(apply_inverse, v0)
     sigma = 1.0 / math.sqrt(mu)
     if matvecs is not None:
         matvecs.append(count)
@@ -374,7 +405,7 @@ def _normal_bands(ab: np.ndarray) -> np.ndarray:
     row = np.arange(5)[:, None] + np.arange(n) - 2  # row of A held by each entry of ab
     a = np.where((row >= 0) & (row < n), ab, 0.0)  # ab's two corners hold no entry of A
     out = np.zeros((5, n), dtype=complex)
-    for off in range(5):
+    for off in range(min(5, n)):  # an offset of n or more holds no entry
         out[4 - off, off:] = np.sum(np.conj(a[off:, : n - off]) * a[: 5 - off, off:], axis=0)
     return out
 
@@ -464,7 +495,7 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     The grid must resolve sqrt(count + 1/2), the count-th level of the
     harmonic well, which the spectrum command sizes its default grid for.
     """
-    import scipy.sparse as sp  # deferred, as in _sigma_min
+    import scipy.sparse as sp  # deferred, so that only this command loads scipy.sparse
     import scipy.sparse.linalg as spla
 
     if pot.d != 1 or b.d != 1 or grid.d != 1:

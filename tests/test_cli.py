@@ -271,6 +271,22 @@ def test_packet_artifacts_ignore_the_blas_thread_count(tmp_path):
         assert len(names) == 2
 
 
+def test_resolvent_artifacts_ignore_the_blas_thread_count(tmp_path):
+    # sigma_min's Lanczos sums its inner products pairwise, never through
+    # BLAS, and the band LU and solves give the same bits on any thread count;
+    # b = 1 and exterior damping at the top of the sweep take the most steps
+    grid = {"n_nodes": 2890, "half_width_space": 40.05}
+    dampings = {"constant": {"name": "constant", "amplitude": 1.0}, "exterior": {"name": "exterior", "radius_space": 1.0}}
+    for name, damping in dampings.items():
+        cfg = {"potential": {"name": "harmonic", "d": 1}, "damping": damping, "lambdas_freq": [math.sqrt(200.5)], "grid": grid}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        for threads in ("1", "2"):
+            env = {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+            run_fresh(CLI_MODULE, "resolvent", "--config", path, "--out", tmp_path / f"{name}_{threads}", env=env)
+        assert assert_same_artifacts(tmp_path / f"{name}_1", tmp_path / f"{name}_2") == {"resolvent.csv"}
+
+
 def test_conditions_rejects_unknown_check(tmp_path, capsys):
     cfg = dict(COND_CFG, checks=["ugcc", "bogus"])
     rc, _ = run_cli(tmp_path, "conditions", cfg)
@@ -1026,13 +1042,15 @@ for name, command, cfg, *flags in json.loads(sys.argv[2]):
     path.write_text(json.dumps(cfg))
     rc = main([command, "--config", str(path), "--out", str(out / name), *flags])
     report[name] = [rc, "scipy.linalg" in sys.modules]
+report["sparse"] = sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "sparse"])
 print(json.dumps(report))
 """
 
 
 def test_cold_start_skips_unused_scipy_subpackages(tmp_path):
     # every CLI command pays for what `import stabscope.cli` loads: no scipy
-    # module at all, and scipy.linalg only once a command needs band algebra
+    # module at all, scipy.linalg only once a command needs band algebra, and
+    # no scipy.sparse for any of these, the resolvent scan included
     flow = {
         "potential": {"name": "harmonic", "d": 1},
         "x0_space": [1.0],
@@ -1062,6 +1080,7 @@ def test_cold_start_skips_unused_scipy_subpackages(tmp_path):
     assert report["bound"] == []
     assert report["flow"] == report["evolve"] == report["conditions"] == [0, False]
     assert report["resolvent"] == [0, True]
+    assert report["sparse"] == []
     assert (tmp_path / "resolvent" / "resolvent.csv").is_file()
 
 

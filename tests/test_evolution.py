@@ -5,7 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from conftest import CANONICAL_1D, run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -566,32 +565,82 @@ def test_sigma_min_matches_dense_svd(case, n, k):
         assert gap <= 1e-14 * np.max(np.abs(normal))
 
 
+def dense_of(ab):
+    """The n x n matrix whose bands ab holds, ab[2 + i - j, j] = A[i, j]."""
+    n = ab.shape[1]
+    i, j = np.indices((n, n))
+    band = np.abs(i - j) <= 2
+    dense = np.zeros((n, n), dtype=complex)
+    dense[band] = ab[(2 + i - j)[band], j[band]]
+    return dense
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("case", ["random", "identity"])
+def test_sigma_min_on_a_few_nodes(case, n):
+    # on random bands the recurrence may run to k = n (it does for n < 8),
+    # and on 2 I it meets an invariant subspace at once (beta_1 = 0 up to rounding)
+    if case == "random":
+        rng = np.random.default_rng(n)
+        ab = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        ab[3, :-1], ab[4, :-2] = ab[1, 1:], ab[0, 2:]
+    else:
+        ab = np.zeros((5, n), dtype=complex)
+        ab[2] = 2.0
+    matvecs = []
+    sigma, flag = evolution._sigma_min(ab, matvecs)
+    assert flag == "ok"
+    assert abs(sigma / float(np.min(svdvals(dense_of(ab)))) - 1.0) <= 1e-12
+    assert 1 <= matvecs[0] <= n
+    if case == "identity":
+        assert matvecs == [1]
+
+
+def test_lanczos_stops_on_an_invariant_subspace():
+    # 3 I from a unit start of exact halves: w = 3 q - 3 q = 0 exactly at step 1
+    evolution._bind_band_routines()
+    theta, count = evolution._lanczos_top(lambda v: 3.0 * v, np.full(4, 0.5 + 0j))
+    assert (theta, count) == (3.0, 1)
+
+
+@pytest.mark.deep
+@given(st.sampled_from(CANONICAL_1D), st.integers(16, 600), st.integers(0, 200))
+def test_sigma_min_never_undercuts_the_dense_value(case, n, k):
+    # without reorthogonalization the top Ritz value of (A*A)^-1 exceeds its
+    # top eigenvalue only by rounding, so sigma stays above the dense sigma_min
+    name, params = case
+    ab = damped_bands(builtin_damping(name, d=1, **params), n, math.sqrt(k + 0.5))
+    sigma, _ = evolution._sigma_min(ab)
+    assert sigma >= float(np.min(svdvals(dense_of(ab)))) * (1.0 - 1e-12)
+
+
 def test_sigma_min_certificate_rejects_overestimate(monkeypatch):
     # a Ritz value short of the top eigenvalue of (A*A)^-1 overestimates
     # sigma_min, which the shifted Cholesky factorization must catch
     ab = damped_bands(builtin_damping("ball", d=1, radius=1.0), 201, 3.0)
     sigma, flag = evolution._sigma_min(ab)
     assert flag == "ok"
-    eigsh = scipy.sparse.linalg.eigsh
+    eigh_tridiagonal = evolution.eigh_tridiagonal
 
-    def second_largest(op, k, **kwargs):
-        return np.sort(eigsh(op, k=k + 1, **kwargs))[:k]
+    def second_largest(d, e, *, select_range, **kwargs):
+        below = max(select_range[0] - 1, 0)  # the top pair while T_k is 1 x 1
+        return eigh_tridiagonal(d, e, select_range=(below, below), **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_largest)
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", second_largest)
     worse, flag = evolution._sigma_min(ab)
     assert worse > sigma
     assert flag == "failed"
 
 
 def captured_operator(ab):
-    """The LinearOperator _sigma_min hands to eigsh for the bands ab."""
+    """The matvec _sigma_min hands to its Lanczos loop for the bands ab."""
     seen = []
 
-    def capture(op, k, **kwargs):
-        seen.append(op)
-        return np.ones(k)
+    def capture(matvec, v0):
+        seen.append(matvec)
+        return 1.0, 1
 
-    with mock.patch.object(scipy.sparse.linalg, "eigsh", capture):
+    with mock.patch.object(evolution, "_lanczos_top", capture):
         evolution._sigma_min(ab)
     return seen[0]
 
@@ -606,7 +655,7 @@ def test_factor_once_matvec_keeps_the_solve_banded_bits(n, seed):
     ab[3, :-1], ab[4, :-2] = ab[1, 1:], ab[0, 2:]  # complex symmetric; the corners hold junk
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     expected = solve_banded((2, 2), ab, solve_banded((2, 2), np.conj(ab), v))
-    assert np.array_equal(captured_operator(ab).matvec(v), expected)
+    assert np.array_equal(captured_operator(ab)(v), expected)
 
 
 def test_resolvent_factors_each_band_once(monkeypatch):
