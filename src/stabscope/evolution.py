@@ -30,7 +30,10 @@ LANCZOS_RTOL = 1e-13
 # spectrum layers use it, so its band routines are bound onto this module on
 # first use.  They stay module attributes: the benchmark tracer and the tests
 # read and patch them here, and solve_banded is bound for the tracer alone.
-_BAND_ROUTINES = ("cholesky_banded", "eig_banded", "eigh_tridiagonal", "solve_banded", "zgbtrf", "zgbtrs")
+# The last four are raw LAPACK: the banded LU and its solves, and the
+# tridiagonal eigenpair of the Lanczos loop.
+_LAPACK_ROUTINES = ("zgbtrf", "zgbtrs", "dstebz", "dstein")
+_BAND_ROUTINES = ("cholesky_banded", "eig_banded", "solve_banded") + _LAPACK_ROUTINES
 
 
 def _bind_band_routines() -> None:
@@ -39,7 +42,7 @@ def _bind_band_routines() -> None:
     import scipy.linalg.lapack
 
     for name in _BAND_ROUTINES:
-        source = scipy.linalg.lapack if name.startswith("zgb") else scipy.linalg
+        source = scipy.linalg.lapack if name in _LAPACK_ROUTINES else scipy.linalg
         globals().setdefault(name, getattr(source, name))
 
 
@@ -114,9 +117,10 @@ def evolve(
     what complex division by a divisor with zero imaginary part computes, so
     a real run records the bits a complex run of the same data would.
 
-    The energy bookkeeping runs by blocks of steps.  Each step copies u P u
+    The energy bookkeeping runs by blocks of steps.  Each step puts u P u
     (Re of conj(u) P u for complex data) and v (|v| for complex data) into
-    one row each of two block buffers of at most _NODE_BUDGET nodes.  Once
+    one row each of two block buffers of at most _NODE_BUDGET nodes; real
+    data compute v in its row, where complex data take |v| from v.  Once
     per block, the velocity rows are squared, the rows are weighted by w and
     by w b, and each row is summed on its own: numpy's pairwise sum over a
     contiguous row, as over the whole field.  E = (<u, P u> + ||v||^2) / 2 and
@@ -156,7 +160,7 @@ def evolve(
     u_prev = u0.astype(dtype)
     u_curr = np.empty_like(u_prev)
     u_next = np.empty_like(u_prev)
-    v = np.empty_like(u_prev)
+    v = None if real else np.empty_like(u_prev)  # real data's velocity lives in its block row
     tmp = np.empty_like(u_prev)
 
     n_steps = int(round(T_final / dt))
@@ -173,7 +177,8 @@ def evolve(
         j = n % block
         if real:
             np.multiply(u_arr, pu_arr, out=quad_rows[j])
-            speed_rows[j][...] = v_arr
+            if v_arr is not speed_rows[j]:
+                speed_rows[j][...] = v_arr
         else:
             np.multiply(np.conjugate(u_arr, out=tmp), pu_arr, out=tmp)
             quad_rows[j][...] = tmp.real
@@ -204,9 +209,10 @@ def evolve(
         np.multiply(half_b, u_prev, out=tmp)
         u_next += tmp
         u_next *= inv_denom
-        np.subtract(u_next, u_prev, out=v)
-        v *= inv_2dt
-        keep(n, u_curr, pu, v)
+        vel = speed_rows[n % block] if real else v
+        np.subtract(u_next, u_prev, out=vel)
+        vel *= inv_2dt
+        keep(n, u_curr, pu, vel)
         if n % 64 == 0 and not np.isfinite(u_next.ravel()[:: max(1, u_next.size // 4096)]).all():
             raise RuntimeError(f"time integration produced NaN at t={n * dt:.6g}")
         u_prev, u_curr, u_next = u_curr, u_next, u_prev
@@ -321,20 +327,41 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
     return complex((np.conj(a) * b).sum())
 
 
+def _top_ritz(d: np.ndarray, e: np.ndarray) -> tuple:
+    """Top eigenvalue of the symmetric tridiagonal T with diagonal d and
+    off-diagonal e, and the last entry of its unit eigenvector.
+
+    This is eigh_tridiagonal's select="i" path for the top index without its
+    per-call checks: dstebz bisects for the eigenvalue (absolute tolerance 0,
+    block order), dstein finds its eigenvector by inverse iteration, and a
+    1 x 1 T is its own answer.  Nonzero LAPACK info raises LinAlgError.
+    """
+    k = d.size
+    if k == 1:
+        return float(d[0]), 1.0
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
+    return float(w[0]), float(z[-1, 0])
+
+
 def _lanczos_top(matvec, v0: np.ndarray):
     """Top eigenvalue of a Hermitian positive definite operator, and the matvecs it took.
 
     The plain three-term Lanczos recurrence from v0, without
     reorthogonalization; every inner product is _dot, so the bits do not
-    depend on the BLAS thread count.  After step k, eigh_tridiagonal gives the
-    top Ritz pair (theta, s) of the tridiagonal T_k, and the loop stops once
-    the residual estimate beta_k |s_k| <= LANCZOS_RTOL theta, which beta_k = 0
-    (an invariant subspace) meets since theta > 0, or at k = n.
+    depend on the BLAS thread count.  After step k, _top_ritz gives the top
+    Ritz pair (theta, s) of the tridiagonal T_k, and the loop stops once the
+    residual estimate beta_k |s_k| <= LANCZOS_RTOL theta, which beta_k = 0
+    (an invariant subspace) meets since theta > 0, or at k = n.  A NaN or inf
+    alpha_k or beta_k raises ValueError.
     """
     n = v0.size
     q = v0 / math.sqrt(_dot(v0, v0).real)
     q_prev = np.zeros_like(q)
-    alphas, betas = [], []
+    alphas, betas = np.empty(n), np.empty(n)  # the diagonal and off-diagonal of T_n
     beta = 0.0
     for k in range(1, n + 1):
         w = matvec(q)
@@ -342,12 +369,13 @@ def _lanczos_top(matvec, v0: np.ndarray):
         alpha = _dot(q, w).real
         w -= alpha * q
         beta = math.sqrt(_dot(w, w).real)
-        alphas.append(alpha)
-        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
-        theta = float(theta[0])
-        if beta * abs(s[-1, 0]) <= LANCZOS_RTOL * theta or k == n:
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError("Lanczos tridiagonal must not contain infs or NaNs")
+        alphas[k - 1] = alpha
+        theta, s = _top_ritz(alphas[:k], betas[: k - 1])
+        if beta * abs(s) <= LANCZOS_RTOL * theta or k == n:
             return theta, k
-        betas.append(beta)
+        betas[k - 1] = beta
         q_prev, q = q, w / beta
 
 

@@ -8,20 +8,25 @@ layers, which is what makes the Dirichlet reading of the stencil exact.
 
 The Laplacian uses the standard 4th-order central stencil per axis,
 (-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  This module is the one place that
-stencil lives: the stencil kernel ``_PKernel`` and the 1D band matrix
-``p_bands`` (resolvent scans and spectra).  A kernel is built once per grid
-and dtype and keeps its zero-bordered copy of the field, its strip-sized
-scratch for the stencil products, their shifted views and its output
-buffer, so ``apply_P`` runs it once and the time stepper runs it every step
-without allocating, in real arithmetic when the data are real.  Fields
-must be finite; every reader names a NaN or inf instead of spreading it.
-Field integrals share one rule, the trapezoid weights w of ``Grid.weights``
-summed pairwise without BLAS.  The one quadratic form is the density
-w |f|^2: its sum is ||f||^2, and the damping pairing and the ball mass are
+stencil lives: the strip stencil ``_Stencil``, its whole-grid kernel
+``_PKernel`` and the 1D band matrix ``p_bands`` (resolvent scans and
+spectra).  Work on a field runs one strip of rows along axis 0 at a time,
+each of at most _NODE_BUDGET nodes (``_row_strips``): the stencil forms
+P f on a strip from its rows and two halo rows on each side in strip-sized
+buffers that it reuses, and V, b and the ball coverage are read per strip
+from the grid axes, so no node mesh and no full-size temporary is made.
+The time stepper runs its kernel every step without allocating, in real
+arithmetic when the data are real.  Fields must be finite; every reader
+names a NaN or inf instead of spreading it.  Field integrals share one
+rule, the trapezoid weights w of ``Grid.weights`` summed pairwise without
+BLAS, one ``.sum()`` over a whole contiguous buffer.  The one quadratic
+form is the density w |f|^2, filled a strip at a time into one float
+buffer: its sum is ||f||^2, and the damping pairing and the ball mass are
 means under it.  Its sum is finite exactly when every node is, so the
-functionals read the point rule off it, and ``apply_P`` reads it off max |f|,
-the same pass that checks the outermost layers; only the cross product
-``inner`` (conjugate-linear in its first slot) checks its fields first.
+functionals read the point rule off it, and the stencil's input check reads
+it off max |f|, the scale against which the outermost layers are checked;
+only the cross product ``inner`` (conjugate-linear in its first slot)
+checks its fields first.
 """
 
 from __future__ import annotations
@@ -88,16 +93,31 @@ class Grid:
         memory, so x[..., i] is contiguous: V and b, which read their points a
         plane at a time, come out C-contiguous and fast.
         """
-        mesh = np.empty((self.d, *self.ns))
-        for i in range(self.d):
-            mesh[i] = self.axis(i).reshape([-1 if k == i else 1 for k in range(self.d)])
-        return np.moveaxis(mesh, 0, -1)
+        return self._row_mesh(slice(None))
 
     def weights(self) -> np.ndarray:
         """Tensor trapezoid weights, shape ns."""
+        return self._row_weights(slice(None))
+
+    def _row_axes(self, rows: slice) -> list:
+        """The axes with axis 0 cut to rows, as open-grid broadcasts."""
+        axes = [self.axis(0)[rows]] + [self.axis(i) for i in range(1, self.d)]
+        return [a.reshape([-1 if j == i else 1 for j in range(self.d)]) for i, a in enumerate(axes)]
+
+    def _row_mesh(self, rows: slice) -> np.ndarray:
+        """meshgrid() on the rows along axis 0 only, with its bits and layout."""
+        axes = self._row_axes(rows)
+        mesh = np.empty((self.d, *np.broadcast_shapes(*(a.shape for a in axes))))
+        for i, a in enumerate(axes):
+            mesh[i] = a
+        return np.moveaxis(mesh, 0, -1)
+
+    def _row_weights(self, rows: slice) -> np.ndarray:
+        """weights() on the rows along axis 0 only, with its bits."""
         ws = [np.full(n, h) for n, h in zip(self.ns, self.hs)]
         for w in ws:
             w[[0, -1]] *= 0.5
+        ws[0] = ws[0][rows]
         return ws[0] if self.d == 1 else np.outer(*ws)
 
 
@@ -167,86 +187,138 @@ def wavenumber_bins(grid: Grid) -> np.ndarray:
     return np.array([2.0 * np.pi / (n * h) for n, h in zip(grid.ns, grid.hs)])
 
 
-class _PKernel:
-    """V f - Laplacian/2 f with the Dirichlet reading, reusable on one grid.
+def _row_strips(ns) -> list:
+    """The rows along axis 0 cut into strips of at most _NODE_BUDGET nodes,
+    and at least one row, as slices; only the last strip may be shorter."""
+    rows = min(ns[0], max(1, _NODE_BUDGET // math.prod(ns[1:])))
+    return [slice(r0, min(r0 + rows, ns[0])) for r0 in range(0, ns[0], rows)]
 
-    The kernel owns a copy of the field with two extra node layers on both
-    sides of every axis, zero there; each call rewrites only its interior, so
-    one kernel serves every application on a grid.  The stencil is symmetric,
-    c_-2 = c_2 and c_-1 = c_1, so one multiply forms the three products
-    c_0 f, c_1 f and c_2 f, and the five taps of every axis are shifted views
-    of them.  The work runs in strips of rows along axis 0, each of at most
-    _NODE_BUDGET nodes, so the product scratch stays small whatever the grid;
-    the strips and all their views are laid out at construction.  Within a
-    strip the products lie flat, padded rows end to end: a tap along axis 0
-    is a shift by whole padded rows and a tap along axis 1 a shift by single
-    nodes, so every sum runs over one contiguous range, the full padded width,
-    and the four padded columns it also fills are never read.  Per axis the
-    stencil sums c_k f(x + k h) for k = -2..2 in that order and multiplies by
-    1/h^2; the axes are summed into the Laplacian before it is halved and
-    subtracted from V f.  The dtype is fixed at construction; the result lives
-    in the kernel's output buffer, which the next call overwrites.
+
+class _Stencil:
+    """V f - Laplacian/2 f with the Dirichlet reading, one strip of rows at a time.
+
+    The strips are ``_row_strips``; they share one set of strip-sized
+    buffers, laid out with all their views at construction, so the scratch
+    stays small whatever the grid and nothing of the field's size is copied.
+    The stencil is symmetric, c_-2 = c_2 and c_-1 = c_1, so one multiply forms
+    the three products c_0 f, c_1 f and c_2 f on a strip's rows and its two
+    halo rows on each side, and the five taps of every axis are shifted views
+    of them.  The product buffer has two extra node layers on both sides of
+    every axis; they, and halo rows past the ends of the grid, hold c_k * 0,
+    the products of the Dirichlet zeros, with their signs.  The products lie
+    flat, padded rows end to end: a tap along axis 0 is a shift by whole
+    padded rows and a tap along axis 1 a shift by single nodes, so every sum
+    runs over one contiguous range, the full padded width, and the four padded
+    columns it also fills are never read.  Per axis the stencil sums
+    c_k f(x + k h) for k = -2..2 in that order and multiplies by 1/h^2; the
+    axes are summed into the Laplacian before it is halved and subtracted from
+    V f.  The dtype is fixed at construction.
     """
 
-    def __init__(self, vvals: np.ndarray, hs, dtype):
-        ns = vvals.shape
+    def __init__(self, ns, hs, dtype):
         d = len(ns)
-        padded = np.zeros(tuple(n + 4 for n in ns), dtype=dtype)
-        self.interior = padded[(slice(2, -2),) * d]
-        self.out = np.empty(ns, dtype=dtype)
-        self.coefs = _STENCIL[:3, None]  # c_0 = c_4, c_1 = c_3 and c_2
-        width = math.prod(padded.shape[1:])  # one padded row, 1 on the line
-        rows = min(ns[0], max(1, _NODE_BUDGET // math.prod(ns[1:])))
-        prods = np.empty(3 * (rows + 4) * width, dtype=dtype)
-        lap = np.empty(rows * width, dtype=dtype)
+        self.rows = _row_strips(ns)
+        full = self.rows[0].stop  # rows of a full strip
+        row_shape = tuple(n + 4 for n in ns[1:])  # one padded row, () on the line
+        width = math.prod(row_shape)
+        self.coefs = _STENCIL[:3].reshape((3,) + (1,) * d)  # c_0 = c_4, c_1 = c_3 and c_2
+        self.zeros = np.multiply(self.coefs, np.zeros((), dtype=dtype))
+        prods = np.empty((3, full + 4) + row_shape, dtype=dtype)
+        prods[...] = self.zeros
+        flat = prods.reshape(3, -1)
+        lap = np.empty(full * width, dtype=dtype)
         d2 = np.empty_like(lap)  # second derivative along axis 1
+        cols = (slice(2, -2),) * (d - 1)
         self.strips = []
-        for r0 in range(0, ns[0], rows):
-            m = min(rows, ns[0] - r0)
+        for rs in self.rows:
+            m = rs.stop - rs.start
             size = m * width
-            p = prods[: 3 * (m + 4) * width].reshape(3, -1)
+            lo, hi = max(rs.start - 2, 0), min(rs.stop + 2, ns[0])  # the rows read, halos included
+            a, b = lo - rs.start + 2, hi - rs.start + 2  # and where their products go
+            p = flat[:, : (m + 4) * width]
             taps = []  # per axis: the views c_k f(x + k h), k = -2..2, and 1/h^2
             for ax, (step, base) in enumerate(((width, 0), (1, 2 * width - 2))[:d]):
                 views = [p[c, base + k * step : base + k * step + size] for k, c in enumerate((0, 1, 2, 1, 0))]
                 taps.append((views, 1.0 / (hs[ax] * hs[ax])))
-            lap_nodes = lap[:size].reshape((m,) + padded.shape[1:])[(slice(None),) + (slice(2, -2),) * (d - 1)]
-            pad = padded[r0 : r0 + m + 4].reshape(1, -1)
-            rs = slice(r0, r0 + m)
-            nodes = (vvals[rs], self.interior[rs], self.out[rs])
-            self.strips.append((pad, p, taps, lap[:size], d2[:size], lap_nodes, *nodes))
+            # halo rows past the grid, which another strip's rows overwrite
+            blanks = [prods[:, i:j] for i, j in ((0, a), (b, m + 4)) if i < j and len(self.rows) > 1]
+            lap_nodes = lap[:size].reshape((m,) + row_shape)[(slice(None),) + cols]
+            dst = prods[(slice(None), slice(a, b)) + cols]
+            self.strips.append((rs, slice(lo, hi), dst, blanks, taps, lap[:size], d2[:size], lap_nodes))
+
+    def apply(self, k: int, values: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """P values on the rows of strip k into out, their shape; v is V on those rows."""
+        rs, src, dst, blanks, taps, lap, d2, lap_nodes = self.strips[k]
+        for blank in blanks:
+            blank[...] = self.zeros
+        np.multiply(self.coefs, values[src], out=dst)
+        for ax, (views, inv_h2) in enumerate(taps):
+            acc = lap if ax == 0 else d2
+            np.add(views[0], views[1], out=acc)
+            acc += views[2]
+            acc += views[3]
+            acc += views[4]
+            acc *= inv_h2
+            if ax > 0:
+                lap += acc
+        lap *= 0.5
+        np.multiply(v, values[rs], out=out)
+        out -= lap_nodes
+        return out
+
+
+class _PKernel(_Stencil):
+    """The stencil on the whole grid of a fixed V, reusable: the time stepper's.
+
+    V's rows and the output buffer's are laid out per strip at construction,
+    so a call allocates nothing; the result lives in the output buffer, which
+    the next call overwrites.
+    """
+
+    def __init__(self, vvals: np.ndarray, hs, dtype):
+        super().__init__(vvals.shape, hs, dtype)
+        self.out = np.empty(vvals.shape, dtype=dtype)
+        self.parts = [(k, vvals[rs], self.out[rs]) for k, rs in enumerate(self.rows)]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        self.interior[...] = values
-        for pad, prods, taps, lap, d2, lap_nodes, v, f, out in self.strips:
-            np.multiply(self.coefs, pad, out=prods)
-            for ax, (views, inv_h2) in enumerate(taps):
-                acc = lap if ax == 0 else d2
-                np.add(views[0], views[1], out=acc)
-                acc += views[2]
-                acc += views[3]
-                acc += views[4]
-                acc *= inv_h2
-                if ax > 0:
-                    lap += acc
-            lap *= 0.5
-            np.multiply(v, f, out=out)
-            out -= lap_nodes
+        for k, v, out in self.parts:
+            self.apply(k, values, v, out)
         return self.out
+
+
+def _require_dirichlet(pot: Potential, f: Field) -> None:
+    """What the stencil needs of f: its potential's dimension, finite values,
+    and none of its mass on the outermost two node layers."""
+    if pot.d != f.grid.d:
+        raise ValueError("potential and field dimensions differ")
+    vmax = 0.0
+    for rs in _row_strips(f.grid.ns):
+        top = np.abs(f.values[rs]).max()
+        if not top < math.inf:
+            raise ValueError("need finite field values")
+        vmax = max(vmax, top)
+    edge = max(np.abs(np.take(f.values, [0, 1, -2, -1], axis=ax)).max() for ax in range(f.grid.d))
+    if edge > 1e-10 * vmax:
+        raise ValueError("field must vanish on the outermost two node layers")
+
+
+def _p_rows(pot: Potential, f: Field):
+    """(rows, P f on those rows) for each strip, in one reused strip buffer."""
+    grid = f.grid
+    stencil = _Stencil(grid.ns, grid.hs, f.values.dtype)
+    buf = np.empty((stencil.rows[0].stop,) + grid.ns[1:], dtype=f.values.dtype)
+    for k, rs in enumerate(stencil.rows):
+        v = pot.raw_value(grid._row_mesh(rs))
+        yield rs, stencil.apply(k, f.values, v, buf[: rs.stop - rs.start])
 
 
 def apply_P(pot: Potential, f: Field) -> Field:
     """Apply V - Laplacian/2 with Dirichlet reading outside the grid."""
-    if pot.d != f.grid.d:
-        raise ValueError("potential and field dimensions differ")
-    mag = np.abs(f.values)
-    vmax = mag.max()
-    if not vmax < math.inf:
-        raise ValueError("need finite field values")
-    mag[(slice(2, -2),) * f.grid.d] = 0.0  # leaves the outermost two node layers
-    if mag.max() > 1e-10 * vmax:
-        raise ValueError("field must vanish on the outermost two node layers")
-    v = pot.raw_value(f.grid.meshgrid())
-    return Field(f.grid, _PKernel(v, f.grid.hs, f.values.dtype)(f.values))
+    _require_dirichlet(pot, f)
+    out = np.empty(f.grid.ns, dtype=f.values.dtype)
+    for rs, pf in _p_rows(pot, f):
+        out[rs] = pf
+    return Field(f.grid, out)
 
 
 def p_bands(grid: Grid, diag) -> np.ndarray:
@@ -268,18 +340,25 @@ def p_bands(grid: Grid, diag) -> np.ndarray:
     return ab
 
 
-def _density(f: Field) -> tuple:
+def _density(f: Field, out: np.ndarray | None = None, parts=None) -> tuple:
     """The density w |f|^2 at the nodes and its sum, ||f||^2.
 
-    The weights are finite and > 0 and the density is >= 0, so the sum is
-    finite exactly when every node is and no square overflows; a NaN or inf
-    node reaches it without a floating-point warning.
+    The density is filled into out (a new float buffer by default) one strip
+    of rows at a time, from parts: (rows, values on those rows) pairs, by
+    default f's own.  The weights are finite and > 0 and the density is >= 0,
+    so the sum is finite exactly when every node is and no square overflows;
+    a NaN or inf node reaches it without a floating-point warning.
     """
-    vals = f.values
+    grid = f.grid
+    dens = np.empty(grid.ns) if out is None else out
+    if parts is None:
+        parts = ((rs, f.values[rs]) for rs in _row_strips(grid.ns))
     with np.errstate(over="ignore"):
-        dens = vals.real * vals.real
-        dens += vals.imag * vals.imag
-        dens *= f.grid.weights()
+        for rs, vals in parts:
+            part = dens[rs]
+            np.multiply(vals.real, vals.real, out=part)
+            part += vals.imag * vals.imag
+            part *= grid._row_weights(rs)
         total = dens.sum()
     if not total < math.inf:
         raise ValueError("need finite field values")
@@ -303,48 +382,74 @@ def inner(f: Field, g: Field) -> complex:
 
 def residual_ratio(pot: Potential, f: Field, lam: float) -> float:
     """|| P f - lam^2 f || / (lam ||f||)."""
+    return _residual_ratio(pot, f, lam)
+
+
+def _residual_ratio(pot: Potential, f: Field, lam: float, density: tuple | None = None) -> float:
+    """residual_ratio, given f's density and its sum, or computing them.  The
+    residual's density takes the density's buffer, one strip of P f - lam^2 f
+    at a time, so no full-size P f is made."""
     _require_window("lam", lam)
-    res = apply_P(pot, f)
-    nrm = l2_norm(f)
-    if nrm == 0.0:
-        raise ValueError("zero field")
-    res.values -= lam**2 * f.values
-    return l2_norm(res) / (lam * nrm)
-
-
-def _mean_under_density(f: Field, q: np.ndarray) -> float:
-    """Mean of the node weight q under w |f|^2; in [0, 1] to the bit if q is."""
-    dens, total = _density(f)
+    _require_dirichlet(pot, f)
+    dens, total = _density(f) if density is None else density
     if total == 0.0:
         raise ValueError("zero field")
-    return float((dens * q).sum() / total)
+
+    def residual_rows():
+        for rs, res in _p_rows(pot, f):
+            res -= lam**2 * f.values[rs]
+            yield rs, res
+
+    _, res_total = _density(f, dens, residual_rows())
+    return math.sqrt(res_total) / (lam * math.sqrt(total))
+
+
+def _mean_under_density(density: tuple, q, out: np.ndarray | None) -> float:
+    """Mean of a node weight under the density w |f|^2 with sum total; q(rows)
+    gives the weight on a strip of rows, and the products fill out (a new
+    float buffer when None).  In [0, 1] to the bit if the weight is."""
+    dens, total = density
+    if total == 0.0:
+        raise ValueError("zero field")
+    prod = np.empty_like(dens) if out is None else out
+    for rs in _row_strips(dens.shape):
+        np.multiply(dens[rs], q(rs), out=prod[rs])
+    return float(prod.sum() / total)
 
 
 def damping_pairing(damping, f: Field) -> float:
     """<f, b f> / ||f||^2, with b clamped at 0."""
+    return _damping_pairing(damping, f)
+
+
+def _damping_pairing(damping, f: Field, density: tuple | None = None, out: np.ndarray | None = None) -> float:
+    """damping_pairing, given f's density and its sum, or computing them;
+    out is scratch of the grid's shape, a new buffer when None."""
     if damping.d != f.grid.d:
         raise ValueError("damping and field dimensions differ")
-    return _mean_under_density(f, np.maximum(damping.raw_func(f.grid.meshgrid()), 0.0))
+    grid = f.grid
+    density = _density(f) if density is None else density
+    return _mean_under_density(density, lambda rs: np.maximum(damping.raw_func(grid._row_mesh(rs)), 0.0), out)
 
 
-def _cell_coverage(grid: Grid, center, radius: float) -> np.ndarray:
-    """Fraction of each node's cell inside the ball, for mass bookkeeping.
+def _cell_coverage(grid: Grid, rows: slice, center, radius: float) -> np.ndarray:
+    """Fraction of each node's cell inside the ball, on the rows along axis 0,
+    for mass bookkeeping.
 
     1D cells are clipped exactly, in units of h, so none exceeds 1; 2D partial
     cells are resolved on a 8x8 midpoint subgrid, giving an O(h^2) quadrature.
     """
     if grid.d == 1:
-        x = grid.axis(0)
+        x = grid.axis(0)[rows]
         h = grid.hs[0]
         lo = np.maximum((center[0] - radius - x) / h, -0.5)
         hi = np.minimum((center[0] + radius - x) / h, 0.5)
         return np.clip(hi - lo, 0.0, None)
 
-    x0 = grid.axis(0)[:, None]
-    x1 = grid.axis(1)[None, :]
+    x0, x1 = grid._row_axes(rows)
     dist = np.sqrt((x0 - center[0]) ** 2 + (x1 - center[1]) ** 2)
     half_diag = 0.5 * np.hypot(grid.hs[0], grid.hs[1])
-    cover = np.zeros(grid.ns)
+    cover = np.zeros(dist.shape)
     cover[dist <= radius - half_diag] = 1.0
     partial = (dist > radius - half_diag) & (dist < radius + half_diag)
     if np.any(partial):
@@ -360,6 +465,12 @@ def _cell_coverage(grid: Grid, center, radius: float) -> np.ndarray:
 def mass_in_ball(f: Field, center, radius: float) -> float:
     """Fraction of the squared norm carried inside a ball; radius 0 carries
     none and radius inf all of it."""
+    return _mass_in_ball(f, center, radius)
+
+
+def _mass_in_ball(f: Field, center, radius: float, density: tuple | None = None, out: np.ndarray | None = None) -> float:
+    """mass_in_ball, given f's density and its sum, or computing them; out is
+    scratch of the grid's shape, a new buffer when None."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (f.grid.d,) or not np.all(np.isfinite(center)):
         raise ValueError(f"ball center must be {f.grid.d} finite coordinate(s), got {center}")
@@ -367,4 +478,5 @@ def mass_in_ball(f: Field, center, radius: float) -> float:
         raise ValueError(f"need radius >= 0, got {radius}")
     if radius == 0.0:
         return 0.0
-    return _mean_under_density(f, _cell_coverage(f.grid, center, radius))
+    density = _density(f) if density is None else density
+    return _mean_under_density(density, lambda rs: _cell_coverage(f.grid, rs, center, radius), out)

@@ -7,7 +7,9 @@ frequency).  Both take one path: ``_check_fit`` checks the grid against the
 envelope, ``_sample_envelope`` samples it from the grid axes, and ``_finish``
 normalizes the field and measures its report (residual ratio, damping
 pairing, localization), so the stabilization scans can be cross-examined
-against explicit witnesses.
+against explicit witnesses.  Sampling and measuring run one strip of rows
+at a time: a packet costs its field and two float buffers of its grid's
+size, and no node mesh.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .damping import Damping, _turning_balls, turning_lattice
 from .fields import (
     Field,
     Grid,
+    _damping_pairing,
+    _density,
+    _mass_in_ball,
+    _residual_ratio,
+    _row_strips,
     check_resolution,
-    damping_pairing,
-    l2_norm,
     make_grid,
-    mass_in_ball,
-    residual_ratio,
     snap_to_grid,
 )
 from .potentials import (
@@ -128,34 +131,50 @@ def _check_fit(grid: Grid, center: np.ndarray, extents, h_max) -> None:
 def _sample_envelope(grid: Grid, nu, t: float, w: float, center, xi) -> np.ndarray:
     """The L2-normalized envelope of half-length t along the unit vector nu and
     half-width w across, centred at center and carrying e^{i xi.(x - center/2)},
-    sampled from open-grid broadcasts of the grid axes, one phase per axis."""
+    sampled one strip of rows at a time from open-grid broadcasts of the grid
+    axes, one phase per axis."""
     d = grid.d
-    axes = [grid.axis(i).reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
     frame = [(nu, t)] if d == 1 else [(nu, t), ((-nu[1], nu[0]), w)]
-    y2 = np.zeros(grid.ns)
-    for e, half in frame:
-        y = sum(e[i] * (axes[i] - center[i]) / half for i in range(d))
-        y2 += y * y
-    env = bump_raw(y2)
-    env /= profile_constants(d)["norm"] * (t * w ** (d - 1)) ** 0.5
-    vals = env.astype(complex)
-    for i in range(d):
-        vals *= np.exp(1j * (xi[i] * (axes[i] - 0.5 * center[i])))
+    scale = profile_constants(d)["norm"] * (t * w ** (d - 1)) ** 0.5
+    vals = np.empty(grid.ns, dtype=complex)
+    for rs in _row_strips(grid.ns):
+        axes = grid._row_axes(rs)
+        y2 = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)))
+        for e, half in frame:
+            y = sum(e[i] * (axes[i] - center[i]) / half for i in range(d))
+            y2 += y * y
+        env = bump_raw(y2)
+        env /= scale
+        part = vals[rs]
+        part[...] = env
+        for i in range(d):
+            part *= np.exp(1j * (xi[i] * (axes[i] - 0.5 * center[i])))
     return vals
 
 
 def _finish(pot, grid, vals, lam, b, center, radii, details) -> tuple:
     """Normalize the sampled packet and measure it: the one exit of both
-    constructors.  details gains raw_norm and base_point."""
+    constructors.  details gains raw_norm and base_point.
+
+    w |f|^2 goes into one float buffer, once for the sampled field and once
+    for the normalized one; the norm, the damping pairing and the ball masses
+    read it, their products share one more buffer, and the residual's density
+    takes the first buffer after its last read."""
     f = Field(grid, vals)
-    raw_norm = l2_norm(f)
+    dens, raw_total = _density(f)
+    raw_norm = math.sqrt(raw_total)
     f.values /= raw_norm
     details.update(raw_norm=raw_norm, base_point=tuple(float(v) for v in center))
+    density = _density(f, dens)
+    scratch = np.empty_like(dens)
+    pairing = None if b is None else _damping_pairing(b, f, density, scratch)
+    mass = {float(r): _mass_in_ball(f, center, float(r), density, scratch) for r in radii}
+    del scratch
     report = QuasimodeReport(
         lam=float(lam),
-        residual_ratio=residual_ratio(pot, f, lam),
-        damping_pairing=None if b is None else damping_pairing(b, f),
-        mass={float(r): mass_in_ball(f, center, float(r)) for r in radii},
+        residual_ratio=_residual_ratio(pot, f, lam, density),
+        damping_pairing=pairing,
+        mass=mass,
         grid=grid,
         details=details,
     )

@@ -620,13 +620,13 @@ def test_sigma_min_certificate_rejects_overestimate(monkeypatch):
     ab = damped_bands(builtin_damping("ball", d=1, radius=1.0), 201, 3.0)
     sigma, flag = evolution._sigma_min(ab)
     assert flag == "ok"
-    eigh_tridiagonal = evolution.eigh_tridiagonal
+    dstebz = evolution.dstebz
 
-    def second_largest(d, e, *, select_range, **kwargs):
-        below = max(select_range[0] - 1, 0)  # the top pair while T_k is 1 x 1
-        return eigh_tridiagonal(d, e, select_range=(below, below), **kwargs)
+    def second_largest(d, e, select, vl, vu, il, iu, tol, order):
+        below = max(il - 1, 1)  # T_1 never reaches dstebz: its one pair is the top
+        return dstebz(d, e, select, vl, vu, below, below, tol, order)
 
-    monkeypatch.setattr(evolution, "eigh_tridiagonal", second_largest)
+    monkeypatch.setattr(evolution, "dstebz", second_largest)
     worse, flag = evolution._sigma_min(ab)
     assert worse > sigma
     assert flag == "failed"

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eig_banded
 
-from stabscope import fields
+from stabscope import fields, quasimodes
 from stabscope.damping import Damping, builtin_damping
 from stabscope.fields import (
     Field,
     _PKernel,
+    _Stencil,
     apply_P,
     check_resolution,
     damping_pairing,
@@ -86,8 +87,9 @@ def test_meshgrid_keeps_the_stacked_bits(case):
         assert planar.flags.c_contiguous
         assert planar.tobytes() == np.ascontiguousarray(reference).tobytes()
 
-    handed = []  # the V that apply_P hands to the stencil kernel
-    with mock.patch.object(fields, "_PKernel", lambda v, *args: handed.append(v) or _PKernel(v, *args)):
+    handed = []  # the V that apply_P hands to the stencil, strip by strip
+    apply = _Stencil.apply
+    with mock.patch.object(fields._Stencil, "apply", lambda self, k, f, v, out: handed.append(v) or apply(self, k, f, v, out)):
         apply_P(pot, Field(grid, np.zeros(grid.ns)))
     assert handed[0].flags.c_contiguous
 
@@ -549,3 +551,151 @@ def test_field_csv_layout(command_artifacts):
     row = lines[1].split(",")
     assert float(row[0]) == 19.0
     assert float(row[2]) == 0.0
+
+
+# ------------------------------------------- strips against the whole grid
+#
+# The functionals as they were written for the whole grid at once: a node
+# mesh, a zero-padded copy of the field, full-size temporaries.  Working one
+# strip of rows at a time must give their bits.
+
+
+def _whole_p(vvals, values, hs):
+    """V f - Laplacian/2 f: c_k f for k = 0, 1, 2 on a zero-padded copy, the
+    five taps per axis summed in order and times 1/h^2, the axes summed,
+    halved and subtracted from V f."""
+    interior = (slice(2, -2),) * values.ndim
+    pad = np.zeros(tuple(n + 4 for n in values.shape), dtype=values.dtype)
+    pad[interior] = values
+    prods = [np.multiply(c, pad) for c in fields._STENCIL[:3]]
+    lap = None
+    for ax, h in enumerate(hs):
+        taps = []
+        for k, c in enumerate((0, 1, 2, 1, 0)):
+            cut = list(interior)
+            cut[ax] = slice(k, k + values.shape[ax])
+            taps.append(prods[c][tuple(cut)])
+        acc = taps[0] + taps[1]
+        for tap in taps[2:]:
+            acc += tap
+        acc *= 1.0 / (h * h)
+        lap = acc if lap is None else lap + acc
+    lap *= 0.5
+    return vvals * values - lap
+
+
+def _whole_mesh(grid):
+    return np.stack(np.meshgrid(*[grid.axis(i) for i in range(grid.d)], indexing="ij"), axis=-1)
+
+
+def _whole_density(grid, vals):
+    ws = [np.full(n, h) for n, h in zip(grid.ns, grid.hs)]
+    for w in ws:
+        w[[0, -1]] *= 0.5
+    dens = vals.real * vals.real
+    dens += vals.imag * vals.imag
+    dens *= ws[0] if grid.d == 1 else np.outer(*ws)
+    return dens, dens.sum()
+
+
+def _whole_coverage(grid, center, radius):
+    if grid.d == 1:
+        x, h = grid.axis(0), grid.hs[0]
+        return np.clip(np.minimum((center[0] + radius - x) / h, 0.5) - np.maximum((center[0] - radius - x) / h, -0.5), 0.0, None)
+    x0, x1 = grid.axis(0)[:, None], grid.axis(1)[None, :]
+    dist = np.sqrt((x0 - center[0]) ** 2 + (x1 - center[1]) ** 2)
+    half_diag = 0.5 * np.hypot(grid.hs[0], grid.hs[1])
+    cover = np.zeros(grid.ns)
+    cover[dist <= radius - half_diag] = 1.0
+    ii, jj = np.nonzero((dist > radius - half_diag) & (dist < radius + half_diag))
+    sub = (np.arange(8) + 0.5) / 8.0 - 0.5
+    sx = x0[ii, 0, None, None] + sub[None, :, None] * grid.hs[0]
+    sy = x1[0, jj, None, None] + sub[None, None, :] * grid.hs[1]
+    cover[ii, jj] = ((sx - center[0]) ** 2 + (sy - center[1]) ** 2 <= radius**2).mean(axis=(1, 2))
+    return cover
+
+
+def _whole_report(pot, b, f, lam, center, radii):
+    """(residual ratio, damping pairing, {radius: mass}) of f."""
+    mesh = _whole_mesh(f.grid)
+    dens, total = _whole_density(f.grid, f.values)
+    res = _whole_p(pot.raw_value(mesh), f.values, f.grid.hs) - lam**2 * f.values
+    ratio = math.sqrt(_whole_density(f.grid, res)[1]) / (lam * math.sqrt(total))
+    pairing = None if b is None else float((dens * np.maximum(b.raw_func(mesh), 0.0)).sum() / total)
+    mass = {r: float((dens * _whole_coverage(f.grid, center, r)).sum() / total) for r in radii}
+    return ratio, pairing, mass
+
+
+def _whole_envelope(grid, nu, t, w, center, xi):
+    d = grid.d
+    axes = [grid.axis(i).reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
+    y2 = np.zeros(grid.ns)
+    for e, half in [(nu, t)] if d == 1 else [(nu, t), ((-nu[1], nu[0]), w)]:
+        y = sum(e[i] * (axes[i] - center[i]) / half for i in range(d))
+        y2 += y * y
+    env = quasimodes.bump_raw(y2)
+    env /= quasimodes.profile_constants(d)["norm"] * (t * w ** (d - 1)) ** 0.5
+    vals = env.astype(complex)
+    for i in range(d):
+        vals *= np.exp(1j * (xi[i] * (axes[i] - 0.5 * center[i])))
+    return vals
+
+
+@st.composite
+def strip_cases(draw):
+    """A grid cut into strips of 1 to all of its rows, a builtin well, a
+    builtin damping or none, and a field that vanishes on the outermost two
+    node layers, real or complex, with exact zeros of both signs inside."""
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ns = [int(rng.integers(8, 300))] if d == 1 else [int(rng.integers(8, 48)), int(rng.integers(8, 32))]
+    grid = make_grid(d, ns, rng.uniform(0.5, 6.0, size=d), center=rng.uniform(-3.0, 3.0, size=d))
+    rows = draw(st.integers(1, ns[0]))
+    name = draw(st.sampled_from(["harmonic", "power", "anisotropic"]))
+    params = {"s": 2.5} if name == "power" else {"weights": rng.uniform(0.5, 3.0, size=d)} if name == "anisotropic" else {}
+    pot = builtin_potential(name, d=d, **params)
+    kind = draw(st.sampled_from([None, "constant", "exterior", "ball", "checkerboard"]))
+    b = None if kind is None else builtin_damping(kind, d=d, **({"radius": 1.5} if kind in ("exterior", "ball") else {}))
+    vals = rng.standard_normal(grid.ns)
+    if draw(st.booleans()):
+        vals = vals + 1j * rng.standard_normal(grid.ns)
+    vals[rng.random(grid.ns) < 0.1] = 0.0
+    vals[rng.random(grid.ns) < 0.1] *= -0.0
+    edge = np.ones(grid.ns, dtype=bool)
+    edge[(slice(2, -2),) * d] = False
+    vals[edge] = 0.0
+    center = np.asarray(grid.center) + rng.uniform(-1.0, 1.0, size=d) * np.asarray(grid.ls)
+    radii = tuple(float(r) for r in rng.uniform(0.05, 1.5, size=2) * max(grid.ls))
+    return grid, rows * math.prod(ns[1:]), pot, b, vals, float(rng.uniform(0.5, 20.0)), center, radii
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.deep
+@given(strip_cases())
+def test_strips_keep_the_whole_grid_bits(case):
+    grid, budget, pot, b, vals, lam, center, radii = case
+    f = Field(grid, vals)
+    whole_v = pot.raw_value(_whole_mesh(grid))
+    with mock.patch.object(fields, "_NODE_BUDGET", budget):
+        assert len(fields._row_strips(grid.ns)) == -(-grid.ns[0] // (budget // math.prod(grid.ns[1:])))
+        assert _same_bits(apply_P(pot, f).values, _whole_p(whole_v, f.values, grid.hs))
+        for dtype in (float, complex):  # the time stepper's kernel, both arithmetics
+            data = vals.real.copy() if dtype is float else f.values
+            assert _same_bits(_PKernel(whole_v, grid.hs, dtype)(data), _whole_p(whole_v, data.astype(dtype), grid.hs))
+        ratio, pairing, mass = _whole_report(pot, b, f, lam, center, radii)
+        assert residual_ratio(pot, f, lam) == ratio
+        assert b is None or damping_pairing(b, f) == pairing
+        assert all(mass_in_ball(f, center, r) == mass[r] for r in radii)
+
+        g, rep = quasimodes._finish(pot, grid, vals.astype(complex), lam, b, center, radii, {})
+        raw_norm = math.sqrt(_whole_density(grid, f.values)[1])
+        normalized = Field(grid, f.values / raw_norm)
+        assert _same_bits(g.values, normalized.values) and rep.details["raw_norm"] == raw_norm
+        assert (rep.residual_ratio, rep.damping_pairing, rep.mass) == _whole_report(pot, b, normalized, lam, center, radii)
+
+        nu = (1.0,) if grid.d == 1 else (0.6, -0.8)
+        shape = (0.4 * grid.ls[0], 0.3 * grid.ls[-1], grid.center, np.full(grid.d, 3.0))
+        assert _same_bits(quasimodes._sample_envelope(grid, nu, *shape), _whole_envelope(grid, nu, *shape))

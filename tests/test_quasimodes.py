@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -498,3 +499,23 @@ def test_quasimode_report_json(harmonic_1d):
     assert doc["damping_pairing"] is None
     assert set(doc["grid"]) == {"ns", "ls", "center"}
     assert all(isinstance(v, float) for v in doc["mass_in_ball"].values())
+
+
+def test_kinetic_packet_peaks_under_two_and_a_half_fields():
+    # sampling and measuring run one strip of rows at a time: the n = 8 packet
+    # (a 7395 x 73 grid) costs its complex field, two float buffers of its
+    # grid's size and strip scratch, where the node mesh, a padded copy and
+    # full-size temporaries once took 4.4 fields
+    pot = builtin_potential("harmonic", d=2)
+    spec = packet_spec(pot, 8)
+    field_bytes = 16 * math.prod(packet_grid(spec).ns)
+    kinetic_wavepacket(pot, packet_spec(pot, 2))  # lazy imports and caches, outside the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f, _ = kinetic_wavepacket(pot, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert f.values.nbytes == field_bytes
+    assert peak <= 2.5 * field_bytes, f"peak {peak / field_bytes:.2f} fields"
