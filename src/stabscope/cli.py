@@ -339,7 +339,7 @@ def _condition_params(cfg: _Section) -> dict:
     return params
 
 
-def _run_conditions(pot, dampings, params: dict, checks, seed: int, threads: int) -> list:
+def _run_conditions(pot, dampings, params: dict, checks, seed: int) -> list:
     """One {check: report} dict per damping, in the order ugcc, tpc, dsc; DSC's
     shell flows do not depend on b, so one _dsc_scans call serves all dampings."""
     reports = [{} for _ in dampings]
@@ -350,9 +350,7 @@ def _run_conditions(pot, dampings, params: dict, checks, seed: int, threads: int
             reps["tpc"] = tpc_scan(b, pot, params["tpc"]["R_space"])
     if "dsc" in checks:
         p = params["dsc"]
-        dsc = _dsc_scans(
-            dampings, pot, p["T_time"], p["R_space"], p["lambdas_freq"], p["n_shell_samples"], seed, threads
-        )
+        dsc = _dsc_scans(dampings, pot, p["T_time"], p["R_space"], p["lambdas_freq"], p["n_shell_samples"], seed)
         for reps, rep in zip(reports, dsc):
             reps["dsc"] = rep
     return reports
@@ -368,7 +366,7 @@ def _cmd_conditions(cfg: _Section, opts) -> dict:
     params = _condition_params(cfg)
     cfg.done()
 
-    (reports,) = _run_conditions(pot, [b], params, checks, opts.seed, opts.threads)
+    (reports,) = _run_conditions(pot, [b], params, checks, opts.seed)
     artifacts = {}
     summary = {}
     for check, rep in reports.items():
@@ -400,9 +398,7 @@ def _cmd_dsc_limit(cfg: _Section, opts) -> dict:
     n_samples = _scan_param(cfg, "n_shell_samples", defaults["n_shell_samples"])
     cfg.done()
 
-    rep = dsc_limit_scan(
-        b, pot, tr_grid, lambdas, n_shell_samples=n_samples, seed=opts.seed, threads=opts.threads
-    )
+    rep = dsc_limit_scan(b, pot, tr_grid, lambdas, n_shell_samples=n_samples, seed=opts.seed)
     log.info("dsc-limit: proxy at largest (T, R) = %.6g", rep.infimum)
     return {"dsc_limit.csv": _report_table(rep), "dsc_limit.json": rep.to_json_dict()}
 
@@ -482,7 +478,9 @@ def _initial_state(grid, sec: _Section) -> WaveState:
     kind = str(sec.take("kind", "gaussian"))
     if kind != "gaussian":
         raise ValueError(f"unknown initial data kind {kind!r}")
-    center = np.asarray(sec.numbers("center_space", [0.0] * grid.d))
+    center = np.atleast_1d(sec.numbers("center_space", [0.0] * grid.d))
+    if center.shape != (grid.d,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"{sec.name}.center_space must be {grid.d} finite coordinate(s), got {center.tolist()}")
     width = _require_window("width", sec.number("width_space", 1.0), where=f" in {sec.name}.width_space")
     sec.done()
     pts = grid.meshgrid()
@@ -556,7 +554,7 @@ def _cmd_resolvent(cfg: _Section, opts) -> dict:
         grid = _build_grid(cfg.sub("grid"), pot.d)
     cfg.done()
 
-    scan = resolvent_scan(pot, b, lams, grid, threads=opts.threads)
+    scan = resolvent_scan(pot, b, lams, grid)
     log.info("resolvent: max ratio %.4g", float(np.max(scan.ratio)))
     log.info(
         "resolvent: Lanczos matvecs per frequency median %g, max %d",
@@ -601,7 +599,7 @@ def _cmd_suite(cfg: _Section, opts) -> dict:
     matrix = {}
     rows = []
     dampings = [_build_damping(_Section(label, {"name": label, **spec}), 2) for label, spec in CANONICAL_PAIRS]
-    all_reports = _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), opts.seed, opts.threads)
+    all_reports = _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), opts.seed)
     for (label, _), reports in zip(CANONICAL_PAIRS, all_reports):
         matrix[label] = {}
         for check, rep in reports.items():
@@ -660,7 +658,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(_DISPATCH))
     parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
     parser.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="at least 1; recorded in the manifest, selects nothing")
     parser.add_argument("--seed", type=int, default=0)
     return parser
 

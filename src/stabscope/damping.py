@@ -30,7 +30,6 @@ search; the CLI runs `conditions` and `suite` through one runner, whose one
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -640,7 +639,6 @@ def dsc_scan(
     *,
     n_shell_samples: int = 256,
     seed: int = 0,
-    threads: int = 1,
 ) -> ConditionReport:
     """Shell-sampled infima of flow averages, per frequency.
 
@@ -648,23 +646,22 @@ def dsc_scan(
     turning surface (|xi| <= 0.1 lam) where failures concentrate.  The
     liminf proxy is the infimum at the largest sampled frequency.
     """
-    return _dsc_scans((b,), pot, T, R, lambdas, n_shell_samples, seed, threads)[0]
+    return _dsc_scans((b,), pot, T, R, lambdas, n_shell_samples, seed)[0]
 
 
 def _dsc_scans(
-    dampings, pot: Potential, T: float, R: float, lambdas, n_shell_samples: int, seed: int, threads: int
+    dampings, pot: Potential, T: float, R: float, lambdas, n_shell_samples: int, seed: int
 ) -> list:
     """One dsc_scan report per damping, all averaged over the same flows.
 
     The flow depends on the potential, T, the frequency, the sample count
     and the seed, not on the damping, so each frequency's shell flow is
     integrated once, every damping is averaged over it, and it is dropped
-    before the next frequency; at most ``threads`` flows exist at a time.
+    before the next frequency.
     """
     _require_window("T", T)
     _require_window("R", R)
     _require_count("n_shell_samples", n_shell_samples)
-    threads = _require_count("threads", threads)
     lams = [float(v) for v in np.atleast_1d(lambdas)]
     if not lams:
         raise ValueError("need at least one frequency lambda")
@@ -673,13 +670,11 @@ def _dsc_scans(
     lams.sort()
     seeds = np.random.SeedSequence(seed).spawn(len(lams))
 
-    def one(pair):
-        lam, ss = pair
+    results = []
+    for lam, ss in zip(lams, seeds):
         xs, xis = sample_shell(pot, lam, n_shell_samples, np.random.default_rng(ss))
         times, pos = _flow_window(pot, xs, xis, T, lam)
-        return [_window_mean(b, R / np.sqrt(lam), pos, times, axis=0) for b in dampings]
-
-    results = _ordered_map(one, list(zip(lams, seeds)), threads)
+        results.append([_window_mean(b, R / np.sqrt(lam), pos, times, axis=0) for b in dampings])
     params = {
         "T_time": T,
         "R_space": R,
@@ -704,7 +699,6 @@ def dsc_limit_scan(
     *,
     n_shell_samples: int = 256,
     seed: int = 0,
-    threads: int = 1,
 ) -> ConditionReport:
     """Stabilization of the DSC proxy along an increasing (T, R) ladder.
 
@@ -724,15 +718,9 @@ def dsc_limit_scan(
         where = " on every rung of the (T, R) ladder"
         _require_window(slot, [rung[k] for rung in tr_grid], where=where)
 
-    scan = partial(dsc_scan, b, pot, lambdas=lambdas, n_shell_samples=n_shell_samples, seed=seed, threads=threads)
+    scan = partial(dsc_scan, b, pot, lambdas=lambdas, n_shell_samples=n_shell_samples, seed=seed)
     proxies = np.array([scan(T, R).infimum for T, R in tr_grid])
     groups = [([f"T={t:g},R={r:g}"], proxies[k : k + 1]) for k, (t, r) in enumerate(tr_grid)]
     params = {"TR_grid": tr_grid, "lambdas": list(np.atleast_1d(lambdas)), "seed": seed}
     return _report("DSC_LIMIT", params, b, groups, proxies=proxies, successive_differences=np.abs(np.diff(proxies)))
 
-
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import Damping, _ordered_map
+from .damping import Damping
 from .fields import _NODE_BUDGET, POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
 from .potentials import Potential, _require_count, _require_finite, _require_window, sublevel_radius
 
@@ -89,8 +89,13 @@ class DecayFit:
 
 
 def cfl_limit(pot: Potential, grid: Grid) -> float:
-    """Largest admissible dt: 0.5 h / sqrt(1 + max V on the grid)."""
-    vmax = float(np.max(pot.raw_value(grid.meshgrid())))
+    """Largest admissible dt: 0.5 h / sqrt(1 + max V on the grid).
+
+    V = phi(sum_i w2_i x_i^2) with phi increasing, so the maximum over the
+    nodes is V at the node farthest out on every axis; no node mesh is built.
+    """
+    far = [np.abs(grid.axis(i)[[0, -1]]).max() for i in range(grid.d)]
+    vmax = float(pot.raw_value(np.array([far]))[0])
     return 0.5 * min(grid.hs) / math.sqrt(1.0 + vmax)
 
 
@@ -438,16 +443,20 @@ def _normal_bands(ab: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolvent_scan(
-    pot: Potential,
-    b: Damping,
-    lambdas,
-    grid: Grid | None = None,
-    *,
-    threads: int = 1,
-) -> ResolventScan:
-    """Scan lam / sigma_min(P - lam^2 + i lam b) over the frequency grid."""
-    threads = _require_count("threads", threads)
+def _line_values(pot: Potential, b: Damping, grid: Grid, lam: float, level: float) -> tuple:
+    """V and b on the nodes of a line grid, read off one mesh, once the grid
+    resolves frequency lam and its Dirichlet box reaches sublevel_radius(level)."""
+    check_resolution(grid, lam)
+    needed = sublevel_radius(pot, level)
+    if grid.ls[0] < needed * (1.0 - 1e-9):
+        raise ValueError(f"Dirichlet box too small: need half-width >= {needed:.6g}")
+    x = grid.meshgrid()
+    return pot.raw_value(x), b.raw_func(x)
+
+
+def resolvent_scan(pot: Potential, b: Damping, lambdas, grid: Grid | None = None) -> ResolventScan:
+    """Scan lam / sigma_min(P - lam^2 + i lam b) over the frequency grid, one
+    frequency after the other."""
     if pot.d != 1 or b.d != 1:
         raise ValueError("resolvent scan requires d = 1")
     lams = np.asarray(list(lambdas), dtype=float)
@@ -460,33 +469,22 @@ def resolvent_scan(
         raise ValueError("need a positive frequency somewhere in the grid")
     if grid is None:
         grid = resolvent_grid(pot, lam_max)
-    else:
-        if grid.d != 1:
-            raise ValueError("resolvent scan requires d = 1")
-        check_resolution(grid, lam_max)
-        needed = sublevel_radius(pot, 4.0 * lam_max**2)
-        if grid.ls[0] < needed * (1.0 - 1e-9):
-            raise ValueError(f"Dirichlet box too small: need half-width >= {needed:.6g}")
+    elif grid.d != 1:
+        raise ValueError("resolvent scan requires d = 1")
+    vvals, bvals = _line_values(pot, b, grid, lam_max, 4.0 * lam_max**2)
 
-    x = grid.meshgrid()
-    vvals = pot.raw_value(x)[:]
-    bvals = b.raw_func(x)[:]
-
-    def one(lam: float):
-        ab = p_bands(grid, vvals - lam**2 + 1j * lam * bvals)
-        matvecs = []
-        sigma, flag = _sigma_min(ab, matvecs)
-        return sigma, flag, matvecs[0]
-
-    results = _ordered_map(one, [float(l) for l in lams], threads)
-    sig = np.array([r[0] for r in results])
-    flags = tuple(r[1] for r in results)
+    sig, flags, matvecs = [], [], []
+    for lam in lams.tolist():
+        sigma, flag = _sigma_min(p_bands(grid, vvals - lam**2 + 1j * lam * bvals), matvecs)
+        sig.append(sigma)
+        flags.append(flag)
+    sig = np.array(sig)
     return ResolventScan(
         lambdas=lams,
         sigma_min=sig,
         ratio=np.abs(lams) / sig,
-        flags=flags,
-        matvecs=tuple(r[2] for r in results),
+        flags=tuple(flags),
+        matvecs=tuple(matvecs),
         grid=grid,
     )
 
@@ -521,7 +519,9 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     """Modes of (0, I; -P, -b): shift-invert Arnoldi around the origin.
 
     The grid must resolve sqrt(count + 1/2), the count-th level of the
-    harmonic well, which the spectrum command sizes its default grid for.
+    harmonic well, which the spectrum command sizes its default grid for,
+    and its Dirichlet box must reach sublevel_radius(count + 1/2), the rule
+    resolvent_scan applies at level 4 lam_max^2.
     """
     import scipy.sparse as sp  # deferred, so that only this command loads scipy.sparse
     import scipy.sparse.linalg as spla
@@ -531,12 +531,12 @@ def damped_spectrum_1d(pot: Potential, b: Damping, grid: Grid, count: int) -> Sp
     count = _require_count("count", count)
     if count > 200:
         raise ValueError("count must stay at or below 200")
-    check_resolution(grid, math.sqrt(count + 0.5))
+    vvals, bvals = _line_values(pot, b, grid, math.sqrt(count + 0.5), count + 0.5)
     n = grid.ns[0]
     # p_bands' rows ab[2 + i - j, j] = P[i, j] are the dia layout of offsets 2, 1, 0, -1, -2
-    ab = p_bands(grid, pot.raw_value(grid.meshgrid()))
+    ab = p_bands(grid, vvals)
     p_mat = sp.dia_array((ab, [2, 1, 0, -1, -2]), shape=(n, n))
-    b_mat = sp.diags(b.raw_func(grid.meshgrid()))
+    b_mat = sp.diags(bvals)
     eye = sp.identity(n)
     comp = sp.bmat([[None, eye], [-p_mat, -b_mat]], format="csc")
     v0 = np.ones(2 * n)

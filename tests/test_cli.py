@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from stabscope import cli
 from stabscope.cli import main
 from stabscope.damping import builtin_damping, dsc_scan, mollify_at
+from stabscope.fields import Grid
 
 COND_CFG = {
     "potential": {"name": "harmonic", "d": 1},
@@ -175,8 +176,8 @@ def test_conditions_reruns_are_byte_identical(tmp_path):
 
 
 def test_conditions_threads_are_byte_identical(tmp_path):
-    # DSC maps its frequencies over a thread pool; the ball-average scratch
-    # must belong to each call, so the thread count cannot change a byte
+    # --threads is accepted and recorded in the manifest but selects nothing:
+    # every scan runs its frequencies one after the other
     cfg = {
         "potential": {"name": "harmonic", "d": 2},
         "damping": {"name": "checkerboard", "period_space": 1.0, "duty": 0.5},
@@ -207,9 +208,7 @@ def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
     pot = cli.builtin_potential("harmonic", d=2)
     for label, spec in cli.CANONICAL_PAIRS:
         b = cli._build_damping(cli._Section(label, {"name": label, **spec}), 2)
-        rep = dsc_scan(
-            b, pot, dsc["T_time"], dsc["R_space"], dsc["lambdas_freq"], n_shell_samples=16, seed=5, threads=1
-        )
+        rep = dsc_scan(b, pot, dsc["T_time"], dsc["R_space"], dsc["lambdas_freq"], n_shell_samples=16, seed=5)
         with open(out / f"conditions_{label}_dsc.csv", newline="") as fh:
             got = np.array([float(row["average"]) for row in csv.DictReader(fh)])
         assert got.tobytes() == rep.sample_values.tobytes()
@@ -223,7 +222,7 @@ def test_suite_dsc_matches_one_scan_per_pair(tmp_path, threads):
 
 
 def test_resolvent_threads_are_byte_identical(tmp_path):
-    # the frequencies run on a thread pool; each one owns its band matrix
+    # --threads selects nothing, so two threads give the bytes of one
     cfg = {
         "potential": {"name": "harmonic", "d": 1},
         "damping": {"name": "ball", "radius_space": 1.0},
@@ -528,6 +527,20 @@ def test_non_finite_time_exits_2(tmp_path, capsys, command, times):
     rule = "finite" if value == float("inf") else "> 0"
     assert f"need {name} {rule}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_evolve_and_probe_build_one_mesh_per_use(tmp_path, monkeypatch):
+    # the CFL bound reads V at the node farthest out on every axis, so evolve
+    # builds the initial state's mesh and the stepper's, and probe the
+    # stepper's alone
+    calls = []
+    meshgrid = Grid.meshgrid
+    monkeypatch.setattr(Grid, "meshgrid", lambda grid: calls.append(grid.ns) or meshgrid(grid))
+    evolve_2d = {**H2, "damping": {"name": "exterior"}, "grid": {"n_nodes": 33, "half_width_space": 6.0}, "T_time": 0.1}
+    for command, cfg, count in (("evolve", evolve_2d, 2), ("probe", TIMED_CFGS["probe"], 1)):
+        calls.clear()
+        rc, _ = run_cli(tmp_path, command, cfg, out_name=command)
+        assert (rc, len(calls)) == (0, count)
 
 
 def test_spectrum_command_reports_abscissa(tmp_path):
@@ -875,6 +888,13 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
          "grid center must be 1 finite coordinate"),
         ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0, "center_space": [1.0]}},
          "grid center must be 2 finite coordinate"),
+        # resolved, but the box |x| <= 3 stops short of level 40.5 at |x| = 9
+        ("spectrum", {"count": 40, "grid": {"n_nodes": 201, "half_width_space": 3.0}},
+         "Dirichlet box too small: need half-width >= 9"),
+        ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0}, "initial": {"center_space": [1.0]}},
+         "config.initial.center_space must be 2 finite coordinate(s), got [1.0]"),
+        ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0}, "initial": {"center_space": [1.0, 2.0, 3.0]}},
+         "config.initial.center_space must be 2 finite coordinate(s), got [1.0, 2.0, 3.0]"),
     ],
 )
 def test_bad_frequency_or_grid_exits_2(tmp_path, capsys, command, change, match):
@@ -1022,8 +1042,9 @@ def test_suite_command_builds_consistency_matrix(tmp_path):
 
 
 # Runs commands in a fresh interpreter and reports, as one JSON object, which
-# scipy modules and band routines `import stabscope.cli` loaded and bound and,
-# after each run, its exit status and whether scipy.linalg had loaded by then.
+# scipy and concurrent modules and band routines `import stabscope.cli` loaded
+# and bound and, after each run, its exit status and whether scipy.linalg had
+# loaded by then.
 # argv[2] lists the runs as [name, command, config, *flags]; run name writes
 # to argv[1]/name.
 LOAD_PROBE = """
@@ -1033,7 +1054,7 @@ from stabscope import evolution
 from stabscope.cli import main
 
 report = {
-    "import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "import": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")),
     "bound": sorted(set(evolution._BAND_ROUTINES) & set(vars(evolution))),
 }
 out = Path(sys.argv[1])
@@ -1049,8 +1070,9 @@ print(json.dumps(report))
 
 def test_cold_start_skips_unused_scipy_subpackages(tmp_path):
     # every CLI command pays for what `import stabscope.cli` loads: no scipy
-    # module at all, scipy.linalg only once a command needs band algebra, and
-    # no scipy.sparse for any of these, the resolvent scan included
+    # module at all and no thread pool (every scan runs its frequencies one
+    # after the other), scipy.linalg only once a command needs band algebra,
+    # and no scipy.sparse for any of these, the resolvent scan included
     flow = {
         "potential": {"name": "harmonic", "d": 1},
         "x0_space": [1.0],
@@ -1098,8 +1120,9 @@ def test_witness_command_loads_no_quadrature(tmp_path):
 
 
 def test_first_use_binding_under_threads_keeps_the_bytes(tmp_path):
-    # the first two frequencies reach _sigma_min, and so bind the band
-    # routines, on two threads at once
+    # the first frequency binds the band routines in a fresh interpreter,
+    # whatever --threads says; binding from several threads at once is
+    # test_evolution's test_band_routines_bind_on_first_read
     cfg = {
         "potential": {"name": "harmonic", "d": 1},
         "damping": {"name": "ball", "radius_space": 1.0},

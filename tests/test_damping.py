@@ -1041,7 +1041,7 @@ def test_dsc_holds_exactly_when_ugcc_and_tpc_hold():
     for d in (1, 2):
         pot = builtin_potential("harmonic", d=d)
         dampings = [builtin_damping(name, d=d) for name in names]
-        for name, reps in zip(names, _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), 0, 1)):
+        for name, reps in zip(names, _run_conditions(pot, dampings, params, ("ugcc", "tpc", "dsc"), 0)):
             verdicts[f"{name} d={d}"] = "".join("P" if reps[c].passed else "F" for c in ("ugcc", "tpc", "dsc"))
     assert {case: v for case, v in verdicts.items() if (v[2] == "P") != (v[:2] == "PP")} == {}
 

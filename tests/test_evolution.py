@@ -27,7 +27,7 @@ from stabscope.evolution import (
     resolvent_grid,
     resolvent_scan,
 )
-from stabscope.fields import _NODE_BUDGET, Field, _PKernel, make_grid, p_bands
+from stabscope.fields import _NODE_BUDGET, Field, Grid, _PKernel, make_grid, p_bands
 from stabscope.potentials import builtin_potential, sublevel_radius
 from stabscope.quasimodes import turning_point_bump
 
@@ -423,6 +423,30 @@ def test_cfl_limit_shrinks_with_mesh():
     coarse = cfl_limit(H1, make_grid(1, 128, 6.0))
     fine = cfl_limit(H1, make_grid(1, 512, 6.0))
     assert 0.0 < fine < coarse
+
+
+@pytest.mark.deep
+@given(
+    st.sampled_from(["harmonic", "power", "anisotropic"]),
+    st.sampled_from([1, 2]),
+    st.floats(0.1, 3.9),
+    st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    st.tuples(st.integers(8, 120), st.integers(8, 120)),
+    st.tuples(st.floats(0.1, 60.0), st.floats(0.1, 60.0)),
+    st.one_of(st.none(), st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))),
+)
+@example("power", 2, 3.0, (1.0, 1.0), (9, 9), (1.0, 1.0), (-1.0, 1.0))  # two nodes farthest out
+def test_cfl_limit_keeps_the_mesh_maximum_bits(name, d, s, weights, ns, ls, center):
+    # V = phi(sum_i w2_i x_i^2) with phi increasing peaks at the node farthest
+    # out on every axis: the closed form builds no node mesh and gives the
+    # dense maximum, bit for bit
+    params = {"power": {"s": s}, "anisotropic": {"weights": list(weights[:d])}}.get(name, {})
+    pot = builtin_potential(name, d=d, **params)
+    grid = make_grid(d, ns[:d], ls[:d], None if center is None else center[:d])
+    with mock.patch.object(Grid, "meshgrid", side_effect=AssertionError("cfl_limit built a node mesh")):
+        dt = cfl_limit(pot, grid)
+    vmax = float(np.max(pot.raw_value(grid.meshgrid())))
+    assert _bits(dt) == _bits(0.5 * min(grid.hs) / math.sqrt(1.0 + vmax))
 
 
 def test_decay_fit_recovers_synthetic_exponential():
@@ -838,6 +862,10 @@ def test_damped_spectrum_rejects_bad_input(spectrum_setup):
                            make_grid(2, 32, 4.0), 4)
     with pytest.raises(ValueError, match="at or below 200"):
         damped_spectrum_1d(H1, B_ONE, grid, 201)
+    # resolved (h = 0.03), but the box |x| <= 3 cuts the ladder short of
+    # level 40.5, which needs |x| <= 9
+    with pytest.raises(ValueError, match="Dirichlet box too small: need half-width >= 9"):
+        damped_spectrum_1d(H1, B_ONE, make_grid(1, 201, 3.0), 40)
 
 
 def test_trace_csv_layout(tmp_path):

@@ -40,7 +40,6 @@ from stabscope.evolution import (
     p_spectrum_1d,
     quasimode_probe,
     resolvent_grid,
-    resolvent_scan,
 )
 from stabscope.fields import (
     Field,
@@ -141,12 +140,6 @@ COUNTS = {
         "n_shell_samples",
         lambda n: dsc_limit_scan(B1, H1, [(1.0, 1.0)], [25.0], n_shell_samples=n),
     ),
-    "dsc_scan threads": ("threads", lambda n: dsc_scan(B1, H1, 1.0, 1.0, [25.0, 36.0], n_shell_samples=8, threads=n)),
-    "dsc_limit_scan threads": (
-        "threads",
-        lambda n: dsc_limit_scan(B1, H1, [(1.0, 1.0)], [25.0, 36.0], n_shell_samples=8, threads=n),
-    ),
-    "resolvent_scan threads": ("threads", lambda n: resolvent_scan(H1, B1, [1.0, 2.0], threads=n)),
     "evolve record_every": ("record_every", lambda n: evolve(H1, B1, STATE, 0.01, 1e-3, record_every=n)),
     "p_spectrum_1d count": ("count", lambda n: p_spectrum_1d(H1, GRID, n)),
     "damped_spectrum_1d count": ("count", lambda n: damped_spectrum_1d(H1, B1, GRID, n)),
