@@ -166,10 +166,13 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def cell(s, a=duty * period):
             return np.floor(s / a)
 
+        def edge(k, a=duty * period):  # where cell k starts
+            return k * a
+
         def func(pts):
             return amplitude * _even((cell,) * d, [pts[..., i] for i in range(d)])
 
-        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, n_nodes, max_cells))
+        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, (edge,) * d, n_nodes, max_cells))
 
     # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty];
     # frac(y) = y - floor(y) has np.mod(y, 1.0)'s bits for either sign of y, at a fraction of its cost
@@ -191,10 +194,14 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
         return Damping(d, func, amplitude, label, damped_nodes)
 
+    def band_edge(k, L=period, q=duty):  # where band k starts
+        half = np.floor(0.5 * k)
+        return (half + (k - 2.0 * half) * q) * L
+
     def func(pts):
         return amplitude * _even((band,), (pts[..., 0],))
 
-    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), n_nodes, max_cells))
+    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), (band_edge,), n_nodes, max_cells))
 
 
 def _even(cells, scalars):
@@ -373,13 +380,14 @@ def _sums_exactly(amplitude: float, n: int) -> bool:
 def _node_ranks(d: int, n: int, q: int):
     """Node order per axis and a rank-dominance table, for the first q axes.
 
-    Returns the node coordinates sorted on each of the first q axes and, for
-    q = 2, the (n + 1, n + 1) table D[i, j] = #{nodes of rank < i on axis 0
-    and rank < j on axis 1}.  Built on first use and read-only afterwards.
+    Returns the node coordinates sorted on each of the first q axes, each
+    followed by an inf sentinel at rank n, and, for q = 2, the (n + 1, n + 1)
+    table D[i, j] = #{nodes of rank < i on axis 0 and rank < j on axis 1}.
+    Built on first use and read-only afterwards.
     """
     nodes = unit_ball_nodes(d, n)
     orders = [np.argsort(nodes[:, i], kind="stable") for i in range(q)]
-    planes = [nodes[order, i] for i, order in enumerate(orders)]
+    planes = [np.append(nodes[order, i], np.inf) for i, order in enumerate(orders)]
     table = None
     if q == 2:
         ranks = np.empty((2, n), dtype=np.intp)
@@ -392,27 +400,29 @@ def _node_ranks(d: int, n: int, q: int):
     return planes, table
 
 
-def _count_damped(cells: tuple, n: int, max_cells: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _count_damped(cells: tuple, edges: tuple, n: int, max_cells: int, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of damped nodes in each ball of a cell indicator, NaN where not counted.
 
     b is b_max where the sum of c_i(x_i) is even and 0 elsewhere: one cell
     index function c_i per leading axis, mapping x_i to integer-valued floats
-    and non-decreasing in x_i; later axes do not matter.
+    and non-decreasing in x_i, and edges[i](k) where cell k starts, up to
+    rounding; later axes do not matter.
 
     The quadrature node j of the ball (x, r) lies in cell c_i(r * node_ji + x_i)
     on axis i, the float expression the blocks evaluate.  Every step of it is
     monotone, so the cell is non-decreasing along the nodes sorted on axis i:
     the ball's nodes run through its cells lo_i, lo_i + 1, ..., hi_i in
-    consecutive rank intervals.  A branch-free bisection on the same
-    expression finds where each interval starts, in log2(n) steps for n a
-    power of two (512 d).  The interval ends on every axis are the corners of
-    the runs, boxes of nodes that share their cells; the corner counts (the
-    ends themselves in 1D, the dominance table in 2D) weighted by
-    `_parity_weights` sum the boxes whose cell sum is even.  A ball is
-    counted when it meets at most max_cells cells per axis and its cell
-    indices stay below 2^52, where their parity is exact; every node of a
-    counted ball lies between its extreme ones, so no cell in the bisection
-    leaves that range.
+    consecutive rank intervals.  A sorted search of (edge(t) - x_i) / r among
+    the sorted node coordinates guesses where cell t starts, and
+    `_cell_starts` makes the guess exact on the same expression.  The
+    interval ends on every axis are the corners of the runs, boxes of nodes
+    that share their cells; the corner counts (the ends themselves in 1D, the
+    dominance table in 2D, looked up only off its border, which is known in
+    closed form) weighted by `_parity_weights` sum the boxes whose cell sum
+    is even.  A ball is counted when it meets at most max_cells cells per
+    axis and its cell indices stay below 2^52, where their parity is exact;
+    every node of a counted ball lies between its extreme ones, so no cell
+    in the search leaves that range.
     """
     q = len(cells)
     planes, table = _node_ranks(pts.shape[1], n, q)
@@ -420,31 +430,81 @@ def _count_damped(cells: tuple, n: int, max_cells: int, pts: np.ndarray, radii: 
     ok = np.ones(radii.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a cell beyond the float range is not counted
         lo = [cell(radii * s[0] + x) for cell, s, x in zip(cells, planes, cols)]
-        hi = [cell(radii * s[-1] + x) for cell, s, x in zip(cells, planes, cols)]
+        hi = [cell(radii * s[n - 1] + x) for cell, s, x in zip(cells, planes, cols)]
         for a, z in zip(lo, hi):
             ok &= (np.abs(a) < 2.0**52) & (np.abs(z) < 2.0**52) & (z - a < max_cells)
     result = np.full(radii.shape, np.nan)
     if not ok.any():
         return result
+    if ok.all():  # a slice takes views where a mask would copy
+        ok = slice(None)
     rad = radii[ok, None]
-    parity = np.zeros(int(ok.sum()), dtype=np.int64)  # of the lowest cell sum
-    ends = []  # per axis, (balls, cells + 1): 0, the rank where each later cell starts, n
-    for cell, s, x, a, z in zip(cells, planes, cols, lo, hi):
+    parity = np.zeros(rad.shape[0], dtype=np.int64)  # of the lowest cell sum
+    starts = []  # per axis, (balls, targets): the rank where each later cell starts, n past the last
+    for cell, edge, s, x, a, z in zip(cells, edges, planes, cols, lo, hi):
         a, x = a[ok], x[ok, None]
         parity += a.astype(np.int64)
         target = a[:, None] + np.arange(1.0, np.max(z[ok] - a) + 1.0)
-        start = np.ones(target.shape, dtype=np.intp)  # every rank below start has a cell < target
-        for k in reversed(range(int(n).bit_length() - 1)):
-            np.add(start, 1 << k, out=start, where=cell(rad * s[start + ((1 << k) - 1)] + x) < target)
-        last = np.full((a.size, 1), n)
-        ends.append(np.concatenate([np.zeros_like(last), start, last], axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # band(inf) at the sentinel, a far edge
+            guess = np.searchsorted(s, (edge(target) - x) / rad)
+            starts.append(_cell_starts(cell, s, rad, x, target, guess))
+    # the corner counts, zero on the lower border; on the upper one D[n, j] = j, D[i, n] = i
+    corners = np.zeros((parity.size, *(m.shape[1] + 2 for m in starts)))
     if q == 1:
-        corners = ends[0]
+        corners[:, 1:-1], corners[:, -1] = starts[0], n
     else:
-        corners = np.take(table, ends[0][:, :, None] * (n + 1) + ends[1][:, None, :])
-    damped = corners.reshape(corners.shape[0], -1).astype(float) @ _parity_weights(corners.shape[1:]).T
+        s0, s1 = starts
+        corners[:, 1:-1, 1:-1] = np.take(table, s0[:, :, None] * (n + 1) + s1[:, None, :])
+        corners[:, -1, 1:-1], corners[:, 1:-1, -1], corners[:, -1, -1] = s1, s0, n
+    damped = corners.reshape(parity.size, -1) @ _parity_weights(corners.shape[1:]).T
     result[ok] = np.where(parity & 1, damped[:, 1], damped[:, 0])
     return result
+
+
+def _cell_starts(cell, s: np.ndarray, rad: np.ndarray, x: np.ndarray, target: np.ndarray, guess: np.ndarray):
+    """The rank at which the nodes of each ball enter cell `target` on one axis.
+
+    s holds the sorted node coordinates and the inf sentinel at rank n; rad
+    and x are (balls, 1), target and guess (balls, targets), and every target
+    lies above the cell of rank 0.  Returns #{j < n : cell(rad * s[j] + x) <
+    target}, the unique start in [1, n] with rank start - 1 below the target
+    and rank start (the sentinel at n) not.  The guess, clipped to [1, n], is
+    kept where both ranks confirm it, two evaluations; from any other guess a
+    gallop brackets the start and a bisection closes the bracket, at most
+    2 ceil(log2 n) evaluations more.
+    """
+    n = s.size - 1
+    start = np.clip(guess, 1, n)
+    above = cell(rad * s[start] + x) < target  # the start lies above the guess
+    miss = np.flatnonzero(above | ~(cell(rad * s[start - 1] + x) < target))
+    if miss.size == 0:
+        return start
+    row = miss // target.shape[1]
+    r, xm, t = rad[row, 0], x[row, 0], target.reshape(-1)[miss]
+    up = above.reshape(-1)[miss]
+    g = start.reshape(-1)[miss]
+    anchor = np.where(up, g, g - 1)  # the rank checked on the start's far side
+    below = np.where(up, g, 0)  # a rank known below the target
+    top = np.where(up, n, g - 1)  # a rank known not below it
+
+    def probe(todo, p):  # evaluate rank p of the misses todo, narrowing their brackets
+        is_below = cell(r[todo] * s[p] + xm[todo]) < t[todo]
+        below[todo[is_below]] = p[is_below]
+        top[todo[~is_below]] = p[~is_below]
+        return is_below
+
+    todo, step = np.arange(miss.size), 1
+    while todo.size:  # gallop from the anchor in doubling steps until a probe crosses the target
+        p = np.clip(anchor[todo] + np.where(up[todo], step, -step), below[todo], top[todo])
+        inner = (p > below[todo]) & (p < top[todo])
+        todo, p = todo[inner], p[inner]
+        todo, step = todo[probe(todo, p) == up[todo]], 2 * step
+    todo = np.flatnonzero(top - below > 1)
+    while todo.size:  # bisect the bracket
+        probe(todo, (below[todo] + top[todo]) // 2)
+        todo = todo[top[todo] - below[todo] > 1]
+    start.reshape(-1)[miss] = top
+    return start
 
 
 def _parity_weights(shape: tuple) -> np.ndarray:

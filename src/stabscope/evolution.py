@@ -433,21 +433,33 @@ def _sigma_min(ab: np.ndarray, matvecs: list | None = None):
 
 
 def _normal_bands(ab: np.ndarray) -> np.ndarray:
-    """Upper bands of A*A in cholesky_banded's layout, out[4 + i - j, j] = (A*A)[i, j]."""
+    """Upper bands of A*A in cholesky_banded's layout, out[4 + i - j, j] = (A*A)[i, j].
+
+    Band off is the sum over k of conj(A[j + k - 2, j - off]) A[j + k - 2, j]
+    = conj(ab[off + k, j - off]) ab[k, j], added term by term from +0 in k
+    order, one row at a time.
+    """
     n = ab.shape[1]
-    row = np.arange(5)[:, None] + np.arange(n) - 2  # row of A held by each entry of ab
-    a = np.where((row >= 0) & (row < n), ab, 0.0)  # ab's two corners hold no entry of A
+    a = np.array(ab, dtype=complex)
+    # the six cells of ab's two corners hold no entry of A: rows j + k - 2 < 0 or >= n
+    a[0, :2] = a[1, :1] = a[3, n - 1 :] = a[4, max(n - 2, 0) :] = 0.0
     out = np.zeros((5, n), dtype=complex)
+    term = np.empty(n, dtype=complex)
     for off in range(min(5, n)):  # an offset of n or more holds no entry
-        out[4 - off, off:] = np.sum(np.conj(a[off:, : n - off]) * a[: 5 - off, off:], axis=0)
+        band, t = out[4 - off, off:], term[: n - off]
+        for k in range(5 - off):
+            np.conjugate(a[off + k, : n - off], out=t)
+            t *= a[k, off:]
+            band += t
     return out
 
 
 def _line_values(pot: Potential, b: Damping, grid: Grid, lam: float, level: float) -> tuple:
     """V and b on the nodes of a line grid, read off one mesh, once the grid
-    resolves frequency lam and its Dirichlet box reaches sublevel_radius(level)."""
+    resolves frequency lam and its Dirichlet box, wherever it is centred,
+    holds |x| <= sublevel_radius(level)."""
     check_resolution(grid, lam)
-    needed = sublevel_radius(pot, level)
+    needed = abs(grid.center[0]) + sublevel_radius(pot, level)
     if grid.ls[0] < needed * (1.0 - 1e-9):
         raise ValueError(f"Dirichlet box too small: need half-width >= {needed:.6g}")
     x = grid.meshgrid()

@@ -831,6 +831,7 @@ def test_invalid_potential_weights_exit_2(tmp_path, capsys):
 H1 = {"potential": {"name": "harmonic", "d": 1}}
 H2 = {"potential": {"name": "harmonic", "d": 2}}
 H1_EXTERIOR = {**H1, "damping": {"name": "exterior"}}
+SHIFTED_BOX = {"grid": {"n_nodes": 400, "half_width_space": 6.0, "center_space": [50.0]}}
 EVOLVE_CFG = {
     **H1_EXTERIOR,
     "grid": {"n_nodes": 64, "half_width_space": 6.0},
@@ -895,6 +896,10 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, cfg, key):
          "config.initial.center_space must be 2 finite coordinate(s), got [1.0]"),
         ("evolve", {**H2, "grid": {"n_nodes": 16, "half_width_space": 6.0}, "initial": {"center_space": [1.0, 2.0, 3.0]}},
          "config.initial.center_space must be 2 finite coordinate(s), got [1.0, 2.0, 3.0]"),
+        # half-width 6 would do at the origin, but the box [44, 56] holds no part of the well
+        ("resolvent", {"damping": {"name": "ball"}, "lambdas_freq": [1.0, 2.0], **SHIFTED_BOX},
+         "Dirichlet box too small: need half-width >= 55.6569"),
+        ("spectrum", {"count": 10, **SHIFTED_BOX}, "Dirichlet box too small: need half-width >= 54.5826"),
     ],
 )
 def test_bad_frequency_or_grid_exits_2(tmp_path, capsys, command, change, match):

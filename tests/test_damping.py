@@ -17,6 +17,7 @@ from stabscope.damping import (
     COUNT_MAX_CELLS,
     N_RAY,
     Damping,
+    _count_damped,
     _sobol,
     builtin_damping,
     default_ray_family,
@@ -423,12 +424,9 @@ def damped_node_cases(draw):
     return b, pts, radii
 
 
-@pytest.mark.deep
-@given(damped_node_cases())
-def test_damped_nodes_counts_the_nodes_raw_func_damps(case):
-    # the hook's contract: where k is known, raw_func reads b_max at exactly
-    # k of the ball's nodes and 0 at the others
-    b, pts, radii = case
+def _assert_counts_damped_nodes(b: Damping, pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The hook's contract: where k is known, raw_func reads b_max at exactly
+    k of the ball's nodes and 0 at the others.  Returns k."""
     nodes = unit_ball_nodes(b.d, 512 * b.d)
     k = b.damped_nodes(pts, radii)
     assert k.shape == radii.shape
@@ -437,6 +435,85 @@ def test_damped_nodes_counts_the_nodes_raw_func_damps(case):
             values = b.raw_func(r * nodes + x)
             assert np.all((values == b.b_max) | (values == 0.0))
             assert np.count_nonzero(values == b.b_max) == kk
+    return k
+
+
+@pytest.mark.deep
+@given(damped_node_cases())
+def test_damped_nodes_counts_the_nodes_raw_func_damps(case):
+    _assert_counts_damped_nodes(*case)
+
+
+@st.composite
+def far_cell_cases(draw):
+    """A cell indicator at amplitude 1 and balls out to 2^50 cell widths, each meeting 1 to 16 cells per axis.
+
+    A checkerboard coordinate is k cells of width w out, k up to 2^50, a
+    strip's j periods L out, j up to 2^49 (band index 2^50), then on a cell
+    edge, 1e-12 cells off one or anywhere in the cell.  Radii run from 1e-3 w
+    to 7 w on the checkerboard and from 1e-3 L to 3 L on the strips: rounding
+    at 2^50 cells moves each end of a ball by at most w / 4 or L / 8, so every
+    ball meets at most 16 cells per axis and is counted.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(["checkerboard", "strip_lattice"]))
+    period = draw(st.sampled_from([0.01, 0.37, 1.0, 10.0]))
+    duty = draw(st.sampled_from([0.05, 0.3, 0.5, 0.95]))
+    b = builtin_damping(name, d=d, period=period, duty=duty)
+    width, far, reach = (duty * period, 2**50, 7.0) if name == "checkerboard" else (period, 2**49, 3.0)
+    edges = [0.0, duty] if name == "strip_lattice" else [0.0]
+
+    def coordinate():
+        start = draw(st.sampled_from([0, 1, 1000, far // 3, far])) * draw(st.sampled_from([-1, 1]))
+        kind = draw(st.sampled_from(["edge", "near", "free"]))
+        frac = draw(st.sampled_from(edges)) if kind != "free" else draw(st.floats(0.0, 1.0, exclude_max=True))
+        if kind == "near":
+            frac += draw(st.sampled_from([-1e-12, 1e-12]))
+        return (start + frac) * width
+
+    n = draw(st.integers(1, 8))
+    radii = np.array([width * 10.0 ** draw(st.floats(-3.0, math.log10(reach))) for _ in range(n)])
+    pts = np.array([[coordinate() for _ in range(d)] for _ in range(n)])
+    return b, pts, radii
+
+
+@pytest.mark.deep
+@given(far_cell_cases())
+def test_damped_nodes_counts_far_balls_across_many_cells(case):
+    k = _assert_counts_damped_nodes(*case)
+    assert not np.any(np.isnan(k))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 1e15])
+def test_cell_search_evaluates_boundedly_many_points(scale, d):
+    # the sorted guess of where a cell starts costs two cell evaluations per
+    # ball, target and axis, and a wrong guess at most 2 ceil(log2 n) more; at
+    # |x| ~ 1e15 the rounding of r * node + x to multiples of 1/8 moves a
+    # cell's start dozens of ranks from the guess
+    evaluated = [0]
+
+    def cell(s, a=0.5):
+        evaluated[0] += s.size
+        return np.floor(s / a)
+
+    def edge(k, a=0.5):
+        return k * a
+
+    n, r = 512 * d, 0.25
+    rng = np.random.default_rng(3)
+    pts = scale + rng.uniform(-2.0, 2.0, size=(500, d))
+    nodes = unit_ball_nodes(d, n)
+    spans = cell(r * nodes.max(axis=0) + pts) - cell(r * nodes.min(axis=0) + pts)  # (balls, d)
+    targets = spans.max(axis=0).sum()  # per ball, over the axes
+    evaluated[0] = 0
+    k = _count_damped((cell,) * d, (edge,) * d, n, COUNT_MAX_CELLS, pts, np.full(500, r))
+    extremes, guesses = 2 * d * 500, 2 * targets * 500  # the lowest and highest node per ball and axis, then the checks
+    assert extremes + guesses <= evaluated[0] <= extremes + (2 + 2 * math.ceil(math.log2(n))) * targets * 500
+    if scale > 1.0:  # the gallop ran
+        assert evaluated[0] > extremes + guesses
+    even = (np.sum(cell(r * nodes[None] + pts[:, None]), axis=-1) % 2 == 0).sum(axis=1)
+    assert np.array_equal(k, even)
 
 
 @pytest.mark.parametrize("name, params", BUILTIN_PARAMS)

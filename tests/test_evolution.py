@@ -589,6 +589,39 @@ def test_sigma_min_matches_dense_svd(case, n, k):
         assert gap <= 1e-14 * np.max(np.abs(normal))
 
 
+def _normal_bands_by_sums(ab):
+    """Bands of A*A as numpy's sum over k forms them: the reference for evolution._normal_bands."""
+    n = ab.shape[1]
+    row = np.arange(5)[:, None] + np.arange(n) - 2  # row of A held by each entry of ab
+    a = np.where((row >= 0) & (row < n), ab, 0.0)
+    out = np.zeros((5, n), dtype=complex)
+    for off in range(min(5, n)):
+        out[4 - off, off:] = np.sum(np.conj(a[off:, : n - off]) * a[: 5 - off, off:], axis=0)
+    return out
+
+
+@given(
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e-150, 1e150]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_normal_bands_keep_the_summed_bits(n, seed, scale, zeros):
+    # adding the terms row by row from +0 keeps the bits of numpy's sum over k,
+    # signed zeros included, on every grid (n >= 8); on fewer nodes numpy sums
+    # in another order
+    rng = np.random.default_rng(seed)
+    ab = scale * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+    signed_zero = np.copysign(0.0, rng.standard_normal((2, 5, n)))
+    ab.real = np.where(rng.random((5, n)) < zeros, signed_zero[0], ab.real)
+    ab.imag = np.where(rng.random((5, n)) < zeros, signed_zero[1], ab.imag)
+    got, want = evolution._normal_bands(ab), _normal_bands_by_sums(ab)
+    if n >= 8:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want)))
+
+
 def dense_of(ab):
     """The n x n matrix whose bands ab holds, ab[2 + i - j, j] = A[i, j]."""
     n = ab.shape[1]
@@ -790,6 +823,9 @@ def test_resolvent_scan_rejects_bad_input():
         resolvent_scan(H1, B_OFF, [0.0])
     with pytest.raises(ValueError, match="Dirichlet box too small"):
         resolvent_scan(H1, B_OFF, [1.0, 1.5, 2.0], grid=make_grid(1, 64, 2.0))
+    # wide enough at the origin, but the box [44, 56] misses the well |x| <= 4 sqrt(2)
+    with pytest.raises(ValueError, match="need half-width >= 55.6569"):
+        resolvent_scan(H1, B_OFF, [1.0, 2.0], grid=make_grid(1, 400, 6.0, center=50.0))
 
 
 @pytest.mark.parametrize("lams", [[math.inf], [1.0, math.nan], [-math.inf, 1.0]])
@@ -866,6 +902,9 @@ def test_damped_spectrum_rejects_bad_input(spectrum_setup):
     # level 40.5, which needs |x| <= 9
     with pytest.raises(ValueError, match="Dirichlet box too small: need half-width >= 9"):
         damped_spectrum_1d(H1, B_ONE, make_grid(1, 201, 3.0), 40)
+    # |x| <= 6 holds level 10.5 about the origin, the box [44, 56] does not
+    with pytest.raises(ValueError, match="Dirichlet box too small: need half-width >= 54.5826"):
+        damped_spectrum_1d(H1, B_ONE, make_grid(1, 400, 6.0, center=50.0), 10)
 
 
 def test_trace_csv_layout(tmp_path):
