@@ -507,6 +507,7 @@ def _cell_starts(cell, s: np.ndarray, rad: np.ndarray, x: np.ndarray, target: np
     return start
 
 
+@cache
 def _parity_weights(shape: tuple) -> np.ndarray:
     """Weights on the corner counts that sum the boxes of nodes with an even cell sum.
 
@@ -514,7 +515,8 @@ def _parity_weights(shape: tuple) -> np.ndarray:
     the counts at its 2^q corners, and is damped when p + sum t_i is even.
     Summing by parts puts the weight -diff(w) per axis on the corner counts,
     w the damped indicator padded with zeros.  Row p of the (2, prod(shape))
-    result holds the weights for a lowest cell sum of parity p.
+    result holds the weights for a lowest cell sum of parity p.  Built once per
+    shape and read-only.
     """
     runs = tuple(m - 1 for m in shape)
     rows = []
@@ -523,7 +525,9 @@ def _parity_weights(shape: tuple) -> np.ndarray:
         for axis in range(len(runs)):
             w = -np.diff(w, axis=axis, prepend=0.0, append=0.0)
         rows.append(w.ravel())
-    return np.array(rows)
+    weights = np.array(rows)
+    weights.setflags(write=False)
+    return weights
 
 
 def _window_mean(b: Damping, r, pts: np.ndarray, ts: np.ndarray, axis: int) -> np.ndarray:

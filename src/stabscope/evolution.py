@@ -18,7 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import Damping
-from .fields import _NODE_BUDGET, POINTS_PER_WAVELENGTH, Field, Grid, _PKernel, check_resolution, make_grid, p_bands
+from .fields import (
+    _NODE_BUDGET,
+    POINTS_PER_WAVELENGTH,
+    Field,
+    Grid,
+    _aligned,
+    _line_pad,
+    _PKernel,
+    check_resolution,
+    make_grid,
+    p_bands,
+)
 from .potentials import Potential, _require_count, _require_finite, _require_window, sublevel_radius
 
 log = logging.getLogger(__name__)
@@ -112,24 +123,29 @@ def evolve(
 
     Leapfrog in the elliptic part; the damping enters through the centered
     velocity, so each update divides by (1 + dt b/2) pointwise.  Raises on
-    non-finite initial data and on a CFL violation up front, and aborts on
-    NaN mid-run.  The recorded E is not the quantity the scheme dissipates:
-    it can rise by O(dt^2) where b misses the wave.
+    non-finite initial data and on a CFL violation up front, and raises
+    RuntimeError, without a floating-point warning, once an E or a D of the
+    run is not finite, as when finite data overflow the energy.  The
+    recorded E is not the quantity the scheme dissipates: it can rise by
+    O(dt^2) where b misses the wave.
 
     The arithmetic follows the data: real when u and v have zero imaginary
-    part, complex otherwise.  Each step runs in preallocated buffers and
-    divides by (1 + dt b/2) and by 2 dt through their reciprocals, which is
-    what complex division by a divisor with zero imaginary part computes, so
-    a real run records the bits a complex run of the same data would.
+    part, complex otherwise.  Each step runs in preallocated buffers, each
+    starting a cache line, and divides by (1 + dt b/2) and by 2 dt through
+    their reciprocals, which is what complex division by a divisor with zero
+    imaginary part computes, so a real run records the bits a complex run of
+    the same data would.
 
     The energy bookkeeping runs by blocks of steps.  Each step puts u P u
     (Re of conj(u) P u for complex data) and v (|v| for complex data) into
-    one row each of two block buffers of at most _NODE_BUDGET nodes; real
-    data compute v in its row, where complex data take |v| from v.  Once
-    per block, the velocity rows are squared, the rows are weighted by w and
-    by w b, and each row is summed on its own: numpy's pairwise sum over a
-    contiguous row, as over the whole field.  E = (<u, P u> + ||v||^2) / 2 and
-    D = <v, b v> of every step then give the balance coefficient, the largest
+    one row each of two block buffers of at most _NODE_BUDGET nodes, whose
+    rows are padded to whole cache lines and so all start one; real data
+    compute v in its row, where complex data take |v| from v.  Once per
+    block, the velocity rows are squared, the rows are weighted by w and by
+    w b, and each row is summed on its own: numpy's pairwise sum over a
+    contiguous row, as over the whole field; the block's E and D must be
+    finite.  E = (<u, P u> + ||v||^2) / 2 and D = <v, b v> of every step
+    then give the balance coefficient, the largest
     |E_n - E_{n-1} + dt (D_n + D_{n-1}) / 2| / (dt (E_{n-1} + 1)) with NaN ignored,
     and the recorded samples, in one vectorized pass after the run.
     """
@@ -162,20 +178,19 @@ def evolve(
     if real:
         u0, v0 = u0.real, v0.real
     kernel = _PKernel(vvals, grid.hs, dtype)
-    u_prev = u0.astype(dtype)
-    u_curr = np.empty_like(u_prev)
-    u_next = np.empty_like(u_prev)
-    v = None if real else np.empty_like(u_prev)  # real data's velocity lives in its block row
-    tmp = np.empty_like(u_prev)
+    u_prev, u_curr, u_next, tmp = (_aligned(grid.ns, dtype) for _ in range(4))
+    u_prev[...] = u0
+    v = None if real else _aligned(grid.ns, dtype)  # real data's velocity lives in its block row
 
     n_steps = int(round(T_final / dt))
-    block = min(n_steps + 1, max(1, _NODE_BUDGET // u_prev.size))
-    quad = np.empty((block, u_prev.size))  # u P u per step, then weighted
-    speed = np.empty((block, u_prev.size))  # v or |v| per step, then squared
+    size = u_prev.size
+    block = min(n_steps + 1, max(1, _NODE_BUDGET // size))
+    quad = _aligned((block, _line_pad(size, float)), float)[:, :size]  # u P u per step, then weighted
+    speed = _aligned((block, _line_pad(size, float)), float)[:, :size]  # v or |v| per step, then squared
     quad_rows = [row.reshape(grid.ns) for row in quad]
     speed_rows = [row.reshape(grid.ns) for row in speed]
-    E = np.empty(n_steps + 1)
-    D = np.empty(n_steps + 1)
+    energies = np.empty((2, n_steps + 1))
+    E, D = energies
 
     def keep(n, u_arr, pu_arr, v_arr):
         # the step-n rows of the block; the block is summed when it is full
@@ -198,31 +213,35 @@ def evolve(
             E[n + 1 - k : n + 1] = 0.5 * (quad_sums + q.sum(axis=1))
             np.multiply(v2, wb, out=q)
             D[n + 1 - k : n + 1] = q.sum(axis=1)
+            finite = np.isfinite(energies[:, n + 1 - k : n + 1]).all(axis=0)
+            if not finite.all():
+                first = n + 1 - k + int(np.argmin(finite))
+                raise RuntimeError(f"time integration produced a non-finite energy at t={first * dt:.6g}")
 
     start = time.perf_counter()
-    pu = kernel(u_prev)
-    keep(0, u_prev, pu, v0)
+    # finite data may overflow the energy: its check raises, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pu = kernel(u_prev)
+        keep(0, u_prev, pu, v0)
 
-    u_curr[...] = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
-    for n in range(1, n_steps + 1):
-        pu = kernel(u_curr)
-        # u_next = (2 u_curr - u_prev - dt^2 P u_curr + (dt/2) b u_prev) / (1 + dt b/2)
-        np.multiply(2.0, u_curr, out=u_next)
-        u_next -= u_prev
-        np.multiply(dt2, pu, out=tmp)
-        u_next -= tmp
-        np.multiply(half_b, u_prev, out=tmp)
-        u_next += tmp
-        u_next *= inv_denom
-        vel = speed_rows[n % block] if real else v
-        np.subtract(u_next, u_prev, out=vel)
-        vel *= inv_2dt
-        keep(n, u_curr, pu, vel)
-        if n % 64 == 0 and not np.isfinite(u_next.ravel()[:: max(1, u_next.size // 4096)]).all():
-            raise RuntimeError(f"time integration produced NaN at t={n * dt:.6g}")
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        u_curr[...] = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
+        for n in range(1, n_steps + 1):
+            pu = kernel(u_curr)
+            # u_next = (2 u_curr - u_prev - dt^2 P u_curr + (dt/2) b u_prev) / (1 + dt b/2)
+            np.multiply(2.0, u_curr, out=u_next)
+            u_next -= u_prev
+            np.multiply(dt2, pu, out=tmp)
+            u_next -= tmp
+            np.multiply(half_b, u_prev, out=tmp)
+            u_next += tmp
+            u_next *= inv_denom
+            vel = speed_rows[n % block] if real else v
+            np.subtract(u_next, u_prev, out=vel)
+            vel *= inv_2dt
+            keep(n, u_curr, pu, vel)
+            u_prev, u_curr, u_next = u_curr, u_next, u_prev
 
-    with np.errstate(invalid="ignore", over="ignore"):  # float semantics: inf - inf is a NaN to skip
+        # float semantics: inf - inf, possible only for E and D near the float range, is a NaN to skip
         defect = np.abs(E[1:] - E[:-1] + dt * 0.5 * (D[1:] + D[:-1]))
         balance = float(np.fmax.reduce(defect / (dt * (E[:-1] + 1.0)), initial=0.0))
     steps = np.arange(0, n_steps + 1, record_every)
@@ -235,9 +254,9 @@ def evolve(
         "evolve: %d steps on %d nodes in %s arithmetic, %.3g node-steps/s; "
         "%d samples, balance coefficient %.3e",
         n_steps,
-        u_prev.size,
+        size,
         "real" if real else "complex",
-        n_steps * u_prev.size / elapsed if elapsed > 0.0 else math.inf,
+        n_steps * size / elapsed if elapsed > 0.0 else math.inf,
         len(t),
         balance,
     )

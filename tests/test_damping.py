@@ -18,6 +18,7 @@ from stabscope.damping import (
     N_RAY,
     Damping,
     _count_damped,
+    _parity_weights,
     _sobol,
     builtin_damping,
     default_ray_family,
@@ -514,6 +515,15 @@ def test_cell_search_evaluates_boundedly_many_points(scale, d):
         assert evaluated[0] > extremes + guesses
     even = (np.sum(cell(r * nodes[None] + pts[:, None]), axis=-1) % 2 == 0).sum(axis=1)
     assert np.array_equal(k, even)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 5)])
+def test_parity_weights_are_built_once_per_shape(shape):
+    # every chunk of _count_damped reads the same matrix, which no caller may change
+    w = _parity_weights(shape)
+    assert _parity_weights(shape) is w
+    assert not w.flags.writeable
+    assert w.shape == (2, math.prod(shape))
 
 
 @pytest.mark.parametrize("name, params", BUILTIN_PARAMS)

@@ -302,6 +302,21 @@ def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitu
 @example(1, complex, 300, 250, 5.0, 0)  # 75000 nodes: three strips on the line
 @example(2, float, 400, 200, 5.0, 1)  # 163 rows a strip: three strips
 @example(2, complex, 400, 120, 5.0, 2)  # 273 rows a strip: two strips
+# padded rows of n1 + 4 nodes just below, at and past whole cache lines, 8
+# real or 4 complex nodes each, rounded up to 16, 16, 24 (real) and 16, 16,
+# 20 (complex) nodes; the 97-node side of the benchmark's plane; and the
+# same three lengths along a line of n0 * n1 nodes
+@example(2, float, 20, 11, 5.0, 3)
+@example(2, float, 20, 12, 5.0, 4)
+@example(2, float, 20, 13, 5.0, 5)
+@example(2, complex, 20, 11, 5.0, 6)
+@example(2, complex, 20, 12, 5.0, 7)
+@example(2, complex, 20, 13, 5.0, 8)
+@example(2, float, 97, 97, 6.0, 9)
+@example(2, complex, 30, 100, 6.0, 10)
+@example(1, float, 1, 11, 5.0, 11)
+@example(1, complex, 1, 12, 5.0, 12)
+@example(1, float, 1, 13, 5.0, 13)
 def test_kernel_keeps_the_reference_bits(d, dtype, n0, n1, half_width, seed):
     # the strip-blocked kernel against the full-grid reference stencil, on
     # grids of one to three strips; the line has n0 * n1 nodes so that it
@@ -319,6 +334,17 @@ def test_kernel_keeps_the_reference_bits(d, dtype, n0, n1, half_width, seed):
     ref = _reference_p(vvals, values.astype(complex), grid.hs, pad)
     assert got.dtype == dtype
     assert np.array_equal(got.view(np.uint64), (ref.real if dtype is float else ref).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_steps", [10, 63, 64, 100])
+def test_an_energy_that_overflows_raises(n_steps):
+    # finite data whose u P u overflows: evolve raises, without a
+    # floating-point warning, where it used to return E = NaN throughout
+    grid = make_grid(1, 64, 6.0)
+    state = WaveState(Field(grid, 1e300 * np.exp(-grid.axis(0) ** 2)), Field(grid, np.zeros(64)))
+    dt = 0.5 * cfl_limit(H1, grid)
+    with pytest.raises(RuntimeError, match="non-finite energy at t=0"):
+        evolve(H1, B_ONE, state, n_steps * dt, dt)
 
 
 @settings(max_examples=40)

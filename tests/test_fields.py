@@ -699,3 +699,30 @@ def test_strips_keep_the_whole_grid_bits(case):
         nu = (1.0,) if grid.d == 1 else (0.6, -0.8)
         shape = (0.4 * grid.ls[0], 0.3 * grid.ls[-1], grid.center, np.full(grid.d, 3.0))
         assert _same_bits(quasimodes._sample_envelope(grid, nu, *shape), _whole_envelope(grid, nu, *shape))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [0, 1, 7, (3, 0), (5, 3), (97, 97), (2, 3, 5)])
+def test_aligned_arrays_start_a_cache_line(shape, dtype):
+    a = fields._aligned(shape, dtype)
+    assert a.shape == (tuple(shape) if np.iterable(shape) else (shape,))
+    assert a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+    assert a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("ns, n_strips", [((512,), 1), ((75000,), 3), ((97, 97), 1), ((21, 13), 1), ((400, 200), 3)])
+def test_stencil_stores_start_cache_lines(ns, n_strips, dtype):
+    # what the kernel writes on every call: its output, the two sums, and
+    # the product rows of every strip from interior column 2 (on the line,
+    # node 2 of each of the three products)
+    kernel = _PKernel(np.zeros(ns), (0.1,) * len(ns), dtype)
+    assert len(kernel.rows) == n_strips
+    assert kernel.out.ctypes.data % 64 == 0
+    rows = kernel.prods.reshape(-1, kernel.prods.shape[-1])
+    assert rows.shape[1] * rows.itemsize % 64 == 0  # whole-line rows
+    assert all(row[2:].ctypes.data % 64 == 0 for row in rows)
+    for rs, src, dst, blanks, taps, lap, d2, lap_nodes in kernel.strips:
+        assert lap.ctypes.data % 64 == 0 and d2.ctypes.data % 64 == 0
+        if len(ns) == 2:
+            assert all(row.ctypes.data % 64 == 0 for plane in dst for row in plane)
