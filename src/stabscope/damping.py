@@ -91,17 +91,21 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
     radial_shells   b = amplitude on annuli {frac(|x|/period) < duty}
     strip_lattice   b = amplitude on strips {frac(x_1/period) < duty}
 
-    Each counts its damped nodes (Damping.damped_nodes): constant all of
-    them; exterior, ball and radial_shells all or none where the slack
-    certificate `_band_value` holds; the cell indicators per cell.
+    constant keeps its own evaluator and counts every node.  The others come
+    from two family constructors, each of which forms raw_func and the
+    damped-node count (Damping.damped_nodes) from one description of the
+    damped set: `_radial` for exterior, ball and radial_shells, an indicator
+    of |x - center| counted all or none where the slack certificate
+    `_band_value` holds; `_cells` for checkerboard and strip_lattice, a cell
+    indicator counted per cell (`_count_damped`).
 
     One out-of-range rule holds for all: a NaN coordinate reads undamped, a
     norm beyond the float range saturates to inf, and a cell or band index of
     2^53 or more, inf included, is even, so such points read as the far points
-    they are.  A ball centred on a NaN coordinate that b reads takes the quadrature.
+    they are.  A ball centred on a NaN coordinate that b reads takes the
+    quadrature.  The ball builtin's own centre must be finite.
     """
     _require_dimension(d)
-    n_nodes = N_BALL_PER_DIM * d
     amplitude = float(params.pop("amplitude", 1.0))
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
@@ -110,6 +114,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
     if name == "constant":
         _reject_extra(params)
+        n_nodes = N_BALL_PER_DIM * d
 
         def func(pts):
             return np.full(pts.shape[:-1], amplitude)
@@ -119,33 +124,18 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
 
         return Damping(d, func, amplitude, f"constant({amplitude:g})", damped_nodes)
 
-    if name == "exterior":
+    if name in ("exterior", "ball"):
         radius = _require_window("radius", float(params.pop("radius", 1.0)))
-        _reject_extra(params)
-
-        def func(pts, r=radius):
-            return amplitude * (_norm(pts) >= r)
-
-        def damped_nodes(pts, radii, r=radius):
-            return _band_value(_norm(pts), radii, lambda s: s >= r, lambda s: n_nodes * (s >= r))
-
-        return Damping(d, func, amplitude, f"exterior(R={radius:g})", damped_nodes)
-
-    if name == "ball":
-        radius = _require_window("radius", float(params.pop("radius", 1.0)))
+        label = f"{name}(R={radius:g})"
+        if name == "exterior":
+            _reject_extra(params)
+            return _radial(d, amplitude, label, None, lambda s: s >= radius, lambda s: s >= radius)
         center = np.asarray(params.pop("center", np.zeros(d)), dtype=float)
         _reject_extra(params)
         if center.ndim > 1 or center.size not in (1, d):
             raise ValueError(f"ball center must have one coordinate per axis, d = {d}")
-        center = np.broadcast_to(center, (d,))  # one coordinate per axis plane
-
-        def func(pts, r=radius, c=center):
-            return amplitude * (_norm(pts, c) <= r)
-
-        def damped_nodes(pts, radii, r=radius, c=center):
-            return _band_value(_norm(pts, c), radii, lambda s: s > r, lambda s: n_nodes * (s <= r))
-
-        return Damping(d, func, amplitude, f"ball(R={radius:g})", damped_nodes)
+        center = np.broadcast_to(_require_finite("ball center", center), (d,))  # one coordinate per axis plane
+        return _radial(d, amplitude, label, center, lambda s: s > radius, lambda s: s <= radius)
 
     if name not in ("checkerboard", "radial_shells", "strip_lattice"):
         raise ValueError(f"unknown damping {name!r}")
@@ -156,11 +146,6 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         raise ValueError("duty ratio must lie in (0, 1)")
     label = f"{name}(L={period:g},duty={duty:g})"
 
-    # balls of the cell indicators are counted across up to COUNT_MAX_CELLS cells per
-    # axis when the amplitude sums exactly; otherwise mollify_at uses only k = 0 and
-    # k = n_nodes, which a ball in one cell per axis alone can give
-    max_cells = COUNT_MAX_CELLS if _sums_exactly(amplitude, n_nodes) else 1
-
     if name == "checkerboard":
 
         def cell(s, a=duty * period):
@@ -169,10 +154,7 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         def edge(k, a=duty * period):  # where cell k starts
             return k * a
 
-        def func(pts):
-            return amplitude * _even((cell,) * d, [pts[..., i] for i in range(d)])
-
-        return Damping(d, func, amplitude, label, partial(_count_damped, (cell,) * d, (edge,) * d, n_nodes, max_cells))
+        return _cells(d, amplitude, label, (cell,) * d, (edge,) * d)
 
     # annuli or strips: b is amplitude on the even bands of 2 floor(s/L) + [frac(s/L) >= duty];
     # frac(y) = y - floor(y) has np.mod(y, 1.0)'s bits for either sign of y, at a fraction of its cost
@@ -185,23 +167,40 @@ def builtin_damping(name: str, d: int = 1, **params) -> Damping:
         return k
 
     if name == "radial_shells":
-
-        def func(pts):
-            return amplitude * _even((band,), (_norm(pts),))
-
-        def damped_nodes(pts, radii):
-            return _band_value(_norm(pts), radii, band, lambda s: n_nodes * _even((band,), (s,)))
-
-        return Damping(d, func, amplitude, label, damped_nodes)
+        return _radial(d, amplitude, label, None, band, lambda s: _even((band,), (s,)))
 
     def band_edge(k, L=period, q=duty):  # where band k starts
         half = np.floor(0.5 * k)
         return (half + (k - 2.0 * half) * q) * L
 
-    def func(pts):
-        return amplitude * _even((band,), (pts[..., 0],))
+    return _cells(d, amplitude, label, (band,), (band_edge,))
 
-    return Damping(d, func, amplitude, label, partial(_count_damped, (band,), (band_edge,), n_nodes, max_cells))
+
+def _radial(d: int, amplitude: float, label: str, center, band, damped) -> Damping:
+    """b = amplitude * damped(|x - center|), center None for the origin; band(s) is
+    non-decreasing and damped(s) constant where band is, as `_band_value` needs."""
+    n_nodes = N_BALL_PER_DIM * d
+
+    def func(pts):
+        return amplitude * damped(_norm(pts, center))
+
+    def damped_nodes(pts, radii):
+        return _band_value(_norm(pts, center), radii, band, lambda s: n_nodes * damped(s))
+
+    return Damping(d, func, amplitude, label, damped_nodes)
+
+
+def _cells(d: int, amplitude: float, label: str, cells: tuple, edges: tuple) -> Damping:
+    """b = amplitude where the cell indices cells[i](x_i) sum even, cell k starting at
+    edges[i](k); balls are counted across up to COUNT_MAX_CELLS cells per axis if the
+    amplitude sums exactly, else in one, as mollify_at then uses only k = 0 and n_nodes."""
+    n_nodes = N_BALL_PER_DIM * d
+    max_cells = COUNT_MAX_CELLS if _sums_exactly(amplitude, n_nodes) else 1
+
+    def func(pts):
+        return amplitude * _even(cells, [pts[..., i] for i in range(len(cells))])
+
+    return Damping(d, func, amplitude, label, partial(_count_damped, cells, edges, n_nodes, max_cells))
 
 
 def _even(cells, scalars):
@@ -414,7 +413,8 @@ def _count_damped(cells: tuple, edges: tuple, n: int, max_cells: int, pts: np.nd
     the ball's nodes run through its cells lo_i, lo_i + 1, ..., hi_i in
     consecutive rank intervals.  A sorted search of (edge(t) - x_i) / r among
     the sorted node coordinates guesses where cell t starts, and
-    `_cell_starts` makes the guess exact on the same expression.  The
+    `_cell_starts` makes the guess exact on the same expression, in at most
+    2 + 1 + ceil(log2 n) cell evaluations per ball, target and axis.  The
     interval ends on every axis are the corners of the runs, boxes of nodes
     that share their cells; the corner counts (the ends themselves in 1D, the
     dominance table in 2D, looked up only off its border, which is known in
@@ -469,9 +469,9 @@ def _cell_starts(cell, s: np.ndarray, rad: np.ndarray, x: np.ndarray, target: np
     lies above the cell of rank 0.  Returns #{j < n : cell(rad * s[j] + x) <
     target}, the unique start in [1, n] with rank start - 1 below the target
     and rank start (the sentinel at n) not.  The guess, clipped to [1, n], is
-    kept where both ranks confirm it, two evaluations; from any other guess a
-    gallop brackets the start and a bisection closes the bracket, at most
-    2 ceil(log2 n) evaluations more.
+    kept where both ranks confirm it, two evaluations.  A miss, most often
+    one rank off, probes the rank past the checked one on the start's side,
+    then bisects what is left: at most 1 + ceil(log2 n) evaluations more.
     """
     n = s.size - 1
     start = np.clip(guess, 1, n)
@@ -483,26 +483,16 @@ def _cell_starts(cell, s: np.ndarray, rad: np.ndarray, x: np.ndarray, target: np
     r, xm, t = rad[row, 0], x[row, 0], target.reshape(-1)[miss]
     up = above.reshape(-1)[miss]
     g = start.reshape(-1)[miss]
-    anchor = np.where(up, g, g - 1)  # the rank checked on the start's far side
     below = np.where(up, g, 0)  # a rank known below the target
     top = np.where(up, n, g - 1)  # a rank known not below it
-
-    def probe(todo, p):  # evaluate rank p of the misses todo, narrowing their brackets
+    todo, p = np.arange(miss.size), np.where(up, g + 1, g - 2)  # the one probe, then midpoints
+    while todo.size:  # until every bracket is closed, which leaves p at neither of its ends
+        inner = (p > below[todo]) & (p < top[todo])
+        todo, p = todo[inner], p[inner]
         is_below = cell(r[todo] * s[p] + xm[todo]) < t[todo]
         below[todo[is_below]] = p[is_below]
         top[todo[~is_below]] = p[~is_below]
-        return is_below
-
-    todo, step = np.arange(miss.size), 1
-    while todo.size:  # gallop from the anchor in doubling steps until a probe crosses the target
-        p = np.clip(anchor[todo] + np.where(up[todo], step, -step), below[todo], top[todo])
-        inner = (p > below[todo]) & (p < top[todo])
-        todo, p = todo[inner], p[inner]
-        todo, step = todo[probe(todo, p) == up[todo]], 2 * step
-    todo = np.flatnonzero(top - below > 1)
-    while todo.size:  # bisect the bracket
-        probe(todo, (below[todo] + top[todo]) // 2)
-        todo = todo[top[todo] - below[todo] > 1]
+        p = (below[todo] + top[todo]) // 2
     start.reshape(-1)[miss] = top
     return start
 
@@ -650,6 +640,8 @@ def tpc_scan(b: Damping, pot: Potential, R: float) -> ConditionReport:
     least ball the report names (point, |x| and radius); the per-shell trend
     table is reported so a decreasing tail is visible.
     """
+    if pot.d != b.d:
+        raise ValueError("potential and damping dimensions differ")
     _require_window("R", R)
     shells, pts = turning_lattice(b.d)
     _, radii, means = _turning_balls(b, pot, R, pts)
@@ -686,6 +678,8 @@ def flow_average(
     Averages (b * kappa_{R/sqrt(lam)}) over the flow segment |t| <= T/lam
     through each (x0, xi0); batched over leading axes of x0/xi0.
     """
+    if pot.d != b.d:
+        raise ValueError("potential and damping dimensions differ")
     for name, value in (("T", T), ("R", R), ("lam", lam)):
         _require_window(name, value)
     x0 = np.atleast_2d(as_points(x0, pot.d))
@@ -723,6 +717,8 @@ def _dsc_scans(
     integrated once, every damping is averaged over it, and it is dropped
     before the next frequency.
     """
+    if any(b.d != pot.d for b in dampings):
+        raise ValueError("potential and damping dimensions differ")
     _require_window("T", T)
     _require_window("R", R)
     _require_count("n_shell_samples", n_shell_samples)

@@ -17,7 +17,8 @@ buffers that it reuses, and V, b and the ball coverage are read per strip
 from the grid axes, so no node mesh and no full-size temporary is made.
 The time stepper runs its kernel every step without allocating, in real
 arithmetic when the data are real.  Every buffer the stepper writes on each
-step comes from ``_aligned`` and starts a 64-byte cache line, and the
+step, and the strip buffer that takes P f for ``apply_P`` and
+``residual_ratio``, comes from ``_aligned`` and starts a 64-byte line; the
 stencil's product rows are padded to whole lines with their first interior
 node on a line.  numpy's AVX-512 loops store 64 bytes at a time without
 first stepping to a line boundary, so from a buffer that starts 16 to 48
@@ -344,7 +345,7 @@ def _p_rows(pot: Potential, f: Field):
     """(rows, P f on those rows) for each strip, in one reused strip buffer."""
     grid = f.grid
     stencil = _Stencil(grid.ns, grid.hs, f.values.dtype)
-    buf = np.empty((stencil.rows[0].stop,) + grid.ns[1:], dtype=f.values.dtype)
+    buf = _aligned((stencil.rows[0].stop,) + grid.ns[1:], f.values.dtype)
     for k, rs in enumerate(stencil.rows):
         v = pot.raw_value(grid._row_mesh(rs))
         yield rs, stencil.apply(k, f.values, v, buf[: rs.stop - rs.start])

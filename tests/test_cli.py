@@ -293,6 +293,15 @@ def test_conditions_rejects_unknown_check(tmp_path, capsys):
     assert "unknown condition checks" in capsys.readouterr().err
 
 
+def test_conditions_rejects_a_nan_ball_center(tmp_path, capsys):
+    # json reads NaN; a ball centred there would read b = 0 everywhere
+    cfg = dict(COND_CFG, damping={"name": "ball", "center_space": [math.nan]}, checks=["tpc"])
+    rc, out = run_cli(tmp_path, "conditions", cfg)
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    assert "need finite ball center" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = dict(COND_CFG, typo_key=1)
     rc, _ = run_cli(tmp_path, "conditions", cfg)

@@ -489,9 +489,10 @@ def test_damped_nodes_counts_far_balls_across_many_cells(case):
 @pytest.mark.parametrize("scale", [1.0, 1e15])
 def test_cell_search_evaluates_boundedly_many_points(scale, d):
     # the sorted guess of where a cell starts costs two cell evaluations per
-    # ball, target and axis, and a wrong guess at most 2 ceil(log2 n) more; at
-    # |x| ~ 1e15 the rounding of r * node + x to multiples of 1/8 moves a
-    # cell's start dozens of ranks from the guess
+    # ball, target and axis, and a wrong guess at most 1 + ceil(log2 n) more
+    # (one probe, then the bisection); at |x| ~ 1e15 the rounding of
+    # r * node + x to multiples of 1/8 moves a cell's start dozens of ranks
+    # from the guess
     evaluated = [0]
 
     def cell(s, a=0.5):
@@ -510,8 +511,8 @@ def test_cell_search_evaluates_boundedly_many_points(scale, d):
     evaluated[0] = 0
     k = _count_damped((cell,) * d, (edge,) * d, n, COUNT_MAX_CELLS, pts, np.full(500, r))
     extremes, guesses = 2 * d * 500, 2 * targets * 500  # the lowest and highest node per ball and axis, then the checks
-    assert extremes + guesses <= evaluated[0] <= extremes + (2 + 2 * math.ceil(math.log2(n))) * targets * 500
-    if scale > 1.0:  # the gallop ran
+    assert extremes + guesses <= evaluated[0] <= extremes + (2 + 1 + math.ceil(math.log2(n))) * targets * 500
+    if scale > 1.0:  # some guesses missed and were corrected
         assert evaluated[0] > extremes + guesses
     even = (np.sum(cell(r * nodes[None] + pts[:, None]), axis=-1) % 2 == 0).sum(axis=1)
     assert np.array_equal(k, even)
@@ -957,6 +958,25 @@ def test_dsc_scan_needs_a_frequency(harmonic_1d):
     b = builtin_damping("exterior", d=1, radius=1.0)
     with pytest.raises(ValueError, match="need at least one frequency lambda"):
         dsc_scan(b, harmonic_1d, 1.0, 1.0, [], n_shell_samples=8)
+
+
+SCANS = {
+    "tpc_scan": lambda b, pot: tpc_scan(b, pot, 1.0),
+    "dsc_scan": lambda b, pot: dsc_scan(b, pot, 1.0, 1.0, [25.0], n_shell_samples=8),
+    "dsc_limit_scan": lambda b, pot: dsc_limit_scan(b, pot, [(1.0, 1.0)], [25.0], n_shell_samples=8),
+    "flow_average": lambda b, pot: flow_average(b, pot, np.ones((3, pot.d)), np.ones((3, pot.d)), 1.0, 1.0, 25.0),
+}
+
+
+@pytest.mark.parametrize("d_damping, d_potential", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_scans_reject_a_damping_of_the_other_dimension(scan, d_damping, d_potential):
+    # a 2D point read by a 1D damping would pass for two 1D points, and a
+    # 1D point read by a 2D damping would take its lattice for the well's
+    b = builtin_damping("checkerboard", d=d_damping)
+    pot = builtin_potential("harmonic", d=d_potential)
+    with pytest.raises(ValueError, match="potential and damping dimensions differ"):
+        SCANS[scan](b, pot)
 
 
 # -------------------------------------------------------------- tpc_scan

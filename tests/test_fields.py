@@ -715,7 +715,8 @@ def test_aligned_arrays_start_a_cache_line(shape, dtype):
 def test_stencil_stores_start_cache_lines(ns, n_strips, dtype):
     # what the kernel writes on every call: its output, the two sums, and
     # the product rows of every strip from interior column 2 (on the line,
-    # node 2 of each of the three products)
+    # node 2 of each of the three products); and the strip buffer that
+    # apply_P and residual_ratio receive P f in
     kernel = _PKernel(np.zeros(ns), (0.1,) * len(ns), dtype)
     assert len(kernel.rows) == n_strips
     assert kernel.out.ctypes.data % 64 == 0
@@ -726,3 +727,6 @@ def test_stencil_stores_start_cache_lines(ns, n_strips, dtype):
         assert lap.ctypes.data % 64 == 0 and d2.ctypes.data % 64 == 0
         if len(ns) == 2:
             assert all(row.ctypes.data % 64 == 0 for plane in dst for row in plane)
+    f = Field(make_grid(len(ns), ns, 6.0), np.zeros(ns, dtype))
+    strips = list(fields._p_rows(builtin_potential("harmonic", d=len(ns)), f))
+    assert len(strips) == n_strips and all(pf.ctypes.data % 64 == 0 for _, pf in strips)

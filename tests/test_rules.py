@@ -182,6 +182,7 @@ POINTS = {
     "damping_pairing interior node": ("field values", lambda v: damping_pairing(B1, _poked(32, v))),
     "mass_in_ball edge node": ("field values", lambda v: mass_in_ball(_poked(0, v), [0.0], 1.0)),
     "snap_to_grid point": ("point", lambda v: snap_to_grid(GRID, [v])),
+    "builtin_damping ball center": ("ball center", lambda v: builtin_damping("ball", d=2, center=[0.0, v])),
 }
 # the entries that read a complex field, where the bad value may sit in the imaginary part
 FIELD_POINTS = sorted(case for case, (name, _) in POINTS.items() if name in ("field values", "state.u", "state.v"))
