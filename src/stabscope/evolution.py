@@ -122,29 +122,35 @@ def evolve(
     """March the damped wave equation and record (t, E, D).
 
     Leapfrog in the elliptic part; the damping enters through the centered
-    velocity, so each update divides by (1 + dt b/2) pointwise.  Raises on
-    non-finite initial data and on a CFL violation up front, and raises
-    RuntimeError, without a floating-point warning, once an E or a D of the
-    run is not finite, as when finite data overflow the energy.  The
+    velocity, so the update is u_next = A u + C u_prev - B P u, in that
+    order, with the node arrays A = 2 / (1 + dt b/2), B = dt^2 / (1 + dt b/2)
+    and C = (dt b/2 - 1) / (1 + dt b/2), each formed once by one division.
+    Raises on non-finite initial data and on a CFL violation up front, and
+    raises RuntimeError, without a floating-point warning, once an E or a D
+    of the run is not finite, as when finite data overflow the energy.  The
     recorded E is not the quantity the scheme dissipates: it can rise by
     O(dt^2) where b misses the wave.
 
     The arithmetic follows the data: real when u and v have zero imaginary
-    part, complex otherwise.  Each step runs in preallocated buffers, each
-    starting a cache line, and divides by (1 + dt b/2) and by 2 dt through
-    their reciprocals, which is what complex division by a divisor with zero
-    imaginary part computes, so a real run records the bits a complex run of
-    the same data would.
+    part, complex otherwise.  The three iterates live in the stencil
+    kernel's padded layout (``fields._PKernel``), and the update and P u run
+    over its one contiguous range, halo and pad nodes included; A, B and C
+    are zero there, so the halo that the stencil reads stays zero.  Each
+    step runs in preallocated buffers, each starting a cache line, and
+    divides by 2 dt through its reciprocal, which is what complex division
+    by a divisor with zero imaginary part computes, so a real run records
+    the bits a complex run of the same data would.
 
     The energy bookkeeping runs by blocks of steps.  Each step puts u P u
     (Re of conj(u) P u for complex data) and v (|v| for complex data) into
     one row each of two block buffers of at most _NODE_BUDGET nodes, whose
-    rows are padded to whole cache lines and so all start one; real data
-    compute v in its row, where complex data take |v| from v.  Once per
-    block, the velocity rows are squared, the rows are weighted by w and by
-    w b, and each row is summed on its own: numpy's pairwise sum over a
-    contiguous row, as over the whole field; the block's E and D must be
-    finite.  E = (<u, P u> + ||v||^2) / 2 and D = <v, b v> of every step
+    rows are padded to whole cache lines and so all start one; u P u and
+    u_next - u_prev are formed over the range and their nodes copied out,
+    and real data compute v in its row, where complex data take |v| from
+    v.  Once per block, the velocity rows are squared, the rows are
+    weighted by w and by w b, and each row is summed on its own: numpy's
+    pairwise sum over a contiguous row, as over the whole field; the
+    block's E and D must be finite.  E = (<u, P u> + ||v||^2) / 2 and D = <v, b v> of every step
     then give the balance coefficient, the largest
     |E_n - E_{n-1} + dt (D_n + D_{n-1}) / 2| / (dt (E_{n-1} + 1)) with NaN ignored,
     and the recorded samples, in one vectorized pass after the run.
@@ -169,8 +175,7 @@ def evolve(
     w = grid.weights().ravel()
     wb = w * bvals.ravel()
     half_b = 0.5 * dt * bvals
-    inv_denom = 1.0 / (1.0 + half_b)
-    dt2 = dt * dt
+    denom = 1.0 + half_b
     inv_2dt = 1.0 / (2.0 * dt)
 
     real = not (np.any(u0.imag) or np.any(v0.imag))
@@ -178,12 +183,18 @@ def evolve(
     if real:
         u0, v0 = u0.real, v0.real
     kernel = _PKernel(vvals, grid.hs, dtype)
-    u_prev, u_curr, u_next, tmp = (_aligned(grid.ns, dtype) for _ in range(4))
-    u_prev[...] = u0
+    # u_next = A u_curr + C u_prev - B P u_curr over the kernel's range, with
+    # zeros at its halo and pad nodes, which so stay zero
+    coef_a, coef_b, coef_c = (kernel.spread(c) for c in (2.0 / denom, dt * dt / denom, (half_b - 1.0) / denom))
+    work = _aligned(kernel.size, dtype)  # a term of the update, then u P u or u_next - u_prev
+    work_nodes = kernel.nodes(work)
+    bufs = [kernel.field() for _ in range(3)]
+    prev, curr, nxt = ((buf, kernel.span(buf)) for buf in bufs)  # u_prev, u_curr and u_next: (buffer, range)
+    kernel.nodes(prev[1])[...] = u0
     v = None if real else _aligned(grid.ns, dtype)  # real data's velocity lives in its block row
 
     n_steps = int(round(T_final / dt))
-    size = u_prev.size
+    size = u0.size
     block = min(n_steps + 1, max(1, _NODE_BUDGET // size))
     quad = _aligned((block, _line_pad(size, float)), float)[:, :size]  # u P u per step, then weighted
     speed = _aligned((block, _line_pad(size, float)), float)[:, :size]  # v or |v| per step, then squared
@@ -192,16 +203,20 @@ def evolve(
     energies = np.empty((2, n_steps + 1))
     E, D = energies
 
-    def keep(n, u_arr, pu_arr, v_arr):
-        # the step-n rows of the block; the block is summed when it is full
+    def keep(n, u_span, v_arr):
+        # the step-n rows of the block; the block is summed when it is full.
+        # u P u is formed over the whole range and its nodes copied: numpy
+        # runs a copy from a strided view about three times as fast as an
+        # arithmetic loop over one
         j = n % block
         if real:
-            np.multiply(u_arr, pu_arr, out=quad_rows[j])
+            np.multiply(u_span, kernel.out, out=work)
+            np.copyto(quad_rows[j], work_nodes)
             if v_arr is not speed_rows[j]:
                 speed_rows[j][...] = v_arr
         else:
-            np.multiply(np.conjugate(u_arr, out=tmp), pu_arr, out=tmp)
-            quad_rows[j][...] = tmp.real
+            np.multiply(np.conjugate(u_span, out=work), kernel.out, out=work)
+            quad_rows[j][...] = work_nodes.real
             np.abs(v_arr, out=speed_rows[j])
         if j == block - 1 or n == n_steps:
             k = j + 1
@@ -221,25 +236,23 @@ def evolve(
     start = time.perf_counter()
     # finite data may overflow the energy: its check raises, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pu = kernel(u_prev)
-        keep(0, u_prev, pu, v0)
+        pu = kernel.nodes(kernel(prev[0]))
+        keep(0, prev[1], v0)
 
-        u_curr[...] = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
+        kernel.nodes(curr[1])[...] = u0 + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
         for n in range(1, n_steps + 1):
-            pu = kernel(u_curr)
-            # u_next = (2 u_curr - u_prev - dt^2 P u_curr + (dt/2) b u_prev) / (1 + dt b/2)
-            np.multiply(2.0, u_curr, out=u_next)
-            u_next -= u_prev
-            np.multiply(dt2, pu, out=tmp)
-            u_next -= tmp
-            np.multiply(half_b, u_prev, out=tmp)
-            u_next += tmp
-            u_next *= inv_denom
+            u_next = nxt[1]
+            np.multiply(coef_a, curr[1], out=u_next)
+            np.multiply(coef_c, prev[1], out=work)
+            u_next += work
+            np.multiply(coef_b, kernel(curr[0]), out=work)
+            u_next -= work
+            np.subtract(u_next, prev[1], out=work)
             vel = speed_rows[n % block] if real else v
-            np.subtract(u_next, u_prev, out=vel)
+            np.copyto(vel, work_nodes)
             vel *= inv_2dt
-            keep(n, u_curr, pu, vel)
-            u_prev, u_curr, u_next = u_curr, u_next, u_prev
+            keep(n, curr[1], vel)
+            prev, curr, nxt = curr, nxt, prev
 
         # float semantics: inf - inf, possible only for E and D near the float range, is a NaN to skip
         defect = np.abs(E[1:] - E[:-1] + dt * 0.5 * (D[1:] + D[:-1]))

@@ -8,24 +8,29 @@ layers, which is what makes the Dirichlet reading of the stencil exact.
 
 The Laplacian uses the standard 4th-order central stencil per axis,
 (-1/12, 4/3, -5/2, 4/3, -1/12) / h^2.  This module is the one place that
-stencil lives: the strip stencil ``_Stencil``, its whole-grid kernel
-``_PKernel`` and the 1D band matrix ``p_bands`` (resolvent scans and
-spectra).  Work on a field runs one strip of rows along axis 0 at a time,
-each of at most _NODE_BUDGET nodes (``_row_strips``): the stencil forms
-P f on a strip from its rows and two halo rows on each side in strip-sized
-buffers that it reuses, and V, b and the ball coverage are read per strip
-from the grid axes, so no node mesh and no full-size temporary is made.
-The time stepper runs its kernel every step without allocating, in real
-arithmetic when the data are real.  Every buffer the stepper writes on each
-step, and the strip buffer that takes P f for ``apply_P`` and
-``residual_ratio``, comes from ``_aligned`` and starts a 64-byte line; the
-stencil's product rows are padded to whole lines with their first interior
-node on a line.  numpy's AVX-512 loops store 64 bytes at a time without
-first stepping to a line boundary, so from a buffer that starts 16 to 48
-bytes past a line, as ``np.empty`` places them, every store splits two
-lines: on an AVX-512 x86-64 core a multiply of 9409 doubles takes 5.2 us
-into such a buffer and 2.7 us into an aligned one, wherever its inputs
-start.  Fields must be finite; every reader names a NaN or inf instead of
+stencil lives, in one arithmetic: ``_coefficients`` folds the 1/h^2 and the
+1/2 of -Laplacian/2 into the entries a_k = -c_k / (2 h^2), which the 1D band
+matrix ``p_bands`` (resolvent scans and spectra) holds and the stencil
+``_Stencil`` applies as P f = D f + a_1 (f(x - h) + f(x + h)) +
+a_2 (f(x - 2h) + f(x + 2h)) per axis, with D = V + the a_0 of the axes.
+Work on a field runs one strip of rows along axis 0 at a time, each of at
+most _NODE_BUDGET nodes (``_row_strips``); V, b and the ball coverage are
+read per strip from the grid axes, which each grid makes once, so no node
+mesh and no full-size temporary is made.  The stencil reads its fields
+laid out flat in padded rows, with two zero halo nodes on every side and
+the rows padded on to whole cache lines, so each term of P runs over one
+contiguous range.  The time stepper's kernel ``_PKernel`` holds the
+stepper's fields in that layout and runs every step without allocating or
+copying, in real arithmetic when the data are real; the packet path
+(``apply_P``, ``residual_ratio``) copies each strip into a strip-sized
+padded scratch.  Every buffer a strip stores into comes from ``_aligned``
+and starts a 64-byte line, and so does the first node of every padded
+row.  numpy's AVX-512 loops store 64 bytes at a time without first stepping
+to a line boundary, so from a buffer that starts 16 to 48 bytes past a
+line, as ``np.empty`` places them, every store splits two lines: on an
+AVX-512 x86-64 core a multiply of 9409 doubles takes 5.2 us into such a
+buffer and 2.7 us into an aligned one, wherever its inputs start.
+Fields must be finite; every reader names a NaN or inf instead of
 spreading it.  Field integrals share one rule, the trapezoid weights w of
 ``Grid.weights`` summed pairwise without BLAS, one ``.sum()`` over a whole
 contiguous buffer.  The one quadratic form is the density w |f|^2, filled
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +80,7 @@ class Grid:
     ns: tuple
     ls: tuple
     center: tuple = field(default=None)
+    _axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_dimension(self.d)
@@ -87,13 +94,18 @@ class Grid:
             object.__setattr__(self, "center", (0.0,) * self.d)
         elif len(self.center) != self.d or not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"grid center must be {self.d} finite coordinate(s), got {self.center}")
+        axes = tuple(c + np.linspace(-L, L, n) for c, L, n in zip(self.center, self.ls, self.ns))
+        for a in axes:
+            a.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def hs(self) -> tuple:
         return tuple(2.0 * L / (n - 1) for L, n in zip(self.ls, self.ns))
 
     def axis(self, i: int) -> np.ndarray:
-        return self.center[i] + np.linspace(-self.ls[i], self.ls[i], self.ns[i])
+        """The node coordinates along axis i, read-only, computed once per grid."""
+        return self._axes[i]
 
     def meshgrid(self) -> np.ndarray:
         """Node coordinates, shape ns + (d,).
@@ -224,104 +236,184 @@ def _row_strips(ns) -> list:
     return [slice(r0, min(r0 + rows, ns[0])) for r0 in range(0, ns[0], rows)]
 
 
-class _Stencil:
-    """V f - Laplacian/2 f with the Dirichlet reading, one strip of rows at a time.
+def _coefficients(h: float) -> tuple:
+    """(a_0, a_1, a_2) = -c_k / (2 h^2) for the centre, the +-1 and the +-2
+    taps along an axis of step h: the entries of -Laplacian/2 on that axis,
+    which the band matrix ``p_bands`` and the stencil ``_Stencil`` both take
+    from here."""
+    h2 = h**2
+    return tuple(-0.5 * _STENCIL[k] / h2 for k in (2, 1, 0))
 
-    The strips are ``_row_strips``; they share one set of strip-sized
-    buffers, laid out with all their views at construction, so the scratch
-    stays small whatever the grid and nothing of the field's size is copied.
-    The stencil is symmetric, c_-2 = c_2 and c_-1 = c_1, so one multiply forms
-    the three products c_0 f, c_1 f and c_2 f on a strip's rows and its two
-    halo rows on each side, and the five taps of every axis are shifted views
-    of them.  The product buffer ``prods`` has two extra node layers on both
-    sides of every axis, and its last axis is padded on to whole cache lines
-    (8 real or 4 complex nodes); the padding, and halo rows past the ends of
-    the grid, hold c_k * 0, the products of the Dirichlet zeros, with their
-    signs.  The products lie flat, padded rows end to end: a tap along axis 0
-    is a shift by whole padded rows and a tap along axis 1 a shift by single
-    nodes, so every sum runs over one contiguous range, the full padded
-    width, and the padded columns it also fills are never read.  The two sum
-    buffers start a cache line, and ``prods`` is placed so that interior
-    column 2 of every row (node 2 of each product on the line) does: each
-    row the multiply stores then starts on a line, as each sum does, and
-    numpy's 64-byte vector stores do not split two lines (see the module
-    notes).  Per axis the stencil sums c_k f(x + k h) for k = -2..2 in that
-    order and multiplies by 1/h^2; the axes are summed into the Laplacian
-    before it is halved and subtracted from V f.  The dtype is fixed at
-    construction.
+
+def _fold(centre, pairs, dvals, acc, tmp) -> None:
+    """acc = D f, then a (f(x - k h) + f(x + k h)) added for each (a, minus,
+    plus) pair in order; centre, the taps and acc are one range each."""
+    np.multiply(dvals, centre, out=acc)
+    for a, minus, plus in pairs:
+        np.add(minus, plus, out=tmp)
+        tmp *= a
+        acc += tmp
+
+
+class _Stencil:
+    """P = V - Laplacian/2 with the Dirichlet reading, folded onto the band
+    matrix's entries, one strip of rows at a time.
+
+    With (a_0, a_1, a_2) from ``_coefficients`` per axis and the diagonal
+    D = V + (a_0 summed over the axes in axis order), which on the line is
+    ``p_bands``' row 2,
+
+        P f = D f + sum over axes of a_1 (f(x - h) + f(x + h)) + a_2 (f(x - 2h) + f(x + 2h)),
+
+    evaluated in that order: D f, then per axis the +-1 pair and the +-2
+    pair, each pair summed, times its coefficient and added.
+
+    Layout.  A field lies flat in a padded buffer: its rows along axis 0
+    with two halo rows on each side, every row with two halo nodes on each
+    side and padded on to whole cache lines (8 real or 4 complex nodes); on
+    the line a row is one node.  The halo holds the Dirichlet zeros.  A tap
+    along axis 0 is a shift by whole padded rows and a tap along axis 1 a
+    shift by single nodes, so each term of P runs over one contiguous range:
+    the ``width`` padded nodes of every row of a strip, from the strip's
+    first node on.  The halo and pad nodes inside that range take values as
+    well, which no node of the grid reads.  Arrays over such a range (D, P f
+    and the scratch) share its layout, node (i, j) at i * width + j;
+    ``_nodes`` views the grid's nodes in either.  Buffers are placed so that
+    the first node of every row starts a cache line, and with it every range
+    a strip stores into: numpy's 64-byte vector stores then do not split two
+    lines (see the module notes).  D, and every real array over the range
+    that multiplies a field, is held in the field's dtype: a complex product
+    then casts no real factor on each call, and has the bits it has with
+    the cast, those of (D + 0i) f.
+
+    Here P f is formed for fields given node by node, as the packet path
+    holds them: ``apply`` copies a strip's rows and their halo rows into a
+    strip-sized padded scratch (``strips``), whose halo and pad stay zero,
+    forms D on the strip from V, and copies P f out of the range.  The dtype
+    is fixed at construction.
     """
 
     def __init__(self, ns, hs, dtype):
         d = len(ns)
+        self.ns = ns = tuple(ns)
+        self.dtype = dtype = np.dtype(dtype)
         self.rows = _row_strips(ns)
-        full = self.rows[0].stop  # rows of a full strip
-        shape = [full + 4] + [n + 4 for n in ns[1:]]  # a full strip's products with their halos
-        shape[-1] = _line_pad(shape[-1], dtype)
-        row_shape = tuple(shape[1:])  # one padded row, () on the line
-        width = math.prod(row_shape)
-        self.coefs = _STENCIL[:3].reshape((3,) + (1,) * d)  # c_0 = c_4, c_1 = c_3 and c_2
-        self.zeros = np.multiply(self.coefs, np.zeros((), dtype=dtype))
-        lead = _line_pad(2, dtype) - 2  # nodes ahead of prods, so that its column 2 starts a line
-        self.prods = prods = _aligned(lead + 3 * math.prod(shape), dtype)[lead:].reshape([3] + shape)
-        prods[...] = self.zeros
-        flat = prods.reshape(3, -1)
-        lap = _aligned(full * width, dtype)
-        d2 = _aligned(full * width, dtype)  # second derivative along axis 1
-        cols = tuple(slice(2, n + 2) for n in ns[1:])
-        self.strips = []
+        self.width = width = _line_pad(ns[1] + 4, dtype) if d == 2 else 1
+        self.row_shape = (width,) if d == 2 else ()
+        self.cols = (slice(0, ns[1]),) if d == 2 else ()
+        self.first = 2 * width + (2 if d == 2 else 0)  # where node (0, 0) lies in a padded buffer
+        coefs = [_coefficients(h) for h in hs]
+        self.diag = sum(a0 for a0, _, _ in coefs)  # in axis order
+        self.pairs = [(a, k * step) for (_, a1, a2), step in zip(coefs, (width, 1)) for k, a in ((1, a1), (2, a2))]
+        self.tmp = _aligned(self.rows[0].stop * width, dtype)  # a full strip's range
+
+    @cached_property
+    def strips(self) -> list:
+        """The packet path's scratch, made on first use: a full strip's padded
+        field, D and P f, and per strip the views ``apply`` works through."""
+        full, width = self.rows[0].stop, self.width
+        f = self._padded(full)
+        d = _aligned(full * width, self.dtype)
+        d[...] = 0
+        acc = _aligned(full * width, self.dtype)
+
+        def rows(i, j):  # the nodes of a strip's rows i..j in f
+            return self._nodes(f[self.first + i * width :], j - i)
+
+        strips = []
         for rs in self.rows:
             m = rs.stop - rs.start
-            size = m * width
-            lo, hi = max(rs.start - 2, 0), min(rs.stop + 2, ns[0])  # the rows read, halos included
-            a, b = lo - rs.start + 2, hi - rs.start + 2  # and where their products go
-            p = flat[:, : (m + 4) * width]
-            taps = []  # per axis: the views c_k f(x + k h), k = -2..2, and 1/h^2
-            for ax, (step, base) in enumerate(((width, 0), (1, 2 * width - 2))[:d]):
-                views = [p[c, base + k * step : base + k * step + size] for k, c in enumerate((0, 1, 2, 1, 0))]
-                taps.append((views, 1.0 / (hs[ax] * hs[ax])))
+            lo, hi = max(rs.start - 2, 0), min(rs.stop + 2, self.ns[0])  # the rows read, halos included
+            a, b = lo - rs.start, hi - rs.start  # and where they go, relative to the strip's first row
+            # the strip's rows, then its halo rows in the grid, each copied on
+            # its own so that the strip's rows store from a line
+            copies = [(rows(i, j), slice(rs.start + i, rs.start + j)) for i, j in ((0, m), (a, 0), (m, b)) if i < j]
             # halo rows past the grid, which another strip's rows overwrite
-            blanks = [prods[:, i:j] for i, j in ((0, a), (b, m + 4)) if i < j and len(self.rows) > 1]
-            lap_nodes = lap[:size].reshape((m,) + row_shape)[(slice(None),) + cols]
-            dst = prods[(slice(None), slice(a, b)) + cols]
-            self.strips.append((rs, slice(lo, hi), dst, blanks, taps, lap[:size], d2[:size], lap_nodes))
+            blanks = [rows(i, j) for i, j in ((-2, a), (b, m + 2)) if i < j and len(self.rows) > 1]
+            fold = self._taps(f, 0, m) + (d[: m * width], acc[: m * width], self.tmp[: m * width])
+            strips.append((rs, copies, blanks, self._nodes(d, m), fold, self._nodes(acc, m)))
+        return strips
+
+    def _padded(self, m: int) -> np.ndarray:
+        """A zeroed padded buffer of m rows, node (0, 0) on a cache line.  It
+        ends where the range shifted on by two rows does: in 2D two nodes
+        past the last halo row."""
+        lead = -self.first % (_LINE // self.dtype.itemsize)
+        buf = _aligned(lead + self.first + (m + 2) * self.width, self.dtype)[lead:]
+        buf[...] = 0
+        return buf
+
+    def _nodes(self, flat: np.ndarray, m: int) -> np.ndarray:
+        """The grid's nodes of m rows laid out from flat[0] at the range's width."""
+        return flat[: m * self.width].reshape((m,) + self.row_shape)[(slice(None),) + self.cols]
+
+    def _taps(self, buf: np.ndarray, r0: int, r1: int) -> tuple:
+        """(f on the range of rows r0..r1 of padded buffer buf, the (a, f(x - k h), f(x + k h)) pairs)."""
+        lo, hi = self.first + r0 * self.width, self.first + r1 * self.width
+        return buf[lo:hi], [(a, buf[lo - s : hi - s], buf[lo + s : hi + s]) for a, s in self.pairs]
 
     def apply(self, k: int, values: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """P values on the rows of strip k into out, their shape; v is V on those rows."""
-        rs, src, dst, blanks, taps, lap, d2, lap_nodes = self.strips[k]
+        rs, copies, blanks, d_nodes, fold, acc_nodes = self.strips[k]
         for blank in blanks:
-            blank[...] = self.zeros
-        np.multiply(self.coefs, values[src], out=dst)
-        for ax, (views, inv_h2) in enumerate(taps):
-            acc = lap if ax == 0 else d2
-            np.add(views[0], views[1], out=acc)
-            acc += views[2]
-            acc += views[3]
-            acc += views[4]
-            acc *= inv_h2
-            if ax > 0:
-                lap += acc
-        lap *= 0.5
-        np.multiply(v, values[rs], out=out)
-        out -= lap_nodes
+            blank[...] = 0
+        for dst, src in copies:
+            dst[...] = values[src]
+        np.add(v, self.diag, out=d_nodes)
+        _fold(*fold)
+        out[...] = acc_nodes
         return out
 
 
 class _PKernel(_Stencil):
-    """The stencil on the whole grid of a fixed V, reusable: the time stepper's.
+    """The stencil on the whole grid of a fixed V, on padded fields: the time
+    stepper's.
 
-    V's rows and the output buffer's are laid out per strip at construction,
-    so a call allocates nothing; the result lives in the output buffer, which
-    the next call overwrites.
+    ``field`` gives a zeroed padded buffer of the grid and lays out the
+    kernel's views of it, and ``span`` views its range.  A call on such a
+    buffer allocates nothing and copies nothing: P of the field over the
+    range lives in the output buffer ``out``, which the next call
+    overwrites.  ``nodes`` views the grid's nodes of any array over the
+    range, and ``spread`` lays node values out over it with zeros at the
+    halo and pad nodes, as D is laid out here.
     """
 
     def __init__(self, vvals: np.ndarray, hs, dtype):
         super().__init__(vvals.shape, hs, dtype)
-        self.out = _aligned(vvals.shape, dtype)
-        self.parts = [(k, vvals[rs], self.out[rs]) for k, rs in enumerate(self.rows)]
+        self.size = self.ns[0] * self.width
+        self.out = _aligned(self.size, self.dtype)
+        self.dvals = self.spread(vvals + self.diag)
+        self._calls = {}  # id of a buffer from field(): (the buffer, its strips' _fold arguments)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        for k, v, out in self.parts:
-            self.apply(k, values, v, out)
+    def field(self) -> np.ndarray:
+        buf = self._padded(self.ns[0])
+        parts = []
+        for rs in self.rows:
+            part = slice(rs.start * self.width, rs.stop * self.width)
+            centre, pairs = self._taps(buf, rs.start, rs.stop)
+            parts.append((centre, pairs, self.dvals[part], self.out[part], self.tmp[: part.stop - part.start]))
+        self._calls[id(buf)] = (buf, parts)
+        return buf
+
+    def nodes(self, flat: np.ndarray) -> np.ndarray:
+        """The grid's nodes of an array over the range."""
+        return self._nodes(flat, self.ns[0])
+
+    def span(self, buf: np.ndarray) -> np.ndarray:
+        """The range of a padded buffer."""
+        return buf[self.first : self.first + self.size]
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Node values over the range in the kernel's dtype, zero at the halo
+        and pad nodes."""
+        out = _aligned(self.size, self.dtype)
+        out[...] = 0
+        self.nodes(out)[...] = values
+        return out
+
+    def __call__(self, buf: np.ndarray) -> np.ndarray:
+        for args in self._calls[id(buf)][1]:
+            _fold(*args)
         return self.out
 
 
@@ -371,11 +463,11 @@ def p_bands(grid: Grid, diag) -> np.ndarray:
     if grid.d != 1:
         raise ValueError("band matrix requires d = 1")
     diag = np.asarray(diag)
-    h2 = grid.hs[0] ** 2
+    a0, a1, a2 = _coefficients(grid.hs[0])
     ab = np.zeros((5, grid.ns[0]), dtype=np.result_type(diag, float))
-    ab[0, :] = ab[4, :] = -0.5 * _STENCIL[0] / h2
-    ab[1, :] = ab[3, :] = -0.5 * _STENCIL[1] / h2
-    ab[2, :] = -0.5 * _STENCIL[2] / h2 + diag
+    ab[0, :] = ab[4, :] = a2
+    ab[1, :] = ab[3, :] = a1
+    ab[2, :] = a0 + diag
     return ab
 
 

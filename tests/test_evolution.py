@@ -132,37 +132,46 @@ def test_arithmetic_follows_the_data(caplog):
 _STENCIL = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
 
 
-def _reference_p(vvals, values, hs, pad):
-    """The stencil as the time stepper applied it before the reusable kernel."""
+def _reference_p(vvals, values, hs):
+    """P f = D f + sum over axes of a_1 (f(x - h) + f(x + h)) + a_2 (f(x - 2h) + f(x + 2h)),
+    with a_k = -c_k / (2 h^2) per axis and D = V + (the a_0 summed over the
+    axes), in that order, on a zero-padded complex copy of f."""
     interior = (slice(2, -2),) * values.ndim
+    pad = np.zeros(tuple(n + 4 for n in values.shape), dtype=complex)
     pad[interior] = values
-    lap = np.zeros_like(values)
-    out = np.empty_like(values)
-    for ax, h in enumerate(hs):
-        n = values.shape[ax]
-        out.fill(0.0)
-        for k, c in enumerate(_STENCIL):
-            shifted = list(interior)
-            shifted[ax] = slice(k, k + n)
-            out += c * pad[tuple(shifted)]
-        out /= h * h
-        lap += out
-    lap *= 0.5
-    np.multiply(vvals, values, out=out)
-    out -= lap
+    coefs = [[-0.5 * c / h**2 for c in _STENCIL[2::-1]] for h in hs]  # a_0, a_1, a_2
+    out = (vvals + sum(a[0] for a in coefs)) * pad[interior]
+    for ax, a in enumerate(coefs):
+        for k in (1, 2):
+            taps = []
+            for shift in (-k, k):
+                cut = list(interior)
+                cut[ax] = slice(2 + shift, 2 + shift + values.shape[ax])
+                taps.append(pad[tuple(cut)])
+            out = out + a[k] * (taps[0] + taps[1])
     return out
 
 
+def _kernel_p(vvals, values, hs, dtype):
+    """The stepper's kernel on node values, loaded into one of its padded fields."""
+    kernel = _PKernel(vvals, hs, dtype)
+    buf = kernel.field()
+    kernel.nodes(kernel.span(buf))[...] = values
+    return np.ascontiguousarray(kernel.nodes(kernel(buf)))
+
+
 def _reference_evolve(pot, b, state, T_final, dt, record_every):
-    """The leapfrog as written before the buffered real-arithmetic loop:
-    complex dtype throughout, allocating expressions, true divisions."""
+    """The leapfrog u_next = A u_curr + C u_prev - B P u_curr with
+    A = 2 / (1 + dt b / 2), B = dt^2 / (1 + dt b / 2) and
+    C = (dt b / 2 - 1) / (1 + dt b / 2): complex dtype throughout,
+    allocating expressions, true divisions."""
     grid = state.u.grid
     mesh = grid.meshgrid()
     vvals = pot.raw_value(mesh)
     bvals = b.raw_func(mesh)
     denom = 1.0 + 0.5 * dt * bvals
+    coef_a, coef_b, coef_c = 2.0 / denom, dt * dt / denom, (0.5 * dt * bvals - 1.0) / denom
     w = grid.weights()
-    pad = np.zeros(tuple(n + 4 for n in grid.ns), dtype=complex)
 
     def energy_of(u_arr, pu_arr, v_arr):
         quad = float(np.sum(w * (np.conj(u_arr) * pu_arr).real))
@@ -175,15 +184,15 @@ def _reference_evolve(pot, b, state, T_final, dt, record_every):
     n_steps = int(round(T_final / dt))
     u_prev = state.u.values.astype(complex)
     v0 = state.v.values.astype(complex)
-    pu = _reference_p(vvals, u_prev, grid.hs, pad)
+    pu = _reference_p(vvals, u_prev, grid.hs)
     e_prev = energy_of(u_prev, pu, v0)
     d_prev = dissipation_of(v0)
     ts, es, ds = [state.t], [e_prev], [d_prev]
     u_curr = u_prev + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
     balance = 0.0
     for n in range(1, n_steps + 1):
-        pu = _reference_p(vvals, u_curr, grid.hs, pad)
-        u_next = (2.0 * u_curr - u_prev - dt * dt * pu + 0.5 * dt * bvals * u_prev) / denom
+        pu = _reference_p(vvals, u_curr, grid.hs)
+        u_next = coef_a * u_curr + coef_c * u_prev - coef_b * pu
         v_curr = (u_next - u_prev) / (2.0 * dt)
         e_curr = energy_of(u_curr, pu, v_curr)
         d_curr = dissipation_of(v_curr)
@@ -328,10 +337,8 @@ def test_kernel_keeps_the_reference_bits(d, dtype, n0, n1, half_width, seed):
     values = rng.standard_normal(grid.ns)
     if dtype is complex:
         values = values + 1j * rng.standard_normal(grid.ns)
-    kernel = _PKernel(vvals, grid.hs, dtype)
-    got = kernel(values)
-    pad = np.zeros(tuple(n + 4 for n in grid.ns), dtype=complex)
-    ref = _reference_p(vvals, values.astype(complex), grid.hs, pad)
+    got = _kernel_p(vvals, values, grid.hs, dtype)
+    ref = _reference_p(vvals, values.astype(complex), grid.hs)
     assert got.dtype == dtype
     assert np.array_equal(got.view(np.uint64), (ref.real if dtype is float else ref).view(np.uint64))
 
@@ -384,9 +391,9 @@ class _RecordingKernel(_PKernel):
         super().__init__(*args)
         self.calls = []
 
-    def __call__(self, values):
-        out = super().__call__(values)
-        self.calls.append((values.copy(), out.copy()))
+    def __call__(self, buf):
+        out = super().__call__(buf)
+        self.calls.append((self.nodes(self.span(buf)).copy(), self.nodes(out).copy()))
         return out
 
 
@@ -430,6 +437,67 @@ def test_staggered_energy_never_rises(damping, amplitude, where, n, center, widt
         for u0, u1, pu0 in zip(us, us[1:], pus)
     ]
     assert np.max(np.diff(staggered), initial=0.0) <= 1e-12 * trace.E[0]
+
+
+class _PaddingKernel(_PKernel):
+    """The stencil kernel, filling the pad columns of each field it is
+    called on (past the halo, up to whole cache lines) with finite noise
+    first, and keeping a copy of the halo that the taps read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.halos = []
+        self.rng = np.random.default_rng(0)
+
+    def __call__(self, buf):
+        n0 = self.ns[0]
+        rows = buf[: (n0 + 4) * self.width].reshape((n0 + 4,) + self.row_shape)
+        if len(self.ns) == 1:
+            halo = rows[[0, 1, n0 + 2, n0 + 3]]
+        else:
+            n1 = self.ns[1]
+            pad = rows[:, n1 + 4 :]
+            pad[...] = self.rng.uniform(-1e3, 1e3, pad.shape)
+            halo = np.concatenate([rows[[0, 1, n0 + 2, n0 + 3], : n1 + 4].ravel(),
+                                   rows[2 : n0 + 2][:, [0, 1, n1 + 2, n1 + 3]].ravel()])
+        self.halos.append(halo.copy())
+        return super().__call__(buf)
+
+
+@pytest.mark.parametrize("d, ns, data", [
+    (1, (64,), "real"), (1, (64,), "probe"),
+    (2, (20, 25), "real"), (2, (20, 25), "probe"), (2, (16, 27), "complex"),
+])
+def test_the_dirichlet_halo_stays_zero(d, ns, data):
+    # the leapfrog runs over the kernel's padded rows, halo and pad nodes
+    # included: whatever finite values the pad columns hold, the halo the
+    # taps read is exactly +0 at every step, and the run records the bits
+    # of a run without the noise
+    pot = builtin_potential("harmonic", d=d)
+    b = builtin_damping("checkerboard", d=d, period=1.0, duty=0.5)
+    grid = make_grid(d, list(ns), 5.0)
+    rng = np.random.default_rng(1)
+    bump = np.exp(-np.sum(grid.meshgrid() ** 2, axis=-1))
+    u = bump * rng.standard_normal(grid.ns)
+    v = 3j * u if data == "probe" else bump * rng.standard_normal(grid.ns)
+    if data == "complex":
+        u = u + 1j * bump * rng.standard_normal(grid.ns)
+    state = WaveState(Field(grid, u), Field(grid, v))
+    dt = 0.5 * cfl_limit(pot, grid)
+    kernels = []
+
+    def kernel(*args):
+        kernels.append(_PaddingKernel(*args))
+        return kernels[-1]
+
+    with mock.patch.object(evolution, "_PKernel", kernel):
+        trace = evolve(pot, b, state, 40 * dt, dt)
+    (rec,) = kernels
+    assert d == 1 or rec.width > ns[1] + 4  # there were pad columns to fill
+    assert len(rec.halos) == 41
+    assert all(halo.tobytes() == bytes(halo.nbytes) for halo in rec.halos)
+    plain = evolve(pot, b, state, 40 * dt, dt)
+    assert np.array_equal(_bits(trace.E), _bits(plain.E)) and np.array_equal(_bits(trace.D), _bits(plain.D))
 
 
 def test_evolve_rejects_bad_input():

@@ -51,6 +51,19 @@ def test_grid_geometry():
     assert g.meshgrid().shape == (9, 17, 2)
 
 
+@given(st.integers(1, 2), st.integers(8, 300), st.floats(0.1, 50.0), st.floats(-100.0, 100.0))
+def test_axes_are_computed_once(d, n, half_width, center):
+    # each axis is made once per grid, read-only, with the bits of the
+    # linspace it was made from on every call; equal grids stay equal
+    g = make_grid(d, n, half_width, center=[center] * d)
+    for i in range(d):
+        a = g.axis(i)
+        assert a is g.axis(i) and not a.flags.writeable
+        assert a.tobytes() == (center + np.linspace(-g.ls[i], g.ls[i], n)).tobytes()
+    twin = make_grid(d, n, half_width, center=[center] * d)
+    assert g == twin and hash(g) == hash(twin) and "_axes" not in repr(g)
+
+
 @st.composite
 def mesh_cases(draw):
     """An off-centre grid in d = 1 or 2, a builtin well and a builtin damping on it."""
@@ -501,34 +514,102 @@ BUILTINS_1D = [
 ]
 
 
+def _band_product(ab, f):
+    """A f from p_bands' rows, in the order the stencil documents: row 2
+    times f, then the +-1 pair summed times row 1 (= row 3) and the +-2 pair
+    summed times row 0 (= row 4), each added; past the ends f reads 0."""
+    n = f.size
+    pad = np.zeros(n + 4, dtype=f.dtype)
+    pad[2:-2] = f
+    out = ab[2] * f
+    out = out + ab[1] * (pad[1 : n + 1] + pad[3 : n + 3])
+    return out + ab[0] * (pad[0:n] + pad[4 : n + 4])
+
+
+def _dense(ab):
+    n = ab.shape[1]
+    dense = np.zeros((n, n), dtype=ab.dtype)
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 3)):
+            dense[i, j] = ab[2 + i - j, j]
+    return dense
+
+
+def _kernel_p(vvals, values, hs, dtype):
+    """The stepper's kernel on node values, loaded into one of its padded fields."""
+    kernel = _PKernel(vvals, hs, dtype)
+    buf = kernel.field()
+    kernel.nodes(kernel.span(buf))[...] = values
+    return np.ascontiguousarray(kernel.nodes(kernel(buf)))
+
+
+def _stencil_outputs(pot, g, vals):
+    """P vals from apply_P (the packet path, complex) and from the time
+    stepper's kernel in the data's own arithmetic, and those data."""
+    data = vals if np.any(vals.imag) else vals.real
+    return apply_P(pot, Field(g, vals)).values, _kernel_p(pot.raw_value(g.meshgrid()), data, g.hs, data.dtype), data
+
+
 @given(
     st.sampled_from(BUILTINS_1D),
     st.integers(8, 80),
     st.floats(0.5, 12.0),
     st.floats(-5.0, 5.0),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_apply_p_matches_bands(pot, n, half_width, center, seed):
-    # the stencil kernel behind apply_P and the band matrix of the resolvent
-    # and spectra are one operator: equal on fields that vanish on the two
-    # outer layers, and symmetric
+def test_apply_p_matches_bands(pot, n, half_width, center, seed, complex_data):
+    # the stencil behind apply_P and the time stepper's kernel, and the band
+    # matrix of the resolvent and spectra, are one operator: on fields that
+    # vanish on the two outer layers the stencil's P f is the band product
+    # of p_bands' rows taken in the stencil's order, bit for bit, in real
+    # and complex arithmetic, and the dense product, also to 1e-13 of the
+    # scale sum_j |A_ij| |f_j|; the band matrix is symmetric
     g = make_grid(1, n, half_width, center=center)
     v = pot.raw_value(g.meshgrid())
     ab = p_bands(g, v)
     assert ab.dtype == np.float64
     assert p_bands(g, v + 1j).dtype == np.complex128
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - 2), min(n, i + 3)):
-            dense[i, j] = ab[2 + i - j, j]
+    dense = _dense(ab)
     assert np.array_equal(dense, dense.T)
+    assert all(np.all(ab[r] == ab[r, 0]) for r in (0, 1)) and np.array_equal(ab[[0, 1]], ab[[4, 3]])
 
     rng = np.random.default_rng(seed)
     vals = np.zeros(n, dtype=complex)
-    vals[2:-2] = rng.standard_normal(n - 4) + 1j * rng.standard_normal(n - 4)
-    got = apply_P(pot, Field(g, vals)).values
+    vals[2:-2] = rng.standard_normal(n - 4) + (1j * rng.standard_normal(n - 4) if complex_data else 0.0)
+    got, stepper, data = _stencil_outputs(pot, g, vals)
+    assert _same_bits(got, _band_product(ab, vals))
+    assert stepper.dtype == data.dtype and _same_bits(stepper, _band_product(ab, data))
     tol = n * np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(vals))
-    assert np.max(np.abs(got - dense @ vals)) <= tol
+    scale = np.max(np.abs(dense) @ np.abs(vals))
+    for p in (got, stepper):
+        assert np.max(np.abs(p - dense @ vals)) <= min(tol, 1e-13 * scale)
+
+
+@given(
+    st.sampled_from(["harmonic", "power", "anisotropic"]),
+    st.tuples(st.integers(8, 24), st.integers(8, 24)),
+    st.tuples(st.floats(0.5, 12.0), st.floats(0.5, 12.0)),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_stencil_is_the_kronecker_sum(name, ns, ls, center, complex_data, seed):
+    # in 2D the stencil is the Kronecker sum of the two axes' band matrices
+    # plus V: both paths match the dense product to 1e-13 of the scale
+    params = {"power": {"s": 2.5}, "anisotropic": {"weights": [1.0, 2.5]}}.get(name, {})
+    pot = builtin_potential(name, d=2, **params)
+    g = make_grid(2, ns, ls, center=center)
+    t0, t1 = (_dense(p_bands(make_grid(1, n, L), np.zeros(n))) for n, L in zip(ns, ls))
+    dense = np.kron(t0, np.eye(ns[1])) + np.kron(np.eye(ns[0]), t1) + np.diag(pot.raw_value(g.meshgrid()).ravel())
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(ns, dtype=complex)
+    inner = (ns[0] - 4, ns[1] - 4)
+    vals[2:-2, 2:-2] = rng.standard_normal(inner) + (1j * rng.standard_normal(inner) if complex_data else 0.0)
+    want = (dense @ vals.ravel()).reshape(ns)
+    scale = np.max(np.abs(dense) @ np.abs(vals.ravel()))
+    for got in _stencil_outputs(pot, g, vals)[:2]:
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # ------------------------------------------------------------ artifacts
@@ -561,27 +642,23 @@ def test_field_csv_layout(command_artifacts):
 
 
 def _whole_p(vvals, values, hs):
-    """V f - Laplacian/2 f: c_k f for k = 0, 1, 2 on a zero-padded copy, the
-    five taps per axis summed in order and times 1/h^2, the axes summed,
-    halved and subtracted from V f."""
+    """P f = D f + sum over axes of a_1 (f(x - h) + f(x + h)) + a_2 (f(x - 2h) + f(x + 2h)),
+    with a_k = -c_k / (2 h^2) per axis and D = V + (the a_0 summed over the
+    axes), in that order, on a zero-padded copy of f in its own dtype."""
     interior = (slice(2, -2),) * values.ndim
     pad = np.zeros(tuple(n + 4 for n in values.shape), dtype=values.dtype)
     pad[interior] = values
-    prods = [np.multiply(c, pad) for c in fields._STENCIL[:3]]
-    lap = None
-    for ax, h in enumerate(hs):
-        taps = []
-        for k, c in enumerate((0, 1, 2, 1, 0)):
-            cut = list(interior)
-            cut[ax] = slice(k, k + values.shape[ax])
-            taps.append(prods[c][tuple(cut)])
-        acc = taps[0] + taps[1]
-        for tap in taps[2:]:
-            acc += tap
-        acc *= 1.0 / (h * h)
-        lap = acc if lap is None else lap + acc
-    lap *= 0.5
-    return vvals * values - lap
+    coefs = [[-0.5 * c / h**2 for c in fields._STENCIL[2::-1]] for h in hs]  # a_0, a_1, a_2
+    out = (vvals + sum(a[0] for a in coefs)) * values
+    for ax, a in enumerate(coefs):
+        for k in (1, 2):
+            cuts = []
+            for shift in (-k, k):
+                cut = list(interior)
+                cut[ax] = slice(2 + shift, 2 + shift + values.shape[ax])
+                cuts.append(pad[tuple(cut)])
+            out = out + a[k] * (cuts[0] + cuts[1])
+    return out
 
 
 def _whole_mesh(grid):
@@ -684,7 +761,7 @@ def test_strips_keep_the_whole_grid_bits(case):
         assert _same_bits(apply_P(pot, f).values, _whole_p(whole_v, f.values, grid.hs))
         for dtype in (float, complex):  # the time stepper's kernel, both arithmetics
             data = vals.real.copy() if dtype is float else f.values
-            assert _same_bits(_PKernel(whole_v, grid.hs, dtype)(data), _whole_p(whole_v, data.astype(dtype), grid.hs))
+            assert _same_bits(_kernel_p(whole_v, data, grid.hs, dtype), _whole_p(whole_v, data.astype(dtype), grid.hs))
         ratio, pairing, mass = _whole_report(pot, b, f, lam, center, radii)
         assert residual_ratio(pot, f, lam) == ratio
         assert b is None or damping_pairing(b, f) == pairing
@@ -713,20 +790,31 @@ def test_aligned_arrays_start_a_cache_line(shape, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("ns, n_strips", [((512,), 1), ((75000,), 3), ((97, 97), 1), ((21, 13), 1), ((400, 200), 3)])
 def test_stencil_stores_start_cache_lines(ns, n_strips, dtype):
-    # what the kernel writes on every call: its output, the two sums, and
-    # the product rows of every strip from interior column 2 (on the line,
-    # node 2 of each of the three products); and the strip buffer that
-    # apply_P and residual_ratio receive P f in
+    # every buffer a strip stores into starts a line: on every kernel call
+    # the strip's part of the output and its scratch, and the padded field's
+    # range that the leapfrog writes; on the packet path the scratch rows
+    # that a strip's field and D are copied into, from node (i, 0) of each
+    # row on, its P f and its scratch; and the strip buffer that apply_P and
+    # residual_ratio receive P f in.  On the line the two halo nodes before
+    # a strip (and past the grid's ends) are stored on their own, within
+    # one line.
+    def starts_lines(rows):
+        rows = rows if rows.ndim > 1 else [rows]
+        return all(row.ctypes.data % 64 == 0 or row.ctypes.data % 64 + row.nbytes <= 64 for row in rows)
+
     kernel = _PKernel(np.zeros(ns), (0.1,) * len(ns), dtype)
     assert len(kernel.rows) == n_strips
-    assert kernel.out.ctypes.data % 64 == 0
-    rows = kernel.prods.reshape(-1, kernel.prods.shape[-1])
-    assert rows.shape[1] * rows.itemsize % 64 == 0  # whole-line rows
-    assert all(row[2:].ctypes.data % 64 == 0 for row in rows)
-    for rs, src, dst, blanks, taps, lap, d2, lap_nodes in kernel.strips:
-        assert lap.ctypes.data % 64 == 0 and d2.ctypes.data % 64 == 0
-        if len(ns) == 2:
-            assert all(row.ctypes.data % 64 == 0 for plane in dst for row in plane)
+    assert kernel.width * np.dtype(dtype).itemsize % 64 == 0 or len(ns) == 1  # whole-line rows
+    buf = kernel.field()
+    assert kernel.span(buf).ctypes.data % 64 == 0
+    parts = kernel._calls[id(buf)][1]
+    assert len(parts) == n_strips
+    for centre, pairs, dvals, acc, tmp in parts:
+        assert all(a.ctypes.data % 64 == 0 for a in (centre, dvals, acc, tmp))
+    for rs, copies, blanks, d_nodes, (centre, pairs, dvals, acc, tmp), acc_nodes in kernel.strips:
+        assert copies[0][0].shape[0] == rs.stop - rs.start and copies[0][0].ctypes.data % 64 == 0
+        assert all(starts_lines(rows) for rows in [dst for dst, _ in copies] + blanks + [d_nodes])
+        assert all(a.ctypes.data % 64 == 0 for a in (centre, dvals, acc, tmp))
     f = Field(make_grid(len(ns), ns, 6.0), np.zeros(ns, dtype))
     strips = list(fields._p_rows(builtin_potential("harmonic", d=len(ns)), f))
     assert len(strips) == n_strips and all(pf.ctypes.data % 64 == 0 for _, pf in strips)
