@@ -606,8 +606,12 @@ def ugcc_scan(
     if not np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) <= 1e-12:
         raise ValueError("directions must be unit vectors")
     ts = np.linspace(-T, T, N_RAY)
-    pts = base[:, None, :] + ts[None, :, None] * dirs[:, None, :]
-    vals = _window_mean(b, r, pts, ts, axis=-1)
+    # the points x0 + t nu one axis plane at a time, viewed as (rays, times, d)
+    planes = np.empty((b.d, len(rays), N_RAY))
+    for i in range(b.d):
+        np.multiply(ts, dirs[:, i, None], out=planes[i])
+        planes[i] += base[:, i, None]
+    vals = _window_mean(b, r, np.moveaxis(planes, 0, -1), ts, axis=-1)
     labels = [f"ray{k}" for k in range(len(rays))]
     return _report("UGCC", {"T_time": T, "r_space": r, "n_rays": len(rays)}, b, [(labels, vals)])
 

@@ -25,6 +25,7 @@ import numpy as np
 from .potentials import (
     EpsilonProfile,
     Potential,
+    _equal_steps,
     _require_count,
     _require_dimension,
     _require_finite,
@@ -121,11 +122,7 @@ def flow_integrate(
     record_every = _require_count("record_every", record_every)
     x = _require_finite("x0", as_points(x0, pot.d).astype(float))
     xi = _require_finite("xi0", as_points(xi0, pot.d).astype(float))
-    steps = T / dt
-    n_steps = round(steps)
-    if abs(steps - n_steps) > 1e-9 * steps:
-        n_steps = math.ceil(steps)
-        dt = T / n_steps
+    n_steps, dt = _equal_steps(T, dt)
 
     xc, xic = tuple(float(c) for c in x.reshape(pot.d)), tuple(float(c) for c in xi.reshape(pot.d))
     a = pot.force(xc)

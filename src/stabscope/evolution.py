@@ -30,7 +30,7 @@ from .fields import (
     make_grid,
     p_bands,
 )
-from .potentials import Potential, _require_count, _require_finite, _require_window, sublevel_radius
+from .potentials import Potential, _equal_steps, _require_count, _require_finite, _require_window, sublevel_radius
 
 log = logging.getLogger(__name__)
 
@@ -125,11 +125,15 @@ def evolve(
     velocity, so the update is u_next = A u + C u_prev - B P u, in that
     order, with the node arrays A = 2 / (1 + dt b/2), B = dt^2 / (1 + dt b/2)
     and C = (dt b/2 - 1) / (1 + dt b/2), each formed once by one division.
-    Raises on non-finite initial data and on a CFL violation up front, and
-    raises RuntimeError, without a floating-point warning, once an E or a D
-    of the run is not finite, as when finite data overflow the energy.  The
-    recorded E is not the quantity the scheme dissipates: it can rise by
-    O(dt^2) where b misses the wave.
+    The steps follow flow_integrate's rule (``potentials._equal_steps``):
+    T_final / dt steps of dt when that is whole to 1e-9 relative, else
+    n = ceil(T_final / dt) equal steps of T_final / n, the dt the trace
+    reports, so the last sample lies at T_final.  Raises on non-finite initial data and on
+    a CFL violation up front, and raises RuntimeError, without a
+    floating-point warning, once an E or a D of the run is not finite, as
+    when finite data overflow the energy.  The recorded E is not the
+    quantity the scheme dissipates: it can rise by O(dt^2) where b misses
+    the wave.
 
     The arithmetic follows the data: real when u and v have zero imaginary
     part, complex otherwise.  The three iterates live in the stencil
@@ -141,16 +145,17 @@ def evolve(
     by a divisor with zero imaginary part computes, so a real run records
     the bits a complex run of the same data would.
 
-    The energy bookkeeping runs by blocks of steps.  Each step puts u P u
-    (Re of conj(u) P u for complex data) and v (|v| for complex data) into
-    one row each of two block buffers of at most _NODE_BUDGET nodes, whose
-    rows are padded to whole cache lines and so all start one; u P u and
-    u_next - u_prev are formed over the range and their nodes copied out,
-    and real data compute v in its row, where complex data take |v| from
-    v.  Once per block, the velocity rows are squared, the rows are
-    weighted by w and by w b, and each row is summed on its own: numpy's
-    pairwise sum over a contiguous row, as over the whole field; the
-    block's E and D must be finite.  E = (<u, P u> + ||v||^2) / 2 and D = <v, b v> of every step
+    The energy bookkeeping runs by blocks of steps, in two block buffers of
+    at most _NODE_BUDGET nodes whose rows are laid out like the kernel's
+    range and padded to whole cache lines.  Each step writes u P u (Re of
+    conj(u) P u for complex data) into a row of one, and u_next - u_prev
+    (|v| of the centred velocity v for complex data) into a row of the
+    other, over the whole range.  Once per block, real data's rows are
+    scaled to v, the velocity rows are squared, the rows are weighted by w
+    and by w b, laid out over the range with zeros at the halo and pad
+    nodes, and each row is summed on its own: numpy's pairwise sum over the
+    padded row, which on the line is the node row; the block's E and D must
+    be finite.  E = (<u, P u> + ||v||^2) / 2 and D = <v, b v> of every step
     then give the balance coefficient, the largest
     |E_n - E_{n-1} + dt (D_n + D_{n-1}) / 2| / (dt (E_{n-1} + 1)) with NaN ignored,
     and the recorded samples, in one vectorized pass after the run.
@@ -169,11 +174,10 @@ def evolve(
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt violates the CFL bound: dt={dt:.6g} > {limit:.6g}")
 
+    n_steps, dt = _equal_steps(T_final, dt)
     mesh = grid.meshgrid()
     vvals = pot.raw_value(mesh)
     bvals = b.raw_func(mesh)
-    w = grid.weights().ravel()
-    wb = w * bvals.ravel()
     half_b = 0.5 * dt * bvals
     denom = 1.0 + half_b
     inv_2dt = 1.0 / (2.0 * dt)
@@ -184,74 +188,80 @@ def evolve(
         u0, v0 = u0.real, v0.real
     kernel = _PKernel(vvals, grid.hs, dtype)
     # u_next = A u_curr + C u_prev - B P u_curr over the kernel's range, with
-    # zeros at its halo and pad nodes, which so stay zero
+    # zeros at its halo and pad nodes, which so stay zero; w and w b too
     coef_a, coef_b, coef_c = (kernel.spread(c) for c in (2.0 / denom, dt * dt / denom, (half_b - 1.0) / denom))
-    work = _aligned(kernel.size, dtype)  # a term of the update, then u P u or u_next - u_prev
-    work_nodes = kernel.nodes(work)
+    w = kernel.spread(grid.weights(), float)
+    wb = kernel.spread(bvals, float)
+    wb *= w
+    size = kernel.size
+    work = _aligned(size, dtype)  # a term of the update, or conj(u) P u
     bufs = [kernel.field() for _ in range(3)]
     prev, curr, nxt = ((buf, kernel.span(buf)) for buf in bufs)  # u_prev, u_curr and u_next: (buffer, range)
     kernel.nodes(prev[1])[...] = u0
-    v = None if real else _aligned(grid.ns, dtype)  # real data's velocity lives in its block row
+    v = None if real else _aligned(size, dtype)  # complex data's velocity
 
-    n_steps = int(round(T_final / dt))
-    size = u0.size
     block = min(n_steps + 1, max(1, _NODE_BUDGET // size))
     quad = _aligned((block, _line_pad(size, float)), float)[:, :size]  # u P u per step, then weighted
-    speed = _aligned((block, _line_pad(size, float)), float)[:, :size]  # v or |v| per step, then squared
-    quad_rows = [row.reshape(grid.ns) for row in quad]
-    speed_rows = [row.reshape(grid.ns) for row in speed]
+    speed = _aligned((block, _line_pad(size, float)), float)[:, :size]  # u_next - u_prev or |v|, then v^2
     energies = np.empty((2, n_steps + 1))
     E, D = energies
 
-    def keep(n, u_span, v_arr):
-        # the step-n rows of the block; the block is summed when it is full.
-        # u P u is formed over the whole range and its nodes copied: numpy
-        # runs a copy from a strided view about three times as fast as an
-        # arithmetic loop over one
-        j = n % block
+    def flush(n):
+        # sum the rows of the block that ends with step n
+        k = n % block + 1
+        rows = slice(n + 1 - k, n + 1)
+        q, v2 = quad[:k], speed[:k]
         if real:
-            np.multiply(u_span, kernel.out, out=work)
-            np.copyto(quad_rows[j], work_nodes)
-            if v_arr is not speed_rows[j]:
-                speed_rows[j][...] = v_arr
-        else:
-            np.multiply(np.conjugate(u_span, out=work), kernel.out, out=work)
-            quad_rows[j][...] = work_nodes.real
-            np.abs(v_arr, out=speed_rows[j])
-        if j == block - 1 or n == n_steps:
-            k = j + 1
-            q, v2 = quad[:k], speed[:k]
-            q *= w
-            quad_sums = q.sum(axis=1)
-            np.multiply(v2, v2, out=v2)
-            np.multiply(v2, w, out=q)
-            E[n + 1 - k : n + 1] = 0.5 * (quad_sums + q.sum(axis=1))
-            np.multiply(v2, wb, out=q)
-            D[n + 1 - k : n + 1] = q.sum(axis=1)
-            finite = np.isfinite(energies[:, n + 1 - k : n + 1]).all(axis=0)
-            if not finite.all():
-                first = n + 1 - k + int(np.argmin(finite))
-                raise RuntimeError(f"time integration produced a non-finite energy at t={first * dt:.6g}")
+            v2[int(rows.start == 0) :] *= inv_2dt  # step 0's row holds v itself
+        q *= w
+        quad_sums = q.sum(axis=1)
+        np.multiply(v2, v2, out=v2)
+        np.multiply(v2, w, out=q)
+        E[rows] = 0.5 * (quad_sums + q.sum(axis=1))
+        np.multiply(v2, wb, out=q)
+        D[rows] = q.sum(axis=1)
+        finite = np.isfinite(energies[:, rows]).all(axis=0)
+        if not finite.all():
+            first = rows.start + int(np.argmin(finite))
+            raise RuntimeError(f"time integration produced a non-finite energy at t={first * dt:.6g}")
 
     start = time.perf_counter()
     # finite data may overflow the energy: its check raises, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pu = kernel.nodes(kernel(prev[0]))
-        keep(0, prev[1], v0)
+        pu = kernel(prev[0])
+        if real:
+            np.multiply(prev[1], pu, out=quad[0])
+        else:
+            np.multiply(np.conjugate(prev[1], out=work), pu, out=work)
+            np.copyto(quad[0], work.real)
+        speed[0] = 0.0
+        kernel.nodes(speed[0])[...] = v0 if real else np.abs(v0)
+        if block == 1:  # a block of one step
+            flush(0)
+        kernel.nodes(curr[1])[...] = u0 + dt * v0 + 0.5 * dt * dt * (-kernel.nodes(pu) - bvals * v0)
 
-        kernel.nodes(curr[1])[...] = u0 + dt * v0 + 0.5 * dt * dt * (-pu - bvals * v0)
         for n in range(1, n_steps + 1):
-            u_next = nxt[1]
-            np.multiply(coef_a, curr[1], out=u_next)
-            np.multiply(coef_c, prev[1], out=work)
+            j = n % block
+            u, u_prev, u_next = curr[1], prev[1], nxt[1]
+            pu = kernel(curr[0])
+            if real:
+                np.multiply(u, pu, out=quad[j])
+            else:
+                np.multiply(np.conjugate(u, out=work), pu, out=work)
+                np.copyto(quad[j], work.real)
+            np.multiply(coef_a, u, out=u_next)
+            np.multiply(coef_c, u_prev, out=work)
             u_next += work
-            np.multiply(coef_b, kernel(curr[0]), out=work)
+            np.multiply(coef_b, pu, out=work)
             u_next -= work
-            np.subtract(u_next, prev[1], out=work)
-            vel = speed_rows[n % block] if real else v
-            np.copyto(vel, work_nodes)
-            vel *= inv_2dt
-            keep(n, curr[1], vel)
+            if real:
+                np.subtract(u_next, u_prev, out=speed[j])
+            else:
+                np.subtract(u_next, u_prev, out=v)
+                v *= inv_2dt
+                np.abs(v, out=speed[j])
+            if j == block - 1 or n == n_steps:
+                flush(n)
             prev, curr, nxt = curr, nxt, prev
 
         # float semantics: inf - inf, possible only for E and D near the float range, is a NaN to skip
@@ -267,9 +277,9 @@ def evolve(
         "evolve: %d steps on %d nodes in %s arithmetic, %.3g node-steps/s; "
         "%d samples, balance coefficient %.3e",
         n_steps,
-        size,
+        u0.size,
         "real" if real else "complex",
-        n_steps * size / elapsed if elapsed > 0.0 else math.inf,
+        n_steps * u0.size / elapsed if elapsed > 0.0 else math.inf,
         len(t),
         balance,
     )

@@ -33,7 +33,11 @@ buffer and 2.7 us into an aligned one, wherever its inputs start.
 Fields must be finite; every reader names a NaN or inf instead of
 spreading it.  Field integrals share one rule, the trapezoid weights w of
 ``Grid.weights`` summed pairwise without BLAS, one ``.sum()`` over a whole
-contiguous buffer.  The one quadratic form is the density w |f|^2, filled
+contiguous buffer.  The time stepper's energy rows are such buffers laid
+out like the kernel's range, with w zero at the halo and pad nodes: on the
+line the range is the node row, and in 2D the pairwise sum runs over the
+padded rows, so it groups the nodes otherwise than a sum in node order
+does.  The one quadratic form is the density w |f|^2, filled
 a strip at a time into one float buffer: its sum is ||f||^2, and the
 damping pairing and the ball mass are means under it.  Its sum is finite
 exactly when every node is, so the functionals read the point rule off it,
@@ -270,8 +274,10 @@ class _Stencil:
 
     Layout.  A field lies flat in a padded buffer: its rows along axis 0
     with two halo rows on each side, every row with two halo nodes on each
-    side and padded on to whole cache lines (8 real or 4 complex nodes); on
-    the line a row is one node.  The halo holds the Dirichlet zeros.  A tap
+    side and padded on to a whole number of 8 nodes, whole cache lines in
+    either dtype; on the line a row is one node.  So a real and a complex
+    run of the same data sum energy rows of one width, whose pairwise sums
+    group alike.  The halo holds the Dirichlet zeros.  A tap
     along axis 0 is a shift by whole padded rows and a tap along axis 1 a
     shift by single nodes, so each term of P runs over one contiguous range:
     the ``width`` padded nodes of every row of a strip, from the strip's
@@ -298,7 +304,7 @@ class _Stencil:
         self.ns = ns = tuple(ns)
         self.dtype = dtype = np.dtype(dtype)
         self.rows = _row_strips(ns)
-        self.width = width = _line_pad(ns[1] + 4, dtype) if d == 2 else 1
+        self.width = width = _line_pad(ns[1] + 4, float) if d == 2 else 1
         self.row_shape = (width,) if d == 2 else ()
         self.cols = (slice(0, ns[1]),) if d == 2 else ()
         self.first = 2 * width + (2 if d == 2 else 0)  # where node (0, 0) lies in a padded buffer
@@ -403,10 +409,10 @@ class _PKernel(_Stencil):
         """The range of a padded buffer."""
         return buf[self.first : self.first + self.size]
 
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Node values over the range in the kernel's dtype, zero at the halo
-        and pad nodes."""
-        out = _aligned(self.size, self.dtype)
+    def spread(self, values: np.ndarray, dtype=None) -> np.ndarray:
+        """Node values over the range in dtype, by default the kernel's, zero
+        at the halo and pad nodes."""
+        out = _aligned(self.size, self.dtype if dtype is None else dtype)
         out[...] = 0
         self.nodes(out)[...] = values
         return out

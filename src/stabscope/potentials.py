@@ -68,6 +68,18 @@ def _require_count(name: str, n) -> int:
     return int(n)
 
 
+def _equal_steps(T: float, dt: float) -> tuple:
+    """The step rule of a span T in steps of at most dt, as (count, step):
+    T / dt steps of dt when that is whole to 1e-9 relative, else
+    n = ceil(T / dt) equal steps of T / n, so the last step ends at T."""
+    steps = T / dt
+    n = round(steps)
+    if abs(steps - n) > 1e-9 * steps:
+        n = math.ceil(steps)
+        dt = T / n
+    return n, dt
+
+
 def _require_dimension(d) -> None:
     """The dimension rule: d is 1 or 2."""
     if d not in (1, 2):

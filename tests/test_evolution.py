@@ -160,11 +160,24 @@ def _kernel_p(vvals, values, hs, dtype):
     return np.ascontiguousarray(kernel.nodes(kernel(buf)))
 
 
-def _reference_evolve(pot, b, state, T_final, dt, record_every):
+def _padded_rows(a):
+    """Node values a in rows padded with zeros past two halo nodes on to
+    whole 64-byte lines of 8 doubles, as one contiguous array; on the line
+    the nodes themselves."""
+    if a.ndim == 1:
+        return a
+    rows = np.zeros((a.shape[0], -(-(a.shape[1] + 4) // 8) * 8))
+    rows[:, : a.shape[1]] = a
+    return rows
+
+
+def _reference_evolve(pot, b, state, T_final, dt, record_every, padded=True):
     """The leapfrog u_next = A u_curr + C u_prev - B P u_curr with
     A = 2 / (1 + dt b / 2), B = dt^2 / (1 + dt b / 2) and
     C = (dt b / 2 - 1) / (1 + dt b / 2): complex dtype throughout,
-    allocating expressions, true divisions."""
+    allocating expressions, true divisions.  Each field integral of E and D
+    is numpy's sum over the node products laid out in padded rows, or over
+    the nodes in node order when padded is False."""
     grid = state.u.grid
     mesh = grid.meshgrid()
     vvals = pot.raw_value(mesh)
@@ -172,14 +185,15 @@ def _reference_evolve(pot, b, state, T_final, dt, record_every):
     denom = 1.0 + 0.5 * dt * bvals
     coef_a, coef_b, coef_c = 2.0 / denom, dt * dt / denom, (0.5 * dt * bvals - 1.0) / denom
     w = grid.weights()
+    layout = _padded_rows if padded else np.asarray
 
     def energy_of(u_arr, pu_arr, v_arr):
-        quad = float(np.sum(w * (np.conj(u_arr) * pu_arr).real))
-        kin = float(np.sum(w * np.abs(v_arr) ** 2))
+        quad = float(np.sum(layout(w * (np.conj(u_arr) * pu_arr).real)))
+        kin = float(np.sum(layout(w * np.abs(v_arr) ** 2)))
         return 0.5 * (quad + kin)
 
     def dissipation_of(v_arr):
-        return float(np.sum(w * bvals * np.abs(v_arr) ** 2))
+        return float(np.sum(layout(w * bvals * np.abs(v_arr) ** 2)))
 
     n_steps = int(round(T_final / dt))
     u_prev = state.u.values.astype(complex)
@@ -221,6 +235,14 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _assert_near_node_order(trace, pot, b, state, T_final, dt, record_every):
+    # the sums in node order, as over the node arrays, differ from the
+    # padded rows' only in how the pairwise sum groups its terms
+    _, E, D, _ = _reference_evolve(pot, b, state, T_final, dt, record_every, padded=False)
+    assert np.allclose(trace.E, E, rtol=1e-13, atol=0.0)
+    assert np.allclose(trace.D, D, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.deep
 @settings(max_examples=max(40, settings.default.max_examples))  # the profile's count, 100 or deep's 1000
 @given(
@@ -260,6 +282,7 @@ def test_evolve_keeps_the_reference_bits(potential, damping, amplitude, data, n_
     assert np.array_equal(_bits(trace.E), _bits(E))
     assert np.array_equal(_bits(trace.D), _bits(D))
     assert _bits(trace.balance_coefficient) == _bits(balance)
+    _assert_near_node_order(trace, pot, b, state, T, dt, record_every)
 
 
 @pytest.mark.deep
@@ -274,16 +297,18 @@ def test_evolve_keeps_the_reference_bits(potential, damping, amplitude, data, n_
     st.integers(0, 2**32 - 1),
 )
 @example(("harmonic", 1, {}), BUILTIN_DAMPINGS[2], 1.0, "real", 64, 1, 0)  # one row past the first block
-@example(("harmonic", 2, {}), BUILTIN_DAMPINGS[3], 1.0, "complex", 95, 7, 1)  # three full blocks
+@example(("harmonic", 2, {}), BUILTIN_DAMPINGS[3], 1.0, "complex", 95, 7, 1)  # three full blocks and 21 rows
+@example(("harmonic", 2, {}), BUILTIN_DAMPINGS[3], 1.0, "real", 74, 3, 2)  # three full blocks
 def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitude, data, n_steps, record_every, seed):
-    # grids whose energy blocks hold 64 (line) and 32 (plane) steps, so a run
-    # spans up to seven of them, with a partial block at its end
+    # grids whose energy blocks hold 64 (line) and 25 (plane: 32 rows of 40
+    # range nodes) steps, so a run spans up to eight of them, with a partial
+    # block at its end
     name, d, params = potential
     pot = builtin_potential(name, d=d, **params)
     b = builtin_damping(damping[0], d=d, amplitude=amplitude, **damping[1])
     rng = np.random.default_rng(seed)
     grid = make_grid(d, 512 if d == 1 else 32, 5.0)
-    assert _NODE_BUDGET // math.prod(grid.ns) == (64 if d == 1 else 32)
+    assert _NODE_BUDGET // _PKernel(np.zeros(grid.ns), grid.hs, float).size == (64 if d == 1 else 25)
     bump = np.exp(-np.sum(grid.meshgrid() ** 2, axis=-1))
     u = bump * rng.standard_normal(grid.ns)
     v = 1j * 3.0 * u if data == "probe" else bump * rng.standard_normal(grid.ns)
@@ -296,6 +321,29 @@ def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitu
     assert np.array_equal(_bits(trace.t), _bits(t))
     assert np.array_equal(_bits(trace.E), _bits(E))
     assert np.array_equal(_bits(trace.D), _bits(D))
+    assert _bits(trace.balance_coefficient) == _bits(balance)
+    _assert_near_node_order(trace, pot, b, state, n_steps * dt, dt, record_every)
+
+
+@pytest.mark.parametrize("data", ["real", "complex"])
+def test_evolve_keeps_the_reference_bits_in_blocks_of_one_step(data):
+    # a 130^2 plane has 130 * 136 range nodes, past half the block budget,
+    # so every step, step 0 included, is summed in a block of its own
+    pot = builtin_potential("harmonic", d=2)
+    b = builtin_damping("ball", d=2, radius=1.0)
+    grid = make_grid(2, 130, 5.0)
+    assert _NODE_BUDGET // _PKernel(np.zeros(grid.ns), grid.hs, float).size == 1
+    rng = np.random.default_rng(0)
+    bump = np.exp(-np.sum(grid.meshgrid() ** 2, axis=-1))
+    u, v = (bump * rng.standard_normal(grid.ns) for _ in range(2))
+    if data == "complex":
+        u = u + 1j * bump * rng.standard_normal(grid.ns)
+    state = WaveState(Field(grid, u), Field(grid, v))
+    dt = 0.5 * cfl_limit(pot, grid)
+    trace = evolve(pot, b, state, 5 * dt, dt, record_every=2)
+    t, E, D, balance = _reference_evolve(pot, b, state, 5 * dt, dt, 2)
+    assert np.array_equal(_bits(trace.t), _bits(t))
+    assert np.array_equal(_bits(trace.E), _bits(E)) and np.array_equal(_bits(trace.D), _bits(D))
     assert _bits(trace.balance_coefficient) == _bits(balance)
 
 
@@ -311,10 +359,10 @@ def test_evolve_keeps_the_reference_bits_over_blocks(potential, damping, amplitu
 @example(1, complex, 300, 250, 5.0, 0)  # 75000 nodes: three strips on the line
 @example(2, float, 400, 200, 5.0, 1)  # 163 rows a strip: three strips
 @example(2, complex, 400, 120, 5.0, 2)  # 273 rows a strip: two strips
-# padded rows of n1 + 4 nodes just below, at and past whole cache lines, 8
-# real or 4 complex nodes each, rounded up to 16, 16, 24 (real) and 16, 16,
-# 20 (complex) nodes; the 97-node side of the benchmark's plane; and the
-# same three lengths along a line of n0 * n1 nodes
+# padded rows of n1 + 4 nodes just below, at and past a whole number of 8
+# nodes, rounded up to 16, 16 and 24 nodes in either dtype; the 97-node side
+# of the benchmark's plane; and the same three lengths along a line of
+# n0 * n1 nodes
 @example(2, float, 20, 11, 5.0, 3)
 @example(2, float, 20, 12, 5.0, 4)
 @example(2, float, 20, 13, 5.0, 5)
@@ -498,6 +546,39 @@ def test_the_dirichlet_halo_stays_zero(d, ns, data):
     assert all(halo.tobytes() == bytes(halo.nbytes) for halo in rec.halos)
     plain = evolve(pot, b, state, 40 * dt, dt)
     assert np.array_equal(_bits(trace.E), _bits(plain.E)) and np.array_equal(_bits(trace.D), _bits(plain.D))
+
+
+@pytest.mark.parametrize("n1", [24, 32, 97])
+def test_real_and_complex_runs_keep_the_same_bits(n1):
+    # i (u, v) runs in complex arithmetic through the same values as (u, v)
+    # in real arithmetic, in the imaginary parts, so both record the same E
+    # and D: the energy rows of both dtypes are summed at one width
+    pot = builtin_potential("harmonic", d=2)
+    b = builtin_damping("checkerboard", d=2, period=1.0, duty=0.5)
+    grid = make_grid(2, [20, n1], 5.0)
+    rng = np.random.default_rng(n1)
+    bump = np.exp(-np.sum(grid.meshgrid() ** 2, axis=-1))
+    u, v = (bump * rng.standard_normal(grid.ns) for _ in range(2))
+    dt = 0.5 * cfl_limit(pot, grid)
+    real = evolve(pot, b, WaveState(Field(grid, u), Field(grid, v)), 30 * dt, dt)
+    turned = evolve(pot, b, WaveState(Field(grid, 1j * u), Field(grid, 1j * v)), 30 * dt, dt)
+    assert real.E[0] > 0.0 and real.D[0] > 0.0
+    assert np.array_equal(_bits(real.E), _bits(turned.E)) and np.array_equal(_bits(real.D), _bits(turned.D))
+
+
+@pytest.mark.parametrize("ratio", [2.5, 3.5, 1167.89, 40.0])
+def test_evolve_ends_at_T_final(ratio):
+    # T_final / dt whole (to 1e-9): that many steps of dt; else ceil(T_final
+    # / dt) equal steps of T_final / n, none longer than dt, ending at T_final
+    grid, state = gaussian_state(n=64, halfwidth=6.0)
+    dt = 0.5 * cfl_limit(H1, grid)
+    T = ratio * dt
+    trace = evolve(H1, B_ONE, state, T, dt)
+    assert len(trace.t) == math.ceil(ratio) + 1
+    assert abs(trace.t[-1] - T) <= 1e-12 * T
+    assert trace.dt <= dt
+    if ratio == round(ratio):
+        assert trace.dt == dt
 
 
 def test_evolve_rejects_bad_input():
