@@ -6,8 +6,11 @@ serves a single trajectory and a batch alike: it holds the per-axis
 components of x, xi and the force in locals, each a float for one trajectory
 or an array for a whole family advancing in lockstep (what the
 shell-sampling scans on top of this module rely on), and takes the force
--grad V from the potential's own ``force``.  Every flow starts from a
-position x0 and a momentum xi0, in dimension 1 or 2.
+-grad V from the potential's own ``force``, called on those components as
+its positional arguments.  A single trajectory is one kernel call, whose
+loop appends each recorded sample's components to one flat list; a batch
+calls it once per span between requested times and records nothing.  Every
+flow starts from a position x0 and a momentum xi0, in dimension 1 or 2.
 
 The rescaled picture runs the same flow at energy lam^2 through slow time
 s = lam * t with momenta scaled down by lam, so that over |s| <= T the motion
@@ -17,7 +20,9 @@ controlled by the potential's smallness factor eps(lam).
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,8 @@ __all__ = [
     "default_dt",
 ]
 
+log = logging.getLogger(__name__)
+
 ENERGY_DRIFT_TOL = 1e-6  # relative drift of p reported on a trajectory; 100x aborts
 TURNING_FRACTION = 0.2  # share of shell samples forced toward the turning surface
 
@@ -67,33 +74,44 @@ def default_dt(lam: float) -> float:
     return 1e-3 * min(1.0, 1.0 / np.sqrt(lam))
 
 
-def _verlet(force, x, xi, a, dt: float, n: int):
+def _verlet(force, x, xi, a, dt: float, n: int, record=None, every: int = 1):
     """Velocity-Verlet state (x, xi, a) after n steps of size dt, as d-tuples.
 
     ``x``, ``xi`` and the force ``a`` at x hold d = 1 or 2 per-axis
     components, each a float for one trajectory or an array for a batch; the
     same lines run both ways.  Returning the force lets the next call start
     without evaluating it again.  The components are unpacked into locals,
-    one loop per dimension, which keeps a single trajectory's step at a few
-    float operations and one call of ``force``.
+    one loop per dimension, and handed to ``force`` as its positional
+    arguments, which keeps a single trajectory's step at a few float
+    operations and one call of ``force``.  Given a ``record`` list, the
+    loop appends the x and then the xi components after every ``every``
+    steps and after the last one; without it the n steps run in one stretch.
     """
     h, h2 = 0.5 * dt, 0.5 * dt * dt
+    if record is None:
+        every = n
     if len(x) == 1:
         (x0,), (p0,), (a0,) = x, xi, a
-        for _ in range(n):
-            x0 = x0 + (dt * p0 + h2 * a0)
-            (b0,) = force((x0,))
-            p0 = p0 + h * (a0 + b0)
-            a0 = b0
+        for k in range(0, n, every):
+            for _ in range(min(every, n - k)):
+                x0 = x0 + (dt * p0 + h2 * a0)
+                (b0,) = force(x0)
+                p0 = p0 + h * (a0 + b0)
+                a0 = b0
+            if record is not None:
+                record += (x0, p0)
         return (x0,), (p0,), (a0,)
     (x0, x1), (p0, p1), (a0, a1) = x, xi, a
-    for _ in range(n):
-        x0 = x0 + (dt * p0 + h2 * a0)
-        x1 = x1 + (dt * p1 + h2 * a1)
-        b0, b1 = force((x0, x1))
-        p0 = p0 + h * (a0 + b0)
-        p1 = p1 + h * (a1 + b1)
-        a0, a1 = b0, b1
+    for k in range(0, n, every):
+        for _ in range(min(every, n - k)):
+            x0 = x0 + (dt * p0 + h2 * a0)
+            x1 = x1 + (dt * p1 + h2 * a1)
+            b0, b1 = force(x0, x1)
+            p0 = p0 + h * (a0 + b0)
+            p1 = p1 + h * (a1 + b1)
+            a0, a1 = b0, b1
+        if record is not None:
+            record += (x0, x1, p0, p1)
     return (x0, x1), (p0, p1), (a0, a1)
 
 
@@ -110,9 +128,11 @@ def flow_integrate(
 
     When T is a whole number of steps dt (to 1e-9 relative) the flow takes
     them; else it takes n = ceil(T / dt) equal steps of T / n, the step the
-    trajectory reports.  Aborts when the relative energy drift exceeds 100x
-    ENERGY_DRIFT_TOL; a drift above the tolerance itself is reported on the
-    trajectory for the caller to inspect.
+    trajectory reports.  One kernel call runs all n steps and records a
+    sample after every ``record_every`` of them and after the last.  Aborts
+    when the relative energy drift exceeds 100x ENERGY_DRIFT_TOL; a drift
+    above the tolerance itself is reported on the trajectory for the caller
+    to inspect.
     """
     _require_dimension(pot.d)
     _require_window("T", T)
@@ -124,22 +144,25 @@ def flow_integrate(
     xi = _require_finite("xi0", as_points(xi0, pot.d).astype(float))
     n_steps, dt = _equal_steps(T, dt)
 
-    xc, xic = tuple(float(c) for c in x.reshape(pot.d)), tuple(float(c) for c in xi.reshape(pot.d))
-    a = pot.force(xc)
-    ts, states = [0.0], [(xc, xic)]
-    k = 0
-    while k < n_steps:
-        n = min(record_every, n_steps - k)
-        xc, xic, a = _verlet(pot.force, xc, xic, a, dt, n)
-        k += n
-        ts.append(k * dt)
-        states.append((xc, xic))  # the kernel's own tuples, which hold a long record in little memory
+    xc, xic = [float(c) for c in x.reshape(pot.d)], [float(c) for c in xi.reshape(pot.d)]
+    record = xc + xic  # flat: the x and then the xi components of each sample
+    start = time.perf_counter()
+    _verlet(pot.force, xc, xic, pot.force(*xc), dt, n_steps, record, record_every)
+    elapsed = time.perf_counter() - start
 
-    t = np.array(ts)
-    xs, xis = np.array(states).swapaxes(0, 1).reshape((2,) + t.shape + x.shape)
+    steps = np.append(np.arange(0, n_steps, record_every), n_steps)
+    t = steps * dt
+    samples = np.array(record).reshape(t.shape + (2,) + x.shape)
+    xs, xis = samples[:, 0], samples[:, 1]
     p = pot.raw_value(xs) + 0.5 * np.sum(xis**2, axis=-1)
     p0 = float(p.flat[0])  # drift from the trajectory's own first sample
     drift = float(np.max(np.abs(p - p0)) / max(p0, 1.0))
+    log.info(
+        "flow_integrate: %d steps, %d samples, %.3g Verlet steps/s",
+        n_steps,
+        len(t),
+        n_steps / elapsed if elapsed > 0.0 else math.inf,
+    )
     if not drift <= 100.0 * ENERGY_DRIFT_TOL:  # a NaN drift aborts too
         raise RuntimeError("integrator unstable -- reduce dt")
     return Trajectory(t, xs, xis, p, dt=dt, p0=p0, drift=drift)
@@ -165,7 +188,7 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
         sel = np.nonzero(times * sign >= 0.0)[0]
         x = [x0[..., i] for i in range(pot.d)]
         xi = [sign * xi0[..., i] for i in range(pot.d)]
-        a = pot.force(x)
+        a = pot.force(*x)
         t_cur = 0.0
         for j in sel[np.argsort(np.abs(times[sel]))]:
             span = abs(times[j]) - t_cur

@@ -332,14 +332,17 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
 
     The window is the caller's choice; the packet's own coherence scale is
     of order 1/lam, which is the regime where an asymptotically undamped
-    packet shows its slow decay.
+    packet shows its slow decay.  The run takes n equal steps of T_final / n:
+    n is ``evolve``'s step count for dt (T_final / dt when that is whole to
+    1e-9 relative, else its ceiling), and at least 40, so a step is never
+    longer than dt beyond that tolerance.
     """
     _require_window("T_final", T_final)
     check_resolution(f.grid, lam)
     if dt is None:
         dt = 0.5 * cfl_limit(pot, f.grid)
     _require_window("dt", dt)
-    n_steps = max(int(round(T_final / dt)), 40)
+    n_steps = max(_equal_steps(T_final, dt)[0], 40)
     dt = T_final / n_steps
     state = WaveState(f, Field(f.grid, 1j * lam * f.values), 0.0)
     stride = max(1, n_steps // 2000)

@@ -4,10 +4,10 @@ A potential here is a smooth function V >= 0 on R^d that grows at infinity
 slower than |x|^4 (strict sub-quarticity).  Everything downstream -- classical
 flow, damping-condition scans, localized quasimode constructions -- consumes
 potentials through this module's `Potential` handle, which bundles a batched
-evaluator, the force -grad V on per-axis components (a d-tuple out), and the
-radius beyond which V >= 1.  The builtins form one family
-V = phi(sum_i w_i^2 x_i^2), so the handle also carries phi^-1 and the squared
-weights for closed-form level sets.
+evaluator, the force -grad V on per-axis components (d positional arguments
+in, a d-tuple out), and the radius beyond which V >= 1.  The builtins form
+one family V = phi(sum_i w_i^2 x_i^2), so the handle also carries phi^-1 and
+the squared weights for closed-form level sets.
 
 Two derived quantities live here because they only depend on V:
 
@@ -34,7 +34,7 @@ and > 0), ``_require_count`` for numbers of steps, samples, modes and terms
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +111,9 @@ class Potential:
     """A confining potential V(x) = phi(q), q = sum_i w2_i x_i^2.
 
     ``raw_value``/``raw_grad`` act on arrays of shape (..., d).  ``force``
-    takes a sequence of the d per-axis components of x and returns a d-tuple
-    of those of -grad V, each a float for one point or an array for a batch;
+    takes the d per-axis components of x as positional arguments,
+    ``force(x0)`` or ``force(x0, x1)``, and returns a d-tuple of those of
+    -grad V, each a float for one point or an array for a batch;
     ``raw_grad`` is built from it, so the gradient has one formula.  ``w2``
     holds the squared axis weights and ``phi_inv`` inverts phi, so level sets
     come in closed form.
@@ -126,7 +127,7 @@ class Potential:
     raw_grad: Callable[[np.ndarray], np.ndarray]
     label: str
     w2: tuple[float, ...]
-    force: Callable[[Sequence], tuple]
+    force: Callable[..., tuple]
     phi_inv: Callable[[float], float]
     peak_radii: tuple[float, float, float]
 
@@ -183,14 +184,14 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         if d == 1:
             (w0,) = w2
 
-            def force(x):
-                return (-w0 * x[0],)
+            def force(x0):
+                return (-w0 * x0,)
 
         else:
             w0, w1 = w2
 
-            def force(x):
-                return (-w0 * x[0], -w1 * x[1])
+            def force(x0, x1):
+                return (-w0 * x0, -w1 * x1)
 
         def phi_inv(v):
             return 2.0 * v
@@ -214,19 +215,17 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         # -grad V = -2 phi'(q) x with unit weights; q summed in axis order
         if d == 1:
 
-            def force(x):
-                (c0,) = x
-                q = 0.0 + c0 * c0
+            def force(x0):
+                q = 0.0 + x0 * x0
                 g = -2.0 * (half * (1.0 + q) ** e)
-                return (g * c0,)
+                return (g * x0,)
 
         else:
 
-            def force(x):
-                c0, c1 = x
-                q = 0.0 + c0 * c0 + c1 * c1
+            def force(x0, x1):
+                q = 0.0 + x0 * x0 + x1 * x1
                 g = -2.0 * (half * (1.0 + q) ** e)
-                return (g * c0, g * c1)
+                return (g * x0, g * x1)
 
         def phi_inv(v):
             return (1.0 + v) ** (2.0 / s) - 1.0
@@ -254,7 +253,7 @@ def builtin_potential(name: str, d: int = 1, **params) -> Potential:
         return phi(np.sum(w2_axes * pts * pts, axis=-1))
 
     def grad(pts):
-        return -np.stack(force([pts[..., i] for i in range(d)]), axis=-1)
+        return -np.stack(force(*(pts[..., i] for i in range(d))), axis=-1)
 
     return Potential(d, value, grad, label, w2, force, phi_inv, peak_radii)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from stabscope import dynamics
 from stabscope.dynamics import (
     _flow_states,
     flow_integrate,
@@ -386,24 +387,54 @@ def test_flows_keep_the_pre_change_verlet_bits(case, data, n_steps):
     assert pos.tobytes() == expected.tobytes()
 
 
-# The kernel carries the force from one call to the next.  These properties
-# pin flow_integrate and _flow_states to the reference loop above, which
+# The kernel carries the force across the samples it records and, in
+# _flow_states, from one span's call to the next.  These properties pin
+# flow_integrate and _flow_states to the reference loop above, which
 # evaluates the force afresh at the start of every run of steps.
 
 
 @pytest.mark.deep
-@given(builtin_cases(), st.data(), st.integers(1, 80), st.integers(1, 7))
-def test_flow_integrate_keeps_the_reference_bits(case, data, n_steps, record_every):
+@given(
+    builtin_cases(),
+    st.data(),
+    st.integers(1, 80),
+    st.one_of(st.integers(1, 7), st.integers(81, 200)),  # 81 and up: one sample after the first
+    st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+)
+def test_flow_integrate_keeps_the_reference_bits(case, data, n_steps, record_every, extra):
+    # T = (n_steps + extra) dt: whole when extra is 0, else n_steps + 1 steps of T / n
     pot, w2, dphi, s = case
     point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
     x0, xi0 = np.array(data.draw(point)), np.array(data.draw(point))
     dt = stable_dt(pot, w2, s, x0, xi0)
-    traj = flow_integrate(pot, x0, xi0, n_steps * dt, dt, record_every=record_every)
+    T = (n_steps + extra) * dt
+    traj = flow_integrate(pot, x0, xi0, T, dt, record_every=record_every)
+    if extra:
+        n_steps += 1
+        dt = T / n_steps
+    assert traj.dt == dt
     xs, xis = reference_verlet(w2, dphi, [float(c) for c in x0], [float(c) for c in xi0], dt, n_steps)
     rows = sorted(set(range(0, n_steps + 1, record_every)) | {n_steps})
     assert traj.t.tobytes() == (np.array(rows) * dt).tobytes()
     assert traj.x.tobytes() == xs[rows].tobytes()
     assert traj.xi.tobytes() == xis[rows].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("record_every", [1, 7, 1000])
+def test_flow_integrate_calls_the_kernel_once(monkeypatch, d, record_every):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[5])  # the step count
+        return verlet(*args)
+
+    verlet = dynamics._verlet
+    monkeypatch.setattr(dynamics, "_verlet", counted)
+    pot = builtin_potential("power", d=d, s=3.0)
+    traj = flow_integrate(pot, np.full(d, 0.5), np.ones(d), 0.1005, 1e-3, record_every=record_every)
+    assert calls == [101]
+    assert len(traj.t) == len(range(0, 101, record_every)) + 1
 
 
 @pytest.mark.deep
@@ -447,7 +478,7 @@ def test_force_returns_a_d_tuple(case, data):
     axes = range(pot.d)
     # on floats: a d-tuple of floats, -2 phi'(q) w2 x with q summed in axis order
     for row in pts.tolist():
-        a = pot.force(row)
+        a = pot.force(*row)
         assert type(a) is tuple and len(a) == pot.d and all(type(c) is float for c in a)
         q = 0.0
         for i in axes:
@@ -455,12 +486,12 @@ def test_force_returns_a_d_tuple(case, data):
         g = -2.0 * dphi(q)
         assert np.array(a).tobytes() == np.array([g * w2[i] * row[i] for i in axes]).tobytes()
     # on arrays: a d-tuple of the components of -raw_grad, bit for bit
-    a = pot.force([pts[:, i] for i in axes])
+    a = pot.force(*[pts[:, i] for i in axes])
     assert type(a) is tuple and len(a) == pot.d
     assert np.stack(a, axis=-1).tobytes() == (-pot.raw_grad(pts)).tobytes()
 
     # a hand-built force that returns a list still integrates to the reference bits
-    listed = dataclasses.replace(pot, force=lambda x: list(pot.force(x)))
+    listed = dataclasses.replace(pot, force=lambda *x: list(pot.force(*x)))
     x0, xi0 = pts[0], np.array(data.draw(point))
     dt = stable_dt(pot, w2, s, x0, xi0)
     n_steps = data.draw(st.integers(1, 40))

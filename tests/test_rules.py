@@ -234,6 +234,6 @@ def test_point_rule_reads_the_imaginary_part(case, bad):
 def test_nan_energy_drift_aborts_the_flow():
     # a force that turns the state NaN makes the drift NaN, which no
     # comparison with the bound may let through
-    pot = dataclasses.replace(H1, force=lambda x: [math.nan for _ in x])
+    pot = dataclasses.replace(H1, force=lambda *x: [math.nan for _ in x])
     with pytest.raises(RuntimeError, match="integrator unstable"):
         flow_integrate(pot, [1.0], [0.5], 0.01, 1e-3)
