@@ -126,13 +126,12 @@ def flow_integrate(
 ) -> Trajectory:
     """Integrate the flow from (x0, xi0) over [0, T], sampling every few steps.
 
-    When T is a whole number of steps dt (to 1e-9 relative) the flow takes
-    them; else it takes n = ceil(T / dt) equal steps of T / n, the step the
-    trajectory reports.  One kernel call runs all n steps and records a
-    sample after every ``record_every`` of them and after the last.  Aborts
-    when the relative energy drift exceeds 100x ENERGY_DRIFT_TOL; a drift
-    above the tolerance itself is reported on the trajectory for the caller
-    to inspect.
+    T is cut into steps by the one step rule, ``potentials._equal_steps``,
+    and the trajectory reports its step.  One kernel call runs all n steps
+    and records a sample after every ``record_every`` of them and after the
+    last.  Aborts when the relative energy drift exceeds 100x
+    ENERGY_DRIFT_TOL; a drift above the tolerance itself is reported on the
+    trajectory for the caller to inspect.
     """
     _require_dimension(pot.d)
     _require_window("T", T)
@@ -172,8 +171,9 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
     """States (x, xi) of the flow through (x0, xi0) at each of ``times``.
 
     Integration runs separately forward and backward from t = 0; each span
-    between consecutive |t| is cut into equal steps no longer than dt so the
-    requested times are hit exactly.  xi carries its true sign on both legs.
+    between consecutive |t| is cut by the one step rule,
+    ``potentials._equal_steps``, in one kernel call, so each requested time
+    is hit.  xi carries its true sign on both legs.
     Returns two arrays of shape (n_times,) + x0.shape.
     """
     _require_dimension(pot.d)
@@ -193,8 +193,8 @@ def _flow_states(pot: Potential, x0, xi0, times, dt: float):
         for j in sel[np.argsort(np.abs(times[sel]))]:
             span = abs(times[j]) - t_cur
             if span > 1e-15:
-                n = max(1, int(np.ceil(span / dt)))
-                x, xi, a = _verlet(pot.force, x, xi, a, span / n, n)
+                n, step = _equal_steps(span, dt)
+                x, xi, a = _verlet(pot.force, x, xi, a, step, n)
                 t_cur = abs(times[j])
             xs[j] = np.stack(x, axis=-1)
             xis[j] = sign * np.stack(xi, axis=-1)
@@ -211,8 +211,8 @@ def flow_positions(
     """Positions of batched trajectories at the requested times.
 
     ``times`` may be any finite times, of either sign and in any order;
-    integration runs separately forward and backward from t = 0 with step
-    refinement so each requested time is hit exactly.
+    integration runs separately forward and backward from t = 0, each span
+    between requested times cut by ``potentials._equal_steps``.
 
     Returns an array of shape (n_times,) + x0.shape.
     """
@@ -238,8 +238,6 @@ def linearization_deviation(
     T: float,
     lam: float,
     eps_profile: EpsilonProfile,
-    *,
-    dt: float | None = None,
 ) -> LinearizationReport:
     """Compare the rescaled flow against straight-line motion over |s| <= T.
 
@@ -247,17 +245,16 @@ def linearization_deviation(
     dev_y   = sup_s |y_s - y - s*eta| checked against (T^2 / sqrt(lam)) eps(lam)
 
     Batched: y, eta may be (d,) or (n, d); deviations come back per sample.
+    The flow takes steps of at most default_dt(lam).
     """
     if not math.isfinite(T):  # T = 0 is the degenerate window with no motion
         raise ValueError(f"need finite T, got T={T}")
     _require_window("lam", lam)
     y = np.atleast_2d(as_points(y, pot.d).astype(float))
     eta = np.atleast_2d(as_points(eta, pot.d).astype(float))
-    if dt is None:
-        dt = default_dt(lam)
 
     s_grid = np.linspace(-T, T, 65)
-    xs, xis = _flow_states(pot, y, lam * eta, s_grid / lam, dt)
+    xs, xis = _flow_states(pot, y, lam * eta, s_grid / lam, default_dt(lam))
     dev_eta = np.max(np.linalg.norm(xis / lam - eta, axis=-1), axis=0)
     dev_y = np.max(np.linalg.norm(xs - (y + s_grid[:, None, None] * eta), axis=-1), axis=0)
 

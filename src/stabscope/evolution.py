@@ -125,10 +125,9 @@ def evolve(
     velocity, so the update is u_next = A u + C u_prev - B P u, in that
     order, with the node arrays A = 2 / (1 + dt b/2), B = dt^2 / (1 + dt b/2)
     and C = (dt b/2 - 1) / (1 + dt b/2), each formed once by one division.
-    The steps follow flow_integrate's rule (``potentials._equal_steps``):
-    T_final / dt steps of dt when that is whole to 1e-9 relative, else
-    n = ceil(T_final / dt) equal steps of T_final / n, the dt the trace
-    reports, so the last sample lies at T_final.  Raises on non-finite initial data and on
+    T_final is cut into steps by the one step rule,
+    ``potentials._equal_steps``, whose step the trace reports; its last
+    sample lies at T_final.  Raises on non-finite initial data and on
     a CFL violation up front, and raises RuntimeError, without a
     floating-point warning, once an E or a D of the run is not finite, as
     when finite data overflow the energy.  The recorded E is not the
@@ -267,9 +266,7 @@ def evolve(
         # float semantics: inf - inf, possible only for E and D near the float range, is a NaN to skip
         defect = np.abs(E[1:] - E[:-1] + dt * 0.5 * (D[1:] + D[:-1]))
         balance = float(np.fmax.reduce(defect / (dt * (E[:-1] + 1.0)), initial=0.0))
-    steps = np.arange(0, n_steps + 1, record_every)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
+    steps = np.append(np.arange(0, n_steps, record_every), n_steps)
     t = state.t + steps * dt
     t[0] = state.t
     elapsed = time.perf_counter() - start
@@ -332,20 +329,18 @@ def quasimode_probe(pot: Potential, b: Damping, f: Field, lam: float, T_final: f
 
     The window is the caller's choice; the packet's own coherence scale is
     of order 1/lam, which is the regime where an asymptotically undamped
-    packet shows its slow decay.  The run takes n equal steps of T_final / n:
-    n is ``evolve``'s step count for dt (T_final / dt when that is whole to
-    1e-9 relative, else its ceiling), and at least 40, so a step is never
-    longer than dt beyond that tolerance.
+    packet shows its slow decay.  ``evolve`` runs it with the step
+    min(dt, T_final / 40), cut by its step rule, so the run takes at least
+    40 steps and none longer than dt.
     """
     _require_window("T_final", T_final)
     check_resolution(f.grid, lam)
     if dt is None:
         dt = 0.5 * cfl_limit(pot, f.grid)
     _require_window("dt", dt)
-    n_steps = max(_equal_steps(T_final, dt)[0], 40)
-    dt = T_final / n_steps
+    dt = min(dt, T_final / 40)
     state = WaveState(f, Field(f.grid, 1j * lam * f.values), 0.0)
-    stride = max(1, n_steps // 2000)
+    stride = max(1, _equal_steps(T_final, dt)[0] // 2000)
     trace = evolve(pot, b, state, T_final, dt, record_every=stride)
     return trace, decay_fit(trace)
 

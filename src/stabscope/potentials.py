@@ -69,10 +69,15 @@ def _require_count(name: str, n) -> int:
 
 
 def _equal_steps(T: float, dt: float) -> tuple:
-    """The step rule of a span T in steps of at most dt, as (count, step):
-    T / dt steps of dt when that is whole to 1e-9 relative, else
-    n = ceil(T / dt) equal steps of T / n, so the last step ends at T."""
-    steps = T / dt
+    """The step rule, the only one: a span T in steps of at most dt, as
+    (count, step).  T / dt steps of dt when that is whole to 1e-9 relative,
+    else n = ceil(T / dt) equal steps of T / n, so the last step ends at T.
+    A T / dt past the float range is refused.  Its callers:
+    ``dynamics.flow_integrate``, each span of ``dynamics._flow_states``,
+    ``evolution.evolve`` and, through it, ``evolution.quasimode_probe``."""
+    steps = float(T) / float(dt)  # a numpy scalar would warn on overflow
+    if steps == math.inf:
+        raise ValueError(f"need a finite T/dt, got T={T:.6g}, dt={dt:.6g}")
     n = round(steps)
     if abs(steps - n) > 1e-9 * steps:
         n = math.ceil(steps)

@@ -538,6 +538,15 @@ def test_non_finite_time_exits_2(tmp_path, capsys, command, times):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", sorted(TIMED_CFGS))
+def test_a_step_count_past_the_float_range_exits_2(tmp_path, capsys, command):
+    # T / dt = 1e600 overflows to inf; the step rule refuses it before any step
+    rc, out = run_cli(tmp_path, command, {**TIMED_CFGS[command], "T_time": 1e300, "dt_time": 1e-300})
+    assert rc == 2
+    assert "need a finite T/dt" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_evolve_and_probe_build_one_mesh_per_use(tmp_path, monkeypatch):
     # the CFL bound reads V at the node farthest out on every axis, so evolve
     # builds the initial state's mesh and the stepper's, and probe the

@@ -101,9 +101,6 @@ def test_flow_states_reject_bad_steps(harmonic_1d, dt):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             flow_positions(harmonic_1d, np.ones((2, 1)), np.zeros((2, 1)), np.array([-0.5, 0.0, 0.5]), dt)
-        prof = epsilon_lambda(harmonic_1d, [25.0])
-        with pytest.raises(ValueError, match=match):
-            linearization_deviation(harmonic_1d, np.zeros(1), np.ones(1), 2.0, 25.0, prof, dt=dt)
 
 
 @pytest.mark.parametrize(
@@ -437,11 +434,40 @@ def test_flow_integrate_calls_the_kernel_once(monkeypatch, d, record_every):
     assert len(traj.t) == len(range(0, 101, record_every)) + 1
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_span_of_two_steps_up_to_rounding_takes_two_steps_of_dt(monkeypatch, d):
+    # 2 dt one ulp long: span / dt is 2.0000000000000004, whole to the step
+    # rule, so the kernel gets 2 steps of dt, not 3 steps of span / 3
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4:6])  # the step and the step count
+        return verlet(*args)
+
+    verlet = dynamics._verlet
+    monkeypatch.setattr(dynamics, "_verlet", counted)
+    dt = 0.1
+    span = np.nextafter(2.0 * dt, math.inf)
+    assert span / dt > 2.0
+    pot = builtin_potential("harmonic", d=d)
+    _flow_states(pot, np.full((3, d), 0.5), np.ones((3, d)), np.array([span]), dt)
+    assert calls == [(dt, 2)]
+
+
+def test_a_step_count_past_the_float_range_is_refused(harmonic_1d):
+    with pytest.raises(ValueError, match="need a finite T/dt"):
+        flow_integrate(harmonic_1d, np.ones(1), np.zeros(1), 1e300, 1e-300)
+    with pytest.raises(ValueError, match="need a finite T/dt"):
+        flow_positions(harmonic_1d, np.ones((2, 1)), np.zeros((2, 1)), np.array([1e300]), 1e-300)
+
+
 @pytest.mark.deep
 @given(builtin_cases(), st.data())
 def test_flow_states_keep_the_reference_bits(case, data):
     # requested times of both signs, in any order, repeated or zero; each
-    # span between consecutive |t| is cut into steps of span / n <= dt
+    # span between consecutive |t| is cut by the step rule: n steps of dt
+    # when span / dt is a whole n to 1e-9 relative, else n = ceil(span / dt)
+    # steps of span / n
     pot, w2, dphi, s = case
     point = st.lists(COORDS, min_size=pot.d, max_size=pot.d)
     x0 = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
@@ -459,8 +485,11 @@ def test_flow_states_keep_the_reference_bits(case, data):
         for j in sorted((j for j in range(len(times)) if sign * times[j] >= 0.0), key=lambda j: abs(times[j])):
             span = abs(times[j]) - t_cur
             if span > 1e-15:
-                n = max(1, math.ceil(span / dt))
-                path, moms = reference_verlet(w2, dphi, x, xi, span / n, n)
+                n, step = round(span / dt), dt
+                if abs(span / dt - n) > 1e-9 * (span / dt):
+                    n = math.ceil(span / dt)
+                    step = span / n
+                path, moms = reference_verlet(w2, dphi, x, xi, step, n)
                 x, xi = list(path[-1]), list(moms[-1])
                 t_cur = abs(times[j])
             exp_x[j] = np.stack(x, axis=-1)

@@ -688,19 +688,24 @@ def test_probe_blind_spots_slow_decay(probe_runs):
     assert runs["exterior"][1].tau == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize(("ratio", "n_steps"), [(100.4, 101), (120.0, 120), (10.5, 40)])
+@pytest.mark.parametrize(("ratio", "n_steps"), [(100.4, 101), (120.0, 120), (10.5, 40), (100 + 5e-8, 100)])
 def test_probe_steps_are_never_longer_than_dt(ratio, n_steps):
-    # dt at the CFL limit: evolve's count for T / dt, at least 40, in steps of
-    # T / n; rounding 100.4 down to 100 steps overran dt and the CFL bound
+    # dt at the CFL limit: evolve's step rule on min(dt, T / 40); rounding
+    # 100.4 down to 100 steps overran dt and the CFL bound, and so did steps
+    # of T / 100 when T / dt is 100 within the rule's 1e-9
     b = builtin_damping("constant", d=1)
     f, rep = turning_point_bump(H1, [41.5], 1.0, b=b)
     dt = cfl_limit(H1, f.grid)
     T = ratio * dt
     trace, _ = quasimode_probe(H1, b, f, rep.lam, T, dt=dt)
-    assert trace.dt == T / n_steps
     assert trace.dt <= dt
     assert len(trace.t) == n_steps + 1
-    assert abs(trace.t[-1] - T) <= 1e-12 * T
+    if T - n_steps * dt > 1e-12 * T:  # whole to 1e-9: n steps of dt, ending short of T
+        assert trace.dt == dt
+        assert abs(trace.t[-1] - T) <= 1e-9 * T
+    else:
+        assert trace.dt == T / n_steps
+        assert abs(trace.t[-1] - T) <= 1e-12 * T
 
 
 def test_resolvent_growth_matches_probe_decay(resolvent_suite, probe_runs):

@@ -91,7 +91,6 @@ WINDOWS = {
     "flow_integrate dt": ("dt", lambda v: flow_integrate(H1, [1.0], [0.0], 1.0, v)),
     "flow_positions dt": ("dt", lambda v: flow_positions(H1, X0, XI0, np.array([-0.5, 0.5]), v)),
     "linearization_deviation lam": ("lam", lambda v: linearization_deviation(H1, [0.0], [1.0], 2.0, v, _eps())),
-    "linearization_deviation dt": ("dt", lambda v: linearization_deviation(H1, [0.0], [1.0], 2.0, 25.0, _eps(), dt=v)),
     "sample_shell lam": ("lam", lambda v: sample_shell(H1, v, 8, _rng())),
     "builtin_damping exterior radius": ("radius", lambda v: builtin_damping("exterior", d=1, radius=v)),
     "builtin_damping ball radius": ("radius", lambda v: builtin_damping("ball", d=2, radius=v)),
